@@ -10,15 +10,17 @@ and commutes exactly when alpha_k beta_{k+(1,0)} = beta_k alpha_{k+(0,1)}
 for every k.  Builders either guarantee that identity by construction or
 check it on an evaluation window up to COMMUTATIVITY_TOL.
 
-Everything downstream (transforms, positivity tests, moments) consumes the
-diagram through `alpha`, `beta`, or the vectorized `weight_arrays`.
+A diagram is represented by one window function (n1, n2) -> (alpha, beta)
+arrays on [0, n1) x [0, n2).  Everything downstream (transforms, positivity
+tests, moments) reads those cached windows through `weight_arrays`;
+`alpha` and `beta` are point views of the same windows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -103,38 +105,35 @@ class WeightDiagram:
     `kind` names how the diagram was built (one of DIAGRAM_KINDS) and
     `params` holds whatever the builder needs to reproduce it; `table`
     is the stored rectangle for table-kind diagrams and None for lazily
-    evaluated ones.
+    evaluated ones.  `_window` maps (n1, n2) to the (alpha, beta) arrays
+    on [0, n1) x [0, n2); each window is computed once and cached.
     """
 
     kind: str
     params: dict
-    _alpha: Callable[[int, int], float]
-    _beta: Callable[[int, int], float]
+    _window: Callable[[int, int], tuple]
     table: tuple | None = None  # (alpha_rect, beta_rect) as ndarrays
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def alpha(self, k1: int, k2: int) -> float:
-        if k1 < 0 or k2 < 0:
-            raise WindowError("lattice indices must be nonnegative")
-        return self._alpha(k1, k2)
+        return self._point(k1, k2)[0]
 
     def beta(self, k1: int, k2: int) -> float:
+        return self._point(k1, k2)[1]
+
+    def _point(self, k1: int, k2: int):
         if k1 < 0 or k2 < 0:
             raise WindowError("lattice indices must be nonnegative")
-        return self._beta(k1, k2)
+        A, B = self.weight_arrays(k1 + 1, k2 + 1)
+        return float(A[k1, k2]), float(B[k1, k2])
 
     def weight_arrays(self, n1: int, n2: int):
-        """Materialize (alpha, beta) on [0, n1) x [0, n2) as float arrays."""
+        """(alpha, beta) on [0, n1) x [0, n2) as read-only float arrays."""
         key = (n1, n2)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        A = np.empty((n1, n2))
-        B = np.empty((n1, n2))
-        for i in range(n1):
-            for j in range(n2):
-                A[i, j] = self._alpha(i, j)
-                B[i, j] = self._beta(i, j)
+        A, B = self._window(n1, n2)
         A.setflags(write=False)
         B.setflags(write=False)
         self._cache[key] = (A, B)
@@ -172,6 +171,12 @@ def validate_commuting(diagram: WeightDiagram, window: int, tol: float = COMMUTA
 # builders
 
 
+def _diagonal_window(om: OneVarWeights, n1: int, n2: int) -> np.ndarray:
+    """omega_{k1+k2} on [0, n1) x [0, n2)."""
+    values = np.array(om.prefix(n1 + n2 - 1), dtype=float)
+    return values[np.add.outer(np.arange(n1), np.arange(n2))]
+
+
 def build_theta(omega) -> WeightDiagram:
     """Lift a one-variable weight sequence: alpha_k = beta_k = omega_{k1+k2}.
 
@@ -180,10 +185,11 @@ def build_theta(omega) -> WeightDiagram:
     """
     om = as_one_var_weights(omega)
 
-    def a(k1, k2):
-        return om(k1 + k2)
+    def window(n1, n2):
+        A = _diagonal_window(om, n1, n2)
+        return A, A
 
-    return WeightDiagram(kind="theta", params={"omega": om}, _alpha=a, _beta=a)
+    return WeightDiagram(kind="theta", params={"omega": om}, _window=window)
 
 
 def build_prop2(x: float, y: float) -> WeightDiagram:
@@ -195,17 +201,15 @@ def build_prop2(x: float, y: float) -> WeightDiagram:
     if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
         raise DomainError(f"require 0 < x < 1 and 0 < y < 1, got x={x}, y={y}")
 
-    def a(k1, k2):
-        if k1 == 0:
-            return x if k2 == 0 else y
-        return 1.0
+    def window(n1, n2):
+        A = np.ones((n1, n2))
+        B = np.ones((n1, n2))
+        A[:1, :] = y
+        B[:, :1] = y
+        A[:1, :1] = B[:1, :1] = x
+        return A, B
 
-    def b(k1, k2):
-        if k2 == 0:
-            return x if k1 == 0 else y
-        return 1.0
-
-    return WeightDiagram(kind="prop2", params={"x": float(x), "y": float(y)}, _alpha=a, _beta=b)
+    return WeightDiagram(kind="prop2", params={"x": float(x), "y": float(y)}, _window=window)
 
 
 def build_thm1(omega, y: float) -> WeightDiagram:
@@ -220,15 +224,11 @@ def build_thm1(omega, y: float) -> WeightDiagram:
         raise DomainError(f"require y > 0, got y={y}")
     ratio = y / om(0)
 
-    def a(k1, k2):
-        return om(k1 + k2)
+    def window(n1, n2):
+        A = _diagonal_window(om, n1, n2)
+        return A, ratio * A
 
-    def b(k1, k2):
-        return ratio * om(k1 + k2)
-
-    return WeightDiagram(
-        kind="thm1", params={"omega": om, "y": float(y)}, _alpha=a, _beta=b
-    )
+    return WeightDiagram(kind="thm1", params={"omega": om, "y": float(y)}, _window=window)
 
 
 def build_table(alpha_rect, beta_rect, *, window: int | None = None) -> WeightDiagram:
@@ -251,17 +251,14 @@ def build_table(alpha_rect, beta_rect, *, window: int | None = None) -> WeightDi
     A.setflags(write=False)
     B.setflags(write=False)
 
-    def a(k1, k2):
-        return A[min(k1, rows - 1), min(k2, cols - 1)]
-
-    def b(k1, k2):
-        return B[min(k1, rows - 1), min(k2, cols - 1)]
+    def clamped(n1, n2):
+        idx = np.ix_(np.minimum(np.arange(n1), rows - 1), np.minimum(np.arange(n2), cols - 1))
+        return A[idx], B[idx]
 
     diagram = WeightDiagram(
         kind="table",
         params={"rows": rows, "cols": cols, "tail_rule": "flat"},
-        _alpha=a,
-        _beta=b,
+        _window=clamped,
         table=(A, B),
     )
     validate_commuting(diagram, rows + cols + 2 if window is None else window)
@@ -309,10 +306,8 @@ def core_of(diagram: WeightDiagram) -> WeightDiagram:
         elif om.values is not None:
             # past a finite row's flat tail the completion repeats its
             # zeroth row exactly, so a finite prefix captures the core row
-            count = max(len(om.values) - 1, 1)
-            row = OneVarWeights(
-                values=tuple(diagram.alpha(j + 1, 1) for j in range(count))
-            )
+            A, _ = diagram.weight_arrays(max(len(om.values), 2), 2)
+            row = OneVarWeights(values=A[1:, 1])
         else:
             row = OneVarWeights(
                 fn=lambda j: diagram.alpha(j + 1, 1),

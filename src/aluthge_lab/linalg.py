@@ -2,41 +2,14 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError
 
 # A matrix passes the PSD test when min eig >= -PSD_TOL * max(1, scale).
 PSD_TOL = 1e-10
-# Inputs to is_psd must be symmetric to this absolute tolerance.
+# Inputs to the PSD test must be symmetric to this absolute tolerance.
 SYMMETRY_TOL = 1e-12
-# Power-iteration stopping rule for operator_norm.
-POWER_TOL = 1e-10
-POWER_MAXITER = 10_000
-
-
-def is_psd(M, tol: float = PSD_TOL) -> bool:
-    """Whether a symmetric matrix is positive semidefinite up to scaled tol.
-
-    The cutoff is relative: min eig >= -tol * max(1, spectral scale), so
-    tiny negative eigenvalues caused by roundoff on large matrices do not
-    flip the verdict.  A visibly asymmetric input is a caller bug and
-    raises DomainError rather than being silently symmetrized.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DomainError("is_psd expects a square matrix")
-    if M.size == 0:
-        return True
-    skew = float(np.max(np.abs(M - M.T)))
-    scale0 = max(1.0, float(np.max(np.abs(M))))
-    if skew > SYMMETRY_TOL * scale0:
-        raise DomainError(f"matrix is not symmetric: max skew {skew:.3e}")
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    return bool(eigs[0] >= -tol * scale)
 
 
 def min_eig(M) -> float:
@@ -46,37 +19,11 @@ def min_eig(M) -> float:
     return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
 
 
-def min_eig_2x2(p: float, q: float, r: float) -> float:
-    """Smallest eigenvalue of [[p, q], [q, r]] in closed form."""
-    half_diff = 0.5 * (p - r)
-    return 0.5 * (p + r) - math.hypot(half_diff, q)
-
-
-def operator_norm(M, tol: float = POWER_TOL, maxiter: int = POWER_MAXITER) -> float:
-    """Largest singular value by power iteration on M^T M.
-
-    Deterministic: the starting vector comes from a fixed-seed generator.
-    Falls back to the iterate reached at maxiter; for the small truncations
-    used here convergence is far faster than the cap.
-    """
+def operator_norm(M) -> float:
+    """Largest singular value of a matrix (0 for an empty one)."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise DomainError("operator_norm expects a matrix")
-    if M.size == 0 or not np.any(M):
+    if M.size == 0:
         return 0.0
-    S = M.T @ M
-    v = np.random.default_rng(0).standard_normal(S.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(maxiter):
-        w = S @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ (S @ v))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        lam = lam_new
-    return math.sqrt(max(lam, 0.0))
+    return float(np.linalg.norm(M, 2))

@@ -74,6 +74,7 @@ def stampfli(a: float, b: float, c: float) -> StampfliData:
     the recursion gamma_{j+2} = phi1 gamma_{j+1} + phi0 gamma_j; the atoms
     are the roots of t^2 - phi1 t - phi0.
     """
+    a, b, c = float(a), float(b), float(c)
     if not (0.0 < a < b < c):
         raise DomainError(f"require 0 < a < b < c, got ({a}, {b}, {c})")
     phi0 = -a * b * (c - b) / (b - a)
@@ -101,7 +102,7 @@ def stampfli(a: float, b: float, c: float) -> StampfliData:
 
     weights = OneVarWeights(fn=omega, tag=f"stampfli:{a!r},{b!r},{c!r}")
     return StampfliData(
-        a=float(a), b=float(b), c=float(c),
+        a=a, b=b, c=c,
         phi0=phi0, phi1=phi1, s0=s0, s1=s1, rho0=rho0, rho1=rho1,
         weights=weights,
     )
@@ -127,16 +128,21 @@ def _two_atom_completion(om: OneVarWeights, C: float) -> WeightDiagram:
         raise InfeasibleConstantError(
             f"constant C = {C} is not above the top atom {d.s1:.6g}"
         )
-    t0, t1 = C - d.s0, C - d.s1
 
-    def gamma(m: int, n: int) -> float:
-        return d.rho0 * d.s0**m * t0**n + d.rho1 * d.s1**m * t1**n
+    def window(n1, n2):
+        # powers come from Python float **, which np.power does not match bit for bit
+        G = sum(
+            rho
+            * np.array([s**m for m in range(n1 + 1)])[:, None]
+            * np.array([(C - s) ** n for n in range(n2 + 1)])
+            for rho, s in ((d.rho0, d.s0), (d.rho1, d.s1))
+        )
+        return np.sqrt(G[1:, :-1] / G[:-1, :-1]), np.sqrt(G[:-1, 1:] / G[:-1, :-1])
 
     return WeightDiagram(
         kind="quasinormal-completion",
         params={"omega": om, "constant": C},
-        _alpha=lambda k1, k2: math.sqrt(gamma(k1 + 1, k2) / gamma(k1, k2)),
-        _beta=lambda k1, k2: math.sqrt(gamma(k1, k2 + 1) / gamma(k1, k2)),
+        _window=window,
     )
 
 
@@ -145,9 +151,10 @@ def quasinormal_completion(W0, C: float) -> WeightDiagram:
 
     beta is forced by the constant, beta_k = sqrt(C - alpha_k^2), and
     commutativity then forces alpha_{k+e2} = alpha_k beta_{k+e1} / beta_k,
-    so the whole diagram propagates upward row by row from W0.  Values are
-    memoized and do not depend on any evaluation window.  A lattice point
-    where C - alpha_k^2 <= 0 raises InfeasibleConstantError when reached.
+    so each window propagates upward row by row from a long enough prefix
+    of W0.  A point value does not depend on the window it is read from.
+    A lattice point of the window where C - alpha_k^2 <= 0 raises
+    InfeasibleConstantError when the window is first computed.
 
     Two-atom rows bypass the recursion for the closed moment-field form,
     which stays accurate at lattice depths where forward propagation of
@@ -161,40 +168,51 @@ def quasinormal_completion(W0, C: float) -> WeightDiagram:
         raise InfeasibleConstantError(f"constant must be positive, got {C}")
     if om.tag.startswith("stampfli:"):
         return _two_atom_completion(om, C)
-    cache: dict = {}
 
-    def alpha(k1: int, k2: int) -> float:
-        key = (k1, k2)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if k2 == 0:
-            val = om(k1)
-        else:
-            below = alpha(k1, k2 - 1)
-            right = alpha(k1 + 1, k2 - 1)
-            val = below * beta_of(right) / beta_of(below)
-        cache[key] = val
-        return val
-
-    def beta_of(a: float) -> float:
+    def beta_of(a: np.ndarray) -> np.ndarray:
         d = C - a * a
-        if d <= 0.0:
+        if np.any(d <= 0.0):
             raise InfeasibleConstantError(
-                f"constant C = {C} is not above alpha^2 = {a * a:.6g}"
+                f"constant C = {C} is not above alpha^2 = {float(np.max(a * a)):.6g}"
             )
-        return math.sqrt(d)
+        return np.sqrt(d)
+
+    def window(n1, n2):
+        rows = [np.array(om.prefix(n1 + n2 - 1), dtype=float)]
+        while len(rows) < n2:
+            below = rows[-1]
+            beta = beta_of(below)
+            # this grouping matches the pointwise recursion bit for bit
+            rows.append((below[:-1] * beta[1:]) / beta[:-1])
+        A = np.array([r[:n1] for r in rows[:n2]]).T.reshape(n1, n2)
+        return A, beta_of(A)
 
     return WeightDiagram(
         kind="quasinormal-completion",
         params={"omega": om, "constant": C},
-        _alpha=alpha,
-        _beta=lambda k1, k2: beta_of(alpha(k1, k2)),
+        _window=window,
     )
 
 
 # ---------------------------------------------------------------------------
 # detection
+
+
+def _sum_and_fixed_point(W: WeightDiagram, window: int, tol: float):
+    """Constant-sum and fixed-point deviations, each with its cutoff.
+
+    Returns (C, dev_c, cut_c, dev_f, cut_f) with C = alpha_0^2 + beta_0^2,
+    dev_c the worst |alpha_k^2 + beta_k^2 - C| and dev_f the worst weight
+    change under the spherical transform, both over [0, window]^2.
+    """
+    A, B = W.weight_arrays(window + 1, window + 1)
+    S = A**2 + B**2
+    C = float(S[0, 0])
+    dev_c = float(np.max(np.abs(S - C)))
+    sp = spherical_transform(W, window=window)
+    A2, B2 = sp.weight_arrays(window + 1, window + 1)
+    dev_f = float(max(np.max(np.abs(A2 - A)), np.max(np.abs(B2 - B))))
+    return C, dev_c, tol * max(1.0, C), dev_f, FIXED_POINT_TOL * max(1.0, math.sqrt(C))
 
 
 def is_spherically_quasinormal(
@@ -208,17 +226,8 @@ def is_spherically_quasinormal(
     decisive disagreement raises InternalConsistencyError; boundary-thin
     cases resolve by the constant-row scan.
     """
-    A, B = W.weight_arrays(window + 1, window + 1)
-    S = A**2 + B**2
-    C = float(S[0, 0])
-    dev_c = float(np.max(np.abs(S - C)))
-    cut_c = tol * max(1.0, C)
+    C, dev_c, cut_c, dev_f, cut_f = _sum_and_fixed_point(W, window, tol)
     flag = dev_c <= cut_c
-
-    sp = spherical_transform(W, window=window)
-    A2, B2 = sp.weight_arrays(window + 1, window + 1)
-    dev_f = float(max(np.max(np.abs(A2 - A)), np.max(np.abs(B2 - B))))
-    cut_f = FIXED_POINT_TOL * max(1.0, math.sqrt(C))
     if flag != (dev_f <= cut_f):
         if (flag and dev_f > 1e3 * cut_f) or (not flag and dev_c > 1e3 * cut_c and dev_f <= cut_f):
             raise InternalConsistencyError(
@@ -256,20 +265,12 @@ def quasinormality_routes(W: WeightDiagram, window: int, N: int, tol: float = QU
     The three are equivalent for genuine diagrams, which the property
     suites assert by comparing these flags pairwise.
     """
-    A, B = W.weight_arrays(window + 1, window + 1)
-    S = A**2 + B**2
-    C = float(S[0, 0])
-    constant_sum = bool(np.max(np.abs(S - C)) <= tol * max(1.0, C))
-
-    sp = spherical_transform(W, window=window)
-    A2, B2 = sp.weight_arrays(window + 1, window + 1)
-    dev = float(max(np.max(np.abs(A2 - A)), np.max(np.abs(B2 - B))))
-    fixed_point = bool(dev <= FIXED_POINT_TOL * max(1.0, math.sqrt(C)))
-
+    C, dev_c, cut_c, dev_f, cut_f = _sum_and_fixed_point(W, window, tol)
+    constant_sum = dev_c <= cut_c
     interior, _ = constant_interior_p2(W, N, tol)
     return {
         "constant_sum": constant_sum,
-        "fixed_point": fixed_point,
+        "fixed_point": dev_f <= cut_f,
         "interior_diagonal": interior,
         "constant": C if constant_sum else None,
     }

@@ -27,8 +27,6 @@ InternalConsistencyError.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .diagrams import build_prop2
@@ -184,9 +182,8 @@ def region_scan(grid: int, N: int = DEFAULT_SCAN_LEVEL, out=None, ladder: int = 
 
     Each (y, x) sample runs the full classifier including orders 2 and 3;
     floats carry 12 significant digits and verdicts are 1/0.  Rows come
-    out in deterministic (y, x) order; the ALUTHGE_LAB_THREADS environment
-    variable caps the worker pool used to compute them (default serial).
-    Returns the CSV lines; writes them to `out` when given.
+    out in (y, x) order.  Returns the CSV lines; writes them to `out` when
+    given.
     """
     if grid < 2:
         raise DomainError("grid must be >= 2")
@@ -205,13 +202,7 @@ def region_scan(grid: int, N: int = DEFAULT_SCAN_LEVEL, out=None, ladder: int = 
         ]
         return ",".join(f"{v:.12g}" for v in vals) + "," + ",".join(str(int(b)) for b in bits)
 
-    threads = int(os.environ.get("ALUTHGE_LAB_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            body = list(pool.map(row, points))
-    else:
-        body = [row(p) for p in points]
-    lines = [SCAN_HEADER, *body]
+    lines = [SCAN_HEADER, *(row(p) for p in points)]
     if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

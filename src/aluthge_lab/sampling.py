@@ -22,10 +22,8 @@ import numpy as np
 from .diagrams import (
     OneVarWeights,
     WeightDiagram,
-    as_one_var_weights,
     build_table,
     build_thm1,
-    moments_1var,
 )
 from .errors import DomainError, InfeasibleConstantError
 from .measures import quasinormal_completion, stampfli
@@ -192,8 +190,3 @@ def sample_below_s(rng: np.random.Generator):
     y = rng.uniform(0.1, 0.9)
     x = curve_s(y) * rng.uniform(0.3, 0.98)
     return x, y
-
-
-def theta_gamma_check(omega, nmax: int) -> np.ndarray:
-    """Moments of omega, exposed for cross-validating lifted diagrams."""
-    return moments_1var(as_one_var_weights(omega), nmax)

@@ -3,8 +3,9 @@
 Only exactly reconstructible objects serialize: every built-in diagram
 kind stores a finite parameter set, and a weight sequence stores either
 its value list or the three-weight canonical-row tag.  Derived diagrams
-(transform outputs) carry closures, so they intentionally do not
-round-trip; the CLI writes those as window reports instead.
+(transform outputs) are defined only through their parent's windows, so
+they intentionally do not round-trip; the CLI writes those as window
+reports instead.
 """
 
 from __future__ import annotations

@@ -15,16 +15,17 @@ joint modulus P_k = sqrt(alpha_k^2 + beta_k^2),
 and always yields a commuting pair; that is asserted on the evaluation
 window, never assumed.
 
-Transformed diagrams are lazy views over the parent's weights (kind
-"derived"), not precomputed closed forms, so tests that compare them
-against independently derived formulas are meaningful.
+A transformed diagram (kind "derived") computes each window by array
+arithmetic on its parent's cached window one step larger, so iterating
+a transform costs work linear in the depth.  Its weights are not
+precomputed closed forms, so tests that compare them against
+independently derived formulas are meaningful.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -46,23 +47,35 @@ RE4_SLACK = 1e-10
 DECISIVE_BAND = 1e2
 
 
-def _derived(parent: WeightDiagram, op: str, a, b) -> WeightDiagram:
+def _derived(parent: WeightDiagram, op: str, rule) -> WeightDiagram:
+    """Diagram whose (n1, n2) window is rule(parent's (n1+1, n2+1) window)."""
+
+    def window(n1, n2):
+        return rule(*parent.weight_arrays(n1 + 1, n2 + 1))
+
     return WeightDiagram(
         kind="derived",
         params={"op": op, "parent": parent.kind},
-        _alpha=a,
-        _beta=b,
+        _window=window,
     )
 
 
-def _toral_weight_fns(W: WeightDiagram):
-    def a(k1, k2):
-        return math.sqrt(W.alpha(k1, k2) * W.alpha(k1 + 1, k2))
+def _toral_rule(A: np.ndarray, B: np.ndarray):
+    # np.sqrt of the same product is correctly rounded, as math.sqrt is
+    return np.sqrt(A[:-1, :-1] * A[1:, :-1]), np.sqrt(B[:-1, :-1] * B[:-1, 1:])
 
-    def b(k1, k2):
-        return math.sqrt(W.beta(k1, k2) * W.beta(k1, k2 + 1))
 
-    return a, b
+def _joint_modulus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """sqrt(alpha^2 + beta^2) entrywise."""
+    # math.hypot elementwise: np.hypot differs in the last bit on some inputs
+    return np.frompyfunc(math.hypot, 2, 1)(A, B).astype(float)
+
+
+def _spherical_rule(A: np.ndarray, B: np.ndarray):
+    P = _joint_modulus(A, B)
+    P0 = P[:-1, :-1]
+    return (A[:-1, :-1] * np.sqrt(P[1:, :-1] / P0),
+            B[:-1, :-1] * np.sqrt(P[:-1, 1:] / P0))
 
 
 def _toral_condition_residual(W: WeightDiagram, window: int) -> float:
@@ -94,8 +107,7 @@ def toral_commutativity_test(
     """
     validate_commuting(W, window)
     cond = _toral_condition_residual(W, window)
-    a, b = _toral_weight_fns(W)
-    direct, _ = commutativity_residual(_derived(W, "toral", a, b), window)
+    direct, _ = commutativity_residual(_derived(W, "toral", _toral_rule), window)
 
     cut = tol * max(1.0, W.weight_bound(window) ** 2)
     flag = cond <= cut
@@ -138,8 +150,7 @@ def toral_transform(
     residual runs as part of this call.
     """
     flag, cond = toral_commutativity_test(W, window, tol)
-    a, b = _toral_weight_fns(W)
-    candidate = _derived(W, "toral", a, b)
+    candidate = _derived(W, "toral", _toral_rule)
     direct, witness = commutativity_residual(candidate, window)
     return ToralResult(
         diagram=candidate,
@@ -158,16 +169,7 @@ def spherical_transform(
     """Spherical Aluthge transform; the output's commutativity is asserted."""
     validate_commuting(W, window)
 
-    def P(k1, k2):
-        return math.hypot(W.alpha(k1, k2), W.beta(k1, k2))
-
-    def a(k1, k2):
-        return W.alpha(k1, k2) * math.sqrt(P(k1 + 1, k2) / P(k1, k2))
-
-    def b(k1, k2):
-        return W.beta(k1, k2) * math.sqrt(P(k1, k2 + 1) / P(k1, k2))
-
-    out = _derived(W, "spherical", a, b)
+    out = _derived(W, "spherical", _spherical_rule)
     resid, witness = commutativity_residual(out, window)
     scale = max(1.0, W.weight_bound(window) ** 2)
     if resid > 100 * COMMUTATIVITY_TOL * scale:
@@ -180,36 +182,25 @@ def spherical_transform(
 
 @dataclass(frozen=True)
 class SphericalPolarData:
-    """Weight-level joint polar data (T1, T2) = (U1 P, U2 P).
+    """Weight-level joint polar data (T1, T2) = (U1 P, U2 P) on a window.
 
-    P_diag(k) = sqrt(alpha_k^2 + beta_k^2); U1_coeff, U2_coeff are the
-    direction cosines alpha_k / P_k, beta_k / P_k, which satisfy
-    U1^2 + U2^2 = 1 at every lattice point.
+    Arrays over [0, window]^2: P_diag = sqrt(alpha_k^2 + beta_k^2) and the
+    direction cosines U1_coeff = alpha_k / P_k, U2_coeff = beta_k / P_k,
+    which satisfy U1^2 + U2^2 = 1 at every lattice point.
     """
 
-    P_diag: Callable[[int, int], float]
-    U1_coeff: Callable[[int, int], float]
-    U2_coeff: Callable[[int, int], float]
+    P_diag: np.ndarray
+    U1_coeff: np.ndarray
+    U2_coeff: np.ndarray
 
-    def isometry_residual(self, window: int) -> float:
-        worst = 0.0
-        for k1 in range(window + 1):
-            for k2 in range(window + 1):
-                u1 = self.U1_coeff(k1, k2)
-                u2 = self.U2_coeff(k1, k2)
-                worst = max(worst, abs(u1 * u1 + u2 * u2 - 1.0))
-        return worst
+    def isometry_residual(self) -> float:
+        return float(np.max(np.abs(self.U1_coeff**2 + self.U2_coeff**2 - 1.0)))
 
 
-def spherical_polar(W: WeightDiagram) -> SphericalPolarData:
-    def P(k1, k2):
-        return math.hypot(W.alpha(k1, k2), W.beta(k1, k2))
-
-    return SphericalPolarData(
-        P_diag=P,
-        U1_coeff=lambda k1, k2: W.alpha(k1, k2) / P(k1, k2),
-        U2_coeff=lambda k1, k2: W.beta(k1, k2) / P(k1, k2),
-    )
+def spherical_polar(W: WeightDiagram, window: int = DEFAULT_WINDOW) -> SphericalPolarData:
+    A, B = W.weight_arrays(window + 1, window + 1)
+    P = _joint_modulus(A, B)
+    return SphericalPolarData(P_diag=P, U1_coeff=A / P, U2_coeff=B / P)
 
 
 def joint_partial_isometry_check(W: WeightDiagram, N: int, tol: float = 1e-12):

@@ -8,10 +8,18 @@ experiment.
 """
 
 import time
+from pathlib import Path
 
 from aluthge_lab import reproduce
 
 _T0 = time.perf_counter()
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
+
+
+def golden_block(target, index):
+    """Table `index` of the seed-7 `reproduce <target>` stdout, byte for byte."""
+    text = (GOLDEN / f"reproduce-{target}-seed7.txt").read_text(encoding="utf-8")
+    return text.rstrip("\n").split("\n\n")[index]
 
 
 def row(result, prefix):
@@ -66,6 +74,7 @@ def test_05_table_transform_checks():
     assert row(res, "spherical residual").value <= 1e-12
     assert row(res, "toral condition").value == 0
     assert row(res, "componentwise").value == 50
+    assert res.table() == golden_block("prop1", 0)
 
 
 def test_06_lift_equivalence():
@@ -73,6 +82,7 @@ def test_06_lift_equivalence():
     check_passed(res)
     for k in (1, 2, 3):
         assert row(res, f"k = {k}").value == 0
+    assert res.table() == golden_block("propscaling2", 0)
 
 
 def test_07_lift_transform_hyponormality():
@@ -82,6 +92,7 @@ def test_07_lift_transform_hyponormality():
     assert row(res, "toral and spherical weights coincide").value <= 1e-12
     assert row(res, "toral transforms").value == 20
     assert row(res, "spherical transforms").value == 20
+    assert res.table() == golden_block("prehypo", 0)
 
 
 def test_08_proportional_rows_agree():
@@ -89,6 +100,7 @@ def test_08_proportional_rows_agree():
     check_passed(res)
     assert row(res, "20 proportional-row diagrams").value <= 1e-12
     assert row(res, "20 perturbed diagrams").value > 1e-6
+    assert res.table() == golden_block("thm1", 0)
 
 
 # --- quasinormality and Berger measures ------------------------------------
@@ -99,6 +111,7 @@ def test_09_quasinormality_routes():
     check_passed(res)
     assert row(res, "no route disagreements").value == 0
     assert row(res, "every completion detected").value == 25
+    assert res.table() == golden_block("quasinormal2", 0)
 
 
 def test_10_berger_verification():
@@ -108,6 +121,7 @@ def test_10_berger_verification():
         assert row(res, f"moments of {triple}").value <= 1e-10
     assert abs(row(res, "beta(0,0)").value - 3.0**0.5) <= 1e-12
     assert abs(row(res, "alpha(0,1)").value - (2.0 / 3.0) ** 0.5) <= 1e-12
+    assert res.table() == golden_block("quasinormal2", 1)
 
 
 def test_11_completion_khypo_and_power_identity():
@@ -116,6 +130,7 @@ def test_11_completion_khypo_and_power_identity():
     for k in (1, 2, 3):
         assert row(res, f"k = {k}").value == 0
     assert row(res, "power identity").value <= 1e-10
+    assert res.table() == golden_block("quasinormal2", 2)
 
 
 # --- continuity -------------------------------------------------------------
@@ -126,10 +141,12 @@ def test_12_continuity_bounds_and_sweep():
     check_passed(bounds)
     for n in (1, 10, 100, 10_000):
         assert row(bounds, f"five bounds hold at n = {n}").value >= -1e-10
+    assert bounds.table() == golden_block("re4", 0)
 
     sweep = reproduce.continuity_sweep()
     check_passed(sweep)
     assert row(sweep, "distance below 1e-2").value < 1e-2
+    assert sweep.table() == golden_block("re4", 1)
 
 
 def test_suite_runtime_budget():

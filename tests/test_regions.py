@@ -129,12 +129,6 @@ def test_region_scan_shape_and_determinism(tmp_path):
     assert out.read_text().splitlines() == lines
 
 
-def test_region_scan_threaded_matches_serial(monkeypatch):
-    serial = region_scan(2, N=8, ladder=3)
-    monkeypatch.setenv("ALUTHGE_LAB_THREADS", "4")
-    assert region_scan(2, N=8, ladder=3) == serial
-
-
 def test_region_scan_rejects_tiny_grid():
     with pytest.raises(DomainError):
         region_scan(1)

@@ -45,11 +45,14 @@ def test_omega_values_round_trip():
 
 
 def test_omega_stampfli_round_trip():
-    om = stampfli(1.0, 2.0, 3.0).weights
-    obj = omega_to_obj(om)
-    assert obj == {"stampfli": [1.0, 2.0, 3.0]}
-    back = omega_from_obj(obj)
-    assert all(back(j) == om(j) for j in range(10))
+    # numpy scalars must write the same tag as Python floats
+    for triple in ((1.0, 2.0, 3.0), tuple(np.float64(v) for v in (1.0, 2.0, 3.0))):
+        d = stampfli(*triple)
+        obj = omega_to_obj(d.weights)
+        assert obj == {"stampfli": [1.0, 2.0, 3.0]}
+        back = omega_from_obj(obj)
+        assert all(back(j) == d.weights(j) for j in range(10))
+        quasinormal_completion(d.weights, d.phi1).weight_arrays(4, 4)
 
 
 def test_omega_accepts_bare_lists():

@@ -16,8 +16,10 @@ from aluthge_lab import (
     commutativity_residual,
     continuity_probe,
     joint_partial_isometry_check,
+    quasinormal_completion,
     spherical_polar,
     spherical_transform,
+    stampfli,
     toral_commutativity_test,
     toral_transform,
     transform_distance,
@@ -143,16 +145,39 @@ def test_transform_rejects_noncommuting_input():
     # sabotage beta only, off the theta diagonal
     from aluthge_lab.diagrams import WeightDiagram
 
-    broken = WeightDiagram(
-        kind="derived",
-        params={},
-        _alpha=bad.alpha,
-        _beta=lambda k1, k2: bad.beta(k1, k2) * (1.3 if (k1, k2) == (2, 1) else 1.0),
-    )
+    def window(n1, n2):
+        A, B = bad.weight_arrays(n1, n2)
+        B = B.copy()
+        B[2:3, 1:2] *= 1.3
+        return A, B
+
+    broken = WeightDiagram(kind="derived", params={}, _window=window)
     with pytest.raises(NonCommutingInputError):
         spherical_transform(broken, window=6)
     with pytest.raises(NonCommutingInputError):
         toral_transform(broken, window=6)
+
+
+def test_iterated_spherical_transform_follows_parameter_maps():
+    # the corner family maps to itself under the closed-form parameter map
+    # of the regions module; a quasinormal completion is a fixed point
+    def iterate(W, depth=5):
+        for _ in range(depth):
+            W = spherical_transform(W)
+        return W.weight_arrays(12, 12)
+
+    for x, y in ((0.72, 0.4), (0.84, 0.6), (0.3, 0.9)):
+        got = iterate(build_prop2(x, y))
+        for _ in range(5):
+            x, y = math.sqrt(x) * ((1 + y * y) / 2) ** 0.25, y * (2 / (1 + y * y)) ** 0.25
+        want = build_prop2(x, y).weight_arrays(12, 12)
+        assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) <= 1e-13
+
+    data = stampfli(1.0, 2.0, 3.0)
+    W = quasinormal_completion(data.weights, data.phi1)
+    got = iterate(W)
+    want = W.weight_arrays(12, 12)
+    assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +187,9 @@ def test_transform_rejects_noncommuting_input():
 def test_polar_directions_are_unit():
     rng = np.random.default_rng(9)
     W = random_commuting_table(rng)
-    polar = spherical_polar(W)
-    assert polar.isometry_residual(8) <= 1e-15
-    assert polar.P_diag(1, 2) == pytest.approx(math.hypot(W.alpha(1, 2), W.beta(1, 2)))
+    polar = spherical_polar(W, window=8)
+    assert polar.isometry_residual() <= 1e-15
+    assert polar.P_diag[1, 2] == pytest.approx(math.hypot(W.alpha(1, 2), W.beta(1, 2)))
 
 
 def test_joint_partial_isometry_identity():
