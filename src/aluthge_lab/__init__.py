@@ -41,7 +41,6 @@ from .measures import (
     quasinormal_completion,
     quasinormality_routes,
     stampfli,
-    thm1_measure_probe,
 )
 from .positivity import (
     HypoReport,

@@ -80,6 +80,17 @@ def _triple(text: str):
         raise argparse.ArgumentTypeError(f"could not parse {text!r} as numbers") from None
 
 
+def _nonneg_int(text: str) -> int:
+    """Non-negative integer argument; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage failures exit 64 instead of 2."""
 
@@ -252,10 +263,10 @@ def _build_parser() -> _Parser:
 
     def common(sp, window=None, level=None, tol=None):
         if window is not None:
-            sp.add_argument("--window", "-w", type=int, default=window,
+            sp.add_argument("--window", "-w", type=_nonneg_int, default=window,
                             help=f"evaluation window (default {window})")
         if level is not None:
-            sp.add_argument("--level", "-N", dest="level", type=int, default=level,
+            sp.add_argument("--level", "-N", dest="level", type=_nonneg_int, default=level,
                             help=f"truncation level (default {level})")
         if tol is not None:
             sp.add_argument("--tol", type=float, default=tol,
@@ -270,7 +281,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("hypo", help="joint and componentwise hyponormality report")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--kmax", type=int, default=1, help="highest order to test (default 1)")
+    sp.add_argument("--kmax", type=_nonneg_int, default=1, help="highest order to test (default 1)")
     common(sp, level=10, tol=1e-10)
     sp.set_defaults(func=_cmd_hypo)
 
@@ -297,7 +308,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("stampfli", help="two-atom measure with prescribed first weights")
     sp.add_argument("--triple", type=_triple, required=True, metavar="a,b,c")
-    sp.add_argument("--count", type=int, default=8, help="weights to print (default 8)")
+    sp.add_argument("--count", type=_nonneg_int, default=8, help="weights to print (default 8)")
     sp.add_argument("--out", "-o")
     sp.set_defaults(func=_cmd_stampfli)
 
@@ -308,7 +319,7 @@ def _build_parser() -> _Parser:
                      help="canonical completion and measure for this triple")
     spv.add_argument("--input", help="diagram JSON (with --measure)")
     spv.add_argument("--measure", help="measure JSON (with --input)")
-    spv.add_argument("--maxdeg", type=int, default=10)
+    spv.add_argument("--maxdeg", type=_nonneg_int, default=10)
     spv.add_argument("--tol", type=float, default=1e-10)
     spv.add_argument("--out", "-o")
     spv.set_defaults(func=_cmd_berger)
@@ -321,7 +332,7 @@ def _build_parser() -> _Parser:
     spc = rsub.add_parser("classify", help="closed-form and numerical verdicts at (x, y)")
     spc.add_argument("--x", type=float, required=True)
     spc.add_argument("--y", type=float, required=True)
-    spc.add_argument("--kmax", type=int, default=1)
+    spc.add_argument("--kmax", type=_nonneg_int, default=1)
     common(spc, level=12)
     spc.set_defaults(func=_cmd_regions)
     sps = rsub.add_parser("scan", help="CSV scan over a y-grid with an x-ladder per row")

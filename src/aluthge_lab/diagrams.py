@@ -40,8 +40,6 @@ DENOM_FLOOR = 1e-30
 # A truncation at level N is validated on the window [0, N + WINDOW_MARGIN]^2.
 WINDOW_MARGIN = 2
 
-DIAGRAM_KINDS = ("table", "theta", "prop2", "thm1", "quasinormal-completion")
-
 
 def _check_positive_finite(values, what):
     arr = np.asarray(values, dtype=float)
@@ -102,8 +100,9 @@ def as_one_var_weights(omega) -> OneVarWeights:
 class WeightDiagram:
     """An immutable 2-variable weight diagram.
 
-    `kind` names how the diagram was built (one of DIAGRAM_KINDS) and
-    `params` holds whatever the builder needs to reproduce it; `table`
+    `kind` names the builder that made the diagram ("table", "theta",
+    "prop2", "thm1", "quasinormal-completion", or "derived" for a
+    transform) and `params` holds whatever it needs to reproduce it; `table`
     is the stored rectangle for table-kind diagrams and None for lazily
     evaluated ones.  `_window` maps (n1, n2) to the (alpha, beta) arrays
     on [0, n1) x [0, n2); each window is computed once and cached.
@@ -337,13 +336,6 @@ class MomentTable:
         if m < 0 or n < 0 or m + n > self.maxdeg:
             raise WindowError(f"(m, n) = ({m}, {n}) outside degree bound {self.maxdeg}")
         return float(self._values[m, n])
-
-    def as_dict(self) -> dict:
-        return {
-            (m, n): float(self._values[m, n])
-            for m in range(self.maxdeg + 1)
-            for n in range(self.maxdeg + 1 - m)
-        }
 
 
 def moments(diagram: WeightDiagram, maxdeg: int) -> MomentTable:

@@ -22,7 +22,6 @@ from .diagrams import (
     WeightDiagram,
     as_one_var_weights,
     moments,
-    moments_1var,
     truncate,
 )
 from .errors import (
@@ -298,6 +297,8 @@ class AtomicMeasure2D:
         pts = set()
         total = 0.0
         for s, t, rho in self.atoms:
+            if not all(math.isfinite(v) for v in (s, t, rho)):
+                raise DomainError("atom coordinates and masses must be finite")
             if s < 0.0 or t < 0.0:
                 raise DomainError("atom coordinates must be nonnegative")
             if rho <= 0.0:
@@ -376,59 +377,3 @@ def qt_power_identity_check(W: WeightDiagram, nmax: int, N: int) -> float:
             continue
         worst = max(worst, float(np.max(np.abs(window - first_power**n))))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# Figure-2 family probe
-
-
-def thm1_measure_probe(omega, y: float, maxdeg: int) -> dict:
-    """Moment-level structure report for the proportional-rows family.
-
-    The weights alpha_k = omega_{k1+k2}, beta_k = (y/a) omega_{k1+k2}
-    force the factorization gamma_W(m, n) = r_n * gamma^{1var}_{m+n} with
-    r_n depending only on n.  The report records the measured r_n next to
-    the candidate scale conventions for a point mass at second coordinate
-    t0 = sqrt(y/a), and which of them matches; it asserts nothing beyond
-    the factorization structure itself.
-    """
-    from .diagrams import build_thm1
-
-    om = as_one_var_weights(omega)
-    a = om(0)
-    W = build_thm1(om, y)
-    table = moments(W, maxdeg)
-    g1 = moments_1var(om, maxdeg)
-
-    ratios = [table.gamma(0, n) / g1[n] for n in range(maxdeg + 1)]
-    t0 = math.sqrt(y / a)
-    # candidate conventions for how a point mass at second coordinate t0
-    # scales the n-th vertical moments: t0^n (plain), t0^(2n) (squared
-    # variables), and the scale the weights themselves force, (y/a)^(2n).
-    predictions = {
-        "t0_pow_n": [t0**n for n in range(maxdeg + 1)],
-        "t0_pow_2n": [(y / a) ** n for n in range(maxdeg + 1)],
-        "weight_scaling": [(y / a) ** (2 * n) for n in range(maxdeg + 1)],
-    }
-
-    def matches(pred):
-        return all(
-            abs(r - p) <= 1e-10 * max(abs(r), abs(p), 1.0) for r, p in zip(ratios, pred)
-        )
-
-    worst_fact = 0.0
-    for m in range(maxdeg + 1):
-        for n in range(maxdeg + 1 - m):
-            g = table.gamma(m, n)
-            pred = ratios[n] * g1[m + n]
-            worst_fact = max(worst_fact, abs(g - pred) / max(abs(g), DENOM_FLOOR))
-
-    return {
-        "y": float(y),
-        "a": float(a),
-        "t0": t0,
-        "ratio_per_degree": ratios,
-        "predictions": predictions,
-        "matches": {name: matches(pred) for name, pred in predictions.items()},
-        "factorization_residual": worst_fact,
-    }

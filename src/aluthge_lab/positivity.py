@@ -6,19 +6,29 @@ hyponormal exactly when, for every lattice point k, the 2x2 matrix
     M(k) = [[alpha_{k+e1}^2 - alpha_k^2,   alpha_{k+e2} beta_{k+e1} - alpha_k beta_k],
             [      (same off-diagonal),     beta_{k+e2}^2 - beta_k^2             ]]
 
-is positive semidefinite.  The operator-level route builds the block
-commutator matrix ([(T^q)*, T^p])_{p,q} on a truncation and compresses it
-to interior basis vectors, where its entries equal their
-infinite-dimensional values; the compression of a PSD operator matrix is
-PSD, so the finite verdict is a sound necessary condition at any order.
+is positive semidefinite.  The operator-level object is the block
+commutator matrix ([(T^q)*, T^p])_{p,q}, 1 <= |p|, |q| <= k, compressed to
+basis vectors e_v with v in a window [0, Mc]^2; its entries there involve
+only finitely many weights, and the compression of a PSD operator matrix
+is PSD, so the finite verdict is a sound necessary condition at any order.
 
-At order one the two routes are tied together by an exact decomposition:
-the compressed block matrix is orthogonally similar to the direct sum of
-the six-point blocks M(j) over the compression interior, rim terms
-alpha(u1, M)^2 - alpha(u1-1, M)^2 and beta(M, u2)^2 - beta(M, u2-1)^2,
-and wall terms alpha(0, k2)^2, beta(k1, 0)^2.  joint_hyponormal checks
-that spectral identity on every call; a mismatch is a package bug and
-raises InternalConsistencyError.
+Since T^p e_v = ||T^p e_v|| e_{v+p}, row (p, e_v) of the compressed matrix
+meets only rows (q, e_{v-p+q}): the matrix is orthogonally similar to the
+direct sum over u in [-k, Mc]^2 of the blocks
+
+    B_u[p, q] = ||T^p e_{u+q}|| ||T^q e_{u+p}|| - [u >= 0] ||T^p e_u|| ||T^q e_u||
+
+restricted to the rows p with u + p in [0, Mc]^2, which is how
+k_hyponormal_verdict evaluates it.  For u >= 0 scaling B_u by
+diag sqrt(gamma_{u+p}) gives, for a commuting pair, the Schur complement
+at gamma_u of the Curto-Lee-Yoon moment matrix (gamma_{u+p+q})_{|p|,|q|<=k}.
+
+At order one the full blocks are the six-point blocks M(j) over the
+compression interior and the partial ones are rim terms
+alpha(u1, M)^2 - alpha(u1-1, M)^2 and beta(M, u2)^2 - beta(M, u2-1)^2 and
+wall terms alpha(0, k2)^2, beta(k1, 0)^2.  joint_hyponormal checks that
+spectral identity against the dense compressed order-1 matrix on every
+call; a mismatch is a package bug and raises InternalConsistencyError.
 """
 
 from __future__ import annotations
@@ -29,7 +39,6 @@ import numpy as np
 
 from .diagrams import (
     MomentTable,
-    OneVarWeights,
     WeightDiagram,
     as_one_var_weights,
     moments_1var,
@@ -60,10 +69,13 @@ def psd_check(M, tol: float = PSD_TOL) -> PsdVerdict:
     skew = float(np.max(np.abs(M - M.T)))
     if skew > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(M)))):
         raise DomainError(f"matrix is not symmetric: max skew {skew:.3e}")
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    lo = float(eigs[0])
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    return PsdVerdict(is_psd=lo >= -tol * scale, min_eigenvalue=lo, tol=tol, dim=M.shape[0])
+    return _eig_verdict(np.linalg.eigvalsh(0.5 * (M + M.T)), tol, M.shape[0])
+
+
+def _eig_verdict(eigs, tol: float, dim: int) -> PsdVerdict:
+    lo = float(eigs.min())
+    scale = max(1.0, float(np.abs(eigs).max()))
+    return PsdVerdict(is_psd=lo >= -tol * scale, min_eigenvalue=lo, tol=tol, dim=dim)
 
 
 # ---------------------------------------------------------------------------
@@ -216,43 +228,52 @@ def _graded_multi_indices(k: int):
 
 
 def k_hyponormal_verdict(W: WeightDiagram, k: int, N: int, tol: float = PSD_TOL) -> PsdVerdict:
-    """PSD verdict of the order-k block commutator matrix on a truncation.
+    """PSD verdict of the compressed order-k block commutator matrix.
 
     Blocks are [(T^q)*, T^p] for multi-indices 1 <= |p|, |q| <= k in graded
-    lexicographic order, with T^p = T1^{p1} T2^{p2}.  The matrix is
-    compressed to basis vectors with k1, k2 <= N - (2k+1); there the
-    entries involve only weights within lattice distance 2k, so they equal
-    their infinite-dimensional values and the verdict is a sound necessary
-    condition for k-hyponormality.
+    lexicographic order, with T^p = T1^{p1} T2^{p2}, compressed to basis
+    vectors e_v with v in [0, Mc]^2, Mc = N - (2k+1).  The matrix is
+    evaluated as its direct sum of blocks B_u, u in [-k, Mc]^2 (module
+    docstring), from one weight window [0, N-k)^2 and one stacked
+    eigensolve; the verdict is a sound necessary condition for
+    k-hyponormality.  `dim` is the size m (Mc+1)^2 of the compressed matrix.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
     if N < 4 * k + 2:
         raise WindowError(f"k = {k} needs truncation level N >= {4 * k + 2}, got {N}")
-    t = truncate(W, N)
-    pow1 = [np.eye(t.T1.shape[0])]
-    pow2 = [np.eye(t.T1.shape[0])]
-    for _ in range(k):
-        pow1.append(t.T1 @ pow1[-1])
-        pow2.append(t.T2 @ pow2[-1])
     ps = _graded_multi_indices(k)
-    Tp = [pow1[p1] @ pow2[p2] for (p1, p2) in ps]
-
-    Mc = N - (2 * k + 1)
-    n = N + 1
-    idx = np.arange(n * n)
-    sel = (idx // n <= Mc) & (idx % n <= Mc)
     m = len(ps)
-    d = int(np.count_nonzero(sel))
-    big = np.empty((m * d, m * d))
-    for ib in range(m):
-        for jb in range(ib, m):
-            C = Tp[jb].T @ Tp[ib] - Tp[ib] @ Tp[jb].T
-            Cc = C[np.ix_(sel, sel)]
-            big[ib * d : (ib + 1) * d, jb * d : (jb + 1) * d] = Cc
-            if jb != ib:
-                big[jb * d : (jb + 1) * d, ib * d : (ib + 1) * d] = Cc.T
-    return psd_check(big, tol)
+    size = N - 2 * k  # compression window [0, Mc]^2
+    nu = size + k  # block labels u in [-k, Mc]^2, stored at u + (k, k)
+    A, B = W.weight_arrays(N - k, N - k)
+    # norms[i] holds ||T^{p_i} e_w|| at w + (k, k), zero off the window
+    norms = np.zeros((m, nu + k, nu + k))
+    inside = np.zeros((nu + k, nu + k), dtype=bool)
+    inside[k : k + size, k : k + size] = True
+    for i, (p1, p2) in enumerate(ps):
+        path = np.ones((size, size))
+        for j in range(p2):  # T^p applies T2 first, then T1
+            path = path * B[:size, j : j + size]
+        for j in range(p1):
+            path = path * A[j : j + size, p2 : p2 + size]
+        norms[i, k : k + size, k : k + size] = path
+
+    def at(X, p):  # X at u + p for every block label u
+        return X[..., p[0] : p[0] + nu, p[1] : p[1] + nu]
+
+    cross = np.stack([at(norms, p) for p in ps], axis=1)  # ||T^{p_i} e_{u+p_j}||
+    keep = np.stack([at(inside, p) for p in ps])
+    base = norms[:, :nu, :nu] * keep  # ||T^{p_i} e_u||, zero for u < 0 or dropped rows
+    blocks = cross * cross.transpose(1, 0, 2, 3) - base[:, None] * base[None, :]
+    blocks = np.moveaxis(blocks, (0, 1), (2, 3)).reshape(-1, m, m)
+    kept = np.moveaxis(keep, 0, 2).reshape(-1, m)
+    i = np.arange(m)
+    diag = blocks[:, i, i]
+    # A dropped row becomes a decoupled eigenvalue equal to the largest kept
+    # diagonal entry, which lies in [min eig, max eig]: neither changes.
+    blocks[:, i, i] = np.where(kept, diag, diag[kept].max())
+    return _eig_verdict(np.linalg.eigvalsh(blocks), tol, m * size * size)
 
 
 def k_hyponormal(W: WeightDiagram, k: int, N: int, tol: float = PSD_TOL) -> bool:

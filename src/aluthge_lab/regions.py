@@ -187,6 +187,8 @@ def region_scan(grid: int, N: int = DEFAULT_SCAN_LEVEL, out=None, ladder: int = 
     """
     if grid < 2:
         raise DomainError("grid must be >= 2")
+    if ladder < 1:
+        raise DomainError("ladder must be >= 1")
     points = [(y, x) for y in (i / (grid + 1) for i in range(1, grid + 1)) for x in probe_ladder(y, ladder)]
 
     def row(point):

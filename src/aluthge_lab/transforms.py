@@ -101,25 +101,12 @@ def toral_commutativity_test(
 ):
     """Closed-form test for commutativity of the toral candidate.
 
-    Returns (flag, worst condition residual).  Cross-checked against the
-    direct residual of the candidate weights; a decisive disagreement
-    between the two routes raises InternalConsistencyError.
+    Returns (flag, worst condition residual) from toral_transform, whose
+    cross-check against the direct residual of the candidate weights
+    raises InternalConsistencyError on a decisive disagreement.
     """
-    validate_commuting(W, window)
-    cond = _toral_condition_residual(W, window)
-    direct, _ = commutativity_residual(_derived(W, "toral", _toral_rule), window)
-
-    cut = tol * max(1.0, W.weight_bound(window) ** 2)
-    flag = cond <= cut
-    if flag != (direct <= cut):
-        cond_decisive = cond <= cut / DECISIVE_BAND or cond >= cut * DECISIVE_BAND
-        direct_decisive = direct <= cut / DECISIVE_BAND or direct >= cut * DECISIVE_BAND
-        if cond_decisive and direct_decisive:
-            raise InternalConsistencyError(
-                "toral commutativity routes disagree: "
-                f"condition residual {cond:.3e}, direct residual {direct:.3e}"
-            )
-    return flag, cond
+    res = toral_transform(W, window=window, tol=tol)
+    return res.commutes, res.condition_residual
 
 
 @dataclass(frozen=True)
@@ -145,13 +132,26 @@ def toral_transform(
     """Toral Aluthge transform of a commuting diagram.
 
     The candidate is returned even when it fails to commute (region
-    experiments need to inspect it); the flag comes from
-    toral_commutativity_test, whose cross-check against the direct
-    residual runs as part of this call.
+    experiments need to inspect it).  The flag is the closed-form
+    condition test; it is cross-checked against the direct residual of
+    the candidate, and a decisive disagreement between the two routes
+    raises InternalConsistencyError.
     """
-    flag, cond = toral_commutativity_test(W, window, tol)
+    validate_commuting(W, window)
+    cond = _toral_condition_residual(W, window)
     candidate = _derived(W, "toral", _toral_rule)
     direct, witness = commutativity_residual(candidate, window)
+
+    cut = tol * max(1.0, W.weight_bound(window) ** 2)
+    flag = cond <= cut
+    if flag != (direct <= cut):
+        cond_decisive = cond <= cut / DECISIVE_BAND or cond >= cut * DECISIVE_BAND
+        direct_decisive = direct <= cut / DECISIVE_BAND or direct >= cut * DECISIVE_BAND
+        if cond_decisive and direct_decisive:
+            raise InternalConsistencyError(
+                "toral commutativity routes disagree: "
+                f"condition residual {cond:.3e}, direct residual {direct:.3e}"
+            )
     return ToralResult(
         diagram=candidate,
         commutes=flag,

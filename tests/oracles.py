@@ -92,3 +92,27 @@ def one_var_block_min_eig(om, k, m):
     ]
     big = np.block(blocks)
     return float(np.linalg.eigvalsh(0.5 * (big + big.T))[0])
+
+
+def block_commutator_spectrum(W, k, N):
+    """(min eig, max |eig|, dim) of the compressed order-k block commutator matrix.
+
+    Blocks [(T^q)*, T^p] for 1 <= |p|, |q| <= k in graded lexicographic
+    order, T^p = T1^{p1} T2^{p2} built from dense powers on level N, each
+    block compressed to e_(k1,k2) with k1, k2 <= N - 2k - 1.
+    """
+    T1, T2 = dense_pair(W, N)
+    n = N + 1
+    pow1 = [np.eye(n * n)]
+    pow2 = [np.eye(n * n)]
+    for _ in range(k):
+        pow1.append(T1 @ pow1[-1])
+        pow2.append(T2 @ pow2[-1])
+    powers = [pow1[p1] @ pow2[g - p1] for g in range(1, k + 1) for p1 in range(g + 1)]
+    Mc = N - 2 * k - 1
+    keep = [k1 * n + k2 for k1 in range(Mc + 1) for k2 in range(Mc + 1)]
+    big = np.block(
+        [[(Tq.T @ Tp - Tp @ Tq.T)[keep][:, keep] for Tq in powers] for Tp in powers]
+    )
+    eigs = np.linalg.eigvalsh(0.5 * (big + big.T))
+    return float(eigs[0]), float(np.max(np.abs(eigs))), big.shape[0]

@@ -254,6 +254,35 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["hypo", "--input", "x.json", "-N", "-3"], 64),
+        (["hypo", "--input", "x.json", "--kmax", "-1"], 64),
+        (["transform", "--kind", "toral", "--input", "x.json", "-w", "-2"], 64),
+        (["stampfli", "--triple", "1,2,3", "--count", "-2"], 64),
+        (["berger", "verify", "--triple", "1,2,3", "--maxdeg", "-1"], 64),
+        (["regions", "classify", "--x", "0.5", "--y", "0.5", "--kmax", "-1"], 64),
+        (["regions", "scan", "--grid", "2", "--ladder", "0"], 2),
+    ],
+)
+def test_bad_integer_flags_exit_cleanly(capsys, argv, code):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def test_non_finite_atom_mass_exits_2(tmp_path, capsys, prop2_file):
+    mu_path = tmp_path / "mu.json"
+    mu_path.write_text('{"atoms": [[0.5, 0.5, NaN]]}')
+    code = main(["berger", "verify", "--input", prop2_file, "--measure", str(mu_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "aluthge_lab.cli", "regions", "q"],

@@ -193,6 +193,11 @@ def test_measure_validation():
         AtomicMeasure2D(atoms=((0.5, 0.5, 0.7), (0.5, 0.5, 0.3)))  # duplicate atom
     with pytest.raises(DomainError):
         AtomicMeasure2D(atoms=((0.5, 0.5, 0.4),))  # masses must sum to 1
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            AtomicMeasure2D(atoms=((0.5, 0.5, bad),))  # non-finite mass
+        with pytest.raises(DomainError):
+            AtomicMeasure2D(atoms=((bad, 0.5, 1.0),))  # non-finite coordinate
     mu = AtomicMeasure2D(atoms=((0.25, 0.75, 0.5), (0.75, 0.25, 0.5)))
     assert mu.moment(0, 0) == pytest.approx(1.0)
     assert mu.moment(1, 0) == pytest.approx(0.5)

@@ -24,12 +24,15 @@ from aluthge_lab import (
 )
 from aluthge_lab.measures import quasinormal_completion, stampfli
 from aluthge_lab.sampling import (
+    bump_gamma,
     random_commuting_table,
+    random_completion,
     random_monotone_table,
     random_nondecreasing_omega,
 )
+from aluthge_lab.transforms import toral_transform
 
-from oracles import one_var_block_min_eig
+from oracles import block_commutator_spectrum, one_var_block_min_eig
 
 PSD_TOL = 1e-10
 
@@ -160,6 +163,45 @@ def test_k1_block_matches_six_point_verdict():
         W = build_prop2(x, y)
         assert k_hyponormal(W, 1, 8) is expect
         assert joint_hyponormal(W, 8)[0] is expect
+
+
+def _agrees_with_dense_oracle(W, k, N):
+    v = k_hyponormal_verdict(W, k, N)
+    lo, top, dim = block_commutator_spectrum(W, k, N)
+    scale = max(1.0, top)
+    assert v.dim == dim
+    assert v.is_psd == (lo >= -PSD_TOL * scale), f"k={k}, N={N}: {v} vs {lo:.3e}"
+    assert abs(v.min_eigenvalue - lo) <= 1e-12 * scale
+
+
+def _oracle_diagrams():
+    rng = np.random.default_rng(5)
+    y = 0.6
+    s = np.sqrt(1 / (2 - y * y))
+    h = np.sqrt((1 + y * y) / 2)
+    out = [build_prop2(x, y) for x in (s - 0.02, 0.5 * (s + h), h + 0.02)]
+    out += [random_monotone_table(rng), random_commuting_table(rng)]
+    out += [build_theta(random_nondecreasing_omega(rng, length=8)), random_completion(rng)]
+    bumped = bump_gamma(build_prop2(0.8, 0.5), 1.4, at=(1, 1), rows=6, cols=6)
+    for parent in (bumped, random_commuting_table(rng)):
+        res = toral_transform(parent)
+        assert not res.commutes
+        out.append(res.diagram)
+    return out
+
+
+def test_khypo_blocks_match_dense_oracle():
+    for W in _oracle_diagrams():
+        for k in (1, 2, 3):
+            for N in sorted({4 * k + 2, 14}):
+                _agrees_with_dense_oracle(W, k, N)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 2]))
+def test_khypo_blocks_match_dense_oracle_on_random_tables(seed, k):
+    W = random_commuting_table(np.random.default_rng(seed))
+    _agrees_with_dense_oracle(W, k, 4 * k + 2)
 
 
 def test_k_hierarchy_downward():
