@@ -19,6 +19,7 @@ tests, moments) reads those cached windows through `weight_arrays`;
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,6 +40,8 @@ MOMENT_REL_TOL = 1e-10
 DENOM_FLOOR = 1e-30
 # A truncation at level N is validated on the window [0, N + WINDOW_MARGIN]^2.
 WINDOW_MARGIN = 2
+# Largest accepted stored weight: squares and pairwise products stay finite.
+MAX_WEIGHT = math.sqrt(sys.float_info.max)
 
 
 def _check_positive_finite(values, what):
@@ -47,6 +50,8 @@ def _check_positive_finite(values, what):
         raise InvalidWeightsError(f"{what} must be non-empty")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise InvalidWeightsError(f"{what} must be positive and finite")
+    if np.any(arr > MAX_WEIGHT):
+        raise InvalidWeightsError(f"{what} must not exceed {MAX_WEIGHT:.3e}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,9 @@ class WeightDiagram:
     transform) and `params` holds whatever it needs to reproduce it; `table`
     is the stored rectangle for table-kind diagrams and None for lazily
     evaluated ones.  `_window` maps (n1, n2) to the (alpha, beta) arrays
-    on [0, n1) x [0, n2); each window is computed once and cached.
+    on [0, n1) x [0, n2); each window is computed once and cached.  A point
+    value does not depend on the window it is read from, so `alpha` and
+    `beta` read whichever cached window covers the point.
     """
 
     kind: str
@@ -123,7 +130,15 @@ class WeightDiagram:
     def _point(self, k1: int, k2: int):
         if k1 < 0 or k2 < 0:
             raise WindowError("lattice indices must be nonnegative")
-        A, B = self.weight_arrays(k1 + 1, k2 + 1)
+        for (n1, n2), (A, B) in self._cache.items():
+            if k1 < n1 and k2 < n2:
+                return float(A[k1, k2]), float(B[k1, k2])
+        # Grow to the bounding box of the point and every cached window; the
+        # new window covers them all, so a point-by-point scan keeps one.
+        n1 = max([k1 + 1] + [key[0] for key in self._cache])
+        n2 = max([k2 + 1] + [key[1] for key in self._cache])
+        self._cache.clear()
+        A, B = self.weight_arrays(n1, n2)
         return float(A[k1, k2]), float(B[k1, k2])
 
     def weight_arrays(self, n1: int, n2: int):
@@ -158,7 +173,7 @@ def commutativity_residual(diagram: WeightDiagram, window: int):
 
 def validate_commuting(diagram: WeightDiagram, window: int, tol: float = COMMUTATIVITY_TOL):
     resid, k = commutativity_residual(diagram, window)
-    if resid > tol:
+    if not resid <= tol:  # also fails a NaN residual
         raise NonCommutingInputError(
             f"weights fail commutativity at k={k}: residual {resid:.3e} > {tol:.1e}",
             witness=k,

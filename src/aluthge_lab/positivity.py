@@ -18,8 +18,9 @@ direct sum over u in [-k, Mc]^2 of the blocks
 
     B_u[p, q] = ||T^p e_{u+q}|| ||T^q e_{u+p}|| - [u >= 0] ||T^p e_u|| ||T^q e_u||
 
-restricted to the rows p with u + p in [0, Mc]^2, which is how
-k_hyponormal_verdict evaluates it.  For u >= 0 scaling B_u by
+restricted to the rows p with u + p in [0, Mc]^2, which is how the
+order-k matrix is evaluated here: one window of weights, one stacked
+eigensolve, no dense operator.  For u >= 0 scaling B_u by
 diag sqrt(gamma_{u+p}) gives, for a commuting pair, the Schur complement
 at gamma_u of the Curto-Lee-Yoon moment matrix (gamma_{u+p+q})_{|p|,|q|<=k}.
 
@@ -27,8 +28,10 @@ At order one the full blocks are the six-point blocks M(j) over the
 compression interior and the partial ones are rim terms
 alpha(u1, M)^2 - alpha(u1-1, M)^2 and beta(M, u2)^2 - beta(M, u2-1)^2 and
 wall terms alpha(0, k2)^2, beta(k1, 0)^2.  joint_hyponormal checks that
-spectral identity against the dense compressed order-1 matrix on every
-call; a mismatch is a package bug and raises InternalConsistencyError.
+spectral identity on every call: the closed-form six-point, rim and wall
+minimum against the eigensolved order-1 lattice blocks.  A mismatch is a
+package bug and raises InternalConsistencyError.  The dense operator
+construction survives only as a test oracle.
 """
 
 from __future__ import annotations
@@ -37,15 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import (
-    MomentTable,
-    WeightDiagram,
-    as_one_var_weights,
-    moments_1var,
-    truncate,
-)
+from .diagrams import MomentTable, WeightDiagram, as_one_var_weights, moments_1var
 from .errors import DomainError, InternalConsistencyError, WindowError
-from .linalg import PSD_TOL, SYMMETRY_TOL, min_eig
+from .linalg import PSD_TOL, SYMMETRY_TOL
 
 # The order-1 spectral identity must hold to this absolute-per-scale level.
 CROSS_CHECK_TOL = 1e-8
@@ -146,35 +143,13 @@ class HypoReport:
     levels: dict
 
 
-def _order1_block_min_eig(W: WeightDiagram, N: int, Mc: int) -> float:
-    """Min eig of the compressed order-1 block commutator matrix.
-
-    Built from dense truncated matrices; entries on the compression
-    window equal their infinite-dimensional values.
-    """
-    t = truncate(W, N)
-    T1, T2 = t.T1, t.T2
-    C11 = T1.T @ T1 - T1 @ T1.T
-    C22 = T2.T @ T2 - T2 @ T2.T
-    C12 = T2.T @ T1 - T1 @ T2.T
-    n = N + 1
-    idx = np.arange(n * n)
-    sel = (idx // n <= Mc) & (idx % n <= Mc)
-    big = np.block(
-        [
-            [C11[np.ix_(sel, sel)], C12[np.ix_(sel, sel)]],
-            [C12[np.ix_(sel, sel)].T, C22[np.ix_(sel, sel)]],
-        ]
-    )
-    return min_eig(big)
-
-
 def joint_hyponormal(W: WeightDiagram, N: int, tol: float = PSD_TOL):
     """Joint hyponormality on [0, N]^2, returned as (flag, HypoReport).
 
-    The verdict is the six-point scan.  When N >= 4 the call also builds
-    the order-1 operator block compressed to [0, N-3]^2 and asserts the
-    exact spectral identity relating it to six-point, rim, and wall terms;
+    The verdict is the six-point scan.  When N >= 4 the call also
+    eigensolves the order-1 lattice blocks of the block commutator matrix
+    compressed to [0, N-3]^2 and asserts the exact spectral identity
+    relating their minimum to the six-point, rim, and wall terms;
     disagreement beyond round-off raises InternalConsistencyError.
     """
     _, _, _, mineigs = _six_point_fields(W, N)
@@ -197,7 +172,7 @@ def joint_hyponormal(W: WeightDiagram, N: int, tol: float = PSD_TOL):
             float(rim_b.min()),
             wall,
         )
-        block = _order1_block_min_eig(W, N, Mc)
+        block = float(_lattice_block_eigs(W, 1, Mc + 1).min())
         if abs(block - predicted) > CROSS_CHECK_TOL * scale:
             raise InternalConsistencyError(
                 "order-1 operator block disagrees with the six-point "
@@ -227,26 +202,18 @@ def _graded_multi_indices(k: int):
     return out
 
 
-def k_hyponormal_verdict(W: WeightDiagram, k: int, N: int, tol: float = PSD_TOL) -> PsdVerdict:
-    """PSD verdict of the compressed order-k block commutator matrix.
+def _lattice_block_eigs(W: WeightDiagram, k: int, size: int) -> np.ndarray:
+    """Eigenvalues of the blocks B_u, u in [-k, size-1]^2, stacked (module docstring).
 
-    Blocks are [(T^q)*, T^p] for multi-indices 1 <= |p|, |q| <= k in graded
-    lexicographic order, with T^p = T1^{p1} T2^{p2}, compressed to basis
-    vectors e_v with v in [0, Mc]^2, Mc = N - (2k+1).  The matrix is
-    evaluated as its direct sum of blocks B_u, u in [-k, Mc]^2 (module
-    docstring), from one weight window [0, N-k)^2 and one stacked
-    eigensolve; the verdict is a sound necessary condition for
-    k-hyponormality.  `dim` is the size m (Mc+1)^2 of the compressed matrix.
+    The blocks span the order-k block commutator matrix compressed to
+    [0, size-1]^2, read from the weight window [0, size+k)^2.  Dropped rows
+    carry decoupled filler eigenvalues inside the true spectral range, so
+    the minimum and the largest magnitude are those of the compressed matrix.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if N < 4 * k + 2:
-        raise WindowError(f"k = {k} needs truncation level N >= {4 * k + 2}, got {N}")
     ps = _graded_multi_indices(k)
     m = len(ps)
-    size = N - 2 * k  # compression window [0, Mc]^2
-    nu = size + k  # block labels u in [-k, Mc]^2, stored at u + (k, k)
-    A, B = W.weight_arrays(N - k, N - k)
+    nu = size + k  # block labels u in [-k, size-1]^2, stored at u + (k, k)
+    A, B = W.weight_arrays(size + k, size + k)
     # norms[i] holds ||T^{p_i} e_w|| at w + (k, k), zero off the window
     norms = np.zeros((m, nu + k, nu + k))
     inside = np.zeros((nu + k, nu + k), dtype=bool)
@@ -273,7 +240,27 @@ def k_hyponormal_verdict(W: WeightDiagram, k: int, N: int, tol: float = PSD_TOL)
     # A dropped row becomes a decoupled eigenvalue equal to the largest kept
     # diagonal entry, which lies in [min eig, max eig]: neither changes.
     blocks[:, i, i] = np.where(kept, diag, diag[kept].max())
-    return _eig_verdict(np.linalg.eigvalsh(blocks), tol, m * size * size)
+    return np.linalg.eigvalsh(blocks)
+
+
+def k_hyponormal_verdict(W: WeightDiagram, k: int, N: int, tol: float = PSD_TOL) -> PsdVerdict:
+    """PSD verdict of the compressed order-k block commutator matrix.
+
+    Blocks are [(T^q)*, T^p] for multi-indices 1 <= |p|, |q| <= k in graded
+    lexicographic order, with T^p = T1^{p1} T2^{p2}, compressed to basis
+    vectors e_v with v in [0, Mc]^2, Mc = N - (2k+1).  The matrix is
+    evaluated as its direct sum of blocks B_u, u in [-k, Mc]^2 (module
+    docstring), from one weight window [0, N-k)^2 and one stacked
+    eigensolve; the verdict is a sound necessary condition for
+    k-hyponormality.  `dim` is the size m (Mc+1)^2 of the compressed matrix.
+    """
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    if N < 4 * k + 2:
+        raise WindowError(f"k = {k} needs truncation level N >= {4 * k + 2}, got {N}")
+    size = N - 2 * k  # compression window [0, Mc]^2
+    m = len(_graded_multi_indices(k))
+    return _eig_verdict(_lattice_block_eigs(W, k, size), tol, m * size * size)
 
 
 def k_hyponormal(W: WeightDiagram, k: int, N: int, tol: float = PSD_TOL) -> bool:

@@ -283,6 +283,18 @@ def test_non_finite_atom_mass_exits_2(tmp_path, capsys, prop2_file):
     assert "finite" in captured.err
 
 
+def test_overflowing_weights_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    huge = [[1e308, 1e308], [1e308, 1e308]]
+    path.write_text(dumps({"kind": "table", "params": {"alpha": huge, "beta": huge}}))
+    code = main(["hypo", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "aluthge_lab.cli", "regions", "q"],

@@ -21,8 +21,14 @@ from aluthge_lab import (
     core_of,
     moments,
     moments_1var,
+    quasinormal_completion,
+    spherical_transform,
+    stampfli,
+    toral_transform,
     truncate,
+    validate_commuting,
 )
+from aluthge_lab.diagrams import WeightDiagram
 from aluthge_lab.sampling import gamma_rectangle, random_commuting_table
 
 from oracles import dense_pair
@@ -138,6 +144,60 @@ def test_negative_lattice_indices_rejected():
         W.alpha(-1, 0)
     with pytest.raises(WindowError):
         W.beta(0, -2)
+
+
+def test_weights_too_large_to_square_rejected():
+    big = math.sqrt(np.finfo(float).max) * 1.01
+    with pytest.raises(InvalidWeightsError):
+        build_table(np.full((2, 2), big), np.full((2, 2), big))
+    with pytest.raises(InvalidWeightsError):
+        OneVarWeights(values=(1.0, big))
+    ok = build_table(np.full((2, 2), 1e150), np.full((2, 2), 1e150))
+    assert ok.alpha(0, 0) == 1e150
+
+
+def test_nan_commutativity_residual_fails_validation():
+    def window(n1, n2):
+        A = np.ones((n1, n2))
+        A[1, 1] = np.nan
+        return A, np.ones((n1, n2))
+
+    broken = WeightDiagram(kind="table", params={}, _window=window)
+    with pytest.raises(NonCommutingInputError):
+        validate_commuting(broken, 4)
+
+
+# ---------------------------------------------------------------------------
+# point reads share cached windows
+
+
+def test_point_scan_keeps_one_window():
+    W = build_prop2(0.7, 0.6)
+    dense_pair(W, 14)
+    assert len(W._cache) <= 2
+
+
+_POINT_DIAGRAMS = {
+    "prop2": lambda: build_prop2(0.7, 0.6),
+    "table": lambda: random_commuting_table(np.random.default_rng(31)),
+    "thm1": lambda: build_thm1(OneVarWeights(values=(0.6, 0.8, 0.9)), 0.4),
+    "two-atom completion": lambda: quasinormal_completion(stampfli(1.0, 2.0, 3.0).weights, 4.0),
+    "finite-row completion": lambda: quasinormal_completion(OneVarWeights(values=(0.8, 1.0)), 2.5),
+    "spherical": lambda: spherical_transform(build_prop2(0.7, 0.6)),
+    "toral": lambda: toral_transform(random_commuting_table(np.random.default_rng(31))).diagram,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POINT_DIAGRAMS))
+def test_point_values_match_fresh_windows(name):
+    W = _POINT_DIAGRAMS[name]()
+    dense_pair(W, 9)  # fills the point cache in scan order
+    fresh = _POINT_DIAGRAMS[name]()
+    for k1 in range(10):
+        for k2 in range(10):
+            A, B = fresh.weight_arrays(k1 + 1, k2 + 1)
+            assert W.alpha(k1, k2) == A[k1, k2]
+            assert W.beta(k1, k2) == B[k1, k2]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from aluthge_lab import (
     DomainError,
+    InternalConsistencyError,
     OneVarWeights,
     WindowError,
     build_prop2,
@@ -22,6 +23,7 @@ from aluthge_lab import (
     psd_check,
     six_point_test,
 )
+from aluthge_lab import positivity
 from aluthge_lab.measures import quasinormal_completion, stampfli
 from aluthge_lab.sampling import (
     bump_gamma,
@@ -202,6 +204,37 @@ def test_khypo_blocks_match_dense_oracle():
 def test_khypo_blocks_match_dense_oracle_on_random_tables(seed, k):
     W = random_commuting_table(np.random.default_rng(seed))
     _agrees_with_dense_oracle(W, k, 4 * k + 2)
+
+
+def _order1_agrees_with_dense_oracle(W, N):
+    block = float(positivity._lattice_block_eigs(W, 1, N - 2).min())
+    lo, top, _ = block_commutator_spectrum(W, 1, N)
+    assert abs(block - lo) <= 1e-12 * max(1.0, top), f"N={N}: {block:.3e} vs {lo:.3e}"
+
+
+def test_joint_cross_check_blocks_match_dense_oracle():
+    # N = 4 and 5 are below the k = 1 window that k_hyponormal_verdict accepts
+    for W in _oracle_diagrams():
+        for N in range(4, 15):
+            _order1_agrees_with_dense_oracle(W, N)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=4, max_value=14))
+def test_joint_cross_check_blocks_match_dense_oracle_on_random_tables(seed, N):
+    _order1_agrees_with_dense_oracle(random_commuting_table(np.random.default_rng(seed)), N)
+
+
+def test_joint_cross_check_catches_a_wrong_six_point_field(monkeypatch):
+    fields = positivity._six_point_fields
+
+    def shifted(W, N):
+        p, q, r, mineigs = fields(W, N)
+        return p, q, r, mineigs - 1e-3
+
+    monkeypatch.setattr(positivity, "_six_point_fields", shifted)
+    with pytest.raises(InternalConsistencyError):
+        joint_hyponormal(build_prop2(0.7, 0.6), 12)
 
 
 def test_k_hierarchy_downward():

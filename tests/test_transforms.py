@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aluthge_lab import (
-    InternalConsistencyError,
     NonCommutingInputError,
     build_prop2,
     build_theta,
