@@ -48,6 +48,7 @@ from .positivity import (
     componentwise_hyponormal,
     full_hypo_report,
     joint_hyponormal,
+    joint_hyponormal_reports,
     k_hyponormal,
     k_hyponormal_verdict,
     moment_matrix_psd,

@@ -12,8 +12,8 @@ check it on an evaluation window up to COMMUTATIVITY_TOL.
 
 A diagram is represented by one window function (n1, n2) -> (alpha, beta)
 arrays on [0, n1) x [0, n2).  Everything downstream (transforms, positivity
-tests, moments) reads those cached windows through `weight_arrays`;
-`alpha` and `beta` are point views of the same windows.
+tests, moments) reads slices of one cached window through `weight_arrays`;
+`alpha` and `beta` are point views of the same window.
 """
 
 from __future__ import annotations
@@ -110,9 +110,9 @@ class WeightDiagram:
     transform) and `params` holds whatever it needs to reproduce it; `table`
     is the stored rectangle for table-kind diagrams and None for lazily
     evaluated ones.  `_window` maps (n1, n2) to the (alpha, beta) arrays
-    on [0, n1) x [0, n2); each window is computed once and cached.  A point
-    value does not depend on the window it is read from, so `alpha` and
-    `beta` read whichever cached window covers the point.
+    on [0, n1) x [0, n2).  A point value does not depend on the window it
+    is read from, so the diagram caches one window, and `weight_arrays`,
+    `alpha` and `beta` read slices of it.
     """
 
     kind: str
@@ -130,28 +130,31 @@ class WeightDiagram:
     def _point(self, k1: int, k2: int):
         if k1 < 0 or k2 < 0:
             raise WindowError("lattice indices must be nonnegative")
-        for (n1, n2), (A, B) in self._cache.items():
-            if k1 < n1 and k2 < n2:
-                return float(A[k1, k2]), float(B[k1, k2])
-        # Grow to the bounding box of the point and every cached window; the
-        # new window covers them all, so a point-by-point scan keeps one.
-        n1 = max([k1 + 1] + [key[0] for key in self._cache])
-        n2 = max([k2 + 1] + [key[1] for key in self._cache])
-        self._cache.clear()
-        A, B = self.weight_arrays(n1, n2)
+        A, B = self.weight_arrays(k1 + 1, k2 + 1)
         return float(A[k1, k2]), float(B[k1, k2])
 
     def weight_arrays(self, n1: int, n2: int):
-        """(alpha, beta) on [0, n1) x [0, n2) as read-only float arrays."""
+        """(alpha, beta) on [0, n1) x [0, n2) as read-only float arrays.
+
+        The diagram keeps one window.  A request inside it is answered by
+        a read-only slice; a miss replaces it by the window on the bounding
+        box of the request and the kept window, so any sequence of reads
+        leaves one window that covers them all.
+        """
         key = (n1, n2)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        A, B = self._window(n1, n2)
+        for (m1, m2), (A, B) in self._cache.items():
+            if n1 <= m1 and n2 <= m2:
+                return A[:n1, :n2], B[:n1, :n2]
+            key = (max(n1, m1), max(n2, m2))
+        A, B = self._window(*key)
         A.setflags(write=False)
         B.setflags(write=False)
+        self._cache.clear()
         self._cache[key] = (A, B)
-        return A, B
+        return A[:n1, :n2], B[:n1, :n2]
 
     def weight_bound(self, window: int = 14) -> float:
         """sup of all weights over the evaluation window [0, window]^2."""
@@ -353,6 +356,15 @@ class MomentTable:
         return float(self._values[m, n])
 
 
+def rows_first_moments(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """gamma on the window of (A, B), gamma(0,0) = 1, filled along the
+    path that runs up column 0 to (m, 0), then along row m to (m, n)."""
+    G = np.ones(A.shape)
+    G[1:, 0] = np.cumprod(A[:-1, 0] ** 2)
+    G[:, 1:] = G[:, :1] * np.cumprod(B[:, :-1] ** 2, axis=1)
+    return G
+
+
 def moments(diagram: WeightDiagram, maxdeg: int) -> MomentTable:
     """Moment table up to total degree maxdeg with a path-independence check.
 
@@ -365,12 +377,9 @@ def moments(diagram: WeightDiagram, maxdeg: int) -> MomentTable:
         raise WindowError("maxdeg must be nonnegative")
     n = maxdeg + 1
     A, B = diagram.weight_arrays(n, n)
-    rows_first = np.ones((n, n))
-    rows_first[1:, 0] = np.cumprod(A[:-1, 0] ** 2)
-    rows_first[:, 1:] = rows_first[:, :1] * np.cumprod(B[:, :-1] ** 2, axis=1)
-    cols_first = np.ones((n, n))
-    cols_first[0, 1:] = np.cumprod(B[0, :-1] ** 2)
-    cols_first[1:, :] = cols_first[:1, :] * np.cumprod(A[:-1, :] ** 2, axis=0)
+    rows_first = rows_first_moments(A, B)
+    # columns first is the rows-first fill of the mirrored diagram
+    cols_first = rows_first_moments(B.T, A.T).T
     rel = np.abs(rows_first - cols_first) / np.maximum(
         np.maximum(np.abs(rows_first), np.abs(cols_first)), DENOM_FLOOR
     )

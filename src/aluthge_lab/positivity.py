@@ -32,10 +32,17 @@ spectral identity on every call: the closed-form six-point, rim and wall
 minimum against the eigensolved order-1 lattice blocks.  A mismatch is a
 package bug and raises InternalConsistencyError.  The dense operator
 construction survives only as a test oracle.
+
+Both kernels take weight windows stacked on a leading axis, one slice per
+diagram, so several diagrams (a diagram and its transforms) share one
+pass of numpy calls; every slice gets exactly the arithmetic it would get
+on its own.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +53,10 @@ from .linalg import PSD_TOL, SYMMETRY_TOL
 
 # The order-1 spectral identity must hold to this absolute-per-scale level.
 CROSS_CHECK_TOL = 1e-8
+# Largest order-k block array, in floats per diagram, that is assembled:
+# 2**23 floats are 64 MiB, and the assembly holds a few such arrays at once.
+MAX_BLOCK_FLOATS = 2**23
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -79,14 +90,21 @@ def _eig_verdict(eigs, tol: float, dim: int) -> PsdVerdict:
 # six-point test
 
 
-def _six_point_fields(W: WeightDiagram, N: int):
-    """(p, q, r, min eig) arrays of M(k) over k in [0, N]^2."""
-    A, B = W.weight_arrays(N + 2, N + 2)
-    p = A[1:, :-1] ** 2 - A[:-1, :-1] ** 2
-    r = B[:-1, 1:] ** 2 - B[:-1, :-1] ** 2
-    q = A[:-1, 1:] * B[1:, :-1] - A[:-1, :-1] * B[:-1, :-1]
+def _six_point_fields(A: np.ndarray, B: np.ndarray):
+    """(p, q, r, min eig) arrays of M(k) over k in [0, n-2]^2.
+
+    A and B are weight windows [0, n)^2, optionally stacked on leading axes.
+    """
+    p = A[..., 1:, :-1] ** 2 - A[..., :-1, :-1] ** 2
+    r = B[..., :-1, 1:] ** 2 - B[..., :-1, :-1] ** 2
+    q = A[..., :-1, 1:] * B[..., 1:, :-1] - A[..., :-1, :-1] * B[..., :-1, :-1]
     mineigs = 0.5 * (p + r) - np.hypot(0.5 * (p - r), q)
     return p, q, r, mineigs
+
+
+def _scale(A: np.ndarray, B: np.ndarray) -> float:
+    """max(1, largest squared weight) of one diagram's window."""
+    return max(1.0, float(max(A.max(), B.max())) ** 2)
 
 
 def six_point_matrix(W: WeightDiagram, k1: int, k2: int) -> np.ndarray:
@@ -116,10 +134,12 @@ def componentwise_hyponormal(W: WeightDiagram, N: int, tol: float = PSD_TOL):
     diagonal of M(k) consists of exactly these differences).
     """
     A, B = W.weight_arrays(N + 2, N + 2)
-    d1 = A[1:, :-1] ** 2 - A[:-1, :-1] ** 2
-    d2 = B[:-1, 1:] ** 2 - B[:-1, :-1] ** 2
-    cut = tol * max(1.0, float(max(A.max(), B.max())) ** 2)
-    return bool(d1.min() >= -cut), bool(d2.min() >= -cut)
+    p, _, r, _ = _six_point_fields(A, B)
+    return _componentwise(p, r, tol * _scale(A, B))
+
+
+def _componentwise(p: np.ndarray, r: np.ndarray, cut: float):
+    return bool(p.min() >= -cut), bool(r.min() >= -cut)
 
 
 # ---------------------------------------------------------------------------
@@ -143,52 +163,70 @@ class HypoReport:
     levels: dict
 
 
-def joint_hyponormal(W: WeightDiagram, N: int, tol: float = PSD_TOL):
-    """Joint hyponormality on [0, N]^2, returned as (flag, HypoReport).
+def joint_hyponormal_reports(diagrams, N: int, tol: float = PSD_TOL) -> list:
+    """Joint hyponormality on [0, N]^2 of each diagram, one HypoReport each.
 
     The verdict is the six-point scan.  When N >= 4 the call also
     eigensolves the order-1 lattice blocks of the block commutator matrix
-    compressed to [0, N-3]^2 and asserts the exact spectral identity
-    relating their minimum to the six-point, rim, and wall terms;
-    disagreement beyond round-off raises InternalConsistencyError.
+    compressed to [0, N-3]^2 and asserts, per diagram, the exact spectral
+    identity relating their minimum to the six-point, rim, and wall terms;
+    disagreement beyond round-off raises InternalConsistencyError for the
+    first failing diagram.  All diagrams go through the kernels as one stack.
     """
-    _, _, _, mineigs = _six_point_fields(W, N)
-    A, B = W.weight_arrays(N + 2, N + 2)
-    scale = max(1.0, float(max(A.max(), B.max())) ** 2)
-    cut = tol * scale
-    worst = float(mineigs.min())
-    flat = int(np.argmin(mineigs))
-    k = tuple(int(v) for v in np.unravel_index(flat, mineigs.shape))
-    flag = worst >= -cut
+    if N >= 4:
+        _check_block_budget(1, N - 2)
+    pairs = [W.weight_arrays(N + 2, N + 2) for W in diagrams]
+    A = np.stack([a for a, _ in pairs])
+    B = np.stack([b for _, b in pairs])
+    p, _, r, mineigs = _six_point_fields(A, B)
+    scales = [_scale(a, b) for a, b in pairs]
 
     if N >= 4:
         Mc = N - 3
-        rim_a = A[1 : Mc + 1, Mc] ** 2 - A[:Mc, Mc] ** 2
-        rim_b = B[Mc, 1 : Mc + 1] ** 2 - B[Mc, :Mc] ** 2
-        wall = min(float(np.min(A[0, : Mc + 1] ** 2)), float(np.min(B[: Mc + 1, 0] ** 2)))
-        predicted = min(
-            float(mineigs[:Mc, :Mc].min()),
-            float(rim_a.min()),
-            float(rim_b.min()),
-            wall,
+        rim_a = A[:, 1 : Mc + 1, Mc] ** 2 - A[:, :Mc, Mc] ** 2
+        rim_b = B[:, Mc, 1 : Mc + 1] ** 2 - B[:, Mc, :Mc] ** 2
+        wall = np.minimum(
+            (A[:, 0, : Mc + 1] ** 2).min(axis=1), (B[:, : Mc + 1, 0] ** 2).min(axis=1)
         )
-        block = float(_lattice_block_eigs(W, 1, Mc + 1).min())
-        if abs(block - predicted) > CROSS_CHECK_TOL * scale:
-            raise InternalConsistencyError(
-                "order-1 operator block disagrees with the six-point "
-                f"decomposition: block min eig {block:.6e}, "
-                f"predicted {predicted:.6e}"
-            )
+        predicted = np.minimum.reduce(
+            [mineigs[:, :Mc, :Mc].min(axis=(1, 2)), rim_a.min(axis=1), rim_b.min(axis=1), wall]
+        )
+        blocks = _lattice_block_eigs(A, B, 1, Mc + 1).min(axis=(1, 2))
+        for block, pred, scale in zip(blocks, predicted, scales):
+            if abs(block - pred) > CROSS_CHECK_TOL * scale:
+                raise InternalConsistencyError(
+                    "order-1 operator block disagrees with the six-point "
+                    f"decomposition: block min eig {block:.6e}, "
+                    f"predicted {pred:.6e}"
+                )
 
-    report = HypoReport(
-        componentwise=componentwise_hyponormal(W, N, tol),
-        joint=flag,
-        k_hypo={1: flag},
-        worst_witness=None if flag else (k, six_point_matrix(W, k[0], k[1])),
-        joint_min_eig=worst,
-        levels={1: N},
-    )
-    return flag, report
+    reports = []
+    for i, W in enumerate(diagrams):
+        cut = tol * scales[i]
+        worst = float(mineigs[i].min())
+        flat = int(np.argmin(mineigs[i]))
+        k = tuple(int(v) for v in np.unravel_index(flat, mineigs[i].shape))
+        flag = worst >= -cut
+        reports.append(
+            HypoReport(
+                componentwise=_componentwise(p[i], r[i], cut),
+                joint=flag,
+                k_hypo={1: flag},
+                worst_witness=None if flag else (k, six_point_matrix(W, k[0], k[1])),
+                joint_min_eig=worst,
+                levels={1: N},
+            )
+        )
+    return reports
+
+
+def joint_hyponormal(W: WeightDiagram, N: int, tol: float = PSD_TOL):
+    """Joint hyponormality on [0, N]^2, returned as (flag, HypoReport).
+
+    The one-diagram case of joint_hyponormal_reports, cross-check included.
+    """
+    report = joint_hyponormal_reports([W], N, tol)[0]
+    return report.joint, report
 
 
 # ---------------------------------------------------------------------------
@@ -202,44 +240,77 @@ def _graded_multi_indices(k: int):
     return out
 
 
-def _lattice_block_eigs(W: WeightDiagram, k: int, size: int) -> np.ndarray:
-    """Eigenvalues of the blocks B_u, u in [-k, size-1]^2, stacked (module docstring).
+def _check_block_budget(k: int, size: int) -> None:
+    """Refuse order-k blocks on [0, size-1]^2 above MAX_BLOCK_FLOATS per diagram.
 
-    The blocks span the order-k block commutator matrix compressed to
-    [0, size-1]^2, read from the weight window [0, size+k)^2.  Dropped rows
-    carry decoupled filler eigenvalues inside the true spectral range, so
-    the minimum and the largest magnitude are those of the compressed matrix.
+    The block array holds m^2 (size+k)^2 floats; the weight windows and
+    six-point fields of the same request grow with (size+k)^2, so the
+    check runs before any of them is read.
+    """
+    m = len(_graded_multi_indices(k))
+    floats = m * m * (size + k) ** 2
+    if floats > MAX_BLOCK_FLOATS:
+        raise DomainError(
+            f"order-{k} blocks on [0, {size - 1}]^2 need {floats:.3g} floats "
+            f"per diagram, above the budget of {MAX_BLOCK_FLOATS:.3g}"
+        )
+
+
+def _lattice_block_eigs(A: np.ndarray, B: np.ndarray, k: int, size: int) -> np.ndarray:
+    """Eigenvalues of the blocks B_u, u in [-k, size-1]^2, per diagram (module docstring).
+
+    A and B are weight windows covering [0, size+k)^2, stacked on a leading
+    axis; the result has shape (diagrams, blocks, m).  The blocks span the
+    order-k block commutator matrix compressed to [0, size-1]^2.  Dropped
+    rows carry decoupled filler eigenvalues inside the true spectral range
+    of their diagram, so the minimum and the largest magnitude are those of
+    the compressed matrix.
+
+    Callers pass the size through _check_block_budget before reading any
+    window.  Raises DomainError, before assembling anything, when a product
+    of 2k weights of the window could overflow a float.
     """
     ps = _graded_multi_indices(k)
     m = len(ps)
     nu = size + k  # block labels u in [-k, size-1]^2, stored at u + (k, k)
-    A, B = W.weight_arrays(size + k, size + k)
-    # norms[i] holds ||T^{p_i} e_w|| at w + (k, k), zero off the window
-    norms = np.zeros((m, nu + k, nu + k))
+    A = A[:, :nu, :nu]
+    B = B[:, :nu, :nu]
+    top = float(max(A.max(), B.max()))
+    # round-off allowance: the products and the logarithms are each rounded
+    if 2 * k * math.log(top) >= _LOG_FLOAT_MAX * (1.0 - 1e-12):
+        raise DomainError(
+            f"order-{k} blocks multiply {2 * k} weights, which overflows "
+            f"for weights up to {top:.3e}"
+        )
+    stack = A.shape[0]
+    # norms[:, i] holds ||T^{p_i} e_w|| at w + (k, k), zero off the window
+    norms = np.zeros((stack, m, nu + k, nu + k))
     inside = np.zeros((nu + k, nu + k), dtype=bool)
     inside[k : k + size, k : k + size] = True
     for i, (p1, p2) in enumerate(ps):
-        path = np.ones((size, size))
+        path = np.ones((stack, size, size))
         for j in range(p2):  # T^p applies T2 first, then T1
-            path = path * B[:size, j : j + size]
+            path = path * B[:, :size, j : j + size]
         for j in range(p1):
-            path = path * A[j : j + size, p2 : p2 + size]
-        norms[i, k : k + size, k : k + size] = path
+            path = path * A[:, j : j + size, p2 : p2 + size]
+        norms[:, i, k : k + size, k : k + size] = path
 
     def at(X, p):  # X at u + p for every block label u
         return X[..., p[0] : p[0] + nu, p[1] : p[1] + nu]
 
-    cross = np.stack([at(norms, p) for p in ps], axis=1)  # ||T^{p_i} e_{u+p_j}||
+    cross = np.stack([at(norms, p) for p in ps], axis=2)  # ||T^{p_i} e_{u+p_j}||
     keep = np.stack([at(inside, p) for p in ps])
-    base = norms[:, :nu, :nu] * keep  # ||T^{p_i} e_u||, zero for u < 0 or dropped rows
-    blocks = cross * cross.transpose(1, 0, 2, 3) - base[:, None] * base[None, :]
-    blocks = np.moveaxis(blocks, (0, 1), (2, 3)).reshape(-1, m, m)
+    base = norms[:, :, :nu, :nu] * keep  # ||T^{p_i} e_u||, zero for u < 0 or dropped rows
+    blocks = cross * cross.swapaxes(1, 2) - base[:, :, None] * base[:, None, :]
+    blocks = np.moveaxis(blocks, (1, 2), (3, 4)).reshape(stack, -1, m, m)
     kept = np.moveaxis(keep, 0, 2).reshape(-1, m)
     i = np.arange(m)
-    diag = blocks[:, i, i]
+    diag = blocks[..., i, i]
     # A dropped row becomes a decoupled eigenvalue equal to the largest kept
-    # diagonal entry, which lies in [min eig, max eig]: neither changes.
-    blocks[:, i, i] = np.where(kept, diag, diag[kept].max())
+    # diagonal entry of its diagram, which lies in [min eig, max eig]:
+    # neither changes.
+    filler = diag[:, kept].max(axis=1)
+    blocks[..., i, i] = np.where(kept, diag, filler[:, None, None])
     return np.linalg.eigvalsh(blocks)
 
 
@@ -259,8 +330,11 @@ def k_hyponormal_verdict(W: WeightDiagram, k: int, N: int, tol: float = PSD_TOL)
     if N < 4 * k + 2:
         raise WindowError(f"k = {k} needs truncation level N >= {4 * k + 2}, got {N}")
     size = N - 2 * k  # compression window [0, Mc]^2
+    _check_block_budget(k, size)
     m = len(_graded_multi_indices(k))
-    return _eig_verdict(_lattice_block_eigs(W, k, size), tol, m * size * size)
+    A, B = W.weight_arrays(size + k, size + k)
+    eigs = _lattice_block_eigs(A[None], B[None], k, size)[0]
+    return _eig_verdict(eigs, tol, m * size * size)
 
 
 def k_hyponormal(W: WeightDiagram, k: int, N: int, tol: float = PSD_TOL) -> bool:

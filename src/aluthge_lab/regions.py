@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .diagrams import build_prop2
 from .errors import DomainError, InternalConsistencyError
-from .positivity import joint_hyponormal, k_hyponormal
+from .positivity import joint_hyponormal_reports, k_hyponormal
 from .transforms import spherical_transform, toral_transform
 
 # Points closer than this to a curve are skipped when comparing verdicts.
@@ -121,7 +121,8 @@ def classify(x: float, y: float, N: int = DEFAULT_SCAN_LEVEL, kmax: int = 1) -> 
     """Verdicts for the corner diagram at (x, y) on truncation level N.
 
     Closed-form flags compare x against the four curves; numerical flags
-    run the six-point test on the diagram and on both of its transforms.
+    run the six-point test on the diagram and on both of its transforms,
+    as one stacked joint_hyponormal_reports call.
     Off the curves by at least BOUNDARY_MARGIN, closed-form and numerical
     flags must agree, and a mismatch raises InternalConsistencyError.
     Orders 2..kmax (at level max(N, 4k+2)) land in k_hypo.
@@ -138,11 +139,9 @@ def classify(x: float, y: float, N: int = DEFAULT_SCAN_LEVEL, kmax: int = 1) -> 
 
     W = build_prop2(x, y)
     window = N + 2
-    numeric = {
-        "joint": joint_hyponormal(W, N)[0],
-        "toral": joint_hyponormal(toral_transform(W, window=window).diagram, N)[0],
-        "spherical": joint_hyponormal(spherical_transform(W, window=window), N)[0],
-    }
+    toral = toral_transform(W, window=window).diagram
+    reports = joint_hyponormal_reports([W, toral, spherical_transform(W, window=window)], N)
+    numeric = {key: rep.joint for key, rep in zip(("joint", "toral", "spherical"), reports)}
 
     for curve, closed_key, numeric_key in (
         (t.h, "hyponormal_by_h", "joint"),

@@ -24,6 +24,7 @@ from .diagrams import (
     WeightDiagram,
     build_table,
     build_thm1,
+    rows_first_moments,
 )
 from .errors import DomainError, InfeasibleConstantError
 from .measures import quasinormal_completion, stampfli
@@ -115,11 +116,7 @@ def random_thm1(rng: np.random.Generator) -> WeightDiagram:
 
 def gamma_rectangle(diagram: WeightDiagram, rows: int, cols: int) -> np.ndarray:
     """Moment field gamma on [0, rows] x [0, cols], gamma(0,0) = 1."""
-    A, B = diagram.weight_arrays(rows + 1, cols + 1)
-    G = np.ones((rows + 1, cols + 1))
-    G[1:, 0] = np.cumprod(A[:-1, 0] ** 2)
-    G[:, 1:] = G[:, :1] * np.cumprod(B[:, :-1] ** 2, axis=1)
-    return G
+    return rows_first_moments(*diagram.weight_arrays(rows + 1, cols + 1))
 
 
 def bump_gamma(diagram: WeightDiagram, factor: float, at=(1, 1),

@@ -295,6 +295,40 @@ def test_overflowing_weights_exit_2(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.fixture
+def big_weights_file(tmp_path):
+    # below the stored-weight bound, but products of four weights overflow
+    path = tmp_path / "big.json"
+    big = [[1e154, 1e154], [1e154, 1e154]]
+    path.write_text(dumps({"kind": "table", "params": {"alpha": big, "beta": big}}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["khypo", "--input", "BIG", "--k", "2"],
+        ["khypo", "--input", "BIG", "--k", "3"],
+        ["hypo", "--input", "BIG", "--kmax", "3"],
+        # default level 162: 860^2 * 122^2 ~ 1.1e10 floats, refused before assembly
+        ["khypo", "--input", "PROP2", "--k", "40"],
+    ],
+)
+def test_order_k_blocks_refused_exit_2(capsys, big_weights_file, prop2_file, argv):
+    argv = [{"BIG": big_weights_file, "PROP2": prop2_file}.get(a, a) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+def test_order_one_on_large_weights_still_reports(capsys, big_weights_file):
+    obj = run_json(capsys, ["hypo", "--input", big_weights_file])
+    assert obj["joint"] is True
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "aluthge_lab.cli", "regions", "q"],

@@ -17,6 +17,7 @@ from aluthge_lab import (
     build_table,
     build_theta,
     build_thm1,
+    classify,
     commutativity_residual,
     core_of,
     moments,
@@ -28,6 +29,7 @@ from aluthge_lab import (
     truncate,
     validate_commuting,
 )
+from aluthge_lab import transforms
 from aluthge_lab.diagrams import WeightDiagram
 from aluthge_lab.sampling import gamma_rectangle, random_commuting_table
 
@@ -200,6 +202,40 @@ def test_point_values_match_fresh_windows(name):
             assert W.beta(k1, k2) == B[k1, k2]
 
 
+@pytest.mark.parametrize("name", sorted(_POINT_DIAGRAMS))
+def test_window_slices_match_fresh_windows(name):
+    W = _POINT_DIAGRAMS[name]()
+    W.weight_arrays(20, 20)
+    for n1, n2 in ((20, 20), (1, 1), (7, 3), (3, 12), (16, 16)):
+        A, B = W.weight_arrays(n1, n2)
+        fresh = _POINT_DIAGRAMS[name]()._window(n1, n2)
+        assert np.array_equal(A, fresh[0]) and np.array_equal(B, fresh[1])
+        assert not (A.flags.writeable or B.flags.writeable)
+    assert len(W._cache) == 1
+    # a read the kept window does not cover grows it to the bounding box
+    A, _ = W.weight_arrays(24, 5)
+    assert A.shape == (24, 5)
+    assert list(W._cache) == [(24, 20)]
+
+
+def test_classify_computes_one_window_per_transform(monkeypatch):
+    counts = {"toral": 0, "spherical": 0}
+
+    def counting(name, rule):
+        def wrapped(A, B):
+            counts[name] += 1
+            return rule(A, B)
+
+        return wrapped
+
+    monkeypatch.setattr(transforms, "_toral_rule", counting("toral", transforms._toral_rule))
+    monkeypatch.setattr(
+        transforms, "_spherical_rule", counting("spherical", transforms._spherical_rule)
+    )
+    classify(0.72, 0.4)
+    assert counts == {"toral": 1, "spherical": 1}
+
+
 # ---------------------------------------------------------------------------
 # commutativity of the sampled tables is exact by construction
 
@@ -231,10 +267,12 @@ def test_moments_cumprod_identity():
     rng = np.random.default_rng(3)
     W = random_commuting_table(rng)
     G = gamma_rectangle(W, 6, 6)
-    table = moments(W, 5)
-    for m in range(6):
-        for n in range(6 - m):
-            assert table.gamma(m, n) == pytest.approx(G[m, n], rel=1e-12)
+    # both fill the moment field by one routine, so they agree bit for bit
+    for maxdeg in (5, 6):
+        table = moments(W, maxdeg)
+        for m in range(maxdeg + 1):
+            for n in range(maxdeg + 1 - m):
+                assert table.gamma(m, n) == G[m, n]
 
 
 def test_moments_window_errors():

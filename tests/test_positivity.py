@@ -12,9 +12,11 @@ from aluthge_lab import (
     WindowError,
     build_prop2,
     build_theta,
+    classify,
     componentwise_hyponormal,
     full_hypo_report,
     joint_hyponormal,
+    joint_hyponormal_reports,
     k_hyponormal,
     k_hyponormal_verdict,
     moment_matrix_psd,
@@ -24,6 +26,7 @@ from aluthge_lab import (
     six_point_test,
 )
 from aluthge_lab import positivity
+from aluthge_lab.diagrams import WeightDiagram
 from aluthge_lab.measures import quasinormal_completion, stampfli
 from aluthge_lab.sampling import (
     bump_gamma,
@@ -32,7 +35,7 @@ from aluthge_lab.sampling import (
     random_monotone_table,
     random_nondecreasing_omega,
 )
-from aluthge_lab.transforms import toral_transform
+from aluthge_lab.transforms import spherical_transform, toral_transform
 
 from oracles import block_commutator_spectrum, one_var_block_min_eig
 
@@ -206,8 +209,15 @@ def test_khypo_blocks_match_dense_oracle_on_random_tables(seed, k):
     _agrees_with_dense_oracle(W, k, 4 * k + 2)
 
 
+def _block_eigs(diagrams, k, size):
+    windows = [W.weight_arrays(size + k, size + k) for W in diagrams]
+    A = np.stack([a for a, _ in windows])
+    B = np.stack([b for _, b in windows])
+    return positivity._lattice_block_eigs(A, B, k, size)
+
+
 def _order1_agrees_with_dense_oracle(W, N):
-    block = float(positivity._lattice_block_eigs(W, 1, N - 2).min())
+    block = float(_block_eigs([W], 1, N - 2).min())
     lo, top, _ = block_commutator_spectrum(W, 1, N)
     assert abs(block - lo) <= 1e-12 * max(1.0, top), f"N={N}: {block:.3e} vs {lo:.3e}"
 
@@ -225,16 +235,81 @@ def test_joint_cross_check_blocks_match_dense_oracle_on_random_tables(seed, N):
     _order1_agrees_with_dense_oracle(random_commuting_table(np.random.default_rng(seed)), N)
 
 
-def test_joint_cross_check_catches_a_wrong_six_point_field(monkeypatch):
+def _shift_six_point_min_eigs(monkeypatch, where):
     fields = positivity._six_point_fields
 
-    def shifted(W, N):
-        p, q, r, mineigs = fields(W, N)
-        return p, q, r, mineigs - 1e-3
+    def shifted(A, B):
+        p, q, r, mineigs = fields(A, B)
+        mineigs = mineigs.copy()
+        mineigs[where] -= 1e-3
+        return p, q, r, mineigs
 
     monkeypatch.setattr(positivity, "_six_point_fields", shifted)
+
+
+def test_joint_cross_check_catches_a_wrong_six_point_field(monkeypatch):
+    _shift_six_point_min_eigs(monkeypatch, ...)
     with pytest.raises(InternalConsistencyError):
         joint_hyponormal(build_prop2(0.7, 0.6), 12)
+
+
+@pytest.mark.parametrize("where", [1, 2], ids=["toral", "spherical"])
+def test_classify_cross_checks_each_transform(monkeypatch, where):
+    # classify stacks (diagram, toral, spherical); a wrong field in one
+    # slice alone must still trip that slice's cross-check.  No verdict
+    # holds at this point, so the shift flips none of them.
+    _shift_six_point_min_eigs(monkeypatch, where)
+    with pytest.raises(InternalConsistencyError, match="order-1 operator block"):
+        classify(0.99, 0.3)
+
+
+def _stack_diagrams():
+    out = []
+    for W in _oracle_diagrams():
+        out.append(W)
+        if W.kind != "derived":  # the toral candidates do not commute
+            out += [toral_transform(W).diagram, spherical_transform(W)]
+    return out
+
+
+def _same_report(a, b):
+    assert a.componentwise == b.componentwise
+    assert a.joint is b.joint
+    assert a.k_hypo == b.k_hypo and a.levels == b.levels
+    assert a.joint_min_eig == b.joint_min_eig
+    assert (a.worst_witness is None) == (b.worst_witness is None)
+    if a.worst_witness is not None:
+        assert a.worst_witness[0] == b.worst_witness[0]
+        assert np.array_equal(a.worst_witness[1], b.worst_witness[1])
+
+
+def test_stacked_reports_equal_one_diagram_reports():
+    diagrams = _stack_diagrams()
+    for N in (4, 8, 12):
+        stacked = joint_hyponormal_reports(diagrams, N)
+        for W, report in zip(diagrams, stacked):
+            _same_report(report, joint_hyponormal(W, N)[1])
+
+
+def test_stacked_block_eigs_equal_one_diagram_block_eigs():
+    diagrams = _stack_diagrams()
+    for k in (1, 2, 3):
+        size = 2 * k + 2
+        stacked = _block_eigs(diagrams, k, size)
+        for i, W in enumerate(diagrams):
+            assert np.array_equal(stacked[i], _block_eigs([W], k, size)[0])
+
+
+def test_oversized_blocks_refused_before_any_window():
+    def window(n1, n2):
+        raise AssertionError(f"window ({n1}, {n2}) read before the budget check")
+
+    trap = WeightDiagram(kind="table", params={}, _window=window)
+    # 4 * 1458^2 and 90^2 * 38^2 floats, both above MAX_BLOCK_FLOATS
+    with pytest.raises(DomainError, match="budget"):
+        joint_hyponormal(trap, 1460)
+    with pytest.raises(DomainError, match="budget"):
+        k_hyponormal_verdict(trap, 12, 50)
 
 
 def test_k_hierarchy_downward():

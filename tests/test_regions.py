@@ -1,6 +1,7 @@
 """Threshold curves, the crossing point, classification, and scans."""
 
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +127,12 @@ def test_region_scan_shape_and_determinism(tmp_path):
     out = tmp_path / "scan.csv"
     region_scan(3, N=8, out=str(out), ladder=4)
     assert out.read_text().splitlines() == lines
+
+
+def test_scan_matches_golden_csv():
+    golden = Path(__file__).resolve().parent.parent / "bench" / "golden"
+    expected = (golden / "corner-scan-grid4-ladder10-N12.csv").read_text(encoding="utf-8")
+    assert region_scan(4, N=12, ladder=10) == expected.splitlines()
 
 
 def test_region_scan_rejects_tiny_grid():
