@@ -8,7 +8,6 @@ from .diagrams import (
     COMMUTATIVITY_TOL,
     MomentTable,
     OneVarWeights,
-    TruncatedPair,
     WeightDiagram,
     build_prop2,
     build_table,
@@ -18,7 +17,6 @@ from .diagrams import (
     core_of,
     moments,
     moments_1var,
-    truncate,
     validate_commuting,
 )
 from .errors import (
@@ -51,7 +49,6 @@ from .positivity import (
     joint_hyponormal_reports,
     k_hyponormal,
     k_hyponormal_verdict,
-    moment_matrix_psd,
     one_var_k_hyponormal,
     psd_check,
     six_point_matrix,
@@ -80,7 +77,6 @@ from .transforms import (
     SphericalPolarData,
     ToralResult,
     continuity_probe,
-    joint_partial_isometry_check,
     spherical_polar,
     spherical_transform,
     toral_commutativity_test,

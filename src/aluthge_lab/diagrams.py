@@ -38,8 +38,6 @@ COMMUTATIVITY_TOL = 1e-12
 MOMENT_REL_TOL = 1e-10
 # Relative-error denominators are floored at this value.
 DENOM_FLOOR = 1e-30
-# A truncation at level N is validated on the window [0, N + WINDOW_MARGIN]^2.
-WINDOW_MARGIN = 2
 # Largest accepted stored weight: squares and pairwise products stay finite.
 MAX_WEIGHT = math.sqrt(sys.float_info.max)
 
@@ -112,7 +110,8 @@ class WeightDiagram:
     evaluated ones.  `_window` maps (n1, n2) to the (alpha, beta) arrays
     on [0, n1) x [0, n2).  A point value does not depend on the window it
     is read from, so the diagram caches one window, and `weight_arrays`,
-    `alpha` and `beta` read slices of it.
+    `alpha` and `beta` read slices of it.  `_validated` holds the widest
+    (window, tol) on which validate_commuting passed.
     """
 
     kind: str
@@ -120,6 +119,7 @@ class WeightDiagram:
     _window: Callable[[int, int], tuple]
     table: tuple | None = None  # (alpha_rect, beta_rect) as ndarrays
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _validated: list = field(default_factory=list, repr=False, compare=False)
 
     def alpha(self, k1: int, k2: int) -> float:
         return self._point(k1, k2)[0]
@@ -175,6 +175,15 @@ def commutativity_residual(diagram: WeightDiagram, window: int):
 
 
 def validate_commuting(diagram: WeightDiagram, window: int, tol: float = COMMUTATIVITY_TOL):
+    """Raise NonCommutingInputError unless the residual on [0, window]^2 is <= tol.
+
+    The residual on a sub-window can only be smaller, so a call on a window
+    no wider than one the diagram already passed, at a tolerance no
+    tighter, returns at once.
+    """
+    passed = diagram._validated
+    if passed and window <= passed[0] and tol >= passed[1]:
+        return
     resid, k = commutativity_residual(diagram, window)
     if not resid <= tol:  # also fails a NaN residual
         raise NonCommutingInputError(
@@ -182,6 +191,8 @@ def validate_commuting(diagram: WeightDiagram, window: int, tol: float = COMMUTA
             witness=k,
             residual=resid,
         )
+    if not passed or window >= passed[0]:
+        passed[:] = (window, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -402,46 +413,3 @@ def moments_1var(omega, nmax: int) -> np.ndarray:
     if nmax > 0:
         gam[1:] = np.cumprod([om(j) ** 2 for j in range(nmax)])
     return gam
-
-
-# ---------------------------------------------------------------------------
-# truncation
-
-
-@dataclass(frozen=True)
-class TruncatedPair:
-    """Dense matrices of T1, T2 on span{e_k : 0 <= k1, k2 <= N}.
-
-    Basis order is idx(k1, k2) = k1 * (N + 1) + k2.  P_diag holds the
-    untruncated values sqrt(alpha_k^2 + beta_k^2) for every window point,
-    not the diagonal of the compressed operator.
-    """
-
-    N: int
-    T1: np.ndarray
-    T2: np.ndarray
-    P_diag: np.ndarray
-
-    def index(self, k1: int, k2: int) -> int:
-        if not (0 <= k1 <= self.N and 0 <= k2 <= self.N):
-            raise WindowError(f"({k1}, {k2}) outside truncation level {self.N}")
-        return k1 * (self.N + 1) + k2
-
-
-def truncate(diagram: WeightDiagram, N: int) -> TruncatedPair:
-    if N < 0:
-        raise WindowError("truncation level must be nonnegative")
-    n = N + 1
-    A, B = diagram.weight_arrays(n, n)
-    dim = n * n
-    T1 = np.zeros((dim, dim))
-    T2 = np.zeros((dim, dim))
-    ks = np.arange(n)
-    for k1 in range(N):
-        T1[(k1 + 1) * n + ks, k1 * n + ks] = A[k1, :]
-    for k1 in range(n):
-        T2[k1 * n + ks[:-1] + 1, k1 * n + ks[:-1]] = B[k1, :-1]
-    P = np.hypot(A, B).ravel()
-    for M in (T1, T2, P):
-        M.setflags(write=False)
-    return TruncatedPair(N=N, T1=T1, T2=T2, P_diag=P)

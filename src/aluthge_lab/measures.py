@@ -22,7 +22,6 @@ from .diagrams import (
     WeightDiagram,
     as_one_var_weights,
     moments,
-    truncate,
 )
 from .errors import (
     DomainError,
@@ -241,16 +240,15 @@ def constant_interior_p2(W: WeightDiagram, N: int, tol: float = QUASINORMAL_TOL)
 
     The compressed diagonal equals alpha_k^2 + beta_k^2 at interior basis
     vectors (k1 < N and k2 < N), so constancy there is a third,
-    operator-level route to spherical quasinormality.
+    operator-level route to spherical quasinormality.  T_i* T_i is
+    diagonal for a shift, so the diagonal is read from the weights on the
+    interior [0, N)^2.
     """
     if N < 1:
         raise WindowError("need N >= 1 for an interior")
-    t = truncate(W, N)
-    diag = np.diag(t.T1.T @ t.T1 + t.T2.T @ t.T2)
-    n = N + 1
-    idx = np.arange(n * n)
-    vals = diag[(idx // n < N) & (idx % n < N)]
-    C = float(vals[0])
+    A, B = W.weight_arrays(N, N)
+    vals = A**2 + B**2
+    C = float(vals[0, 0])
     flag = bool(np.max(np.abs(vals - C)) <= tol * max(1.0, C))
     return (True, C) if flag else (False, None)
 

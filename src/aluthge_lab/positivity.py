@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import MomentTable, WeightDiagram, as_one_var_weights, moments_1var
+from .diagrams import WeightDiagram, as_one_var_weights, moments_1var
 from .errors import DomainError, InternalConsistencyError, WindowError
 from .linalg import PSD_TOL, SYMMETRY_TOL
 
@@ -402,19 +402,3 @@ def one_var_k_hyponormal(omega, k: int, nmax: int | None = None, tol: float = PS
         if not psd_check(gam[n + steps], tol).is_psd:
             return False
     return True
-
-
-def moment_matrix_psd(table: MomentTable, k: int, base: tuple = (0, 0), tol: float = PSD_TOL) -> PsdVerdict:
-    """PSD verdict of the 2-variable moment matrix (gamma_{base+p+q})_{p,q}.
-
-    Rows and columns run over the graded multi-indices |p| <= k including
-    (0,0).  Needs maxdeg >= base1 + base2 + 2k.
-    """
-    ps = [(0, 0)] + _graded_multi_indices(k)
-    M = np.array(
-        [
-            [table.gamma(base[0] + p1 + q1, base[1] + p2 + q2) for (q1, q2) in ps]
-            for (p1, p2) in ps
-        ]
-    )
-    return psd_check(M, tol)

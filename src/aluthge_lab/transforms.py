@@ -33,11 +33,9 @@ from .diagrams import (
     COMMUTATIVITY_TOL,
     WeightDiagram,
     commutativity_residual,
-    truncate,
     validate_commuting,
 )
 from .errors import DomainError, InternalConsistencyError, WindowError
-from .linalg import operator_norm
 
 DEFAULT_WINDOW = 14
 # Round-off allowance on the continuity bounds (slack may dip this far below 0).
@@ -203,29 +201,22 @@ def spherical_polar(W: WeightDiagram, window: int = DEFAULT_WINDOW) -> Spherical
     return SphericalPolarData(P_diag=P, U1_coeff=A / P, U2_coeff=B / P)
 
 
-def joint_partial_isometry_check(W: WeightDiagram, N: int, tol: float = 1e-12):
-    """Verify P Q^2 P = P^2 for Q^2 = U1* U1 + U2* U2 on a truncation.
+def _level_weights(W: WeightDiagram, N: int):
+    """(alpha, beta) on [0, N]^2 and the weights of T1, T2 truncated to level N.
 
-    U_i = T_i P^{-1} with P the diagonal of untruncated joint moduli.
-    Truncation chops the outgoing weights on the top row and column of the
-    window, so the comparison runs over interior basis vectors (k1 < N and
-    k2 < N), where the compressed operators agree with the full ones.
-    Returns (max absolute deviation, deviation <= tol).
+    The truncated T1 keeps alpha_k for k1 < N and the truncated T2 keeps
+    beta_k for k2 < N; each is a weighted shift with one nonzero per row
+    and per column, so its operator norm is its largest weight.
     """
-    if N < 1:
-        raise WindowError("need N >= 1 for an interior")
-    t = truncate(W, N)
-    Pinv = np.diag(1.0 / t.P_diag)
-    U1 = t.T1 @ Pinv
-    U2 = t.T2 @ Pinv
-    P = np.diag(t.P_diag)
-    lhs = P @ (U1.T @ U1 + U2.T @ U2) @ P
-    dev = lhs - np.diag(t.P_diag**2)
-    n = N + 1
-    idx = np.arange(n * n)
-    interior = (idx // n < N) & (idx % n < N)
-    worst = float(np.max(np.abs(dev[np.ix_(interior, interior)])))
-    return worst, worst <= tol
+    if N < 0:
+        raise WindowError("truncation level must be nonnegative")
+    A, B = W.weight_arrays(N + 1, N + 1)
+    return A, B, A[:-1, :], B[:, :-1]
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """Largest |entry|, 0 for an empty array."""
+    return float(np.max(np.abs(x), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -233,8 +224,10 @@ class ContinuityProbe:
     """Measured vs asserted sides of the five regularization bounds.
 
     A_n is the diagonal operator with entries sqrt(max(1/n, P_k)), the
-    cut-off square root of the joint modulus.  bound_report maps "i".."v"
-    to {"lhs", "rhs", "slack"}; all_hold means every slack >= -RE4_SLACK.
+    cut-off square root of the joint modulus, flattened in the order
+    k1 (N + 1) + k2.  bound_report maps "i".."v" to {"lhs", "rhs",
+    "slack"}; all_hold means every slack >= -RE4_SLACK.  v_components
+    holds (lhs, rhs) of bound (v) for T1 and for T2.
     """
 
     N: int
@@ -242,6 +235,7 @@ class ContinuityProbe:
     A_n_diag: np.ndarray
     bound_report: dict
     all_hold: bool
+    v_components: tuple
 
 
 def continuity_probe(W: WeightDiagram, N: int, n: int) -> ContinuityProbe:
@@ -253,37 +247,43 @@ def continuity_probe(W: WeightDiagram, N: int, n: int) -> ContinuityProbe:
       (iii) ||A_n - P^{1/2}||     <= n^{-1/2}
       (iv)  ||P A_n^{-1} - P^{1/2}|| <= (1/4) n^{-1/2}
       (v)   ||A_n T_i A_n^{-1} - P^{1/2} U_i P^{1/2}|| <= (5/4) n^{-1/2} ||T_i||^{1/2}
-    Diagonal norms are exact maxima; (v) uses dense truncated matrices.
-    The reported entry for (v) is the component with the smaller slack.
+    on span{e_k : k in [0, N]^2}, with T_i truncated there.  Every operator
+    is a diagonal or a weighted shift, so each norm is a largest absolute
+    entry: the operator in (v) carries the one entry per truncated weight
+    w_k of T_i, mapping e_k to e_{k+e_i}.  The reported entry for (v) is
+    the component with the smaller slack.
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
-    t = truncate(W, N)
-    P = t.P_diag
+    A, B, T1, T2 = _level_weights(W, N)
+    P = np.hypot(A, B)
     sqrtP = np.sqrt(P)
-    A = np.sqrt(np.maximum(1.0 / n, P))
+    An = np.sqrt(np.maximum(1.0 / n, P))
     inv_sqrt_n = 1.0 / math.sqrt(n)
     P_norm = float(np.max(P))
 
     report = {
-        "i": {"lhs": float(np.max(A)), "rhs": max(inv_sqrt_n, math.sqrt(P_norm))},
-        "ii": {"lhs": float(np.max(P / A)), "rhs": math.sqrt(P_norm)},
-        "iii": {"lhs": float(np.max(np.abs(A - sqrtP))), "rhs": inv_sqrt_n},
-        "iv": {"lhs": float(np.max(np.abs(P / A - sqrtP))), "rhs": 0.25 * inv_sqrt_n},
+        "i": {"lhs": float(np.max(An)), "rhs": max(inv_sqrt_n, math.sqrt(P_norm))},
+        "ii": {"lhs": float(np.max(P / An)), "rhs": math.sqrt(P_norm)},
+        "iii": {"lhs": _max_abs(An - sqrtP), "rhs": inv_sqrt_n},
+        "iv": {"lhs": _max_abs(P / An - sqrtP), "rhs": 0.25 * inv_sqrt_n},
     }
 
-    worst_v = None
-    for T in (t.T1, t.T2):
-        lhs = operator_norm(A[:, None] * T / A[None, :] - sqrtP[:, None] * (T / P[None, :]) * sqrtP[None, :])
-        rhs = 1.25 * inv_sqrt_n * math.sqrt(operator_norm(T))
-        if worst_v is None or lhs - rhs > worst_v["lhs"] - worst_v["rhs"]:
-            worst_v = {"lhs": float(lhs), "rhs": float(rhs)}
-    report["v"] = worst_v
+    components = []
+    # (weights, their sources k, their targets k + e_i)
+    for w, src, dst in ((T1, np.s_[:-1, :], np.s_[1:, :]), (T2, np.s_[:, :-1], np.s_[:, 1:])):
+        gap = (An[dst] * w) / An[src] - (sqrtP[dst] * (w / P[src])) * sqrtP[src]
+        components.append((_max_abs(gap), 1.25 * inv_sqrt_n * math.sqrt(_max_abs(w))))
+    lhs, rhs = max(components, key=lambda c: c[0] - c[1])
+    report["v"] = {"lhs": lhs, "rhs": rhs}
 
     for entry in report.values():
         entry["slack"] = entry["rhs"] - entry["lhs"]
     all_hold = all(entry["slack"] >= -RE4_SLACK for entry in report.values())
-    return ContinuityProbe(N=N, n=n, A_n_diag=A, bound_report=report, all_hold=all_hold)
+    return ContinuityProbe(
+        N=N, n=n, A_n_diag=An.ravel(), bound_report=report, all_hold=all_hold,
+        v_components=tuple(components),
+    )
 
 
 def transform_distance(W: WeightDiagram, Wp: WeightDiagram, which: str, N: int) -> float:
@@ -291,7 +291,9 @@ def transform_distance(W: WeightDiagram, Wp: WeightDiagram, which: str, N: int) 
 
     which = "toral" or "spherical".  Both transforms are taken at a window
     wide enough for the truncation; toral candidates are used as returned,
-    commuting or not.  The distance is max_i ||T_i - T_i'|| on level N.
+    commuting or not.  The distance is max_i ||T_i - T_i'|| on level N;
+    T_i - T_i' is a weighted shift, so its norm is the largest difference
+    of truncated weights.
     """
     window = max(DEFAULT_WINDOW, N + 2)
     if which == "toral":
@@ -302,6 +304,6 @@ def transform_distance(W: WeightDiagram, Wp: WeightDiagram, which: str, N: int) 
         d2 = spherical_transform(Wp, window=window)
     else:
         raise DomainError(f"unknown transform {which!r}")
-    t1 = truncate(d1, N)
-    t2 = truncate(d2, N)
-    return max(operator_norm(t1.T1 - t2.T1), operator_norm(t1.T2 - t2.T2))
+    _, _, T1, T2 = _level_weights(d1, N)
+    _, _, T1p, T2p = _level_weights(d2, N)
+    return max(_max_abs(T1 - T1p), _max_abs(T2 - T2p))

@@ -1,12 +1,52 @@
 """Independent dense-matrix constructions used as test oracles.
 
 Everything here is rebuilt straight from the weight functions with its
-own index bookkeeping: explicit loops, explicit pseudo-inverses, no reuse
-of the package's truncation or block-assembly code.  Agreement between
-these and the library routes is what the dual-route tests assert.
+own index bookkeeping: explicit loops, explicit pseudo-inverses, SVD
+norms, no reuse of the package's window arithmetic or block-assembly
+code.  Agreement between these and the library routes is what the
+dual-route tests assert.
 """
 
+import math
+
 import numpy as np
+
+from aluthge_lab import (
+    build_prop2,
+    build_theta,
+    psd_check,
+    spherical_transform,
+    toral_transform,
+)
+from aluthge_lab.sampling import (
+    bump_gamma,
+    random_commuting_table,
+    random_completion,
+    random_monotone_table,
+    random_nondecreasing_omega,
+)
+
+
+def oracle_diagrams():
+    """Fixed diagrams the oracles are compared on; the last two do not commute.
+
+    The corner family on both sides of the curves s and h, a monotone and
+    a generic commuting table, a lift, a two-atom completion, and the
+    toral candidates of two commuting tables.
+    """
+    rng = np.random.default_rng(5)
+    y = 0.6
+    s = np.sqrt(1 / (2 - y * y))
+    h = np.sqrt((1 + y * y) / 2)
+    out = [build_prop2(x, y) for x in (s - 0.02, 0.5 * (s + h), h + 0.02)]
+    out += [random_monotone_table(rng), random_commuting_table(rng)]
+    out += [build_theta(random_nondecreasing_omega(rng, length=8)), random_completion(rng)]
+    bumped = bump_gamma(build_prop2(0.8, 0.5), 1.4, at=(1, 1), rows=6, cols=6)
+    for parent in (bumped, random_commuting_table(rng)):
+        res = toral_transform(parent)
+        assert not res.commutes
+        out.append(res.diagram)
+    return out
 
 
 def dense_pair(W, N):
@@ -26,6 +66,94 @@ def dense_pair(W, N):
             if k2 + 1 <= N:
                 T2[idx(k1, k2 + 1), idx(k1, k2)] = W.beta(k1, k2)
     return T1, T2
+
+
+def operator_norm(M):
+    """Largest singular value of a matrix (0 for an empty one)."""
+    M = np.asarray(M, dtype=float)
+    if M.size == 0:
+        return 0.0
+    return float(np.linalg.norm(M, 2))
+
+
+def joint_moduli(W, N):
+    """sqrt(alpha_k^2 + beta_k^2) over [0, N]^2, in dense_pair's basis order.
+
+    These are the untruncated values, not the diagonal of the compressed
+    operator.
+    """
+    n = N + 1
+    A = np.array([[W.alpha(k1, k2) for k2 in range(n)] for k1 in range(n)])
+    B = np.array([[W.beta(k1, k2) for k2 in range(n)] for k1 in range(n)])
+    return np.hypot(A, B).ravel()
+
+
+def joint_partial_isometry_check(W, N, tol=1e-12):
+    """Verify P Q^2 P = P^2 for Q^2 = U1* U1 + U2* U2 on a truncation.
+
+    U_i = T_i P^{-1} with P the diagonal of untruncated joint moduli.
+    Truncation chops the outgoing weights on the top row and column of the
+    window, so the comparison runs over interior basis vectors (k1 < N and
+    k2 < N), where the compressed operators agree with the full ones.
+    Returns (max absolute deviation, deviation <= tol).
+    """
+    T1, T2 = dense_pair(W, N)
+    p = joint_moduli(W, N)
+    Pinv = np.diag(1.0 / p)
+    U1 = T1 @ Pinv
+    U2 = T2 @ Pinv
+    P = np.diag(p)
+    lhs = P @ (U1.T @ U1 + U2.T @ U2) @ P
+    dev = lhs - np.diag(p**2)
+    n = N + 1
+    interior = [k1 * n + k2 for k1 in range(N) for k2 in range(N)]
+    worst = float(np.max(np.abs(dev[np.ix_(interior, interior)])))
+    return worst, worst <= tol
+
+
+def continuity_sides(W, N, n):
+    """(lhs, rhs) of the regularization bounds on level N from dense operators.
+
+    Keys "i" .. "iv" and "v1", "v2" for the two components of bound (v);
+    every norm is an SVD of a dense (N+1)^2 x (N+1)^2 matrix.  Bound (v)
+    keeps the library's order of operations entry by entry, since its
+    left side is a difference of nearly equal terms.
+    """
+    T1, T2 = dense_pair(W, N)
+    P = joint_moduli(W, N)
+    sqrtP = np.sqrt(P)
+    A = np.sqrt(np.maximum(1.0 / n, P))
+    inv_sqrt_n = 1.0 / math.sqrt(n)
+    P_norm = operator_norm(np.diag(P))
+    out = {
+        "i": (operator_norm(np.diag(A)), max(inv_sqrt_n, math.sqrt(P_norm))),
+        "ii": (operator_norm(np.diag(P / A)), math.sqrt(P_norm)),
+        "iii": (operator_norm(np.diag(A - sqrtP)), inv_sqrt_n),
+        "iv": (operator_norm(np.diag(P / A - sqrtP)), 0.25 * inv_sqrt_n),
+    }
+    for key, T in (("v1", T1), ("v2", T2)):
+        gap = A[:, None] * T / A[None, :] - sqrtP[:, None] * (T / P[None, :]) * sqrtP[None, :]
+        out[key] = (operator_norm(gap), 1.25 * inv_sqrt_n * math.sqrt(operator_norm(T)))
+    return out
+
+
+def transform_distance(W, Wp, which, N):
+    """max_i ||T_i - T_i'|| on level N between the transforms, by SVD."""
+    window = max(14, N + 2)
+    if which == "toral":
+        d1, d2 = (toral_transform(X, window=window).diagram for X in (W, Wp))
+    else:
+        d1, d2 = (spherical_transform(X, window=window) for X in (W, Wp))
+    pairs = zip(dense_pair(d1, N), dense_pair(d2, N))
+    return max(operator_norm(T - Tp) for T, Tp in pairs)
+
+
+def interior_p2(W, N):
+    """The diagonal of T1*T1 + T2*T2 at interior basis vectors (k1, k2 < N)."""
+    T1, T2 = dense_pair(W, N)
+    diag = np.diag(T1.T @ T1 + T2.T @ T2)
+    n = N + 1
+    return np.array([diag[k1 * n + k2] for k1 in range(N) for k2 in range(N)])
 
 
 def spherical_entries(W, N):
@@ -116,3 +244,37 @@ def block_commutator_spectrum(W, k, N):
     )
     eigs = np.linalg.eigvalsh(0.5 * (big + big.T))
     return float(eigs[0]), float(np.max(np.abs(eigs))), big.shape[0]
+
+
+def _graded_with_zero(k):
+    """Multi-indices |p| <= k, (0, 0) first, then graded lexicographic."""
+    return [(p1, g - p1) for g in range(k + 1) for p1 in range(g + 1)]
+
+
+def moment_matrix(table, k, base=(0, 0)):
+    """The 2-variable moment matrix (gamma_{base+p+q})_{p,q}, |p|, |q| <= k."""
+    ps = _graded_with_zero(k)
+    return np.array(
+        [
+            [table.gamma(base[0] + p1 + q1, base[1] + p2 + q2) for (q1, q2) in ps]
+            for (p1, p2) in ps
+        ]
+    )
+
+
+def moment_matrix_psd(table, k, base=(0, 0), tol=1e-10):
+    """PSD verdict of moment_matrix(table, k, base); needs maxdeg >= |base| + 2k."""
+    return psd_check(moment_matrix(table, k, base), tol)
+
+
+def scaled_schur_complement(table, k, u):
+    """D^-1 (M_u - m m^T / gamma_u) D^-1 with D = diag sqrt(gamma_{u+p}), 1 <= |p| <= k.
+
+    M_u is the moment matrix at base u without its (0, 0) row and column,
+    m that row; the result is the order-k lattice block B_u of a commuting
+    pair, written in moments.
+    """
+    M = moment_matrix(table, k, u)
+    S = M[1:, 1:] - np.outer(M[1:, 0], M[0, 1:]) / M[0, 0]
+    d = np.sqrt(M[1:, 0])
+    return S / d[:, None] / d[None, :]

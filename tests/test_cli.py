@@ -202,6 +202,12 @@ def test_probe_continuity_report(capsys, prop2_file):
     assert obj["all_hold"] is True
 
 
+def test_probe_continuity_at_level_40(capsys, prop2_file):
+    obj = run_json(capsys, ["probe-continuity", "--input", prop2_file, "-N", "40", "--n", "10"])
+    assert obj["N"] == 40
+    assert obj["all_hold"] is True
+
+
 # ---------------------------------------------------------------------------
 # reproduce
 

@@ -1,4 +1,4 @@
-"""Core diagram mechanics: weights, commutativity, moments, truncation."""
+"""Core diagram mechanics: weights, commutativity, moments, cores."""
 
 import math
 
@@ -26,10 +26,9 @@ from aluthge_lab import (
     spherical_transform,
     stampfli,
     toral_transform,
-    truncate,
     validate_commuting,
 )
-from aluthge_lab import transforms
+from aluthge_lab import diagrams, transforms
 from aluthge_lab.diagrams import WeightDiagram
 from aluthge_lab.sampling import gamma_rectangle, random_commuting_table
 
@@ -294,30 +293,6 @@ def test_moments_1var_cumprod():
 
 
 # ---------------------------------------------------------------------------
-# truncation against the hand-built dense pair
-
-
-def test_truncate_matches_dense_oracle():
-    rng = np.random.default_rng(11)
-    W = random_commuting_table(rng)
-    t = truncate(W, 5)
-    T1, T2 = dense_pair(W, 5)
-    assert np.array_equal(t.T1, T1)
-    assert np.array_equal(t.T2, T2)
-    k = t.index(2, 3)
-    assert t.P_diag[k] == pytest.approx(math.hypot(W.alpha(2, 3), W.beta(2, 3)))
-
-
-def test_truncate_index_bounds():
-    t = truncate(build_prop2(0.5, 0.5), 3)
-    assert t.index(3, 3) == 15
-    with pytest.raises(WindowError):
-        t.index(4, 0)
-    with pytest.raises(WindowError):
-        truncate(build_prop2(0.5, 0.5), -1)
-
-
-# ---------------------------------------------------------------------------
 # cores
 
 
@@ -347,3 +322,54 @@ def test_core_matches_shifted_parent(builder):
         for k2 in range(4):
             assert K.alpha(k1, k2) == pytest.approx(W.alpha(k1 + 1, k2 + 1), rel=1e-13)
             assert K.beta(k1, k2) == pytest.approx(W.beta(k1 + 1, k2 + 1), rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# validation memo
+
+
+def _count_residual_scans(monkeypatch):
+    calls = []
+    original = diagrams.commutativity_residual
+
+    def counting(diagram, window):
+        calls.append(window)
+        return original(diagram, window)
+
+    monkeypatch.setattr(diagrams, "commutativity_residual", counting)
+    monkeypatch.setattr(transforms, "commutativity_residual", counting)
+    return calls
+
+
+def test_classify_validates_the_corner_diagram_once(monkeypatch):
+    calls = _count_residual_scans(monkeypatch)
+    classify(0.72, 0.4)
+    # the corner diagram once, then each transform's output once
+    assert len(calls) == 3
+
+
+def test_validation_memo_answers_only_covered_requests(monkeypatch):
+    # a lift whose beta is bumped at (8, 1): commutativity fails from (7, 1) on
+    lift = build_theta(OneVarWeights(values=(0.5, 0.7, 1.0)))
+
+    def window(n1, n2):
+        A, B = lift.weight_arrays(n1, n2)
+        B = B.copy()
+        B[8:9, 1:2] *= 1.3
+        return A, B
+
+    W = WeightDiagram(kind="derived", params={}, _window=window)
+    calls = _count_residual_scans(monkeypatch)
+    validate_commuting(W, 6)
+    validate_commuting(W, 5)
+    validate_commuting(W, 6, tol=1e-6)
+    assert calls == [6]
+    validate_commuting(W, 6, tol=1e-15)  # tighter: scanned again
+    assert calls == [6, 6]
+    for _ in range(2):  # a wider window is scanned, and a failure is not remembered
+        with pytest.raises(NonCommutingInputError):
+            validate_commuting(W, 7)
+    assert calls == [6, 6, 7, 7]
+    validate_commuting(W, 4)
+    assert len(calls) == 4
+

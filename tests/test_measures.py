@@ -12,6 +12,7 @@ from aluthge_lab import (
     DomainError,
     InfeasibleConstantError,
     OneVarWeights,
+    WindowError,
     berger_atomic_verify,
     commutativity_residual,
     core_of,
@@ -23,8 +24,11 @@ from aluthge_lab import (
     quasinormality_routes,
     stampfli,
 )
-from aluthge_lab.measures import is_spherical_isometry
+from aluthge_lab.diagrams import WeightDiagram
+from aluthge_lab.measures import QUASINORMAL_TOL, constant_interior_p2, is_spherical_isometry
 from aluthge_lab.sampling import random_commuting_table, random_completion
+
+from oracles import interior_p2, oracle_diagrams
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +170,59 @@ def test_routes_agree_on_completion_and_generic():
     r2 = quasinormality_routes(G, window=10, N=8)
     assert not (r2["constant_sum"] or r2["fixed_point"] or r2["interior_diagonal"])
     assert r2["constant"] is None
+
+
+def _assert_interior_matches_dense(W, N):
+    flag, C = constant_interior_p2(W, N)
+    vals = interior_p2(W, N)
+    assert flag == bool(np.max(np.abs(vals - vals[0])) <= QUASINORMAL_TOL * max(1.0, vals[0]))
+    if flag:
+        np.testing.assert_array_max_ulp(C, vals[0], maxulp=4)
+    else:
+        assert C is None
+
+
+def test_interior_diagonal_matches_dense_oracle():
+    diagrams = oracle_diagrams()
+    assert any(constant_interior_p2(W, 8)[0] for W in diagrams)
+    for W in diagrams:
+        for N in range(1, 9):
+            _assert_interior_matches_dense(W, N)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=8))
+def test_interior_diagonal_matches_dense_oracle_on_random_diagrams(seed, N):
+    rng = np.random.default_rng(seed)
+    for W in (random_commuting_table(rng), random_completion(rng)):
+        _assert_interior_matches_dense(W, N)
+
+
+def _alpha_bumped_at(W, k):
+    """W with alpha scaled at the lattice point k, so alpha^2 + beta^2 moves there only."""
+
+    def window(n1, n2):
+        A, B = W.weight_arrays(n1, n2)
+        A = A.copy()
+        A[k[0] : k[0] + 1, k[1] : k[1] + 1] *= 1.1
+        return A, B
+
+    return WeightDiagram(kind="derived", params={}, _window=window)
+
+
+def test_interior_diagonal_stops_at_the_truncation_boundary():
+    # constant on [0, 4)^2 and not at (4, 1) or (1, 4): only levels N >= 5 see it
+    Q = quasinormal_completion(stampfli(1.0, 2.0, 3.0).weights, 4.0)
+    for k in ((4, 1), (1, 4)):
+        W = _alpha_bumped_at(Q, k)
+        assert [constant_interior_p2(W, N)[0] for N in range(1, 8)] == [True] * 4 + [False] * 3
+        for N in range(1, 8):
+            _assert_interior_matches_dense(W, N)
+
+
+def test_interior_diagonal_needs_an_interior():
+    with pytest.raises(WindowError):
+        constant_interior_p2(random_completion(np.random.default_rng(3)), 0)
 
 
 def test_is_spherically_quasinormal_returns_constant():

@@ -19,7 +19,6 @@ from aluthge_lab import (
     joint_hyponormal_reports,
     k_hyponormal,
     k_hyponormal_verdict,
-    moment_matrix_psd,
     moments,
     one_var_k_hyponormal,
     psd_check,
@@ -29,15 +28,19 @@ from aluthge_lab import positivity
 from aluthge_lab.diagrams import WeightDiagram
 from aluthge_lab.measures import quasinormal_completion, stampfli
 from aluthge_lab.sampling import (
-    bump_gamma,
     random_commuting_table,
-    random_completion,
     random_monotone_table,
     random_nondecreasing_omega,
 )
 from aluthge_lab.transforms import spherical_transform, toral_transform
 
-from oracles import block_commutator_spectrum, one_var_block_min_eig
+from oracles import (
+    block_commutator_spectrum,
+    moment_matrix_psd,
+    one_var_block_min_eig,
+    oracle_diagrams,
+    scaled_schur_complement,
+)
 
 PSD_TOL = 1e-10
 
@@ -179,24 +182,8 @@ def _agrees_with_dense_oracle(W, k, N):
     assert abs(v.min_eigenvalue - lo) <= 1e-12 * scale
 
 
-def _oracle_diagrams():
-    rng = np.random.default_rng(5)
-    y = 0.6
-    s = np.sqrt(1 / (2 - y * y))
-    h = np.sqrt((1 + y * y) / 2)
-    out = [build_prop2(x, y) for x in (s - 0.02, 0.5 * (s + h), h + 0.02)]
-    out += [random_monotone_table(rng), random_commuting_table(rng)]
-    out += [build_theta(random_nondecreasing_omega(rng, length=8)), random_completion(rng)]
-    bumped = bump_gamma(build_prop2(0.8, 0.5), 1.4, at=(1, 1), rows=6, cols=6)
-    for parent in (bumped, random_commuting_table(rng)):
-        res = toral_transform(parent)
-        assert not res.commutes
-        out.append(res.diagram)
-    return out
-
-
 def test_khypo_blocks_match_dense_oracle():
-    for W in _oracle_diagrams():
+    for W in oracle_diagrams():
         for k in (1, 2, 3):
             for N in sorted({4 * k + 2, 14}):
                 _agrees_with_dense_oracle(W, k, N)
@@ -224,7 +211,7 @@ def _order1_agrees_with_dense_oracle(W, N):
 
 def test_joint_cross_check_blocks_match_dense_oracle():
     # N = 4 and 5 are below the k = 1 window that k_hyponormal_verdict accepts
-    for W in _oracle_diagrams():
+    for W in oracle_diagrams():
         for N in range(4, 15):
             _order1_agrees_with_dense_oracle(W, N)
 
@@ -265,7 +252,7 @@ def test_classify_cross_checks_each_transform(monkeypatch, where):
 
 def _stack_diagrams():
     out = []
-    for W in _oracle_diagrams():
+    for W in oracle_diagrams():
         out.append(W)
         if W.kind != "derived":  # the toral candidates do not commute
             out += [toral_transform(W).diagram, spherical_transform(W)]
@@ -352,6 +339,29 @@ def test_moment_matrix_detects_nonsubnormal():
             if not moment_matrix_psd(table, k, base=base).is_psd:
                 bad = True
     assert bad  # some truncated moment matrix must witness non-subnormality
+
+
+def test_full_blocks_are_scaled_schur_complements_of_moment_matrices():
+    # module docstring: for u >= 0, diag sqrt(gamma_{u+p}) B_u diag sqrt(gamma_{u+p})
+    # is the Schur complement at gamma_u of (gamma_{u+p+q})_{|p|,|q|<=k}
+    size = 6
+    diagrams = (
+        build_prop2(0.7, 0.6),
+        build_theta(OneVarWeights(values=(0.5, 0.7, 0.8, 0.95, 1.0))),
+        quasinormal_completion(stampfli(1.0, 2.0, 3.0).weights, 4.0),
+    )
+    for W in diagrams:
+        table = moments(W, 2 * (size - 1))
+        for k in (1, 2):
+            nu = size + k
+            eigs = _block_eigs([W], k, size)[0]
+            # full blocks: u + p stays in [0, size-1]^2 for every |p| <= k
+            for u1 in range(size - k):
+                for u2 in range(size - k):
+                    want = np.linalg.eigvalsh(scaled_schur_complement(table, k, (u1, u2)))
+                    got = eigs[(u1 + k) * nu + (u2 + k)]
+                    tol = 1e-12 * max(1.0, float(np.max(np.abs(want))))
+                    assert np.max(np.abs(got - want)) <= tol, (W.kind, k, u1, u2)
 
 
 def test_full_report_levels_and_orders():

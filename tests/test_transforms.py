@@ -1,6 +1,7 @@
 """Transform formulas against dense-conjugation oracles, plus continuity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 
 from aluthge_lab import (
     NonCommutingInputError,
+    WindowError,
     build_prop2,
     build_theta,
     build_thm1,
     commutativity_residual,
     continuity_probe,
-    joint_partial_isometry_check,
     quasinormal_completion,
+    quasinormality_routes,
     spherical_polar,
     spherical_transform,
     stampfli,
@@ -26,7 +28,13 @@ from aluthge_lab import (
 from aluthge_lab.diagrams import OneVarWeights
 from aluthge_lab.sampling import bump_gamma, random_commuting_table
 
-from oracles import spherical_entries, toral_entries
+import oracles
+from oracles import (
+    joint_partial_isometry_check,
+    oracle_diagrams,
+    spherical_entries,
+    toral_entries,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +159,11 @@ def test_transform_rejects_noncommuting_input():
         return A, B
 
     broken = WeightDiagram(kind="derived", params={}, _window=window)
-    with pytest.raises(NonCommutingInputError):
-        spherical_transform(broken, window=6)
-    with pytest.raises(NonCommutingInputError):
-        toral_transform(broken, window=6)
+    for _ in range(2):  # a failed validation is not remembered
+        with pytest.raises(NonCommutingInputError):
+            spherical_transform(broken, window=6)
+        with pytest.raises(NonCommutingInputError):
+            toral_transform(broken, window=6)
 
 
 def test_iterated_spherical_transform_follows_parameter_maps():
@@ -258,3 +267,83 @@ def test_continuity_probe_rejects_bad_n():
     W = build_prop2(0.5, 0.5)
     with pytest.raises(Exception):
         continuity_probe(W, N=6, n=0)
+
+
+# ---------------------------------------------------------------------------
+# operator norms from weights against dense SVD oracles
+
+CUTS = (1, 10, 10_000)
+
+
+def _assert_probe_matches_dense(W, N, n):
+    probe = continuity_probe(W, N=N, n=n)
+    got = {key: (e["lhs"], e["rhs"]) for key, e in probe.bound_report.items()}
+    assert got.pop("v") in probe.v_components
+    got["v1"], got["v2"] = probe.v_components
+    want = oracles.continuity_sides(W, N, n)
+    assert got.keys() == want.keys()
+    for key in want:
+        np.testing.assert_array_max_ulp(np.array(got[key]), np.array(want[key]), maxulp=4)
+    assert probe.bound_report["v"]["slack"] == min(r - l for l, r in probe.v_components)
+
+
+def _assert_distance_matches_dense(W, Wp, N):
+    for which in ("toral", "spherical"):
+        got = transform_distance(W, Wp, which, N)
+        want = oracles.transform_distance(W, Wp, which, N)
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+
+
+def test_weight_level_norms_match_dense_oracles():
+    diagrams = oracle_diagrams()
+    for W in diagrams:
+        for N in range(9):
+            for n in CUTS:
+                _assert_probe_matches_dense(W, N, n)
+    commuting = diagrams[:-2]
+    for W, Wp in zip(commuting, commuting[1:]):
+        for N in range(9):
+            _assert_distance_matches_dense(W, Wp, N)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=0, max_value=8),
+    st.sampled_from(CUTS),
+)
+def test_weight_level_norms_match_dense_oracles_on_random_tables(seed, N, n):
+    rng = np.random.default_rng(seed)
+    W, Wp = random_commuting_table(rng), random_commuting_table(rng)
+    _assert_probe_matches_dense(W, N, n)
+    _assert_distance_matches_dense(W, Wp, N)
+
+
+def test_level_zero_and_negative_levels():
+    # level 0 keeps no weight of either shift, so every shift norm is 0
+    W, Wp = build_prop2(0.5, 0.5), build_prop2(0.6, 0.5)
+    for which in ("toral", "spherical"):
+        assert transform_distance(W, Wp, which, 0) == 0.0
+    assert continuity_probe(W, N=0, n=10).v_components == ((0.0, 0.0), (0.0, 0.0))
+    with pytest.raises(WindowError):
+        continuity_probe(W, N=-1, n=1)
+    with pytest.raises(WindowError):
+        transform_distance(W, Wp, "spherical", -1)
+
+
+def _traced_peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_level_40_routes_hold_no_dense_operator():
+    # the dense routes peaked at about 108, 108 and 86 MiB here
+    W, Wp = build_prop2(0.5, 0.5), build_prop2(0.6, 0.5)
+    Q = quasinormal_completion(stampfli(1.0, 2.0, 3.0).weights, 4.0)
+    assert _traced_peak_mib(lambda: continuity_probe(W, N=40, n=10)) < 2
+    assert _traced_peak_mib(lambda: transform_distance(W, Wp, "spherical", 40)) < 2
+    assert _traced_peak_mib(lambda: quasinormality_routes(Q, window=40, N=40)) < 2
