@@ -107,10 +107,7 @@ class _Parser(argparse.ArgumentParser):
 def _cmd_transform(args) -> int:
     W = _load_diagram(args.input)
     w = args.window
-    try:
-        source = diagram_to_obj(W)
-    except DomainError:
-        source = {"kind": W.kind}
+    source = diagram_to_obj(W)
     if args.kind == "spherical":
         out_diag = spherical_transform(W, window=w)
         resid, _ = commutativity_residual(out_diag, w)
@@ -349,7 +346,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("reproduce", help="run a named experiment suite")
     sp.add_argument("target", choices=sorted(TARGETS))
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    sp.add_argument("--seed", type=_nonneg_int, default=DEFAULT_SEED,
                     help=f"generator seed for the property suites (default {DEFAULT_SEED})")
     sp.add_argument("--out", "-o")
     sp.set_defaults(func=_cmd_reproduce)

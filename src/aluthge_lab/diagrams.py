@@ -40,6 +40,8 @@ MOMENT_REL_TOL = 1e-10
 DENOM_FLOOR = 1e-30
 # Largest accepted stored weight: squares and pairwise products stay finite.
 MAX_WEIGHT = math.sqrt(sys.float_info.max)
+# Relative move allowed in the top atom when a two-atom row is re-anchored.
+REANCHOR_TOL = 1e-12
 
 
 def _check_positive_finite(values, what):
@@ -52,43 +54,123 @@ def _check_positive_finite(values, what):
         raise InvalidWeightsError(f"{what} must not exceed {MAX_WEIGHT:.3e}")
 
 
+def float_powers(x: float, n: int) -> np.ndarray:
+    """x**0 .. x**(n-1) by Python float **, which np.power does not match
+    bit for bit; all inf if any power overflows."""
+    try:
+        return np.array([x**j for j in range(n)])
+    except OverflowError:
+        return np.full(n, math.inf)
+
+
+def require_normal(arrays, what: str) -> None:
+    """DomainError unless every entry is a finite, normal, positive float."""
+    for X in arrays:
+        if not np.all((X >= sys.float_info.min) & (X <= sys.float_info.max)):
+            raise DomainError(f"{what} leave the range of normal positive floats")
+
+
+def _two_atom_solve(a: float, b: float, c: float) -> tuple:
+    """(phi0, phi1, s0, s1, rho0, rho1) of the two-atom row starting sqrt(a, b, c).
+
+    phi0 = -ab(c-b)/(b-a) and phi1 = b(c-a)/(b-a) are the coefficients of
+    the recursion gamma_{j+2} = phi1 gamma_{j+1} + phi0 gamma_j; the atoms
+    are the roots of t^2 - phi1 t - phi0.  For 0 < a < b < c the
+    discriminant, atoms and masses are positive in exact arithmetic, so a
+    solve leaving that range has hit the limits of floats: DomainError.
+    """
+    if not (0.0 < a < b < c < math.inf):
+        raise DomainError(f"require finite 0 < a < b < c, got ({a}, {b}, {c})")
+    out_of_range = DomainError(f"the two-atom solve of ({a}, {b}, {c}) leaves the float range")
+    phi0 = -a * b * (c - b) / (b - a)
+    phi1 = b * (c - a) / (b - a)
+    disc = phi1 * phi1 + 4.0 * phi0
+    root = math.sqrt(disc) if disc > 0.0 else math.nan
+    s0 = 0.5 * (phi1 - root)
+    s1 = 0.5 * (phi1 + root)
+    if not 0.0 < s0 < s1 < math.inf:
+        raise out_of_range
+    rho0 = (s1 - a) / (s1 - s0)
+    rho1 = (a - s0) / (s1 - s0)
+    if not (rho0 > 0.0 and rho1 > 0.0):
+        raise out_of_range
+    return phi0, phi1, s0, s1, rho0, rho1
+
+
+def _reanchored(parent: "OneVarWeights", weights) -> "OneVarWeights":
+    """The two-atom row that starts with `weights`, taken further along a
+    row with the atoms of `parent`; DomainError once the weights are too
+    nearly flat to pin those atoms down (the top atom moves by more than
+    REANCHOR_TOL)."""
+    flat = DomainError(f"weights {weights} are too nearly flat to re-anchor {parent.triple}")
+    try:
+        row = OneVarWeights(triple=tuple(w**2 for w in weights))
+    except DomainError:
+        raise flat from None
+    if not abs(row.solve[3] - parent.solve[3]) <= REANCHOR_TOL * parent.solve[3]:
+        raise flat
+    return row
+
+
 @dataclass(frozen=True)
 class OneVarWeights:
     """One-variable weight sequence j -> omega_j with a finite description.
 
-    Backed either by a finite list with a flat tail (omega_j = values[-1]
-    for j past the end) or by a closed-form callable carrying a tag that
-    serialization understands.
+    Exactly one backing is given.  `values` is a finite list with a flat
+    tail: omega_j = values[-1] for j past the end.  `triple` = (a, b, c)
+    gives a two-atom row, the Stampfli row whose first squared weights are
+    a < b < c: with `solve` = (phi0, phi1, s0, s1, rho0, rho1) its moments
+    are gamma_j = rho0 s0^j + rho1 s1^j and omega_j = sqrt(gamma_{j+1} /
+    gamma_j).
     """
 
     values: tuple | None = None
-    fn: Callable[[int], float] | None = None
-    tag: str = "list"
+    triple: tuple | None = None
+    solve: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (self.values is None) == (self.fn is None):
-            raise DomainError("OneVarWeights needs exactly one of values or fn")
+        if (self.values is None) == (self.triple is None):
+            raise DomainError("OneVarWeights needs exactly one of values or triple")
         if self.values is not None:
             _check_positive_finite(self.values, "omega")
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+            return
+        triple = tuple(float(v) for v in self.triple)
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "solve", _two_atom_solve(*triple))
 
     def __call__(self, j: int) -> float:
         if j < 0:
             raise WindowError("omega index must be nonnegative")
         if self.values is not None:
             return self.values[min(j, len(self.values) - 1)]
-        return self.fn(j)
+        return float(self.prefix(j + 1)[j])
+
+    def prefix(self, n: int) -> np.ndarray:
+        """omega_0 .. omega_{n-1} as a float array, in one pass."""
+        if self.values is not None:
+            return np.array(self.values)[np.minimum(np.arange(n), len(self.values) - 1)]
+        _, _, s0, s1, rho0, rho1 = self.solve
+        with np.errstate(over="ignore"):
+            g = rho0 * float_powers(s0, n + 1) + rho1 * float_powers(s1, n + 1)
+        require_normal([g], f"moments of the two-atom row {self.triple} up to gamma_{n}")
+        return np.sqrt(g[1:] / g[:-1])
 
     def shifted(self, by: int) -> "OneVarWeights":
-        """The sequence j -> omega_{j+by}."""
-        if self.values is not None:
-            vals = self.values[by:] or self.values[-1:]
-            return OneVarWeights(values=vals)
-        base = self
-        return OneVarWeights(fn=lambda j: base(j + by), tag=f"{self.tag}+shift{by}")
+        """The sequence j -> omega_{j+by}.
 
-    def prefix(self, n: int) -> list:
-        return [self(j) for j in range(n)]
+        A value row drops its first `by` entries, keeping its flat tail.  A
+        two-atom row stays two-atomic (same atoms, masses reweighted), so
+        it is re-anchored as the row with triple (omega_by^2,
+        omega_{by+1}^2, omega_{by+2}^2).
+        """
+        if by < 0:
+            raise WindowError("shift must be nonnegative")
+        if self.values is not None:
+            return OneVarWeights(values=self.values[by:] or self.values[-1:])
+        if by == 0:
+            return self
+        return _reanchored(self, self.prefix(by + 3)[by:].tolist())
 
 
 def as_one_var_weights(omega) -> OneVarWeights:
@@ -201,7 +283,7 @@ def validate_commuting(diagram: WeightDiagram, window: int, tol: float = COMMUTA
 
 def _diagonal_window(om: OneVarWeights, n1: int, n2: int) -> np.ndarray:
     """omega_{k1+k2} on [0, n1) x [0, n2)."""
-    values = np.array(om.prefix(n1 + n2 - 1), dtype=float)
+    values = om.prefix(n1 + n2 - 1)
     return values[np.add.outer(np.arange(n1), np.arange(n2))]
 
 
@@ -297,7 +379,8 @@ def core_of(diagram: WeightDiagram) -> WeightDiagram:
     """Restriction to indices >= (1,1), re-indexed to start at the origin.
 
     The core of each built-in kind is again of a built-in kind, so the
-    result serializes exactly.
+    result serializes exactly: a two-atom row comes back re-anchored,
+    which raises DomainError once the row is too nearly flat.
     """
     kind = diagram.kind
     if kind == "theta":
@@ -319,29 +402,20 @@ def core_of(diagram: WeightDiagram) -> WeightDiagram:
     if kind == "quasinormal-completion":
         # constant row sum survives restriction, so the core is the
         # completion of its own zeroth row with the same constant
-        from .measures import quasinormal_completion, stampfli
+        from .measures import quasinormal_completion
 
         om = diagram.params["omega"]
-        C = diagram.params["constant"]
-        if om.tag.startswith("stampfli:"):
+        if om.triple is not None:
             # the core row is again two-atomic (same atoms, masses
             # reweighted), so its first three squared weights pin it down
-            row = stampfli(
-                diagram.alpha(1, 1) ** 2,
-                diagram.alpha(2, 1) ** 2,
-                diagram.alpha(3, 1) ** 2,
-            ).weights
-        elif om.values is not None:
+            A, _ = diagram.weight_arrays(4, 2)
+            row = _reanchored(om, A[1:, 1].tolist())
+        else:
             # past a finite row's flat tail the completion repeats its
             # zeroth row exactly, so a finite prefix captures the core row
             A, _ = diagram.weight_arrays(max(len(om.values), 2), 2)
             row = OneVarWeights(values=A[1:, 1])
-        else:
-            row = OneVarWeights(
-                fn=lambda j: diagram.alpha(j + 1, 1),
-                tag=f"{om.tag}+core",
-            )
-        return quasinormal_completion(row, C)
+        return quasinormal_completion(row, diagram.params["constant"])
     raise DomainError(f"unknown diagram kind {kind!r}")
 
 
@@ -411,5 +485,5 @@ def moments_1var(omega, nmax: int) -> np.ndarray:
     om = as_one_var_weights(omega)
     gam = np.ones(nmax + 1)
     if nmax > 0:
-        gam[1:] = np.cumprod([om(j) ** 2 for j in range(nmax)])
+        gam[1:] = np.cumprod([w**2 for w in om.prefix(nmax).tolist()])
     return gam

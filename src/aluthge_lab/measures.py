@@ -21,7 +21,9 @@ from .diagrams import (
     OneVarWeights,
     WeightDiagram,
     as_one_var_weights,
+    float_powers,
     moments,
+    require_normal,
 )
 from .errors import (
     DomainError,
@@ -70,39 +72,16 @@ def stampfli(a: float, b: float, c: float) -> StampfliData:
 
     phi0 = -ab(c-b)/(b-a) and phi1 = b(c-a)/(b-a) are the coefficients of
     the recursion gamma_{j+2} = phi1 gamma_{j+1} + phi0 gamma_j; the atoms
-    are the roots of t^2 - phi1 t - phi0.
+    are the roots of t^2 - phi1 t - phi0.  The solve belongs to the row
+    itself: `weights` is the two-atom OneVarWeights with triple (a, b, c).
     """
-    a, b, c = float(a), float(b), float(c)
-    if not (0.0 < a < b < c):
-        raise DomainError(f"require 0 < a < b < c, got ({a}, {b}, {c})")
-    phi0 = -a * b * (c - b) / (b - a)
-    phi1 = b * (c - a) / (b - a)
-    disc = phi1 * phi1 + 4.0 * phi0
-    if disc < 0.0:
-        raise InternalConsistencyError(
-            f"negative discriminant {disc:.3e} for ordered inputs ({a}, {b}, {c})"
-        )
-    root = math.sqrt(disc)
-    s0 = 0.5 * (phi1 - root)
-    s1 = 0.5 * (phi1 + root)
-    rho0 = (s1 - a) / (s1 - s0)
-    rho1 = (a - s0) / (s1 - s0)
-    if not (0.0 < s0 < s1 and rho0 > 0.0 and rho1 > 0.0):
-        raise InternalConsistencyError(
-            f"atom data out of range for ({a}, {b}, {c}): "
-            f"s0={s0:.6g}, s1={s1:.6g}, rho0={rho0:.6g}, rho1={rho1:.6g}"
-        )
-
-    def omega(j: int) -> float:
-        g0 = rho0 * s0**j + rho1 * s1**j
-        g1 = rho0 * s0 ** (j + 1) + rho1 * s1 ** (j + 1)
-        return math.sqrt(g1 / g0)
-
-    weights = OneVarWeights(fn=omega, tag=f"stampfli:{a!r},{b!r},{c!r}")
+    om = OneVarWeights(triple=(a, b, c))
+    phi0, phi1, s0, s1, rho0, rho1 = om.solve
+    a, b, c = om.triple
     return StampfliData(
         a=a, b=b, c=c,
         phi0=phi0, phi1=phi1, s0=s0, s1=s1, rho0=rho0, rho1=rho1,
-        weights=weights,
+        weights=om,
     )
 
 
@@ -118,23 +97,26 @@ def _two_atom_completion(om: OneVarWeights, C: float) -> WeightDiagram:
     rho_i is gamma(m, n) = sum_i rho_i s_i^m (C - s_i)^n.  Every term is
     positive, so each weight is a well-conditioned ratio at any lattice
     depth, where the row-by-row recursion would compound relative error
-    through its C / beta^2 factors.
+    through its C / beta^2 factors.  A window whose terms leave the normal
+    float range (the powers grow or decay geometrically with the depth)
+    raises DomainError.
     """
-    a, b, c = (float(s) for s in om.tag.split(":", 1)[1].split(","))
-    d = stampfli(a, b, c)
-    if C - d.s1 <= 0.0:
+    _, _, s0, s1, rho0, rho1 = om.solve
+    if C - s1 <= 0.0:
         raise InfeasibleConstantError(
-            f"constant C = {C} is not above the top atom {d.s1:.6g}"
+            f"constant C = {C} is not above the top atom {s1:.6g}"
         )
 
+    atoms = ((rho0, s0), (rho1, s1))
+
     def window(n1, n2):
-        # powers come from Python float **, which np.power does not match bit for bit
-        G = sum(
-            rho
-            * np.array([s**m for m in range(n1 + 1)])[:, None]
-            * np.array([(C - s) ** n for n in range(n2 + 1)])
-            for rho, s in ((d.rho0, d.s0), (d.rho1, d.s1))
-        )
+        # rho_i s_i^m down the rows times (C - s_i)^n along the columns
+        rows = [rho * float_powers(s, n1 + 1)[:, None] for rho, s in atoms]
+        cols = [float_powers(C - s, n2 + 1) for _, s in atoms]
+        with np.errstate(over="ignore"):
+            terms = [r * c for r, c in zip(rows, cols)]
+            G = terms[0] + terms[1]
+        require_normal(rows + cols + terms + [G], f"moment terms of the {n1}x{n2} weight window")
         return np.sqrt(G[1:, :-1] / G[:-1, :-1]), np.sqrt(G[:-1, 1:] / G[:-1, :-1])
 
     return WeightDiagram(
@@ -154,9 +136,11 @@ def quasinormal_completion(W0, C: float) -> WeightDiagram:
     A lattice point of the window where C - alpha_k^2 <= 0 raises
     InfeasibleConstantError when the window is first computed.
 
-    Two-atom rows bypass the recursion for the closed moment-field form,
-    which stays accurate at lattice depths where forward propagation of
-    the quotients would lose digits.  Finite rows are safe under the
+    W0 is a value row (finite, flat tail) or a two-atom row given by its
+    Stampfli triple; a shifted two-atom row is again one.  Two-atom rows
+    bypass the recursion for the closed moment-field form, which stays
+    accurate at lattice depths where forward propagation of the quotients
+    would lose digits.  Finite rows are safe under the
     recursion: past their flat tail the propagated quotients are exactly
     1, so error stops accumulating with the stored prefix.
     """
@@ -164,7 +148,7 @@ def quasinormal_completion(W0, C: float) -> WeightDiagram:
     C = float(C)
     if not (math.isfinite(C) and C > 0.0):
         raise InfeasibleConstantError(f"constant must be positive, got {C}")
-    if om.tag.startswith("stampfli:"):
+    if om.triple is not None:
         return _two_atom_completion(om, C)
 
     def beta_of(a: np.ndarray) -> np.ndarray:
@@ -176,7 +160,7 @@ def quasinormal_completion(W0, C: float) -> WeightDiagram:
         return np.sqrt(d)
 
     def window(n1, n2):
-        rows = [np.array(om.prefix(n1 + n2 - 1), dtype=float)]
+        rows = [om.prefix(n1 + n2 - 1)]
         while len(rows) < n2:
             below = rows[-1]
             beta = beta_of(below)

@@ -270,6 +270,7 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         (["berger", "verify", "--triple", "1,2,3", "--maxdeg", "-1"], 64),
         (["regions", "classify", "--x", "0.5", "--y", "0.5", "--kmax", "-1"], 64),
         (["regions", "scan", "--grid", "2", "--ladder", "0"], 2),
+        (["reproduce", "prop1", "--seed", "-1"], 64),
     ],
 )
 def test_bad_integer_flags_exit_cleanly(capsys, argv, code):
@@ -333,6 +334,73 @@ def test_order_k_blocks_refused_exit_2(capsys, big_weights_file, prop2_file, arg
 def test_order_one_on_large_weights_still_reports(capsys, big_weights_file):
     obj = run_json(capsys, ["hypo", "--input", big_weights_file])
     assert obj["joint"] is True
+
+
+def assert_refused(capsys, argv, code=2):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"kind": "prop2", "params": {"x": "abc", "y": 0.5}}', "params.x"),
+        ('{"kind": "table", "params": {"alpha": [[0.5, "abc"]], "beta": [[0.5, 0.5]]}}',
+         "params.alpha"),
+        ('{"kind": "theta", "params": {"omega": {"stampfli": [1, 2]}}}',
+         "params.omega.stampfli"),
+        ('{"kind": "theta", "params": [1, 2]}', "params"),
+        ('{"kind": "thm1", "params": {"omega": [0.5, 0.8], "y": null}}', "params.y"),
+        ('{"kind": "prop2", ', "not valid JSON"),
+    ],
+    ids=["string-x", "string-table-entry", "short-triple", "list-params", "null-y", "unparsable"],
+)
+def test_malformed_diagram_json_exits_2(tmp_path, capsys, text, field):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert field in assert_refused(capsys, ["hypo", "--input", str(path)])
+
+
+def test_malformed_measure_json_exits_2(tmp_path, capsys, prop2_file):
+    mu_path = tmp_path / "mu.json"
+    mu_path.write_text('{"atoms": [[1, 2]]}')
+    err = assert_refused(capsys, ["berger", "verify", "--input", prop2_file,
+                                  "--measure", str(mu_path)])
+    assert "atoms[0]" in err
+
+
+@pytest.fixture
+def row_files(tmp_path):
+    paths = {}
+    for name, row in (("two-atom", [1, 2, 3]), ("small", [0.01, 0.02, 0.03])):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(dumps({"stampfli": row}))
+    return {k: str(v) for k, v in paths.items()}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # s1 = 2 + sqrt(2) and s1**601 overflows
+        ["quasinormal", "complete", "--omega", "two-atom", "-C", "4", "-w", "600"],
+        ["berger", "verify", "--triple", "1,2,3", "--maxdeg", "600"],
+        # both atoms below 0.05, so the terms underflow long before depth 100
+        ["quasinormal", "complete", "--omega", "small", "-C", "0.05", "-w", "100"],
+    ],
+    ids=["complete-overflow", "berger-overflow", "complete-underflow"],
+)
+def test_moment_field_out_of_float_range_exits_2(capsys, row_files, argv):
+    argv = [row_files.get(a, a) for a in argv]
+    assert "normal positive floats" in assert_refused(capsys, argv)
+
+
+def test_moment_field_just_inside_float_range(capsys):
+    obj = run_json(capsys, ["berger", "verify", "--triple", "1,2,3", "--maxdeg", "570"])
+    assert obj["pass"] is True
 
 
 def test_console_script_entry():

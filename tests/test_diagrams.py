@@ -50,7 +50,7 @@ def test_one_var_needs_exactly_one_backing():
     with pytest.raises(DomainError):
         OneVarWeights()
     with pytest.raises(DomainError):
-        OneVarWeights(values=(1.0,), fn=lambda j: 1.0)
+        OneVarWeights(values=(1.0,), triple=(1.0, 2.0, 3.0))
 
 
 def test_one_var_rejects_bad_values():
@@ -64,8 +64,27 @@ def test_one_var_rejects_bad_values():
 
 def test_one_var_shifted():
     om = OneVarWeights(values=(0.5, 0.7, 0.9))
-    assert om.shifted(1).prefix(3) == [0.7, 0.9, 0.9]
-    assert om.shifted(5).prefix(2) == [0.9, 0.9]
+    assert om.shifted(1).prefix(3).tolist() == [0.7, 0.9, 0.9]
+    assert om.shifted(5).prefix(2).tolist() == [0.9, 0.9]
+
+
+def test_two_atom_shift_keeps_the_parent_row():
+    om = stampfli(1.0, 2.0, 3.0).weights
+    assert om.shifted(0) is om
+    ref = om.prefix(60)
+    for by in range(1, 9):
+        row = om.shifted(by)
+        assert row.triple is not None
+        np.testing.assert_allclose(row.prefix(30), ref[by:by + 30], rtol=1e-14, atol=0)
+
+
+def test_two_atom_shift_refuses_rows_too_flat_to_reanchor():
+    # by depth 30 the weights agree to float precision, and the squares of
+    # three of them cannot pin the atoms down
+    with pytest.raises(DomainError, match="too nearly flat"):
+        stampfli(1.0, 2.0, 3.0).weights.shifted(30)
+    with pytest.raises(WindowError):
+        OneVarWeights(values=(0.5,)).shifted(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +329,17 @@ def test_core_of_prop2_is_flat():
     assert np.all(B == 1.0)
 
 
-@pytest.mark.parametrize("builder", ["table", "thm1"])
+@pytest.mark.parametrize("builder", ["table", "thm1", "thm1-two-atom", "theta-two-atom"])
 def test_core_matches_shifted_parent(builder):
     rng = np.random.default_rng(23)
     if builder == "table":
         W = random_commuting_table(rng)
-    else:
+    elif builder == "thm1":
         W = build_thm1(OneVarWeights(values=(0.6, 0.8, 0.9)), 0.4)
+    elif builder == "thm1-two-atom":
+        W = build_thm1(stampfli(1.0, 2.0, 3.0).weights, 0.4)
+    else:
+        W = build_theta(stampfli(0.6, 1.5, 2.0).weights)
     K = core_of(W)
     for k1 in range(4):
         for k2 in range(4):

@@ -77,6 +77,31 @@ def test_stampfli_rejects_unordered():
             stampfli(*bad)
 
 
+def test_stampfli_refuses_triples_beyond_float_range():
+    # ordered, but inf, overflowing products, or atoms that underflow
+    for bad in ((1.0, 2.0, math.inf), (1e150, 2e150, 3e150), (1e-320, 2e-320, 3e-320)):
+        with pytest.raises(DomainError):
+            stampfli(*bad)
+
+
+def test_two_atom_prefix_is_the_pointwise_moment_ratio():
+    d = stampfli(1.5, 2.25, 3.5)
+
+    def gamma(j):
+        return d.rho0 * d.s0**j + d.rho1 * d.s1**j
+
+    pointwise = [math.sqrt(gamma(j + 1) / gamma(j)) for j in range(40)]
+    assert d.weights.prefix(40).tolist() == pointwise
+    assert d.weights(17) == pointwise[17]
+
+
+def test_two_atom_prefix_refuses_moments_past_the_float_range():
+    om = stampfli(1.0, 2.0, 3.0).weights  # s1 = 2 + sqrt(2), s1**600 overflows
+    om.prefix(570)
+    with pytest.raises(DomainError, match="normal positive floats"):
+        om.prefix(600)
+
+
 # ---------------------------------------------------------------------------
 # completions: frozen entries, closed form vs recursion, feasibility
 
@@ -101,12 +126,29 @@ def test_completion_constant_sum_everywhere():
 def test_two_atom_route_agrees_with_recursion():
     om = stampfli(1.0, 2.0, 3.0).weights
     closed = quasinormal_completion(om, 4.0)
-    # same function, tag stripped, forces the row-by-row recursion
-    rec = quasinormal_completion(OneVarWeights(fn=om.fn, tag="plain"), 4.0)
+    # the same weights as a value row force the row-by-row recursion
+    rec = quasinormal_completion(OneVarWeights(values=om.prefix(12)), 4.0)
     for m in range(6):
         for n in range(6):
             assert closed.alpha(m, n) == pytest.approx(rec.alpha(m, n), abs=1e-10)
             assert closed.beta(m, n) == pytest.approx(rec.beta(m, n), abs=1e-10)
+
+
+def test_completion_of_a_shifted_two_atom_row():
+    W = quasinormal_completion(stampfli(1.0, 2.0, 3.0).weights.shifted(1), 4.0)
+    A, B = W.weight_arrays(11, 11)
+    assert np.max(np.abs(A**2 + B**2 - 4.0)) <= 1e-12
+
+
+def test_completion_refuses_windows_past_the_float_range():
+    W = quasinormal_completion(stampfli(1.0, 2.0, 3.0).weights, 4.0)
+    W.weight_arrays(571, 571)
+    with pytest.raises(DomainError, match="normal positive floats"):
+        W.weight_arrays(601, 601)
+    small = quasinormal_completion(stampfli(0.01, 0.02, 0.03).weights, 0.05)
+    small.weight_arrays(20, 20)
+    with pytest.raises(DomainError, match="normal positive floats"):
+        small.weight_arrays(101, 101)
 
 
 def test_completion_from_finite_row_flat_tail():

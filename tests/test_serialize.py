@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aluthge_lab import (
     AtomicMeasure2D,
@@ -13,6 +15,7 @@ from aluthge_lab import (
     build_table,
     build_theta,
     build_thm1,
+    core_of,
     diagram_from_obj,
     diagram_to_obj,
     dumps,
@@ -55,14 +58,31 @@ def test_omega_stampfli_round_trip():
         quasinormal_completion(d.weights, d.phi1).weight_arrays(4, 4)
 
 
+@st.composite
+def rows(draw):
+    if draw(st.booleans()):
+        return OneVarWeights(values=draw(st.lists(
+            st.floats(min_value=1e-300, max_value=1e150), min_size=1, max_size=12)))
+    a = draw(st.floats(min_value=0.01, max_value=10.0))
+    b = a * (1.0 + draw(st.floats(min_value=1e-3, max_value=1.0)))
+    c = b * (1.0 + draw(st.floats(min_value=1e-3, max_value=1.0)))
+    return stampfli(a, b, c).weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows())
+def test_omega_json_round_trip_is_bit_exact(om):
+    back = omega_from_obj(json.loads(json.dumps(omega_to_obj(om))))
+    assert back == om
+    assert np.array_equal(back.prefix(20), om.prefix(20))
+
+
 def test_omega_accepts_bare_lists():
     om = omega_from_obj([0.5, 0.8])
     assert om.values == (0.5, 0.8)
 
 
-def test_omega_rejects_opaque_callables_and_junk():
-    with pytest.raises(DomainError):
-        omega_to_obj(OneVarWeights(fn=lambda j: 1.0, tag="mystery"))
+def test_omega_rejects_junk():
     with pytest.raises(DomainError):
         omega_from_obj({"novel": 1})
     with pytest.raises(DomainError):
@@ -93,6 +113,34 @@ def test_diagram_round_trip(make):
     back = diagram_from_obj(json.loads(text))
     assert back.kind == W.kind
     assert weights_equal(W, back)
+
+
+_TWO_ATOM = stampfli(1.0, 2.0, 3.0).weights
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_theta(OneVarWeights(values=(0.5, 0.8, 1.0))),
+        lambda: build_theta(_TWO_ATOM),
+        lambda: build_prop2(0.62, 0.41),
+        lambda: build_thm1(OneVarWeights(values=(0.6, 0.8, 1.0)), 0.35),
+        lambda: build_thm1(_TWO_ATOM, 0.35),
+        lambda: build_table(
+            np.array([[0.5, 0.6], [0.9, 0.9]]), np.array([[0.5, 0.6], [0.6, 0.6]])
+        ),
+        lambda: quasinormal_completion(_TWO_ATOM, 4.0),
+        lambda: quasinormal_completion(OneVarWeights(values=(0.8, 0.9, 1.0)), 2.5),
+    ],
+    ids=["theta", "theta-stampfli", "prop2", "thm1", "thm1-stampfli", "table",
+         "completion-stampfli", "completion-list"],
+)
+def test_core_round_trip(make):
+    K = core_of(make())
+    back = diagram_from_obj(json.loads(dumps(diagram_to_obj(K))))
+    assert back.kind == K.kind
+    for X, Y in zip(K.weight_arrays(8, 8), back.weight_arrays(8, 8)):
+        assert np.array_equal(X, Y)
 
 
 def test_derived_diagrams_do_not_serialize():
