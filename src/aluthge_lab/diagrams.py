@@ -250,10 +250,9 @@ def commutativity_residual(diagram: WeightDiagram, window: int):
     Returns (residual, k) with k the offending lattice point.
     """
     A, B = diagram.weight_arrays(window + 2, window + 2)
-    R = A[:-1, :-1] * B[1:, :-1] - B[:-1, :-1] * A[:-1, 1:]
-    flat = int(np.argmax(np.abs(R)))
-    k = np.unravel_index(flat, R.shape)
-    return float(abs(R[k])), (int(k[0]), int(k[1]))
+    R = np.abs(A[:-1, :-1] * B[1:, :-1] - B[:-1, :-1] * A[:-1, 1:])
+    flat = int(R.argmax())
+    return float(R.flat[flat]), divmod(flat, R.shape[1])
 
 
 def validate_commuting(diagram: WeightDiagram, window: int, tol: float = COMMUTATIVITY_TOL):

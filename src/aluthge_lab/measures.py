@@ -315,16 +315,21 @@ def berger_atomic_verify(W: WeightDiagram, mu: AtomicMeasure2D, maxdeg: int) -> 
 
     Compares gamma_(m,n) of the diagram against sum_i rho_i s_i^m t_i^n
     over all m + n <= maxdeg.  Denominators are floored, so identically
-    zero rows cannot produce spurious blowups.
+    zero rows cannot produce spurious blowups.  Raises DomainError when a
+    measure moment in that range is not a finite float.
     """
-    table = moments(W, maxdeg)
-    worst = 0.0
-    for m in range(maxdeg + 1):
-        for n in range(maxdeg + 1 - m):
-            g = table.gamma(m, n)
-            mm = mu.moment(m, n)
-            worst = max(worst, abs(g - mm) / max(abs(g), DENOM_FLOOR))
-    return worst
+    G = moments(W, maxdeg)._values
+    n = maxdeg + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        # AtomicMeasure2D.moment's arithmetic, one atom at a time
+        M = sum(rho * float_powers(s, n)[:, None] * float_powers(t, n)[None, :]
+                for s, t, rho in mu.atoms)
+    triangle = np.add.outer(np.arange(n), np.arange(n)) <= maxdeg
+    if not np.isfinite(M[triangle]).all():
+        raise DomainError(f"moments of the measure up to degree {maxdeg} leave the float range")
+    rel = np.abs(G - M)[triangle] / np.maximum(np.abs(G[triangle]), DENOM_FLOOR)
+    # fmax skips NaN, as the running Python max(worst, rel) did
+    return float(np.fmax.reduce(rel, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

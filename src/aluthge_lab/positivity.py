@@ -19,8 +19,13 @@ direct sum over u in [-k, Mc]^2 of the blocks
     B_u[p, q] = ||T^p e_{u+q}|| ||T^q e_{u+p}|| - [u >= 0] ||T^p e_u|| ||T^q e_u||
 
 restricted to the rows p with u + p in [0, Mc]^2, which is how the
-order-k matrix is evaluated here: one window of weights, one stacked
-eigensolve, no dense operator.  For u >= 0 scaling B_u by
+order-k matrix is evaluated here: one window of weights, no dense
+operator.  Each path norm ||T^p e_w|| is the one of p - e1 (of p - e2
+when p1 = 0) times one weight, so T2 steps come first.  Most blocks are
+diagonal, and a diagonal block's spectrum is its diagonal; only the
+coupled blocks, those with a nonzero off-diagonal entry, go to one
+stacked eigensolve.  Their eigenvalues come back ascending, a diagonal
+block's in row order.  For u >= 0 scaling B_u by
 diag sqrt(gamma_{u+p}) gives, for a commuting pair, the Schur complement
 at gamma_u of the Curto-Lee-Yoon moment matrix (gamma_{u+p+q})_{|p|,|q|<=k}.
 
@@ -41,13 +46,14 @@ on its own.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import WeightDiagram, as_one_var_weights, moments_1var
+from .diagrams import WeightDiagram, as_one_var_weights, moments_1var, require_normal
 from .errors import DomainError, InternalConsistencyError, WindowError
 from .linalg import PSD_TOL, SYMMETRY_TOL
 
@@ -102,17 +108,27 @@ def _six_point_fields(A: np.ndarray, B: np.ndarray):
     return p, q, r, mineigs
 
 
-def _scale(A: np.ndarray, B: np.ndarray) -> float:
-    """max(1, largest squared weight) of one diagram's window."""
-    return max(1.0, float(max(A.max(), B.max())) ** 2)
+def _scales(A: np.ndarray, B: np.ndarray) -> list:
+    """max(1, largest squared weight) of each diagram's window in a stack."""
+    tops = np.maximum(A.max(axis=(1, 2)), B.max(axis=(1, 2)))
+    return [max(1.0, top**2) for top in tops.tolist()]
 
 
 def six_point_matrix(W: WeightDiagram, k1: int, k2: int) -> np.ndarray:
-    a0 = W.alpha(k1, k2)
-    b0 = W.beta(k1, k2)
-    p = W.alpha(k1 + 1, k2) ** 2 - a0**2
-    r = W.beta(k1, k2 + 1) ** 2 - b0**2
-    q = W.alpha(k1, k2 + 1) * W.beta(k1 + 1, k2) - a0 * b0
+    if k1 < 0 or k2 < 0:
+        raise WindowError("lattice indices must be nonnegative")
+    A, B = W.weight_arrays(k1 + 2, k2 + 2)
+    return _six_point_at(A, B, k1, k2)
+
+
+def _six_point_at(A: np.ndarray, B: np.ndarray, k1: int, k2: int) -> np.ndarray:
+    """M(k) read from weight windows, in Python-float arithmetic."""
+    # a0, a1, a2: alpha at k, k + e1, k + e2, and likewise b for beta
+    (a0, a2), (a1, _) = A[k1 : k1 + 2, k2 : k2 + 2].tolist()
+    (b0, b2), (b1, _) = B[k1 : k1 + 2, k2 : k2 + 2].tolist()
+    p = a1**2 - a0**2
+    r = b2**2 - b0**2
+    q = a2 * b1 - a0 * b0
     return np.array([[p, q], [q, r]])
 
 
@@ -133,13 +149,16 @@ def componentwise_hyponormal(W: WeightDiagram, N: int, tol: float = PSD_TOL):
     so a jointly hyponormal verdict always implies both flags (the
     diagonal of M(k) consists of exactly these differences).
     """
-    A, B = W.weight_arrays(N + 2, N + 2)
+    A, B = (X[None] for X in W.weight_arrays(N + 2, N + 2))
     p, _, r, _ = _six_point_fields(A, B)
-    return _componentwise(p, r, tol * _scale(A, B))
+    return _componentwise(p, r, [tol * scale for scale in _scales(A, B)])[0]
 
 
-def _componentwise(p: np.ndarray, r: np.ndarray, cut: float):
-    return bool(p.min() >= -cut), bool(r.min() >= -cut)
+def _componentwise(p: np.ndarray, r: np.ndarray, cuts: list) -> list:
+    """(alpha flag, beta flag) per diagram of stacked six-point diagonals."""
+    pmin = p.min(axis=(1, 2)).tolist()
+    rmin = r.min(axis=(1, 2)).tolist()
+    return [(a >= -cut, b >= -cut) for a, b, cut in zip(pmin, rmin, cuts)]
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +195,10 @@ def joint_hyponormal_reports(diagrams, N: int, tol: float = PSD_TOL) -> list:
     if N >= 4:
         _check_block_budget(1, N - 2)
     pairs = [W.weight_arrays(N + 2, N + 2) for W in diagrams]
-    A = np.stack([a for a, _ in pairs])
-    B = np.stack([b for _, b in pairs])
+    A = np.array([a for a, _ in pairs])
+    B = np.array([b for _, b in pairs])
     p, _, r, mineigs = _six_point_fields(A, B)
-    scales = [_scale(a, b) for a, b in pairs]
+    scales = _scales(A, B)
 
     if N >= 4:
         Mc = N - 3
@@ -200,20 +219,23 @@ def joint_hyponormal_reports(diagrams, N: int, tol: float = PSD_TOL) -> list:
                     f"predicted {pred:.6e}"
                 )
 
+    cuts = [tol * scale for scale in scales]
+    worst = mineigs.min(axis=(1, 2)).tolist()
+    at = mineigs.reshape(len(pairs), -1).argmin(axis=1).tolist()
     reports = []
-    for i, W in enumerate(diagrams):
-        cut = tol * scales[i]
-        worst = float(mineigs[i].min())
-        flat = int(np.argmin(mineigs[i]))
-        k = tuple(int(v) for v in np.unravel_index(flat, mineigs[i].shape))
-        flag = worst >= -cut
+    for i, flags in enumerate(_componentwise(p, r, cuts)):
+        flag = worst[i] >= -cuts[i]
+        witness = None
+        if not flag:
+            k = divmod(at[i], mineigs.shape[2])
+            witness = (k, _six_point_at(A[i], B[i], *k))
         reports.append(
             HypoReport(
-                componentwise=_componentwise(p[i], r[i], cut),
+                componentwise=flags,
                 joint=flag,
                 k_hypo={1: flag},
-                worst_witness=None if flag else (k, six_point_matrix(W, k[0], k[1])),
-                joint_min_eig=worst,
+                worst_witness=witness,
+                joint_min_eig=worst[i],
                 levels={1: N},
             )
         )
@@ -256,6 +278,53 @@ def _check_block_budget(k: int, size: int) -> None:
         )
 
 
+@functools.lru_cache(maxsize=8)
+def _block_plan(k: int, size: int) -> tuple:
+    """Static layout of the order-k blocks B_u, u in [-k, size-1]^2.
+
+    Block labels u are stored at u + (k, k), so a diagram's blocks form a
+    (nu, nu, m, m) array with nu = size + k.  Returns, every array read-only:
+
+      ps            the graded multi-indices p_1 .. p_m
+      keep          (nu, nu, m) bool: row i of B_u is kept, u + p_i in [0, size-1]^2
+      kept_diag     flat indices of the kept rows' diagonal entries
+      dropped_diag  flat indices of the dropped rows' diagonal entries
+      steps         per p_i: (prefix index or -1, 0 for alpha / 1 for beta, offsets)
+      upper         (m, m) bool: the strict upper triangle, a symmetric block's
+                    off-diagonal
+    """
+    ps = tuple(_graded_multi_indices(k))
+    m = len(ps)
+    nu = size + k
+    i = np.arange(m)
+
+    def rows(window: bool):  # (nu, nu, m): u + p_i inside the window, or outside it
+        at = np.full((nu + k, nu + k), not window)
+        at[k : k + size, k : k + size] = window
+        return np.stack([at[p1 : p1 + nu, p2 : p2 + nu] for p1, p2 in ps], axis=-1)
+
+    def diagonal(selected):  # flat indices of the selected rows' diagonal entries
+        mask = np.zeros((nu, nu, m, m), dtype=bool)
+        mask[..., i, i] = selected
+        return np.flatnonzero(mask)
+
+    keep = rows(True)
+    kept_diag = diagonal(keep)
+    dropped_diag = diagonal(rows(False))
+    upper = np.array([[a < b for b in range(m)] for a in range(m)])
+    for a in (keep, kept_diag, dropped_diag, upper):
+        a.flags.writeable = False
+    # ||T^p e_w|| is the path of p - e1 (p - e2 when p1 = 0) times one weight,
+    # so T2 steps come first and T1 steps last, as T^p = T1^{p1} T2^{p2} acts
+    steps = tuple(
+        (ps.index((p1 - 1, p2)) if p1 + p2 > 1 else -1, 0, (p1 - 1, p2))
+        if p1
+        else (ps.index((0, p2 - 1)) if p2 > 1 else -1, 1, (0, p2 - 1))
+        for p1, p2 in ps
+    )
+    return ps, keep, kept_diag, dropped_diag, steps, upper
+
+
 def _lattice_block_eigs(A: np.ndarray, B: np.ndarray, k: int, size: int) -> np.ndarray:
     """Eigenvalues of the blocks B_u, u in [-k, size-1]^2, per diagram (module docstring).
 
@@ -266,11 +335,15 @@ def _lattice_block_eigs(A: np.ndarray, B: np.ndarray, k: int, size: int) -> np.n
     of their diagram, so the minimum and the largest magnitude are those of
     the compressed matrix.
 
+    Only coupled blocks, those with a nonzero off-diagonal entry, are
+    eigensolved, and their eigenvalues come back ascending.  A diagonal
+    block's spectrum is its diagonal, returned in row order, unsorted.
+
     Callers pass the size through _check_block_budget before reading any
     window.  Raises DomainError, before assembling anything, when a product
     of 2k weights of the window could overflow a float.
     """
-    ps = _graded_multi_indices(k)
+    ps, keep, kept_diag, dropped_diag, steps, upper = _block_plan(k, size)
     m = len(ps)
     nu = size + k  # block labels u in [-k, size-1]^2, stored at u + (k, k)
     A = A[:, :nu, :nu]
@@ -283,35 +356,33 @@ def _lattice_block_eigs(A: np.ndarray, B: np.ndarray, k: int, size: int) -> np.n
             f"for weights up to {top:.3e}"
         )
     stack = A.shape[0]
-    # norms[:, i] holds ||T^{p_i} e_w|| at w + (k, k), zero off the window
-    norms = np.zeros((stack, m, nu + k, nu + k))
-    inside = np.zeros((nu + k, nu + k), dtype=bool)
-    inside[k : k + size, k : k + size] = True
-    for i, (p1, p2) in enumerate(ps):
-        path = np.ones((stack, size, size))
-        for j in range(p2):  # T^p applies T2 first, then T1
-            path = path * B[:, :size, j : j + size]
-        for j in range(p1):
-            path = path * A[:, j : j + size, p2 : p2 + size]
-        norms[:, i, k : k + size, k : k + size] = path
+    # norms[..., i] holds ||T^{p_i} e_w|| at w + (k, k), zero off the window
+    norms = np.zeros((stack, nu + k, nu + k, m))
+    paths = norms[:, k : k + size, k : k + size]
+    for i, (prefix, which, (o1, o2)) in enumerate(steps):
+        weight = (A, B)[which][:, o1 : o1 + size, o2 : o2 + size]
+        if prefix < 0:
+            paths[..., i] = weight
+        else:
+            np.multiply(paths[..., prefix], weight, out=paths[..., i])
 
-    def at(X, p):  # X at u + p for every block label u
-        return X[..., p[0] : p[0] + nu, p[1] : p[1] + nu]
-
-    cross = np.stack([at(norms, p) for p in ps], axis=2)  # ||T^{p_i} e_{u+p_j}||
-    keep = np.stack([at(inside, p) for p in ps])
-    base = norms[:, :, :nu, :nu] * keep  # ||T^{p_i} e_u||, zero for u < 0 or dropped rows
-    blocks = cross * cross.swapaxes(1, 2) - base[:, :, None] * base[:, None, :]
-    blocks = np.moveaxis(blocks, (1, 2), (3, 4)).reshape(stack, -1, m, m)
-    kept = np.moveaxis(keep, 0, 2).reshape(-1, m)
-    i = np.arange(m)
-    diag = blocks[..., i, i]
+    # cross[..., u1, u2, i, j] = ||T^{p_i} e_{u+p_j}||
+    cross = np.empty((stack, nu, nu, m, m))
+    for j, (p1, p2) in enumerate(ps):
+        cross[..., j] = norms[:, p1 : p1 + nu, p2 : p2 + nu]
+    base = norms[:, :nu, :nu] * keep  # ||T^{p_i} e_u||, zero for u < 0 or dropped rows
+    blocks = np.multiply(cross, cross.swapaxes(-1, -2), out=np.empty_like(cross))
+    blocks -= base[..., :, None] * base[..., None, :]
     # A dropped row becomes a decoupled eigenvalue equal to the largest kept
     # diagonal entry of its diagram, which lies in [min eig, max eig]:
     # neither changes.
-    filler = diag[:, kept].max(axis=1)
-    blocks[..., i, i] = np.where(kept, diag, filler[:, None, None])
-    return np.linalg.eigvalsh(blocks)
+    flat = blocks.reshape(stack, -1)
+    flat[:, dropped_diag] = flat[:, kept_diag].max(axis=1)[:, None]
+    blocks = blocks.reshape(stack, nu * nu, m, m)
+    eigs = blocks.diagonal(axis1=2, axis2=3).copy()
+    coupled = np.abs(blocks[..., upper]).max(axis=-1) > 0.0
+    eigs[coupled] = np.linalg.eigvalsh(blocks[coupled])
+    return eigs
 
 
 def k_hyponormal_verdict(W: WeightDiagram, k: int, N: int, tol: float = PSD_TOL) -> PsdVerdict:
@@ -389,16 +460,19 @@ def one_var_k_hyponormal(omega, k: int, nmax: int | None = None, tol: float = PS
     shift(omega) is k-hyponormal iff the (k+1)x(k+1) Hankel matrices
     (gamma_{n+i+j})_{i,j} are PSD for every n >= 0; this checks
     n = 0 .. nmax.  The default window nmax = 4k + 6 matches the moment
-    range visible to the 2-variable order-k test at level 4k + 4.
+    range visible to the 2-variable order-k test at level 4k + 4.  Each
+    Hankel matrix gets psd_check's scaled cutoff, all in one eigensolve;
+    moments outside the range of normal positive floats raise DomainError.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
     om = as_one_var_weights(omega)
     if nmax is None:
         nmax = 4 * k + 6
-    gam = moments_1var(om, nmax + 2 * k)
+    with np.errstate(over="ignore"):
+        gam = moments_1var(om, nmax + 2 * k)
+    require_normal([gam], f"moments gamma_0 .. gamma_{nmax + 2 * k} of the row")
     steps = np.add.outer(np.arange(k + 1), np.arange(k + 1))
-    for n in range(nmax + 1):
-        if not psd_check(gam[n + steps], tol).is_psd:
-            return False
-    return True
+    eigs = np.linalg.eigvalsh(gam[np.arange(nmax + 1)[:, None, None] + steps])
+    scale = np.maximum(1.0, np.abs(eigs).max(axis=1))
+    return bool((eigs.min(axis=1) >= -tol * scale).all())

@@ -66,7 +66,8 @@ def _toral_rule(A: np.ndarray, B: np.ndarray):
 def _joint_modulus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """sqrt(alpha^2 + beta^2) entrywise."""
     # math.hypot elementwise: np.hypot differs in the last bit on some inputs
-    return np.frompyfunc(math.hypot, 2, 1)(A, B).astype(float)
+    P = np.fromiter(map(math.hypot, A.ravel().tolist(), B.ravel().tolist()), float, A.size)
+    return P.reshape(A.shape)
 
 
 def _spherical_rule(A: np.ndarray, B: np.ndarray):

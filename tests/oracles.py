@@ -246,6 +246,56 @@ def block_commutator_spectrum(W, k, N):
     return float(eigs[0]), float(np.max(np.abs(eigs))), big.shape[0]
 
 
+def lattice_block_spectra(W, k, size):
+    """Ascending eigenvalues of every order-k lattice block B_u, by LAPACK.
+
+    Blocks u in [-k, size-1]^2 in row-major order, with the entries of the
+    positivity module docstring built one at a time: path norms multiplied
+    T2 steps first, zero off [0, size-1]^2; rows with u + p outside that
+    window dropped, their diagonal set to the largest kept diagonal entry of
+    the diagram.  Every block, diagonal or not, goes through eigvalsh.
+    """
+    ps = [(p1, g - p1) for g in range(1, k + 1) for p1 in range(g + 1)]
+    A, B = (X.tolist() for X in W.weight_arrays(size + k, size + k))
+
+    def inside(w):
+        return 0 <= w[0] < size and 0 <= w[1] < size
+
+    def norm(p, w):  # ||T^p e_w||, zero off the window
+        if not inside(w):
+            return 0.0
+        out = 1.0
+        for j in range(p[1]):
+            out *= B[w[0]][w[1] + j]
+        for j in range(p[0]):
+            out *= A[w[0] + j][w[1] + p[1]]
+        return out
+
+    def plus(u, p):
+        return (u[0] + p[0], u[1] + p[1])
+
+    blocks, kept = [], []
+    for u1 in range(-k, size):
+        for u2 in range(-k, size):
+            u = (u1, u2)
+            rows = [inside(plus(u, p)) for p in ps]
+            block = np.zeros((len(ps), len(ps)))
+            for i, p in enumerate(ps):
+                for j, q in enumerate(ps):
+                    if rows[i] and rows[j]:
+                        block[i, j] = norm(p, plus(u, q)) * norm(q, plus(u, p))
+                        if u1 >= 0 and u2 >= 0:
+                            block[i, j] -= norm(p, u) * norm(q, u)
+            blocks.append(block)
+            kept.append(rows)
+    filler = max(b[i, i] for b, rows in zip(blocks, kept) for i, ok in enumerate(rows) if ok)
+    for b, rows in zip(blocks, kept):
+        for i, ok in enumerate(rows):
+            if not ok:
+                b[i, i] = filler
+    return np.array([np.linalg.eigvalsh(b) for b in blocks])
+
+
 def _graded_with_zero(k):
     """Multi-indices |p| <= k, (0, 0) first, then graded lexicographic."""
     return [(p1, g - p1) for g in range(k + 1) for p1 in range(g + 1)]

@@ -14,6 +14,7 @@ from aluthge_lab import (
     OneVarWeights,
     WindowError,
     berger_atomic_verify,
+    build_prop2,
     commutativity_residual,
     core_of,
     is_spherically_quasinormal,
@@ -24,7 +25,7 @@ from aluthge_lab import (
     quasinormality_routes,
     stampfli,
 )
-from aluthge_lab.diagrams import WeightDiagram
+from aluthge_lab.diagrams import DENOM_FLOOR, WeightDiagram
 from aluthge_lab.measures import QUASINORMAL_TOL, constant_interior_p2, is_spherical_isometry
 from aluthge_lab.sampling import random_commuting_table, random_completion
 
@@ -316,6 +317,41 @@ def test_berger_verify_catches_wrong_measure():
     W = quasinormal_completion(d.weights, d.phi1)
     wrong = AtomicMeasure2D(atoms=((d.s0, d.s1, 0.5), (d.s1, d.s0, 0.5)))
     assert berger_atomic_verify(W, wrong, maxdeg=6) > 1e-2
+
+
+def _berger_moment_loop(W, mu, maxdeg):
+    # reference: one moment at a time, as berger_atomic_verify once did
+    table = moments(W, maxdeg)
+    worst = 0.0
+    for m in range(maxdeg + 1):
+        for n in range(maxdeg + 1 - m):
+            g = table.gamma(m, n)
+            worst = max(worst, abs(g - mu.moment(m, n)) / max(abs(g), DENOM_FLOOR))
+    return worst
+
+
+def test_berger_verify_equals_the_moment_loop():
+    cases = [((1.0, 2.0, 3.0), 10), ((1.0, 2.0, 4.0), 10), ((2.0, 3.0, 5.0), 10),
+             ((1.0, 2.0, 3.0), 300)]
+    for triple, maxdeg in cases:
+        d = stampfli(*triple)
+        W = quasinormal_completion(d.weights, d.phi1)
+        mu = quasinormal2_measure(*triple)
+        assert berger_atomic_verify(W, mu, maxdeg) == _berger_moment_loop(W, mu, maxdeg)
+    W = build_prop2(0.7, 0.6)
+    mu = AtomicMeasure2D(atoms=((0.3, 0.0, 0.25), (0.9, 0.5, 0.5), (0.2, 1.1, 0.25)))
+    assert berger_atomic_verify(W, mu, 9) == _berger_moment_loop(W, mu, 9)
+
+
+def test_berger_verify_refuses_measure_moments_past_the_float_range():
+    W = build_prop2(0.7, 0.6)
+    power = AtomicMeasure2D(atoms=((1e200, 1.0, 0.5), (1.0, 2.0, 0.5)))  # s^2 overflows
+    product = AtomicMeasure2D(atoms=((1e160, 1e160, 0.5), (1.0, 2.0, 0.5)))  # s t overflows
+    for mu in (power, product):
+        with pytest.raises(DomainError, match="float range"):
+            berger_atomic_verify(W, mu, 2)
+    # s t has degree 2, outside the moments compared at maxdeg 1
+    assert berger_atomic_verify(W, product, 1) == _berger_moment_loop(W, product, 1)
 
 
 def test_theta_lift_of_two_atom_row_has_diagonal_measure():

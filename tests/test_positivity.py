@@ -1,5 +1,7 @@
 """Positivity tests against operator-level oracles and closed-form regions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from aluthge_lab import (
     psd_check,
     six_point_test,
 )
-from aluthge_lab import positivity
+from aluthge_lab import diagrams, positivity
 from aluthge_lab.diagrams import WeightDiagram
 from aluthge_lab.measures import quasinormal_completion, stampfli
 from aluthge_lab.sampling import (
@@ -36,6 +38,7 @@ from aluthge_lab.transforms import spherical_transform, toral_transform
 
 from oracles import (
     block_commutator_spectrum,
+    lattice_block_spectra,
     moment_matrix_psd,
     one_var_block_min_eig,
     oracle_diagrams,
@@ -155,6 +158,31 @@ def test_one_var_two_atom_rows_fully_hyponormal():
     for k in (1, 2, 3):
         assert one_var_k_hyponormal(om, k)
     assert one_var_block_min_eig(om, 3, 12) > -1e-12
+
+
+def test_one_var_stacked_verdict_equals_psd_check_loop():
+    rng = np.random.default_rng(23)
+    rows = [random_nondecreasing_omega(rng, length=8) for _ in range(6)]
+    rows += [OneVarWeights(values=tuple(rng.uniform(0.5, 1.5, 6))) for _ in range(6)]
+    seen = set()
+    for om in rows:
+        for k in (1, 2, 3):
+            nmax = 4 * k + 6
+            gam = diagrams.moments_1var(om, nmax + 2 * k)
+            steps = np.add.outer(np.arange(k + 1), np.arange(k + 1))
+            want = all(psd_check(gam[n + steps]).is_psd for n in range(nmax + 1))
+            assert one_var_k_hyponormal(om, k) is want
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_one_var_refuses_moments_past_the_float_range():
+    # the verdict is scale-invariant, so these rows would pass as
+    # (0.5, 1, 1) does; their moments overflow instead
+    assert one_var_k_hyponormal(OneVarWeights(values=(0.5, 1.0, 1.0)), 3)
+    for w in (1e7, 1e154):
+        with pytest.raises(DomainError, match="normal positive floats"):
+            one_var_k_hyponormal(OneVarWeights(values=(0.5, w, w)), 3)
 
 
 def test_one_var_k_must_be_positive():
@@ -278,6 +306,38 @@ def test_stacked_reports_equal_one_diagram_reports():
             _same_report(report, joint_hyponormal(W, N)[1])
 
 
+def test_witness_is_the_six_point_matrix_at_the_worst_point():
+    checked = 0
+    for W in _stack_diagrams():
+        flag, report = joint_hyponormal(W, 8)
+        if flag:
+            continue
+        k, M = report.worst_witness
+        assert np.array_equal(M, positivity.six_point_matrix(W, *k))
+        p, q, r, mineigs = positivity._six_point_fields(*(X[None] for X in W.weight_arrays(10, 10)))
+        assert mineigs[0][k] == report.joint_min_eig == mineigs.min()
+        checked += k[0] != k[1]
+    assert checked  # an off-diagonal witness, where swapping k1 and k2 shows
+
+
+def test_joint_cutoff_scales_with_the_squared_weights():
+    # joint hyponormality is invariant under scaling both weight arrays by c,
+    # and the min eigenvalue scales by c^2; so does the cutoff
+    y = 0.6
+    x = math.sqrt((1 + y * y) / 2 + 2.5e-11)  # min eig about -5e-11, inside the cutoff
+    W = build_prop2(x, y)
+
+    def scaled(c):
+        return WeightDiagram(
+            kind="table", params={}, _window=lambda n1, n2: tuple(c * X for X in W.weight_arrays(n1, n2))
+        )
+
+    for c in (1.0, 1e3):
+        flag, report = joint_hyponormal(scaled(c), 8)
+        assert flag, c
+        assert -1e-9 * c * c < report.joint_min_eig < 0.0
+
+
 def test_stacked_block_eigs_equal_one_diagram_block_eigs():
     diagrams = _stack_diagrams()
     for k in (1, 2, 3):
@@ -285,6 +345,51 @@ def test_stacked_block_eigs_equal_one_diagram_block_eigs():
         stacked = _block_eigs(diagrams, k, size)
         for i, W in enumerate(diagrams):
             assert np.array_equal(stacked[i], _block_eigs([W], k, size)[0])
+
+
+def _matches_lapack_oracle(W, k, size):
+    got = np.sort(_block_eigs([W], k, size)[0], axis=1)
+    assert np.array_equal(got, lattice_block_spectra(W, k, size)), (W.kind, k, size)
+
+
+def test_block_eigs_equal_all_lapack_oracle():
+    # only coupled blocks are eigensolved; every block's spectrum, as a
+    # multiset, must still be what LAPACK returns for it bit for bit
+    for W in oracle_diagrams():
+        for k in (1, 2, 3):
+            for size in sorted({2 * k + 2, 14 - 2 * k}):
+                _matches_lapack_oracle(W, k, size)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 2, 3]))
+def test_block_eigs_equal_all_lapack_oracle_on_random_tables(seed, k):
+    _matches_lapack_oracle(random_commuting_table(np.random.default_rng(seed)), k, 2 * k + 2)
+
+
+def test_only_coupled_blocks_are_eigensolved(monkeypatch):
+    # classify(0.72, 0.4, N=12, kmax=3) assembles 3 x 121 order-1 blocks
+    # (the diagram and its two transforms), 100 order-2 blocks at level 12
+    # and 121 order-3 blocks at level 14; most of them are diagonal
+    eigvalsh = np.linalg.eigvalsh
+    solved = []
+
+    def counting(a):
+        solved.append(a.shape[0])
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    classify(0.72, 0.4, 12, kmax=3)
+    assert solved == [3, 31, 48]
+
+
+def test_block_plan_is_read_only():
+    arrays = [a for a in positivity._block_plan(2, 6) if isinstance(a, np.ndarray)]
+    assert len(arrays) == 4
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
 
 
 def test_oversized_blocks_refused_before_any_window():
@@ -359,7 +464,8 @@ def test_full_blocks_are_scaled_schur_complements_of_moment_matrices():
             for u1 in range(size - k):
                 for u2 in range(size - k):
                     want = np.linalg.eigvalsh(scaled_schur_complement(table, k, (u1, u2)))
-                    got = eigs[(u1 + k) * nu + (u2 + k)]
+                    # decoupled blocks come back in row order, not ascending
+                    got = np.sort(eigs[(u1 + k) * nu + (u2 + k)])
                     tol = 1e-12 * max(1.0, float(np.max(np.abs(want))))
                     assert np.max(np.abs(got - want)) <= tol, (W.kind, k, u1, u2)
 

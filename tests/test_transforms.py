@@ -25,6 +25,7 @@ from aluthge_lab import (
     toral_transform,
     transform_distance,
 )
+from aluthge_lab import transforms
 from aluthge_lab.diagrams import OneVarWeights
 from aluthge_lab.sampling import bump_gamma, random_commuting_table
 
@@ -347,3 +348,17 @@ def test_level_40_routes_hold_no_dense_operator():
     assert _traced_peak_mib(lambda: continuity_probe(W, N=40, n=10)) < 2
     assert _traced_peak_mib(lambda: transform_distance(W, Wp, "spherical", 40)) < 2
     assert _traced_peak_mib(lambda: quasinormality_routes(Q, window=40, N=40)) < 2
+
+
+def test_joint_modulus_is_elementwise_math_hypot():
+    rng = np.random.default_rng(3)
+    # np.hypot differs from math.hypot in the last bit on about 0.5% of
+    # such draws, so each shape is large enough to meet some of them
+    shapes = ((60, 60), (40, 70), (70, 40), (1, 900))
+    ranges = ((0.0, 2.0), (1e150, 1.3e154), (1e-320, 1e-300), (1e-300, 1e150))
+    for shape, (lo, hi) in zip(shapes, ranges):
+        A = rng.uniform(lo, hi, shape)
+        B = rng.uniform(lo, hi, shape)[::-1]  # a strided view
+        want = [[math.hypot(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A.tolist(), B.tolist())]
+        got = transforms._joint_modulus(A, B)
+        assert got.dtype == float and np.array_equal(got, np.array(want))
