@@ -58,6 +58,7 @@ from .regions import (
     RegionReport,
     ThresholdCurves,
     classify,
+    classify_many,
     crossing_q,
     region_scan,
     thresholds,
@@ -79,8 +80,10 @@ from .transforms import (
     continuity_probe,
     spherical_polar,
     spherical_transform,
+    spherical_transforms,
     toral_commutativity_test,
     toral_transform,
+    toral_transforms,
     transform_distance,
 )
 

@@ -9,6 +9,7 @@ give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -252,7 +253,9 @@ def _cmd_reproduce(args) -> int:
 # parser assembly
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built once per process: parse_args leaves it unchanged."""
     p = _Parser(prog="aluthge-lab",
                 description="Numerical lab for toral and spherical Aluthge "
                             "transforms of 2-variable weighted shifts.")

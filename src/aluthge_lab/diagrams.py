@@ -244,36 +244,66 @@ class WeightDiagram:
         return float(max(A.max(), B.max()))
 
 
-def commutativity_residual(diagram: WeightDiagram, window: int):
-    """Worst |alpha_k beta_{k+e1} - beta_k alpha_{k+e2}| over [0, window]^2.
+def stacked_windows(diagrams, n: int):
+    """(alpha, beta) of each diagram on [0, n)^2, stacked on a leading axis."""
+    pairs = [W.weight_arrays(n, n) for W in diagrams]
+    return np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
 
-    Returns (residual, k) with k the offending lattice point.
+
+def commutativity_residuals(A: np.ndarray, B: np.ndarray) -> list:
+    """Worst |alpha_k beta_{k+e1} - beta_k alpha_{k+e2}| per diagram of stacked windows.
+
+    A and B hold the windows [0, window+2)^2 of several diagrams on a
+    leading axis; the scan covers k in [0, window]^2 in one stacked
+    reduction.  Returns one (residual, k) per diagram, k the offending
+    lattice point.
     """
+    R = np.abs(A[:, :-1, :-1] * B[:, 1:, :-1] - B[:, :-1, :-1] * A[:, :-1, 1:])
+    R = R.reshape(len(R), -1)
+    return [
+        (r, divmod(i, A.shape[2] - 1))
+        for r, i in zip(R.max(axis=1).tolist(), R.argmax(axis=1).tolist())
+    ]
+
+
+def commutativity_residual(diagram: WeightDiagram, window: int):
+    """Worst residual over [0, window]^2 and its lattice point, for one diagram."""
     A, B = diagram.weight_arrays(window + 2, window + 2)
-    R = np.abs(A[:-1, :-1] * B[1:, :-1] - B[:-1, :-1] * A[:-1, 1:])
-    flat = int(R.argmax())
-    return float(R.flat[flat]), divmod(flat, R.shape[1])
+    return commutativity_residuals(A[None], B[None])[0]
+
+
+def validate_commuting_many(diagrams, window: int, tol: float = COMMUTATIVITY_TOL) -> None:
+    """Raise NonCommutingInputError unless each residual on [0, window]^2 is <= tol.
+
+    Each diagram remembers the widest (window, tol) it passed.  The
+    residual on a sub-window can only be smaller, so a diagram already
+    validated on a window no narrower, at a tolerance no tighter, is not
+    scanned again; the rest are scanned in one stacked reduction.  The
+    first failing diagram, in input order, raises.
+    """
+
+    def covered(W):
+        passed = W._validated
+        return passed and window <= passed[0] and tol >= passed[1]
+
+    todo = [W for W in diagrams if not covered(W)]
+    if not todo:
+        return
+    for W, (resid, k) in zip(todo, commutativity_residuals(*stacked_windows(todo, window + 2))):
+        if not resid <= tol:  # also fails a NaN residual
+            raise NonCommutingInputError(
+                f"weights fail commutativity at k={k}: residual {resid:.3e} > {tol:.1e}",
+                witness=k,
+                residual=resid,
+            )
+        passed = W._validated
+        if not passed or window >= passed[0]:
+            passed[:] = (window, tol)
 
 
 def validate_commuting(diagram: WeightDiagram, window: int, tol: float = COMMUTATIVITY_TOL):
-    """Raise NonCommutingInputError unless the residual on [0, window]^2 is <= tol.
-
-    The residual on a sub-window can only be smaller, so a call on a window
-    no wider than one the diagram already passed, at a tolerance no
-    tighter, returns at once.
-    """
-    passed = diagram._validated
-    if passed and window <= passed[0] and tol >= passed[1]:
-        return
-    resid, k = commutativity_residual(diagram, window)
-    if not resid <= tol:  # also fails a NaN residual
-        raise NonCommutingInputError(
-            f"weights fail commutativity at k={k}: residual {resid:.3e} > {tol:.1e}",
-            witness=k,
-            residual=resid,
-        )
-    if not passed or window >= passed[0]:
-        passed[:] = (window, tol)
+    """validate_commuting_many for one diagram."""
+    validate_commuting_many([diagram], window, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import WeightDiagram, as_one_var_weights, moments_1var, require_normal
+from .diagrams import (
+    WeightDiagram,
+    as_one_var_weights,
+    moments_1var,
+    require_normal,
+    stacked_windows,
+)
 from .errors import DomainError, InternalConsistencyError, WindowError
 from .linalg import PSD_TOL, SYMMETRY_TOL
 
@@ -194,14 +200,17 @@ def joint_hyponormal_reports(diagrams, N: int, tol: float = PSD_TOL) -> list:
     """
     if N >= 4:
         _check_block_budget(1, N - 2)
-    pairs = [W.weight_arrays(N + 2, N + 2) for W in diagrams]
-    A = np.array([a for a, _ in pairs])
-    B = np.array([b for _, b in pairs])
-    p, _, r, mineigs = _six_point_fields(A, B)
+    if not diagrams:
+        return []
+    A, B = stacked_windows(diagrams, N + 2)
     scales = _scales(A, B)
+    Mc = N - 3
+    if N >= 4:
+        # before the six-point fields exist, so a stack never holds both
+        blocks = _lattice_block_eigs(A, B, 1, Mc + 1).min(axis=(1, 2))
+    p, _, r, mineigs = _six_point_fields(A, B)
 
     if N >= 4:
-        Mc = N - 3
         rim_a = A[:, 1 : Mc + 1, Mc] ** 2 - A[:, :Mc, Mc] ** 2
         rim_b = B[:, Mc, 1 : Mc + 1] ** 2 - B[:, Mc, :Mc] ** 2
         wall = np.minimum(
@@ -210,7 +219,6 @@ def joint_hyponormal_reports(diagrams, N: int, tol: float = PSD_TOL) -> list:
         predicted = np.minimum.reduce(
             [mineigs[:, :Mc, :Mc].min(axis=(1, 2)), rim_a.min(axis=1), rim_b.min(axis=1), wall]
         )
-        blocks = _lattice_block_eigs(A, B, 1, Mc + 1).min(axis=(1, 2))
         for block, pred, scale in zip(blocks, predicted, scales):
             if abs(block - pred) > CROSS_CHECK_TOL * scale:
                 raise InternalConsistencyError(
@@ -221,7 +229,7 @@ def joint_hyponormal_reports(diagrams, N: int, tol: float = PSD_TOL) -> list:
 
     cuts = [tol * scale for scale in scales]
     worst = mineigs.min(axis=(1, 2)).tolist()
-    at = mineigs.reshape(len(pairs), -1).argmin(axis=1).tolist()
+    at = mineigs.reshape(len(A), -1).argmin(axis=1).tolist()
     reports = []
     for i, flags in enumerate(_componentwise(p, r, cuts)):
         flag = worst[i] >= -cuts[i]
@@ -371,8 +379,10 @@ def _lattice_block_eigs(A: np.ndarray, B: np.ndarray, k: int, size: int) -> np.n
     for j, (p1, p2) in enumerate(ps):
         cross[..., j] = norms[:, p1 : p1 + nu, p2 : p2 + nu]
     base = norms[:, :nu, :nu] * keep  # ||T^{p_i} e_u||, zero for u < 0 or dropped rows
-    blocks = np.multiply(cross, cross.swapaxes(-1, -2), out=np.empty_like(cross))
-    blocks -= base[..., :, None] * base[..., None, :]
+    del norms, paths  # freed before the blocks exist, to lower the peak
+    blocks = cross * cross.swapaxes(-1, -2)
+    blocks -= np.multiply(base[..., :, None], base[..., None, :], out=cross)
+    del cross
     # A dropped row becomes a decoupled eigenvalue equal to the largest kept
     # diagonal entry of its diagram, which lies in [min eig, max eig]:
     # neither changes.

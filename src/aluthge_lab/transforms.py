@@ -20,6 +20,13 @@ arithmetic on its parent's cached window one step larger, so iterating
 a transform costs work linear in the depth.  Its weights are not
 precomputed closed forms, so tests that compare them against
 independently derived formulas are meaningful.
+
+toral_transforms and spherical_transforms take a list of diagrams and
+run the rule, the validation and every residual once over their windows
+stacked on a leading axis; each output starts with its slice of the
+stacked result as its cached window, exactly what its own window
+function computes.  toral_transform and spherical_transform are the
+one-diagram cases.
 """
 
 from __future__ import annotations
@@ -32,8 +39,9 @@ import numpy as np
 from .diagrams import (
     COMMUTATIVITY_TOL,
     WeightDiagram,
-    commutativity_residual,
-    validate_commuting,
+    commutativity_residuals,
+    stacked_windows,
+    validate_commuting_many,
 )
 from .errors import DomainError, InternalConsistencyError, WindowError
 
@@ -45,8 +53,12 @@ RE4_SLACK = 1e-10
 DECISIVE_BAND = 1e2
 
 
-def _derived(parent: WeightDiagram, op: str, rule) -> WeightDiagram:
-    """Diagram whose (n1, n2) window is rule(parent's (n1+1, n2+1) window)."""
+def _derived(parent: WeightDiagram, op: str, rule, seed: tuple) -> WeightDiagram:
+    """Diagram whose (n1, n2) window is rule(parent's (n1+1, n2+1) window).
+
+    `seed`, an (alpha, beta) pair of read-only n x n arrays, is taken as
+    the diagram's first cached window.
+    """
 
     def window(n1, n2):
         return rule(*parent.weight_arrays(n1 + 1, n2 + 1))
@@ -55,12 +67,29 @@ def _derived(parent: WeightDiagram, op: str, rule) -> WeightDiagram:
         kind="derived",
         params={"op": op, "parent": parent.kind},
         _window=window,
+        _cache={seed[0].shape: seed},
     )
+
+
+def _derived_stack(parents: list, op: str, rule, A: np.ndarray, B: np.ndarray):
+    """The `op` transform of each parent, from one pass of `rule` over the
+    parents' windows A, B stacked on a leading axis; each output keeps its
+    slice of the result as its cached window.
+
+    Returns the outputs and the worst commutativity residual of each
+    (diagrams.commutativity_residuals), both read from that one result.
+    """
+    TA, TB = rule(A, B)
+    TA.setflags(write=False)
+    TB.setflags(write=False)
+    outs = [_derived(W, op, rule, (a, b)) for W, a, b in zip(parents, TA, TB)]
+    return outs, commutativity_residuals(TA, TB)
 
 
 def _toral_rule(A: np.ndarray, B: np.ndarray):
     # np.sqrt of the same product is correctly rounded, as math.sqrt is
-    return np.sqrt(A[:-1, :-1] * A[1:, :-1]), np.sqrt(B[:-1, :-1] * B[:-1, 1:])
+    return (np.sqrt(A[..., :-1, :-1] * A[..., 1:, :-1]),
+            np.sqrt(B[..., :-1, :-1] * B[..., :-1, 1:]))
 
 
 def _joint_modulus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -72,25 +101,44 @@ def _joint_modulus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _spherical_rule(A: np.ndarray, B: np.ndarray):
     P = _joint_modulus(A, B)
-    P0 = P[:-1, :-1]
-    return (A[:-1, :-1] * np.sqrt(P[1:, :-1] / P0),
-            B[:-1, :-1] * np.sqrt(P[:-1, 1:] / P0))
+    P0 = P[..., :-1, :-1]
+    return (A[..., :-1, :-1] * np.sqrt(P[..., 1:, :-1] / P0),
+            B[..., :-1, :-1] * np.sqrt(P[..., :-1, 1:] / P0))
 
 
-def _toral_condition_residual(W: WeightDiagram, window: int) -> float:
-    """Worst residual of the closed-form commutativity conditions.
+def _scales(A: np.ndarray, B: np.ndarray, window: int) -> list:
+    """max(1, weight_bound(window)^2) of each diagram of stacked windows."""
+    n = window + 1
+    tops = np.maximum(A[:, :n, :n].max(axis=(1, 2)), B[:, :n, :n].max(axis=(1, 2)))
+    return [max(1.0, top**2) for top in tops.tolist()]
+
+
+def _parent_windows(diagrams: list, window: int):
+    """Stacked (window+3)^2 windows of commuting diagrams, validated on [0, window]^2.
+
+    The widest window either transform reads is fetched first, so a
+    diagram computes it once and every later read is a slice.
+    """
+    A, B = stacked_windows(diagrams, window + 3)
+    validate_commuting_many(diagrams, window)
+    return A, B
+
+
+def _toral_condition_residuals(A: np.ndarray, B: np.ndarray) -> list:
+    """Worst residual of the closed-form commutativity conditions, per diagram.
 
     alpha condition:  alpha_(k1,k2+1) alpha_(k1+1,k2+1) = alpha_(k1+1,k2) alpha_(k1,k2+2)
     beta condition:   beta_(k1+1,k2) beta_(k1+1,k2+1) = beta_(k1,k2+1) beta_(k1+2,k2)
 
-    Given a commuting parent, either condition alone characterizes
-    commutativity of the toral candidate; both are scanned and the worse
-    residual is returned.
+    A and B are stacked (window+3)^2 windows.  Given a commuting parent,
+    either condition alone characterizes commutativity of the toral
+    candidate; both are scanned and the worse residual is returned.
     """
-    A, B = W.weight_arrays(window + 3, window + 3)
-    cond_a = A[:-2, 1:-1] * A[1:-1, 1:-1] - A[1:-1, :-2] * A[:-2, 2:]
-    cond_b = B[1:-1, :-2] * B[1:-1, 1:-1] - B[:-2, 1:-1] * B[2:, :-2]
-    return float(max(np.max(np.abs(cond_a)), np.max(np.abs(cond_b))))
+    cond_a = A[:, :-2, 1:-1] * A[:, 1:-1, 1:-1] - A[:, 1:-1, :-2] * A[:, :-2, 2:]
+    cond_b = B[:, 1:-1, :-2] * B[:, 1:-1, 1:-1] - B[:, :-2, 1:-1] * B[:, 2:, :-2]
+    worst_a = np.abs(cond_a).max(axis=(1, 2)).tolist()
+    worst_b = np.abs(cond_b).max(axis=(1, 2)).tolist()
+    return [max(a, b) for a, b in zip(worst_a, worst_b)]
 
 
 def toral_commutativity_test(
@@ -122,61 +170,87 @@ class ToralResult:
         return iter((self.diagram, self.commutes))
 
 
+def toral_transforms(
+    diagrams,
+    *,
+    window: int = DEFAULT_WINDOW,
+    tol: float = COMMUTATIVITY_TOL,
+) -> list:
+    """Toral Aluthge transform of each commuting diagram, one ToralResult each.
+
+    The candidate is returned even when it fails to commute (region
+    experiments need to inspect it).  The flag is the closed-form
+    condition test; it is cross-checked against the direct residual of
+    the candidate, and a decisive disagreement between the two routes
+    raises InternalConsistencyError.  Validation, the rule, both
+    residuals and the cuts each run once over the whole stack; the first
+    failing diagram of the first failing stage raises.
+    """
+    diagrams = list(diagrams)
+    if not diagrams:
+        return []
+    A, B = _parent_windows(diagrams, window)
+    conds = _toral_condition_residuals(A, B)
+    candidates, directs = _derived_stack(diagrams, "toral", _toral_rule, A, B)
+
+    out = []
+    for candidate, cond, (direct, witness), scale in zip(
+        candidates, conds, directs, _scales(A, B, window)
+    ):
+        cut = tol * scale
+        flag = cond <= cut
+        if flag != (direct <= cut):
+            cond_decisive = cond <= cut / DECISIVE_BAND or cond >= cut * DECISIVE_BAND
+            direct_decisive = direct <= cut / DECISIVE_BAND or direct >= cut * DECISIVE_BAND
+            if cond_decisive and direct_decisive:
+                raise InternalConsistencyError(
+                    "toral commutativity routes disagree: "
+                    f"condition residual {cond:.3e}, direct residual {direct:.3e}"
+                )
+        out.append(ToralResult(
+            diagram=candidate,
+            commutes=flag,
+            condition_residual=cond,
+            direct_residual=direct,
+            direct_witness=witness,
+        ))
+    return out
+
+
 def toral_transform(
     W: WeightDiagram,
     *,
     window: int = DEFAULT_WINDOW,
     tol: float = COMMUTATIVITY_TOL,
 ) -> ToralResult:
-    """Toral Aluthge transform of a commuting diagram.
+    """toral_transforms of one diagram."""
+    return toral_transforms([W], window=window, tol=tol)[0]
 
-    The candidate is returned even when it fails to commute (region
-    experiments need to inspect it).  The flag is the closed-form
-    condition test; it is cross-checked against the direct residual of
-    the candidate, and a decisive disagreement between the two routes
-    raises InternalConsistencyError.
+
+def spherical_transforms(diagrams, *, window: int = DEFAULT_WINDOW) -> list:
+    """Spherical Aluthge transform of each commuting diagram.
+
+    Each output's commutativity is asserted on [0, window]^2.  Validation,
+    the rule and the residual each run once over the whole stack; the
+    first failing diagram of the first failing stage raises.
     """
-    validate_commuting(W, window)
-    cond = _toral_condition_residual(W, window)
-    candidate = _derived(W, "toral", _toral_rule)
-    direct, witness = commutativity_residual(candidate, window)
-
-    cut = tol * max(1.0, W.weight_bound(window) ** 2)
-    flag = cond <= cut
-    if flag != (direct <= cut):
-        cond_decisive = cond <= cut / DECISIVE_BAND or cond >= cut * DECISIVE_BAND
-        direct_decisive = direct <= cut / DECISIVE_BAND or direct >= cut * DECISIVE_BAND
-        if cond_decisive and direct_decisive:
+    diagrams = list(diagrams)
+    if not diagrams:
+        return []
+    A, B = _parent_windows(diagrams, window)
+    outs, residuals = _derived_stack(diagrams, "spherical", _spherical_rule, A, B)
+    for (resid, witness), scale in zip(residuals, _scales(A, B, window)):
+        if resid > 100 * COMMUTATIVITY_TOL * scale:
             raise InternalConsistencyError(
-                "toral commutativity routes disagree: "
-                f"condition residual {cond:.3e}, direct residual {direct:.3e}"
+                f"spherical transform lost commutativity at k={witness}: "
+                f"residual {resid:.3e}"
             )
-    return ToralResult(
-        diagram=candidate,
-        commutes=flag,
-        condition_residual=cond,
-        direct_residual=direct,
-        direct_witness=witness,
-    )
+    return outs
 
 
-def spherical_transform(
-    W: WeightDiagram,
-    *,
-    window: int = DEFAULT_WINDOW,
-) -> WeightDiagram:
-    """Spherical Aluthge transform; the output's commutativity is asserted."""
-    validate_commuting(W, window)
-
-    out = _derived(W, "spherical", _spherical_rule)
-    resid, witness = commutativity_residual(out, window)
-    scale = max(1.0, W.weight_bound(window) ** 2)
-    if resid > 100 * COMMUTATIVITY_TOL * scale:
-        raise InternalConsistencyError(
-            f"spherical transform lost commutativity at k={witness}: "
-            f"residual {resid:.3e}"
-        )
-    return out
+def spherical_transform(W: WeightDiagram, *, window: int = DEFAULT_WINDOW) -> WeightDiagram:
+    """spherical_transforms of one diagram."""
+    return spherical_transforms([W], window=window)[0]
 
 
 @dataclass(frozen=True)

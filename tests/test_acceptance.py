@@ -43,6 +43,7 @@ def test_01_crossing_point():
     assert abs(q - 0.52138) <= 1e-4
     assert abs(q - 0.5213797067757697) <= 1e-8  # bisection pinned to 1e-10
     assert row(res, "runtime").value < 1.0
+    assert res.table() == golden_block("prop2", 0)
 
 
 def test_02_threshold_grid_agreement():
@@ -52,10 +53,13 @@ def test_02_threshold_grid_agreement():
     assert len(ladder_rows) == 9
     assert all(r.value == 0 for r in ladder_rows)  # zero mismatches anywhere
     assert row(res, "runtime").value < 30.0
+    assert res.table() == golden_block("prop2", 1)
 
 
 def test_03_counterexample_points():
-    check_passed(reproduce.counterexample_points())
+    res = reproduce.counterexample_points()
+    check_passed(res)
+    assert res.table() == golden_block("prop2", 2)
 
 
 def test_04_subnormal_region_khypo():
@@ -63,6 +67,7 @@ def test_04_subnormal_region_khypo():
     check_passed(res)
     for k in (1, 2, 3):
         assert row(res, f"k = {k}").value == 0
+    assert res.table() == golden_block("prop2", 3)
 
 
 # --- transform structure ---------------------------------------------------

@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from aluthge_lab import cli
 from aluthge_lab.cli import main
 from aluthge_lab.diagrams import build_prop2
 from aluthge_lab.sampling import bump_gamma
@@ -412,3 +414,33 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert abs(json.loads(proc.stdout)["q"] - 0.52138) <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once per process
+
+
+def test_two_calls_build_the_parser_once(capsys):
+    cli._build_parser.cache_clear()
+    assert main(["regions", "q"]) == 0
+    assert main(["regions", "q"]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["regions", "scan", "--grid", "x"], 64), (["reproduce", "prop2"], 0)],
+    ids=["help", "usage-error", "reproduce"],
+)
+def test_cached_parser_prints_what_a_fresh_one_prints(capsys, argv, code):
+    runs = []
+    for fresh in (True, False):
+        if fresh:
+            cli._build_parser.cache_clear()
+        assert main(argv) == code
+        runs.append(capsys.readouterr())
+    assert runs[0] == runs[1]
+    if argv[0] == "reproduce":
+        golden = Path(__file__).resolve().parents[1] / "bench" / "golden"
+        assert runs[1].out == (golden / "reproduce-prop2-seed7.txt").read_text(encoding="utf-8")

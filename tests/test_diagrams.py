@@ -28,7 +28,7 @@ from aluthge_lab import (
     toral_transform,
     validate_commuting,
 )
-from aluthge_lab import diagrams, transforms
+from aluthge_lab import diagrams, regions, transforms
 from aluthge_lab.diagrams import WeightDiagram
 from aluthge_lab.sampling import gamma_rectangle, random_commuting_table
 
@@ -238,6 +238,17 @@ def test_window_slices_match_fresh_windows(name):
 
 def test_classify_computes_one_window_per_transform(monkeypatch):
     counts = {"toral": 0, "spherical": 0}
+    corner_reads = []
+    build = regions.build_prop2
+
+    def counted_corner(x, y):
+        W = build(x, y)
+
+        def window(n1, n2):
+            corner_reads.append((n1, n2))
+            return W._window(n1, n2)
+
+        return WeightDiagram(kind=W.kind, params=W.params, _window=window)
 
     def counting(name, rule):
         def wrapped(A, B):
@@ -250,8 +261,11 @@ def test_classify_computes_one_window_per_transform(monkeypatch):
     monkeypatch.setattr(
         transforms, "_spherical_rule", counting("spherical", transforms._spherical_rule)
     )
+    monkeypatch.setattr(regions, "build_prop2", counted_corner)
     classify(0.72, 0.4)
     assert counts == {"toral": 1, "spherical": 1}
+    # the widest read, the toral condition's (N + 5)^2, comes first
+    assert corner_reads == [(17, 17)]
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +366,16 @@ def test_core_matches_shifted_parent(builder):
 
 
 def _count_residual_scans(monkeypatch):
+    """The window of every diagram scanned, one entry per diagram of a stack."""
     calls = []
-    original = diagrams.commutativity_residual
+    original = diagrams.commutativity_residuals
 
-    def counting(diagram, window):
-        calls.append(window)
-        return original(diagram, window)
+    def counting(A, B):
+        calls.extend(A.shape[1] - 2 for _ in A)
+        return original(A, B)
 
-    monkeypatch.setattr(diagrams, "commutativity_residual", counting)
-    monkeypatch.setattr(transforms, "commutativity_residual", counting)
+    monkeypatch.setattr(diagrams, "commutativity_residuals", counting)
+    monkeypatch.setattr(transforms, "commutativity_residuals", counting)
     return calls
 
 

@@ -1,6 +1,7 @@
 """Threshold curves, the crossing point, classification, and scans."""
 
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -9,12 +10,24 @@ from hypothesis import strategies as st
 
 from aluthge_lab import (
     DomainError,
+    InternalConsistencyError,
     classify,
+    classify_many,
     crossing_q,
+    joint_hyponormal_reports,
     region_scan,
+    spherical_transforms,
     thresholds,
+    toral_transforms,
 )
-from aluthge_lab.regions import SCAN_HEADER, curve_pa, probe_ladder
+from aluthge_lab import regions, reproduce
+from aluthge_lab.regions import (
+    BOUNDARY_MARGIN,
+    SCAN_HEADER,
+    STACK_POINTS,
+    curve_pa,
+    probe_ladder,
+)
 
 
 def test_curve_values_at_reference_points():
@@ -138,3 +151,81 @@ def test_scan_matches_golden_csv():
 def test_region_scan_rejects_tiny_grid():
     with pytest.raises(DomainError):
         region_scan(1)
+
+
+# ---------------------------------------------------------------------------
+# stacked classification
+
+
+def _near_curve_point(draw):
+    """A point up to 2 BOUNDARY_MARGIN off one of the four curves, or anywhere."""
+    y = draw(st.floats(min_value=0.01, max_value=0.99))
+    which = draw(st.sampled_from(["s", "h", "CA", "PA", None]))
+    if which is None:
+        return draw(st.floats(min_value=0.01, max_value=0.99)), y
+    offset = draw(st.floats(min_value=-2 * BOUNDARY_MARGIN, max_value=2 * BOUNDARY_MARGIN))
+    return getattr(thresholds(y), which) + offset, y
+
+
+@st.composite
+def _point_lists(draw):
+    return [_near_curve_point(draw) for _ in range(draw(st.integers(1, 2 * STACK_POINTS + 3)))]
+
+
+def _bits(report):
+    return {key: value.hex() for key, value in report.joint_min_eig.items()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(_point_lists(), st.sampled_from([1, 2]))
+def test_classify_many_equals_one_point_calls(points, kmax):
+    try:
+        expected = [classify(x, y, kmax=kmax) for x, y in points]
+    except (DomainError, InternalConsistencyError) as exc:  # the stack raises the same
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            classify_many(points, kmax=kmax)
+        return
+    got = classify_many(points, kmax=kmax)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a.x, a.y, a.curves, a.closed, a.numeric, a.k_hypo) == (
+            b.x, b.y, b.curves, b.closed, b.numeric, b.k_hypo
+        )
+        assert _bits(a) == _bits(b)
+
+
+def test_stacked_calls_on_no_points_return_nothing():
+    assert classify_many([]) == []
+    assert toral_transforms([]) == spherical_transforms([]) == []
+    assert joint_hyponormal_reports([], 12) == []
+
+
+def test_classify_many_refuses_a_point_outside_the_square():
+    with pytest.raises(DomainError, match=re.escape("got (1.0, 0.5)")):
+        classify_many([(0.3, 0.5), (1.0, 0.5)])
+
+
+def test_threshold_grid_counts_each_mismatch(monkeypatch):
+    # Lowering CA by 0.15 y makes the closed form wrong for the ladder
+    # points just below the true curve: none at y = 0.1, one up to y = 0.5
+    # and two from y = 0.6.  A row's stack raises on its first mismatch,
+    # and the row still reports how many points disagree.
+    curve_ca = regions.curve_ca
+    monkeypatch.setattr(regions, "curve_ca", lambda y: curve_ca(y) - 0.15 * y)
+    ladder_rows = reproduce.threshold_grid().rows[:-1]
+    counts = [0, 1, 1, 1, 1, 2, 2, 2, 2]
+    assert [r.value for r in ladder_rows] == counts
+    assert [r.detail for r in ladder_rows] == [f"{20 - c}/20" for c in counts]
+    assert [r.ok for r in ladder_rows] == [c == 0 for c in counts]
+
+
+def test_scan_rows_longer_than_one_stack_match_one_point_calls():
+    ladder = STACK_POINTS + 3
+    lines = region_scan(2, N=8, ladder=ladder)[1:]
+    points = [(x, y) for y in (1 / 3, 2 / 3) for x in probe_ladder(y, ladder)]
+    assert len(lines) == len(points)
+    for line, (x, y) in zip(lines, points):
+        rep = classify(x, y, 8, kmax=3)
+        bits = [rep.numeric[k] for k in ("joint", "toral", "spherical")]
+        bits += [rep.k_hypo[2], rep.k_hypo[3]]
+        assert line.split(",")[5:] == [f"{x:.12g}", *(str(int(b)) for b in bits)]

@@ -12,6 +12,7 @@ from aluthge_lab import (
     NonCommutingInputError,
     WindowError,
     build_prop2,
+    build_table,
     build_theta,
     build_thm1,
     commutativity_residual,
@@ -20,9 +21,11 @@ from aluthge_lab import (
     quasinormality_routes,
     spherical_polar,
     spherical_transform,
+    spherical_transforms,
     stampfli,
     toral_commutativity_test,
     toral_transform,
+    toral_transforms,
     transform_distance,
 )
 from aluthge_lab import transforms
@@ -268,6 +271,66 @@ def test_continuity_probe_rejects_bad_n():
     W = build_prop2(0.5, 0.5)
     with pytest.raises(Exception):
         continuity_probe(W, N=6, n=0)
+
+
+# ---------------------------------------------------------------------------
+# stacked transforms against one diagram at a time
+
+
+def _commuting_oracle_diagrams():
+    """oracle_diagrams() without its two non-commuting toral candidates, built afresh."""
+    return [W for W in oracle_diagrams() if W.kind != "derived"]
+
+
+def _assert_same_windows(d1, d2, n):
+    for a, b in zip(d1.weight_arrays(n, n), d2.weight_arrays(n, n)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("window", [6, 14])
+def test_stacked_transforms_equal_one_diagram_transforms(window):
+    torals = toral_transforms(_commuting_oracle_diagrams(), window=window)
+    sphericals = spherical_transforms(_commuting_oracle_diagrams(), window=window)
+    for W, tor, sph in zip(_commuting_oracle_diagrams(), torals, sphericals):
+        one = toral_transform(W, window=window)
+        assert tor.commutes is one.commutes
+        assert tor.condition_residual.hex() == one.condition_residual.hex()
+        assert tor.direct_residual.hex() == one.direct_residual.hex()
+        assert tor.direct_witness == one.direct_witness
+        one_sph = spherical_transform(W, window=window)
+        # the window a stack leaves in each output, and a wider one read later
+        for n in (window + 2, window + 5):
+            _assert_same_windows(tor.diagram, one.diagram, n)
+            _assert_same_windows(sph, one_sph, n)
+        # the kept window is what the output's own window function computes
+        for d in (tor.diagram, sph):
+            kept = d.weight_arrays(window + 2, window + 2)
+            fresh = d._window(window + 2, window + 2)
+            assert all(np.array_equal(a, b) for a, b in zip(kept, fresh))
+
+
+def test_a_non_commuting_table_in_a_stack_raises_as_when_alone():
+    rng = np.random.default_rng(11)
+    A, B = random_commuting_table(rng).table
+    B = B.copy()
+    B[4, 1] *= 1.3  # breaks commutativity at k = (3, 1) and (4, 1) only
+    for transform in (toral_transforms, spherical_transforms):
+        bad = build_table(A, B, window=2)
+        with pytest.raises(NonCommutingInputError) as alone:
+            transform([bad], window=6)
+        good = [random_commuting_table(rng) for _ in range(2)]
+        stack = [good[0], build_table(A, B, window=2), good[1]]
+        with pytest.raises(NonCommutingInputError) as stacked:
+            transform(stack, window=6)
+        assert str(stacked.value) == str(alone.value)
+        assert stacked.value.witness == alone.value.witness
+        assert stacked.value.residual == alone.value.residual
+    # the witness is the worst point of the residual, scanned point by point
+    Aw, Bw = bad.weight_arrays(8, 8)
+    scan = {(i, j): abs(Aw[i, j] * Bw[i + 1, j] - Bw[i, j] * Aw[i, j + 1])
+            for i in range(7) for j in range(7)}
+    assert alone.value.witness == max(scan, key=scan.get)
+    assert alone.value.residual == scan[alone.value.witness]
 
 
 # ---------------------------------------------------------------------------
