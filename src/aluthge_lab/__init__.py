@@ -45,6 +45,7 @@ from .positivity import (
     PsdVerdict,
     componentwise_hyponormal,
     full_hypo_report,
+    hypo_orders,
     joint_hyponormal,
     joint_hyponormal_reports,
     k_hyponormal,
@@ -81,7 +82,6 @@ from .transforms import (
     spherical_polar,
     spherical_transform,
     spherical_transforms,
-    toral_commutativity_test,
     toral_transform,
     toral_transforms,
     transform_distance,

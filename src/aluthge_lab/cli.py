@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -81,23 +82,30 @@ def _triple(text: str):
         raise argparse.ArgumentTypeError(f"could not parse {text!r} as numbers") from None
 
 
-def _nonneg_int(text: str) -> int:
-    """Non-negative integer argument; anything else is a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+def _nonneg(convert, what: str):
+    """argparse type: convert(text) if it is finite and >= 0, else a usage error."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        if not 0 <= value < math.inf:  # also refuses NaN
+            raise argparse.ArgumentTypeError(f"must be a {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_nonneg_int = _nonneg(int, "non-negative integer")
+_tolerance = _nonneg(float, "finite non-negative number")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage failures exit 64 instead of 2."""
+    """argparse parser whose usage failures exit 64, not 2, with a one-line message."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        sys.stderr.write(f"{self.prog}: error: {message} (see --help)\n")
         raise SystemExit(64)
 
 
@@ -269,7 +277,7 @@ def _build_parser() -> _Parser:
             sp.add_argument("--level", "-N", dest="level", type=_nonneg_int, default=level,
                             help=f"truncation level (default {level})")
         if tol is not None:
-            sp.add_argument("--tol", type=float, default=tol,
+            sp.add_argument("--tol", type=_tolerance, default=tol,
                             help=f"tolerance override (default {tol:g})")
         sp.add_argument("--out", "-o", help="write output to this path instead of stdout")
 
@@ -288,7 +296,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("khypo", help="k-hyponormality verdict at one order")
     sp.add_argument("--input", required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=_tolerance, default=1e-10)
     sp.add_argument("--level", "-N", dest="level", type=int, default=None,
                     help="truncation level (default 4k+2)")
     sp.add_argument("--out", "-o")
@@ -320,7 +328,7 @@ def _build_parser() -> _Parser:
     spv.add_argument("--input", help="diagram JSON (with --measure)")
     spv.add_argument("--measure", help="measure JSON (with --input)")
     spv.add_argument("--maxdeg", type=_nonneg_int, default=10)
-    spv.add_argument("--tol", type=float, default=1e-10)
+    spv.add_argument("--tol", type=_tolerance, default=1e-10)
     spv.add_argument("--out", "-o")
     spv.set_defaults(func=_cmd_berger)
 

@@ -250,6 +250,12 @@ def stacked_windows(diagrams, n: int):
     return np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
 
 
+def weight_scales(A: np.ndarray, B: np.ndarray) -> list:
+    """max(1, largest squared weight) of each diagram of windows stacked on a leading axis."""
+    tops = np.maximum(A.max(axis=(1, 2)), B.max(axis=(1, 2)))
+    return [max(1.0, top**2) for top in tops.tolist()]
+
+
 def commutativity_residuals(A: np.ndarray, B: np.ndarray) -> list:
     """Worst |alpha_k beta_{k+e1} - beta_k alpha_{k+e2}| per diagram of stacked windows.
 

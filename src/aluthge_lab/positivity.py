@@ -46,6 +46,7 @@ on its own.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import sys
@@ -59,6 +60,7 @@ from .diagrams import (
     moments_1var,
     require_normal,
     stacked_windows,
+    weight_scales,
 )
 from .errors import DomainError, InternalConsistencyError, WindowError
 from .linalg import PSD_TOL, SYMMETRY_TOL
@@ -114,12 +116,6 @@ def _six_point_fields(A: np.ndarray, B: np.ndarray):
     return p, q, r, mineigs
 
 
-def _scales(A: np.ndarray, B: np.ndarray) -> list:
-    """max(1, largest squared weight) of each diagram's window in a stack."""
-    tops = np.maximum(A.max(axis=(1, 2)), B.max(axis=(1, 2)))
-    return [max(1.0, top**2) for top in tops.tolist()]
-
-
 def six_point_matrix(W: WeightDiagram, k1: int, k2: int) -> np.ndarray:
     if k1 < 0 or k2 < 0:
         raise WindowError("lattice indices must be nonnegative")
@@ -157,7 +153,7 @@ def componentwise_hyponormal(W: WeightDiagram, N: int, tol: float = PSD_TOL):
     """
     A, B = (X[None] for X in W.weight_arrays(N + 2, N + 2))
     p, _, r, _ = _six_point_fields(A, B)
-    return _componentwise(p, r, [tol * scale for scale in _scales(A, B)])[0]
+    return _componentwise(p, r, [tol * scale for scale in weight_scales(A, B)])[0]
 
 
 def _componentwise(p: np.ndarray, r: np.ndarray, cuts: list) -> list:
@@ -203,7 +199,7 @@ def joint_hyponormal_reports(diagrams, N: int, tol: float = PSD_TOL) -> list:
     if not diagrams:
         return []
     A, B = stacked_windows(diagrams, N + 2)
-    scales = _scales(A, B)
+    scales = weight_scales(A, B)
     Mc = N - 3
     if N >= 4:
         # before the six-point fields exist, so a stack never holds both
@@ -263,11 +259,10 @@ def joint_hyponormal(W: WeightDiagram, N: int, tol: float = PSD_TOL):
 # k-hyponormality
 
 
-def _graded_multi_indices(k: int):
-    out = []
-    for g in range(1, k + 1):
-        out.extend(sorted((p1, g - p1) for p1 in range(g + 1)))
-    return out
+@functools.cache
+def _graded_multi_indices(k: int) -> tuple:
+    """The multi-indices p with 1 <= |p| <= k, graded, lexicographic within a grade."""
+    return tuple((p1, g - p1) for g in range(1, k + 1) for p1 in range(g + 1))
 
 
 def _check_block_budget(k: int, size: int) -> None:
@@ -277,7 +272,7 @@ def _check_block_budget(k: int, size: int) -> None:
     six-point fields of the same request grow with (size+k)^2, so the
     check runs before any of them is read.
     """
-    m = len(_graded_multi_indices(k))
+    m = k * (k + 3) // 2  # len(_graded_multi_indices(k)), not built for a refused k
     floats = m * m * (size + k) ** 2
     if floats > MAX_BLOCK_FLOATS:
         raise DomainError(
@@ -301,7 +296,7 @@ def _block_plan(k: int, size: int) -> tuple:
       upper         (m, m) bool: the strict upper triangle, a symmetric block's
                     off-diagonal
     """
-    ps = tuple(_graded_multi_indices(k))
+    ps = _graded_multi_indices(k)
     m = len(ps)
     nu = size + k
     i = np.arange(m)
@@ -422,42 +417,47 @@ def k_hyponormal(W: WeightDiagram, k: int, N: int, tol: float = PSD_TOL) -> bool
     return k_hyponormal_verdict(W, k, N, tol).is_psd
 
 
-def full_hypo_report(W: WeightDiagram, N: int, kmax: int = 1, tol: float = PSD_TOL) -> HypoReport:
-    """Componentwise, joint, and order-k verdicts up to kmax in one report.
+def _order_levels(N: int, kmax: int) -> dict:
+    """Level max(N, 4k+2) of each order k in 2..kmax, each order's block budget checked."""
+    levels = {k: max(N, 4 * k + 2) for k in range(2, kmax + 1)}
+    for k, level in levels.items():
+        _check_block_budget(k, level - 2 * k)
+    return levels
 
-    Each order k runs at level max(N, 4k+2) so no order silently degrades;
-    the levels used are recorded.  A decisive hierarchy violation between
-    consecutive orders (PSD margins clear on both sides, verdicts inverted)
-    raises InternalConsistencyError.
+
+def hypo_orders(diagrams, reports, N: int, kmax: int, tol: float = PSD_TOL) -> list:
+    """Each diagram's HypoReport from joint_hyponormal_reports, extended by orders 2..kmax.
+
+    Order k runs at level max(N, 4k+2), so no order silently degrades, and
+    the levels used are recorded.  Every order's block budget is checked
+    before any order runs.  A decisive hierarchy inversion between
+    consecutive orders (the higher one PSD with a positive minimum, the
+    lower one failing below -100 tol) raises InternalConsistencyError.
     """
-    flag, report = joint_hyponormal(W, N, tol)
-    k_map = dict(report.k_hypo)
-    levels = dict(report.levels)
-    verdicts = {1: None}
-    for k in range(2, kmax + 1):
-        level = max(N, 4 * k + 2)
-        v = k_hyponormal_verdict(W, k, level, tol)
-        k_map[k] = v.is_psd
-        levels[k] = level
-        verdicts[k] = v
-    for k in range(2, kmax + 1):
-        if k_map[k] and not k_map[k - 1]:
-            upper = verdicts[k]
-            lower_margin = (
-                report.joint_min_eig if k == 2 else verdicts[k - 1].min_eigenvalue
-            )
-            if upper.min_eigenvalue > 0 and lower_margin < -100 * tol:
+    levels = _order_levels(N, kmax)
+    out = []
+    for W, report in zip(diagrams, reports, strict=True):
+        k_map = dict(report.k_hypo)
+        lower_margin = report.joint_min_eig
+        for k, level in levels.items():
+            v = k_hyponormal_verdict(W, k, level, tol)
+            if v.is_psd and not k_map[k - 1] and v.min_eigenvalue > 0 and lower_margin < -100 * tol:
                 raise InternalConsistencyError(
                     f"hyponormality hierarchy inverted between k={k - 1} and k={k}"
                 )
-    return HypoReport(
-        componentwise=report.componentwise,
-        joint=flag,
-        k_hypo=k_map,
-        worst_witness=report.worst_witness,
-        joint_min_eig=report.joint_min_eig,
-        levels=levels,
-    )
+            k_map[k] = v.is_psd
+            lower_margin = v.min_eigenvalue
+        out.append(dataclasses.replace(report, k_hypo=k_map, levels={**report.levels, **levels}))
+    return out
+
+
+def full_hypo_report(W: WeightDiagram, N: int, kmax: int = 1, tol: float = PSD_TOL) -> HypoReport:
+    """Componentwise, joint, and order-k verdicts up to kmax: hypo_orders of one diagram.
+
+    Every order's block budget is checked before order 1 reads a window.
+    """
+    _order_levels(N, kmax)
+    return hypo_orders([W], joint_hyponormal_reports([W], N, tol), N, kmax, tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .diagrams import build_prop2
 from .errors import DomainError, InternalConsistencyError
-from .positivity import joint_hyponormal_reports, k_hyponormal
+from .positivity import hypo_orders, joint_hyponormal_reports
 from .transforms import spherical_transforms, toral_transforms
 
 # Points closer than this to a curve are skipped when comparing verdicts.
@@ -138,15 +138,14 @@ def classify_many(points, N: int = DEFAULT_SCAN_LEVEL, kmax: int = 1) -> list:
     run the six-point test on the diagram and on both of its transforms.
     Off the curves by at least BOUNDARY_MARGIN, closed-form and numerical
     flags must agree, and a mismatch raises InternalConsistencyError.
-    Orders 2..kmax (at level max(N, 4k+2)) land in k_hypo, one diagram
-    at a time.
 
     Points go through in stacks of at most STACK_POINTS consecutive ones:
-    per stack the transforms, their checks and one joint_hyponormal_reports
-    call over the 3 diagrams of each point each run once.  Every slice of
-    a stack gets exactly the arithmetic it would get alone, so the reports
-    equal those of one-point calls bit for bit.  Of several failing
-    points, the first of the first failing stage raises.
+    per stack the transforms, their checks, one joint_hyponormal_reports
+    call over the 3 diagrams of each point and one hypo_orders call (the
+    order-k route of full_hypo_report) over the corner diagrams each run
+    once.  Every slice of a stack gets exactly the arithmetic it would get
+    alone, so the reports equal those of one-point calls bit for bit.  Of
+    several failing points, the first of the first failing stage raises.
     """
     points = [(x, y) for x, y in points]
     for x, y in points:
@@ -167,9 +166,10 @@ def _classify_stack(points: list, N: int, kmax: int) -> list:
     # each point's diagram and its two transforms, point after point
     stack = [d for trio in zip(diagrams, torals, sphericals) for d in trio]
     reports = joint_hyponormal_reports(stack, N)
+    corners = hypo_orders(diagrams, reports[0::3], N, kmax)
 
     out = []
-    for i, ((x, y), t, W) in enumerate(zip(points, curves, diagrams)):
+    for i, ((x, y), t, corner) in enumerate(zip(points, curves, corners)):
         closed = {
             "subnormal_by_s": x <= t.s,
             "hyponormal_by_h": x <= t.h,
@@ -189,11 +189,10 @@ def _classify_stack(points: list, N: int, kmax: int) -> list:
                     f"({x}, {y}): {closed_key}={closed[closed_key]}, "
                     f"{numeric_key}={numeric[numeric_key]}"
                 )
-        k_map = {k: k_hyponormal(W, k, max(N, 4 * k + 2)) for k in range(2, kmax + 1)}
         out.append(RegionReport(
             x=x, y=y, curves=t, closed=closed, numeric=numeric,
             joint_min_eig={key: rep.joint_min_eig for key, rep in by_key.items()},
-            k_hypo=k_map,
+            k_hypo={k: v for k, v in corner.k_hypo.items() if k >= 2},
         ))
     return out
 

@@ -42,6 +42,7 @@ from .diagrams import (
     commutativity_residuals,
     stacked_windows,
     validate_commuting_many,
+    weight_scales,
 )
 from .errors import DomainError, InternalConsistencyError, WindowError
 
@@ -106,22 +107,17 @@ def _spherical_rule(A: np.ndarray, B: np.ndarray):
             B[..., :-1, :-1] * np.sqrt(P[..., :-1, 1:] / P0))
 
 
-def _scales(A: np.ndarray, B: np.ndarray, window: int) -> list:
-    """max(1, weight_bound(window)^2) of each diagram of stacked windows."""
-    n = window + 1
-    tops = np.maximum(A[:, :n, :n].max(axis=(1, 2)), B[:, :n, :n].max(axis=(1, 2)))
-    return [max(1.0, top**2) for top in tops.tolist()]
-
-
 def _parent_windows(diagrams: list, window: int):
-    """Stacked (window+3)^2 windows of commuting diagrams, validated on [0, window]^2.
+    """Stacked (window+3)^2 windows of commuting diagrams, validated on [0, window]^2,
+    and each diagram's weight scale max(1, weight_bound(window)^2).
 
     The widest window either transform reads is fetched first, so a
     diagram computes it once and every later read is a slice.
     """
     A, B = stacked_windows(diagrams, window + 3)
     validate_commuting_many(diagrams, window)
-    return A, B
+    n = window + 1
+    return A, B, weight_scales(A[:, :n, :n], B[:, :n, :n])
 
 
 def _toral_condition_residuals(A: np.ndarray, B: np.ndarray) -> list:
@@ -139,21 +135,6 @@ def _toral_condition_residuals(A: np.ndarray, B: np.ndarray) -> list:
     worst_a = np.abs(cond_a).max(axis=(1, 2)).tolist()
     worst_b = np.abs(cond_b).max(axis=(1, 2)).tolist()
     return [max(a, b) for a, b in zip(worst_a, worst_b)]
-
-
-def toral_commutativity_test(
-    W: WeightDiagram,
-    window: int = DEFAULT_WINDOW,
-    tol: float = COMMUTATIVITY_TOL,
-):
-    """Closed-form test for commutativity of the toral candidate.
-
-    Returns (flag, worst condition residual) from toral_transform, whose
-    cross-check against the direct residual of the candidate weights
-    raises InternalConsistencyError on a decisive disagreement.
-    """
-    res = toral_transform(W, window=window, tol=tol)
-    return res.commutes, res.condition_residual
 
 
 @dataclass(frozen=True)
@@ -189,14 +170,12 @@ def toral_transforms(
     diagrams = list(diagrams)
     if not diagrams:
         return []
-    A, B = _parent_windows(diagrams, window)
+    A, B, scales = _parent_windows(diagrams, window)
     conds = _toral_condition_residuals(A, B)
     candidates, directs = _derived_stack(diagrams, "toral", _toral_rule, A, B)
 
     out = []
-    for candidate, cond, (direct, witness), scale in zip(
-        candidates, conds, directs, _scales(A, B, window)
-    ):
+    for candidate, cond, (direct, witness), scale in zip(candidates, conds, directs, scales):
         cut = tol * scale
         flag = cond <= cut
         if flag != (direct <= cut):
@@ -237,9 +216,9 @@ def spherical_transforms(diagrams, *, window: int = DEFAULT_WINDOW) -> list:
     diagrams = list(diagrams)
     if not diagrams:
         return []
-    A, B = _parent_windows(diagrams, window)
+    A, B, scales = _parent_windows(diagrams, window)
     outs, residuals = _derived_stack(diagrams, "spherical", _spherical_rule, A, B)
-    for (resid, witness), scale in zip(residuals, _scales(A, B, window)):
+    for (resid, witness), scale in zip(residuals, scales):
         if resid > 100 * COMMUTATIVITY_TOL * scale:
             raise InternalConsistencyError(
                 f"spherical transform lost commutativity at k={witness}: "

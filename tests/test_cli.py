@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aluthge_lab import cli
+from aluthge_lab import cli, positivity
 from aluthge_lab.cli import main
 from aluthge_lab.diagrams import build_prop2
 from aluthge_lab.sampling import bump_gamma
@@ -29,6 +29,9 @@ def bumped_file(tmp_path):
     path = tmp_path / "bumped.json"
     path.write_text(dumps(diagram_to_obj(W)))
     return str(path)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_json(capsys, argv):
@@ -282,6 +285,26 @@ def test_bad_integer_flags_exit_cleanly(capsys, argv, code):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--kind", "toral", "--input", "x.json"],
+        ["hypo", "--input", "x.json"],
+        ["khypo", "--input", "x.json", "--k", "2"],
+        ["berger", "verify", "--triple", "1,2,3"],
+    ],
+    ids=["transform", "hypo", "khypo", "berger"],
+)
+def test_bad_tolerance_exits_64(capsys, argv, value):
+    assert main([*argv, "--tol", value]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "--tol" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_non_finite_atom_mass_exits_2(tmp_path, capsys, prop2_file):
     mu_path = tmp_path / "mu.json"
     mu_path.write_text('{"atoms": [[0.5, 0.5, NaN]]}')
@@ -331,6 +354,19 @@ def test_order_k_blocks_refused_exit_2(capsys, big_weights_file, prop2_file, arg
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+def test_hierarchy_inversion_exits_3(capsys, monkeypatch):
+    def psd_order_two(W, k, N, tol=1e-10):
+        return positivity.PsdVerdict(is_psd=True, min_eigenvalue=1.0, tol=tol, dim=1)
+
+    monkeypatch.setattr(positivity, "k_hyponormal_verdict", psd_order_two)
+    code = main(["regions", "classify", "--x", "0.95", "--y", "0.6", "--kmax", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "hierarchy" in captured.err
 
 
 def test_order_one_on_large_weights_still_reports(capsys, big_weights_file):
@@ -444,3 +480,27 @@ def test_cached_parser_prints_what_a_fresh_one_prints(capsys, argv, code):
     if argv[0] == "reproduce":
         golden = Path(__file__).resolve().parents[1] / "bench" / "golden"
         assert runs[1].out == (golden / "reproduce-prop2-seed7.txt").read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# golden JSON: the order-k reports of `hypo`, `khypo` and `regions classify`, byte for byte
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["hypo", "--input", "PASS", "-N", "10", "--kmax", "3"], "hypo-prop2-0.5-0.5-N10-kmax3"),
+        (["hypo", "--input", "FAIL", "-N", "10", "--kmax", "3"], "hypo-prop2-0.95-0.6-N10-kmax3"),
+        (["khypo", "--input", "PASS", "--k", "1"], "khypo-prop2-0.5-0.5-k1"),
+        (["khypo", "--input", "PASS", "--k", "2"], "khypo-prop2-0.5-0.5-k2"),
+        (["khypo", "--input", "PASS", "--k", "3"], "khypo-prop2-0.5-0.5-k3"),
+        (["regions", "classify", "--x", "0.72", "--y", "0.4", "--kmax", "3"],
+         "regions-classify-0.72-0.4-kmax3"),
+    ],
+)
+def test_output_matches_golden_json(capsys, tmp_path, prop2_file, argv, name):
+    failing = tmp_path / "fail.json"
+    failing.write_text(dumps(diagram_to_obj(build_prop2(0.95, 0.6))))
+    argv = [{"PASS": prop2_file, "FAIL": str(failing)}.get(a, a) for a in argv]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

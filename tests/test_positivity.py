@@ -402,6 +402,9 @@ def test_oversized_blocks_refused_before_any_window():
         joint_hyponormal(trap, 1460)
     with pytest.raises(DomainError, match="budget"):
         k_hyponormal_verdict(trap, 12, 50)
+    # order 1 at N = 10 is in budget, order 12 at level 50 is not
+    with pytest.raises(DomainError, match="budget"):
+        full_hypo_report(trap, 10, kmax=12)
 
 
 def test_k_hierarchy_downward():
@@ -488,3 +491,35 @@ def test_full_report_witness_on_failure():
     k, M = report.worst_witness
     assert k == (0, 0)
     assert not psd_check(M).is_psd
+
+
+def test_hierarchy_inversion_raises_on_every_route(monkeypatch):
+    # order 2 made PSD with a positive minimum where order 1 fails decisively
+    def psd_order_two(W, k, N, tol=PSD_TOL):
+        return positivity.PsdVerdict(is_psd=True, min_eigenvalue=1.0, tol=tol, dim=1)
+
+    monkeypatch.setattr(positivity, "k_hyponormal_verdict", psd_order_two)
+    W = build_prop2(0.95, 0.6)
+    assert joint_hyponormal(W, 10)[1].joint_min_eig < -100 * PSD_TOL
+    with pytest.raises(InternalConsistencyError, match="between k=1 and k=2"):
+        full_hypo_report(W, 10, kmax=2)
+    with pytest.raises(InternalConsistencyError, match="between k=1 and k=2"):
+        classify(0.95, 0.6, kmax=2)
+
+
+def test_budget_refuses_a_huge_order_without_listing_its_multi_indices(monkeypatch):
+    # 5e9 multi-indices at k = 1e5: the count comes from k alone
+    def listing(k):
+        raise AssertionError(f"order-{k} multi-indices listed before the budget check")
+
+    monkeypatch.setattr(positivity, "_graded_multi_indices", listing)
+    with pytest.raises(DomainError, match="budget"):
+        k_hyponormal_verdict(build_prop2(0.5, 0.5), 100_000, 400_002)
+
+
+def test_graded_multi_indices_are_built_once_per_order():
+    for k in (1, 2, 3, 7):
+        ps = positivity._graded_multi_indices(k)
+        assert ps is positivity._graded_multi_indices(k)
+        assert len(ps) == k * (k + 3) // 2
+        assert sorted(ps, key=lambda p: (sum(p), p)) == list(ps)

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from aluthge_lab import (
     DomainError,
     InternalConsistencyError,
+    build_prop2,
     classify,
     classify_many,
     crossing_q,
+    full_hypo_report,
     joint_hyponormal_reports,
     region_scan,
     spherical_transforms,
@@ -146,6 +148,17 @@ def test_scan_matches_golden_csv():
     golden = Path(__file__).resolve().parent.parent / "bench" / "golden"
     expected = (golden / "corner-scan-grid4-ladder10-N12.csv").read_text(encoding="utf-8")
     assert region_scan(4, N=12, ladder=10) == expected.splitlines()
+
+
+def test_scan_orders_are_those_of_the_hypo_report():
+    # one order-k route: at every point of the golden scan, classify gives
+    # the orders and the joint verdict that full_hypo_report gives
+    for y in (i / 5 for i in range(1, 5)):
+        for x in probe_ladder(y, 10):
+            r = full_hypo_report(build_prop2(x, y), 12, kmax=3)
+            rep = classify(x, y, 12, kmax=3)
+            assert rep.k_hypo == {2: r.k_hypo[2], 3: r.k_hypo[3]}
+            assert rep.numeric["joint"] == r.joint
 
 
 def test_region_scan_rejects_tiny_grid():

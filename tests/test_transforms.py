@@ -23,7 +23,6 @@ from aluthge_lab import (
     spherical_transform,
     spherical_transforms,
     stampfli,
-    toral_commutativity_test,
     toral_transform,
     toral_transforms,
     transform_distance,
@@ -122,7 +121,8 @@ def test_spherical_output_commutes():
 def test_toral_candidate_verdict_both_ways():
     # theta lifts keep commuting under the toral transform
     W = build_theta(OneVarWeights(values=(0.5, 0.7, 1.0)))
-    flag, cond = toral_commutativity_test(W, window=8)
+    res = toral_transform(W, window=8)
+    flag, cond = res.commutes, res.condition_residual
     assert flag
     assert cond <= 1e-14
 
@@ -143,7 +143,8 @@ def test_gamma_bump_breaks_toral_commutativity():
     W = bump_gamma(build_prop2(0.8, 0.5), 1.4, at=(1, 1), rows=6, cols=6)
     resid, _ = commutativity_residual(W, 8)
     assert resid <= 1e-13
-    flag, cond = toral_commutativity_test(W, window=8)
+    res = toral_transform(W, window=8)
+    flag, cond = res.commutes, res.condition_residual
     assert not flag
     assert cond > 1e-6
     sph = spherical_transform(W, window=8)
