@@ -50,6 +50,7 @@ from .positivity import (
     joint_hyponormal_reports,
     k_hyponormal,
     k_hyponormal_verdict,
+    k_hyponormal_verdicts,
     one_var_k_hyponormal,
     psd_check,
     six_point_matrix,

@@ -25,7 +25,12 @@ when p1 = 0) times one weight, so T2 steps come first.  Most blocks are
 diagonal, and a diagonal block's spectrum is its diagonal; only the
 coupled blocks, those with a nonzero off-diagonal entry, go to one
 stacked eigensolve.  Their eigenvalues come back ascending, a diagonal
-block's in row order.  For u >= 0 scaling B_u by
+block's in row order.  Each block is assembled as its diagonal and its
+strict upper triangle, and a full matrix is built only for a coupled
+block.  At orders k >= 2 the weights of a diagram are mostly flat, so
+many coupled blocks repeat byte for byte, within a diagram and across a
+stack: each distinct one is eigensolved once and its spectrum copied to
+the others.  For u >= 0 scaling B_u by
 diag sqrt(gamma_{u+p}) gives, for a commuting pair, the Schur complement
 at gamma_u of the Curto-Lee-Yoon moment matrix (gamma_{u+p+q})_{|p|,|q|<=k}.
 
@@ -39,9 +44,12 @@ package bug and raises InternalConsistencyError.  The dense operator
 construction survives only as a test oracle.
 
 Both kernels take weight windows stacked on a leading axis, one slice per
-diagram, so several diagrams (a diagram and its transforms) share one
-pass of numpy calls; every slice gets exactly the arithmetic it would get
-on its own.
+diagram, so several diagrams (a diagram and its transforms, or a ladder
+row of corner diagrams) share one pass of numpy calls; every slice gets
+exactly the arithmetic it would get on its own, and identical blocks get
+identical bytes from LAPACK, so a stacked verdict equals the one-diagram
+verdict bit for bit.  k_hyponormal_verdicts runs one order over a list
+of diagrams in such stacks.
 """
 
 from __future__ import annotations
@@ -67,9 +75,15 @@ from .linalg import PSD_TOL, SYMMETRY_TOL
 
 # The order-1 spectral identity must hold to this absolute-per-scale level.
 CROSS_CHECK_TOL = 1e-8
-# Largest order-k block array, in floats per diagram, that is assembled:
+# Largest order-k block array, in floats per kernel call, that is assembled:
 # 2**23 floats are 64 MiB, and the assembly holds a few such arrays at once.
 MAX_BLOCK_FLOATS = 2**23
+# Most diagrams k_hyponormal_verdicts puts in one kernel call, and most points
+# regions.classify_many puts in one stack.  On 40-point rows at N = 12, past
+# one classify(kmax=3) call, stacks of 5, 10, 20 and 40 points raised peak
+# RSS by about 0.13, 0.25, 0.95 and 2.5 MB.  A 4 x 10 scan ran under 5%
+# slower with 5 than with 10, which cost about 1% of its peak RSS.
+STACK_POINTS = 5
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -192,10 +206,22 @@ def joint_hyponormal_reports(diagrams, N: int, tol: float = PSD_TOL) -> list:
     compressed to [0, N-3]^2 and asserts, per diagram, the exact spectral
     identity relating their minimum to the six-point, rim, and wall terms;
     disagreement beyond round-off raises InternalConsistencyError for the
-    first failing diagram.  All diagrams go through the kernels as one stack.
+    first failing diagram.  The diagrams go through the kernels as one
+    stack, split into consecutive stacks only where the order-1 blocks of
+    one would exceed MAX_BLOCK_FLOATS; one diagram over the budget is
+    refused before any window is read.
     """
-    if N >= 4:
-        _check_block_budget(1, N - 2)
+    diagrams = list(diagrams)
+    per = _per_call(1, N - 2, len(diagrams)) if N >= 4 else max(1, len(diagrams))
+    return [
+        report
+        for i in range(0, len(diagrams), per)
+        for report in _joint_stack(diagrams[i : i + per], N, tol)
+    ]
+
+
+def _joint_stack(diagrams: list, N: int, tol: float) -> list:
+    """joint_hyponormal_reports of diagrams that fit one kernel call."""
     if not diagrams:
         return []
     A, B = stacked_windows(diagrams, N + 2)
@@ -265,8 +291,8 @@ def _graded_multi_indices(k: int) -> tuple:
     return tuple((p1, g - p1) for g in range(1, k + 1) for p1 in range(g + 1))
 
 
-def _check_block_budget(k: int, size: int) -> None:
-    """Refuse order-k blocks on [0, size-1]^2 above MAX_BLOCK_FLOATS per diagram.
+def _check_block_budget(k: int, size: int) -> int:
+    """Floats of one diagram's order-k blocks on [0, size-1]^2, refused above MAX_BLOCK_FLOATS.
 
     The block array holds m^2 (size+k)^2 floats; the weight windows and
     six-point fields of the same request grow with (size+k)^2, so the
@@ -279,43 +305,62 @@ def _check_block_budget(k: int, size: int) -> None:
             f"order-{k} blocks on [0, {size - 1}]^2 need {floats:.3g} floats "
             f"per diagram, above the budget of {MAX_BLOCK_FLOATS:.3g}"
         )
+    return floats
+
+
+def _per_call(k: int, size: int, most: int) -> int:
+    """Diagrams per kernel call at order k on [0, size-1]^2: at most `most`
+    (at least 1), and together within MAX_BLOCK_FLOATS.  Refuses one
+    diagram over the budget (_check_block_budget).
+    """
+    return max(1, min(most, MAX_BLOCK_FLOATS // _check_block_budget(k, size)))
 
 
 @functools.lru_cache(maxsize=8)
 def _block_plan(k: int, size: int) -> tuple:
     """Static layout of the order-k blocks B_u, u in [-k, size-1]^2.
 
-    Block labels u are stored at u + (k, k), so a diagram's blocks form a
-    (nu, nu, m, m) array with nu = size + k.  Returns, every array read-only:
+    Block labels u are stored at u + (k, k), so a diagram has nu^2 blocks,
+    nu = size + k.  Path norms ||T^{p_i} e_w|| are read from an
+    (nu+k, nu+k, m) array at (w + (k, k), i), zero off the window, so its
+    corner (0, 0, i) is a zero.  A block is assembled as its m diagonal
+    entries and its P = m(m-1)/2 strict upper ones, the pairs (i, j) in
+    np.triu_indices order, each laid out as (rows or pairs, nu, nu) so
+    that one row or pair of every block is contiguous.  Row i of B_u is
+    kept when u + p_i lies in [0, size-1]^2; base_i(u) = ||T^{p_i} e_u|| on
+    kept rows, read from the zero corner on dropped ones.  Returns, every
+    array read-only:
 
-      ps            the graded multi-indices p_1 .. p_m
-      keep          (nu, nu, m) bool: row i of B_u is kept, u + p_i in [0, size-1]^2
-      kept_diag     flat indices of the kept rows' diagonal entries
-      dropped_diag  flat indices of the dropped rows' diagonal entries
-      steps         per p_i: (prefix index or -1, 0 for alpha / 1 for beta, offsets)
-      upper         (m, m) bool: the strict upper triangle, a symmetric block's
-                    off-diagonal
+      ps          the graded multi-indices p_1 .. p_m
+      steps       per p_i: (prefix index or -1, 0 for alpha / 1 for beta, offsets)
+      diag_at     (2, m nu^2) flat path-norm indices of ||T^{p_i} e_{u+p_i}||
+                  and of base_i(u)
+      pair_at     (2, P nu^2) flat path-norm indices of ||T^{p_i} e_{u+p_j}||
+                  and of ||T^{p_j} e_{u+p_i}||
+      kept_at     flat indices of the kept rows' diagonal entries
+      dropped_at  flat indices of the dropped rows' diagonal entries
     """
     ps = _graded_multi_indices(k)
     m = len(ps)
     nu = size + k
-    i = np.arange(m)
+    at = np.arange((nu + k) ** 2 * m).reshape(nu + k, nu + k, m)
+    inside = np.zeros((nu + k, nu + k), dtype=bool)
+    inside[k : k + size, k : k + size] = True
+    keep = np.stack([inside[p1 : p1 + nu, p2 : p2 + nu] for p1, p2 in ps])  # (m, nu, nu)
+    base = np.where(keep, at[:nu, :nu].transpose(2, 0, 1), np.arange(m)[:, None, None])
 
-    def rows(window: bool):  # (nu, nu, m): u + p_i inside the window, or outside it
-        at = np.full((nu + k, nu + k), not window)
-        at[k : k + size, k : k + size] = window
-        return np.stack([at[p1 : p1 + nu, p2 : p2 + nu] for p1, p2 in ps], axis=-1)
+    def shifted(i, p):  # (nu, nu): flat index of (u + p, i) for every u
+        return at[p[0] : p[0] + nu, p[1] : p[1] + nu, i]
 
-    def diagonal(selected):  # flat indices of the selected rows' diagonal entries
-        mask = np.zeros((nu, nu, m, m), dtype=bool)
-        mask[..., i, i] = selected
-        return np.flatnonzero(mask)
-
-    keep = rows(True)
-    kept_diag = diagonal(keep)
-    dropped_diag = diagonal(rows(False))
-    upper = np.array([[a < b for b in range(m)] for a in range(m)])
-    for a in (keep, kept_diag, dropped_diag, upper):
+    iu, ju, _ = _triangle(m)
+    diag_at = np.stack([np.stack([shifted(i, ps[i]) for i in range(m)]), base]).reshape(2, -1)
+    pair_at = np.stack([
+        np.stack([shifted(i, ps[j]) for i, j in zip(iu, ju)]),
+        np.stack([shifted(j, ps[i]) for i, j in zip(iu, ju)]),
+    ]).reshape(2, -1)
+    kept_at = np.flatnonzero(keep)
+    dropped_at = np.flatnonzero(~keep)
+    for a in (diag_at, pair_at, kept_at, dropped_at):
         a.flags.writeable = False
     # ||T^p e_w|| is the path of p - e1 (p - e2 when p1 = 0) times one weight,
     # so T2 steps come first and T1 steps last, as T^p = T1^{p1} T2^{p2} acts
@@ -325,7 +370,7 @@ def _block_plan(k: int, size: int) -> tuple:
         else (ps.index((0, p2 - 1)) if p2 > 1 else -1, 1, (0, p2 - 1))
         for p1, p2 in ps
     )
-    return ps, keep, kept_diag, dropped_diag, steps, upper
+    return ps, steps, diag_at, pair_at, kept_at, dropped_at
 
 
 def _lattice_block_eigs(A: np.ndarray, B: np.ndarray, k: int, size: int) -> np.ndarray:
@@ -338,22 +383,30 @@ def _lattice_block_eigs(A: np.ndarray, B: np.ndarray, k: int, size: int) -> np.n
     of their diagram, so the minimum and the largest magnitude are those of
     the compressed matrix.
 
-    Only coupled blocks, those with a nonzero off-diagonal entry, are
-    eigensolved, and their eigenvalues come back ascending.  A diagonal
-    block's spectrum is its diagonal, returned in row order, unsorted.
+    Each block is assembled as its diagonal and strict upper triangle.
+    Only coupled blocks, those with a nonzero off-diagonal entry, become
+    full matrices and are eigensolved (_coupled_eigs), and their
+    eigenvalues come back ascending.  A diagonal block's spectrum is its
+    diagonal, returned in row order, unsorted.
 
-    Callers pass the size through _check_block_budget before reading any
-    window.  Raises DomainError, before assembling anything, when a product
-    of 2k weights of the window could overflow a float.
+    Callers pass the stack through _per_call before reading any window.
+    Raises DomainError, before assembling anything, when a product of 2k
+    weights of the window could overflow a float; it names the first such
+    diagram of the stack and its largest weight, as a one-diagram call would.
     """
-    ps, keep, kept_diag, dropped_diag, steps, upper = _block_plan(k, size)
+    ps, steps, diag_at, pair_at, kept_at, dropped_at = _block_plan(k, size)
     m = len(ps)
     nu = size + k  # block labels u in [-k, size-1]^2, stored at u + (k, k)
     A = A[:, :nu, :nu]
     B = B[:, :nu, :nu]
-    top = float(max(A.max(), B.max()))
-    # round-off allowance: the products and the logarithms are each rounded
-    if 2 * k * math.log(top) >= _LOG_FLOAT_MAX * (1.0 - 1e-12):
+
+    def overflows(top: float) -> bool:
+        # round-off allowance: the products and the logarithms are each rounded
+        return 2 * k * math.log(top) >= _LOG_FLOAT_MAX * (1.0 - 1e-12)
+
+    if overflows(float(max(A.max(), B.max()))):
+        tops = np.maximum(A.max(axis=(1, 2)), B.max(axis=(1, 2))).tolist()
+        top = next(top for top in tops if overflows(top))
         raise DomainError(
             f"order-{k} blocks multiply {2 * k} weights, which overflows "
             f"for weights up to {top:.3e}"
@@ -369,56 +422,128 @@ def _lattice_block_eigs(A: np.ndarray, B: np.ndarray, k: int, size: int) -> np.n
         else:
             np.multiply(paths[..., prefix], weight, out=paths[..., i])
 
-    # cross[..., u1, u2, i, j] = ||T^{p_i} e_{u+p_j}||
-    cross = np.empty((stack, nu, nu, m, m))
-    for j, (p1, p2) in enumerate(ps):
-        cross[..., j] = norms[:, p1 : p1 + nu, p2 : p2 + nu]
-    base = norms[:, :nu, :nu] * keep  # ||T^{p_i} e_u||, zero for u < 0 or dropped rows
-    del norms, paths  # freed before the blocks exist, to lower the peak
-    blocks = cross * cross.swapaxes(-1, -2)
-    blocks -= np.multiply(base[..., :, None], base[..., None, :], out=cross)
-    del cross
+    # B_u[i, j] = ||T^{p_i} e_{u+p_j}|| ||T^{p_j} e_{u+p_i}|| - base_i(u) base_j(u)
+    norms = norms.reshape(stack, -1)
+    d = norms.take(diag_at, axis=1)  # ||T^{p_i} e_{u+p_i}|| and base_i(u), per row i
+    pairs = norms.take(pair_at[0], axis=1)
+    pairs *= norms.take(pair_at[1], axis=1)
+    del norms, paths  # freed before the products, to lower the peak
+    pairs = pairs.reshape(stack, -1, nu * nu)
+    base = d[:, 1].reshape(stack, m, nu * nu)
+    iu, ju, _ = _triangle(m)
+    products = base[:, iu]
+    products *= base[:, ju]
+    pairs -= products
+    d *= d
+    diag = d[:, 0] - d[:, 1]
+    del d, base, products
     # A dropped row becomes a decoupled eigenvalue equal to the largest kept
     # diagonal entry of its diagram, which lies in [min eig, max eig]:
     # neither changes.
-    flat = blocks.reshape(stack, -1)
-    flat[:, dropped_diag] = flat[:, kept_diag].max(axis=1)[:, None]
-    blocks = blocks.reshape(stack, nu * nu, m, m)
-    eigs = blocks.diagonal(axis1=2, axis2=3).copy()
-    coupled = np.abs(blocks[..., upper]).max(axis=-1) > 0.0
-    eigs[coupled] = np.linalg.eigvalsh(blocks[coupled])
+    diag[:, dropped_at] = diag[:, kept_at].max(axis=1)[:, None]
+    eigs = diag.reshape(stack, m, nu * nu).transpose(0, 2, 1).copy()
+    pairs = pairs.transpose(0, 2, 1)
+    coupled = pairs.any(axis=-1)  # every entry is finite: no product overflows
+    if coupled.any():
+        eigs[coupled] = _coupled_eigs(eigs[coupled], pairs[coupled])
     return eigs
 
 
-def k_hyponormal_verdict(W: WeightDiagram, k: int, N: int, tol: float = PSD_TOL) -> PsdVerdict:
-    """PSD verdict of the compressed order-k block commutator matrix.
+@functools.cache
+def _triangle(m: int) -> tuple:
+    """Rows i, columns j of the strict upper triangle of an m x m matrix
+    (np.triu_indices order), and the column, in a row of m diagonal then
+    m(m-1)/2 strict upper entries, of each entry of the symmetric matrix."""
+    iu, ju = np.triu_indices(m, 1)
+    at = np.diag(np.arange(m))
+    at[iu, ju] = at[ju, iu] = m + np.arange(len(iu))
+    at = at.ravel()
+    for a in (iu, ju, at):
+        a.flags.writeable = False
+    return iu, ju, at
+
+
+def _fingerprint(rows: np.ndarray) -> np.ndarray:
+    """A uint64 hash of each row's bytes; rows with equal bytes hash equal."""
+    bits = rows.view(np.uint64)
+    odd = np.arange(1, 2 * bits.shape[1], 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return bits @ odd  # modulo 2^64
+
+
+def _coupled_eigs(diag: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric blocks with these diagonal and
+    strict upper entries, one block per row, in one stacked eigensolve.
+
+    Blocks larger than 2x2 are grouped by _fingerprint.  When every block
+    equals the first of its group byte for byte, only the first ones are
+    eigensolved and each other block gets its group's spectrum: the same
+    bytes take the same LAPACK path, so the eigenvalues are bit-equal.  A
+    mismatch falls back to solving every block.  A 2x2 block costs less to
+    solve than to group, so those are all solved.
+    """
+    m = diag.shape[1]
+    rows = np.concatenate([diag, pairs], axis=1)
+    inverse = None
+    if m > 2:
+        _, first, inverse = np.unique(_fingerprint(rows), return_index=True, return_inverse=True)
+        bits = rows.view(np.uint64)
+        if np.array_equal(bits[first[inverse]], bits):
+            rows = rows[first]
+        else:
+            inverse = None
+    eigs = np.linalg.eigvalsh(rows.take(_triangle(m)[2], axis=1).reshape(-1, m, m))
+    return eigs if inverse is None else eigs[inverse]
+
+
+def k_hyponormal_verdicts(diagrams, k: int, N: int, tol: float = PSD_TOL) -> list:
+    """PSD verdict of the compressed order-k block commutator matrix of each diagram.
 
     Blocks are [(T^q)*, T^p] for multi-indices 1 <= |p|, |q| <= k in graded
     lexicographic order, with T^p = T1^{p1} T2^{p2}, compressed to basis
     vectors e_v with v in [0, Mc]^2, Mc = N - (2k+1).  The matrix is
     evaluated as its direct sum of blocks B_u, u in [-k, Mc]^2 (module
-    docstring), from one weight window [0, N-k)^2 and one stacked
-    eigensolve; the verdict is a sound necessary condition for
-    k-hyponormality.  `dim` is the size m (Mc+1)^2 of the compressed matrix.
+    docstring), from one weight window [0, N-k)^2 per diagram; the verdict
+    is a sound necessary condition for k-hyponormality.  `dim` is the size
+    m (Mc+1)^2 of the compressed matrix.
+
+    The diagrams go through the kernel in consecutive stacks of at most
+    STACK_POINTS, fewer where a stack's blocks would exceed
+    MAX_BLOCK_FLOATS, one stacked eigensolve each.  Every verdict equals
+    that of a one-diagram call bit for bit.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
     if N < 4 * k + 2:
         raise WindowError(f"k = {k} needs truncation level N >= {4 * k + 2}, got {N}")
     size = N - 2 * k  # compression window [0, Mc]^2
-    _check_block_budget(k, size)
-    m = len(_graded_multi_indices(k))
-    A, B = W.weight_arrays(size + k, size + k)
-    eigs = _lattice_block_eigs(A[None], B[None], k, size)[0]
-    return _eig_verdict(eigs, tol, m * size * size)
+    per = _per_call(k, size, STACK_POINTS)
+    dim = len(_graded_multi_indices(k)) * size * size
+    diagrams = list(diagrams)
+    out = []
+    for i in range(0, len(diagrams), per):
+        A, B = stacked_windows(diagrams[i : i + per], size + k)
+        out += [_eig_verdict(eigs, tol, dim) for eigs in _lattice_block_eigs(A, B, k, size)]
+    return out
+
+
+def k_hyponormal_verdict(W: WeightDiagram, k: int, N: int, tol: float = PSD_TOL) -> PsdVerdict:
+    """k_hyponormal_verdicts of one diagram."""
+    return k_hyponormal_verdicts([W], k, N, tol)[0]
 
 
 def k_hyponormal(W: WeightDiagram, k: int, N: int, tol: float = PSD_TOL) -> bool:
     return k_hyponormal_verdict(W, k, N, tol).is_psd
 
 
-def _order_levels(N: int, kmax: int) -> dict:
-    """Level max(N, 4k+2) of each order k in 2..kmax, each order's block budget checked."""
+def order_levels(N: int, kmax: int) -> dict:
+    """Level max(N, 4k+2) of each order k in 2..kmax.
+
+    Refuses, with DomainError, a request whose order-1 blocks at level N
+    or order-k blocks at their level exceed the block budget of one
+    diagram, so callers refuse before any window is read.
+    """
+    if N >= 4:
+        _check_block_budget(1, N - 2)
     levels = {k: max(N, 4 * k + 2) for k in range(2, kmax + 1)}
     for k, level in levels.items():
         _check_block_budget(k, level - 2 * k)
@@ -430,25 +555,31 @@ def hypo_orders(diagrams, reports, N: int, kmax: int, tol: float = PSD_TOL) -> l
 
     Order k runs at level max(N, 4k+2), so no order silently degrades, and
     the levels used are recorded.  Every order's block budget is checked
-    before any order runs.  A decisive hierarchy inversion between
-    consecutive orders (the higher one PSD with a positive minimum, the
-    lower one failing below -100 tol) raises InternalConsistencyError.
+    before any order runs.  Each order is one k_hyponormal_verdicts call
+    over all the diagrams, followed by the hierarchy check of each: a
+    decisive inversion between consecutive orders (the higher one PSD
+    with a positive minimum, the lower one failing below -100 tol) raises
+    InternalConsistencyError for the first such diagram of the lowest
+    such order.
     """
-    levels = _order_levels(N, kmax)
-    out = []
-    for W, report in zip(diagrams, reports, strict=True):
-        k_map = dict(report.k_hypo)
-        lower_margin = report.joint_min_eig
-        for k, level in levels.items():
-            v = k_hyponormal_verdict(W, k, level, tol)
-            if v.is_psd and not k_map[k - 1] and v.min_eigenvalue > 0 and lower_margin < -100 * tol:
+    levels = order_levels(N, kmax)
+    pairs = list(zip(diagrams, reports, strict=True))
+    k_maps = [dict(report.k_hypo) for _, report in pairs]
+    lower_margins = [report.joint_min_eig for _, report in pairs]
+    for k, level in levels.items():
+        verdicts = k_hyponormal_verdicts([W for W, _ in pairs], k, level, tol)
+        for i, v in enumerate(verdicts):
+            if (v.is_psd and not k_maps[i][k - 1] and v.min_eigenvalue > 0
+                    and lower_margins[i] < -100 * tol):
                 raise InternalConsistencyError(
                     f"hyponormality hierarchy inverted between k={k - 1} and k={k}"
                 )
-            k_map[k] = v.is_psd
-            lower_margin = v.min_eigenvalue
-        out.append(dataclasses.replace(report, k_hypo=k_map, levels={**report.levels, **levels}))
-    return out
+            k_maps[i][k] = v.is_psd
+            lower_margins[i] = v.min_eigenvalue
+    return [
+        dataclasses.replace(report, k_hypo=k_map, levels={**report.levels, **levels})
+        for (_, report), k_map in zip(pairs, k_maps)
+    ]
 
 
 def full_hypo_report(W: WeightDiagram, N: int, kmax: int = 1, tol: float = PSD_TOL) -> HypoReport:
@@ -456,7 +587,7 @@ def full_hypo_report(W: WeightDiagram, N: int, kmax: int = 1, tol: float = PSD_T
 
     Every order's block budget is checked before order 1 reads a window.
     """
-    _order_levels(N, kmax)
+    order_levels(N, kmax)
     return hypo_orders([W], joint_hyponormal_reports([W], N, tol), N, kmax, tol)[0]
 
 

@@ -31,18 +31,13 @@ from dataclasses import dataclass
 
 from .diagrams import build_prop2
 from .errors import DomainError, InternalConsistencyError
-from .positivity import hypo_orders, joint_hyponormal_reports
-from .transforms import spherical_transforms, toral_transforms
+from .positivity import STACK_POINTS, hypo_orders, joint_hyponormal_reports, order_levels
+from .transforms import aluthge_transforms
 
 # Points closer than this to a curve are skipped when comparing verdicts.
 BOUNDARY_MARGIN = 1e-6
 BISECTION_TOL = 1e-10
 DEFAULT_SCAN_LEVEL = 12
-# Most points classify_many puts in one stack.  On 40-point rows at N = 12,
-# past one classify(kmax=3) call, stacks of 5, 10, 20 and 40 points raised
-# peak RSS by about 0.13, 0.25, 0.95 and 2.5 MB.  A 4 x 10 scan ran under
-# 5% slower with 5 than with 10, which cost about 1% of its peak RSS.
-STACK_POINTS = 5
 
 
 def curve_s(y: float) -> float:
@@ -139,18 +134,22 @@ def classify_many(points, N: int = DEFAULT_SCAN_LEVEL, kmax: int = 1) -> list:
     Off the curves by at least BOUNDARY_MARGIN, closed-form and numerical
     flags must agree, and a mismatch raises InternalConsistencyError.
 
-    Points go through in stacks of at most STACK_POINTS consecutive ones:
-    per stack the transforms, their checks, one joint_hyponormal_reports
-    call over the 3 diagrams of each point and one hypo_orders call (the
-    order-k route of full_hypo_report) over the corner diagrams each run
-    once.  Every slice of a stack gets exactly the arithmetic it would get
-    alone, so the reports equal those of one-point calls bit for bit.  Of
-    several failing points, the first of the first failing stage raises.
+    Every order's block budget is checked before any stack runs.  Points
+    go through in stacks of at most STACK_POINTS consecutive ones: per
+    stack one read of the parent windows serves both transforms and their
+    checks, one joint_hyponormal_reports call covers the 3 diagrams of
+    each point, and one hypo_orders call (the order-k route of
+    full_hypo_report) runs each order 2..kmax as one stacked kernel call
+    over the corner diagrams.  Every slice of a stack gets exactly the
+    arithmetic it would get alone, so the reports equal those of one-point
+    calls bit for bit.  Of several failing points, the first of the first
+    failing stage raises.
     """
     points = [(x, y) for x, y in points]
     for x, y in points:
         if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
             raise DomainError(f"require (x, y) in the open unit square, got ({x}, {y})")
+    order_levels(N, kmax)
     out = []
     for i in range(0, len(points), STACK_POINTS):
         out += _classify_stack(points[i : i + STACK_POINTS], N, kmax)
@@ -160,11 +159,9 @@ def classify_many(points, N: int = DEFAULT_SCAN_LEVEL, kmax: int = 1) -> list:
 def _classify_stack(points: list, N: int, kmax: int) -> list:
     curves = [thresholds(y) for _, y in points]
     diagrams = [build_prop2(x, y) for x, y in points]
-    window = N + 2
-    torals = [res.diagram for res in toral_transforms(diagrams, window=window)]
-    sphericals = spherical_transforms(diagrams, window=window)
+    torals, sphericals = aluthge_transforms(diagrams, window=N + 2)
     # each point's diagram and its two transforms, point after point
-    stack = [d for trio in zip(diagrams, torals, sphericals) for d in trio]
+    stack = [d for trio in zip(diagrams, (t.diagram for t in torals), sphericals) for d in trio]
     reports = joint_hyponormal_reports(stack, N)
     corners = hypo_orders(diagrams, reports[0::3], N, kmax)
 

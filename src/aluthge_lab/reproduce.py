@@ -29,6 +29,7 @@ from .positivity import (
     componentwise_hyponormal,
     joint_hyponormal,
     k_hyponormal,
+    k_hyponormal_verdicts,
     one_var_k_hyponormal,
 )
 from .regions import classify, classify_many, crossing_q, probe_ladder
@@ -157,7 +158,7 @@ def subnormal_khypo(seed: int = DEFAULT_SEED) -> CheckResult:
         diagrams.append(build_prop2(x, y))
     rows = []
     for k in (1, 2, 3):
-        bad = sum(not k_hyponormal(W, k, 14) for W in diagrams)
+        bad = sum(not v.is_psd for v in k_hyponormal_verdicts(diagrams, k, 14))
         rows.append(
             Row(f"k = {k} holds on 20 samples below s", bad == 0, float(bad),
                 f"{20 - bad}/20")
@@ -345,7 +346,7 @@ def completion_khypo_qt(seed: int = DEFAULT_SEED) -> CheckResult:
     completions, _ = _routes_fixture(seed)
     rows = []
     for k in (1, 2, 3):
-        bad = sum(not k_hyponormal(W, k, 14) for W in completions)
+        bad = sum(not v.is_psd for v in k_hyponormal_verdicts(completions, k, 14))
         rows.append(Row(f"k = {k} on all 25 completions", bad == 0, float(bad),
                         f"{25 - bad}/25"))
     worst_qt = max(qt_power_identity_check(W, nmax=5, N=6) for W in completions)

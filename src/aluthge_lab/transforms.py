@@ -26,7 +26,8 @@ run the rule, the validation and every residual once over their windows
 stacked on a leading axis; each output starts with its slice of the
 stacked result as its cached window, exactly what its own window
 function computes.  toral_transform and spherical_transform are the
-one-diagram cases.
+one-diagram cases, and aluthge_transforms runs both transforms of a
+stack from one read of its windows.
 """
 
 from __future__ import annotations
@@ -170,7 +171,11 @@ def toral_transforms(
     diagrams = list(diagrams)
     if not diagrams:
         return []
-    A, B, scales = _parent_windows(diagrams, window)
+    return _toral_stack(diagrams, *_parent_windows(diagrams, window), tol)
+
+
+def _toral_stack(diagrams: list, A: np.ndarray, B: np.ndarray, scales: list, tol: float) -> list:
+    """toral_transforms of diagrams, given their _parent_windows."""
     conds = _toral_condition_residuals(A, B)
     candidates, directs = _derived_stack(diagrams, "toral", _toral_rule, A, B)
 
@@ -216,7 +221,11 @@ def spherical_transforms(diagrams, *, window: int = DEFAULT_WINDOW) -> list:
     diagrams = list(diagrams)
     if not diagrams:
         return []
-    A, B, scales = _parent_windows(diagrams, window)
+    return _spherical_stack(diagrams, *_parent_windows(diagrams, window))
+
+
+def _spherical_stack(diagrams: list, A: np.ndarray, B: np.ndarray, scales: list) -> list:
+    """spherical_transforms of diagrams, given their _parent_windows."""
     outs, residuals = _derived_stack(diagrams, "spherical", _spherical_rule, A, B)
     for (resid, witness), scale in zip(residuals, scales):
         if resid > 100 * COMMUTATIVITY_TOL * scale:
@@ -230,6 +239,21 @@ def spherical_transforms(diagrams, *, window: int = DEFAULT_WINDOW) -> list:
 def spherical_transform(W: WeightDiagram, *, window: int = DEFAULT_WINDOW) -> WeightDiagram:
     """spherical_transforms of one diagram."""
     return spherical_transforms([W], window=window)[0]
+
+
+def aluthge_transforms(diagrams, *, window: int = DEFAULT_WINDOW) -> tuple:
+    """(toral_transforms, spherical_transforms) of the same diagrams.
+
+    The parents' windows are read, validated and scaled once for both;
+    every output equals that of the separate calls, and the toral stages
+    raise before the spherical ones.
+    """
+    diagrams = list(diagrams)
+    if not diagrams:
+        return [], []
+    parents = _parent_windows(diagrams, window)
+    return (_toral_stack(diagrams, *parents, COMMUTATIVITY_TOL),
+            _spherical_stack(diagrams, *parents))
 
 
 @dataclass(frozen=True)

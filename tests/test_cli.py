@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aluthge_lab import cli, positivity
+from aluthge_lab import cli, positivity, reproduce
 from aluthge_lab.cli import main
 from aluthge_lab.diagrams import build_prop2
 from aluthge_lab.sampling import bump_gamma
@@ -357,10 +357,11 @@ def test_order_k_blocks_refused_exit_2(capsys, big_weights_file, prop2_file, arg
 
 
 def test_hierarchy_inversion_exits_3(capsys, monkeypatch):
-    def psd_order_two(W, k, N, tol=1e-10):
-        return positivity.PsdVerdict(is_psd=True, min_eigenvalue=1.0, tol=tol, dim=1)
+    def psd_order_two(diagrams, k, N, tol=1e-10):
+        return [positivity.PsdVerdict(is_psd=True, min_eigenvalue=1.0, tol=tol, dim=1)
+                for _ in diagrams]
 
-    monkeypatch.setattr(positivity, "k_hyponormal_verdict", psd_order_two)
+    monkeypatch.setattr(positivity, "k_hyponormal_verdicts", psd_order_two)
     code = main(["regions", "classify", "--x", "0.95", "--y", "0.6", "--kmax", "2"])
     captured = capsys.readouterr()
     assert code == 3
@@ -504,3 +505,18 @@ def test_output_matches_golden_json(capsys, tmp_path, prop2_file, argv, name):
     argv = [{"PASS": prop2_file, "FAIL": str(failing)}.get(a, a) for a in argv]
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# golden tables: the two reproduce loops over k_hyponormal_verdicts, at seeds
+# other than the one pinned under bench/golden
+
+
+@pytest.mark.parametrize("seed", [1, 3, 11])
+@pytest.mark.parametrize(
+    "target, check",
+    [("prop2", reproduce.subnormal_khypo), ("quasinormal2", reproduce.completion_khypo_qt)],
+)
+def test_order_k_tables_match_golden_text(target, check, seed):
+    golden = GOLDEN / f"reproduce-{target}-{check.__name__}-seed{seed}.txt"
+    assert check(seed).table() + "\n" == golden.read_text(encoding="utf-8")

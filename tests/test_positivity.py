@@ -1,6 +1,7 @@
 """Positivity tests against operator-level oracles and closed-form regions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,19 +16,22 @@ from aluthge_lab import (
     build_prop2,
     build_theta,
     classify,
+    classify_many,
     componentwise_hyponormal,
     full_hypo_report,
+    hypo_orders,
     joint_hyponormal,
     joint_hyponormal_reports,
     k_hyponormal,
     k_hyponormal_verdict,
+    k_hyponormal_verdicts,
     moments,
     one_var_k_hyponormal,
     psd_check,
     six_point_test,
 )
 from aluthge_lab import diagrams, positivity
-from aluthge_lab.diagrams import WeightDiagram
+from aluthge_lab.diagrams import WeightDiagram, build_table, stacked_windows
 from aluthge_lab.measures import quasinormal_completion, stampfli
 from aluthge_lab.sampling import (
     random_commuting_table,
@@ -367,20 +371,139 @@ def test_block_eigs_equal_all_lapack_oracle_on_random_tables(seed, k):
     _matches_lapack_oracle(random_commuting_table(np.random.default_rng(seed)), k, 2 * k + 2)
 
 
-def test_only_coupled_blocks_are_eigensolved(monkeypatch):
-    # classify(0.72, 0.4, N=12, kmax=3) assembles 3 x 121 order-1 blocks
-    # (the diagram and its two transforms), 100 order-2 blocks at level 12
-    # and 121 order-3 blocks at level 14; most of them are diagonal
-    eigvalsh = np.linalg.eigvalsh
-    solved = []
+def _count_solves(monkeypatch):
+    """Lists of the coupled blocks per _coupled_eigs call and of the blocks per eigvalsh call."""
+    coupled_eigs, eigvalsh = positivity._coupled_eigs, np.linalg.eigvalsh
+    coupled, solved = [], []
+
+    def counting_coupled(diag, pairs):
+        coupled.append(len(diag))
+        return coupled_eigs(diag, pairs)
 
     def counting(a):
         solved.append(a.shape[0])
         return eigvalsh(a)
 
+    monkeypatch.setattr(positivity, "_coupled_eigs", counting_coupled)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return coupled, solved
+
+
+def test_only_coupled_blocks_are_eigensolved(monkeypatch):
+    # classify(0.72, 0.4, N=12, kmax=3) assembles 3 x 121 order-1 blocks
+    # (the diagram and its two transforms), 100 order-2 blocks at level 12
+    # and 121 order-3 blocks at level 14; most of them are diagonal, and
+    # at orders 2 and 3 most coupled ones repeat another byte for byte
+    coupled, solved = _count_solves(monkeypatch)
     classify(0.72, 0.4, 12, kmax=3)
-    assert solved == [3, 31, 48]
+    assert coupled == [3, 31, 48]
+    assert solved == [3, 13, 24]
+
+
+def test_a_stack_eigensolves_each_distinct_block_once(monkeypatch):
+    # 5 corner diagrams of one ladder row share most blocks: one stacked
+    # eigensolve per order, where one call per diagram and order made 11
+    # calls that solved 410 blocks
+    coupled, solved = _count_solves(monkeypatch)
+    classify_many([(x, 0.4) for x in (0.3, 0.5, 0.72, 0.75, 0.9)], 12, kmax=3)
+    assert coupled == [15, 155, 240]
+    assert solved == [15, 25, 48]
+
+
+def test_block_dedup_falls_back_to_every_block_on_a_fingerprint_collision(monkeypatch):
+    A, B = stacked_windows([build_prop2(x, 0.4) for x in (0.3, 0.5, 0.72)], 11)
+    coupled, solved = _count_solves(monkeypatch)
+    want = positivity._lattice_block_eigs(A, B, 3, 8)
+    assert solved[0] < coupled[0]
+    # every block in one group: the byte check fails and every block is solved
+    monkeypatch.setattr(positivity, "_fingerprint", lambda rows: np.zeros(len(rows), np.uint64))
+    got = positivity._lattice_block_eigs(A, B, 3, 8)
+    assert solved[1] == coupled[1] == coupled[0]
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@st.composite
+def _mixed_diagrams(draw):
+    corner = st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)).map(lambda xy: build_prop2(*xy))
+    table = st.integers(0, 10_000).map(lambda seed: random_commuting_table(np.random.default_rng(seed)))
+    return draw(st.lists(st.one_of(corner, table), min_size=1, max_size=2 * positivity.STACK_POINTS - 3))
+
+
+def _verdict_bits(v):
+    return v.is_psd, v.dim, v.tol, v.min_eigenvalue.hex()
+
+
+@settings(max_examples=20, deadline=None)
+@given(_mixed_diagrams(), st.sampled_from([2, 3]), st.data())
+def test_stacked_verdicts_equal_one_diagram_verdicts(diagrams, k, data):
+    N = data.draw(st.integers(max(10, 4 * k + 2), 16))
+    got = k_hyponormal_verdicts(diagrams, k, N)
+    assert [_verdict_bits(v) for v in got] == [
+        _verdict_bits(k_hyponormal_verdict(W, k, N)) for W in diagrams
+    ]
+
+
+def test_a_stack_of_order_3_blocks_holds_less_than_two_full_block_arrays():
+    # two (stack, nu, nu, m, m) float arrays of order 3 at level 14: 2 x 5 x 121 x 81 x 8 bytes
+    diagrams = [build_prop2(x, 0.4) for x in (0.3, 0.5, 0.72, 0.75, 0.9)]
+    reports = joint_hyponormal_reports(diagrams, 12)
+    hypo_orders(diagrams, reports, 12, 3)  # block plans and weight windows
+    tracemalloc.start()
+    try:
+        hypo_orders(diagrams, reports, 12, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 5 * 121 * 81 * 8
+
+
+def test_block_budget_bounds_one_kernel_call(monkeypatch):
+    diagrams = _stack_diagrams()[:7]
+    joint = joint_hyponormal_reports(diagrams, 8)
+    orders = k_hyponormal_verdicts(diagrams, 2, 10)
+    kernel, calls = positivity._lattice_block_eigs, []
+
+    def counting(A, B, k, size):
+        calls.append(len(A))
+        return kernel(A, B, k, size)
+
+    monkeypatch.setattr(positivity, "_lattice_block_eigs", counting)
+    # order 1 at N = 8 takes 4 x 7^2 = 196 floats per diagram, order 2 at
+    # level 10 takes 5^2 x 8^2 = 1600
+    monkeypatch.setattr(positivity, "MAX_BLOCK_FLOATS", 3 * 196)
+    for a, b in zip(joint_hyponormal_reports(diagrams, 8), joint):
+        _same_report(a, b)
+    assert calls == [3, 3, 1]
+    calls.clear()
+    monkeypatch.setattr(positivity, "MAX_BLOCK_FLOATS", 2 * 1600)
+    assert k_hyponormal_verdicts(diagrams, 2, 10) == orders
+    assert calls == [2, 2, 2, 1]
+
+
+def test_stacks_over_the_budget_refused_before_any_window(monkeypatch):
+    def window(n1, n2):
+        raise AssertionError(f"window ({n1}, {n2}) read before the budget check")
+
+    traps = [WeightDiagram(kind="table", params={}, _window=window) for _ in range(3)]
+    monkeypatch.setattr(positivity, "MAX_BLOCK_FLOATS", 195)
+    with pytest.raises(DomainError, match="budget"):
+        joint_hyponormal_reports(traps, 8)
+    monkeypatch.setattr(positivity, "MAX_BLOCK_FLOATS", 1599)
+    with pytest.raises(DomainError, match="budget"):
+        k_hyponormal_verdicts(traps, 2, 10)
+
+
+def test_overflow_names_the_first_overflowing_diagram_of_a_stack():
+    def flat(w):
+        return build_table([[w, w], [w, w]], [[w, w], [w, w]])
+
+    fine, huge, huger = flat(1.0), flat(1e100), flat(1e150)
+    with pytest.raises(DomainError) as alone:
+        k_hyponormal_verdict(huge, 2, 10)
+    assert "weights up to 1.000e+100" in str(alone.value)
+    with pytest.raises(DomainError) as stacked:
+        k_hyponormal_verdicts([fine, huge, huger], 2, 10)
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_block_plan_is_read_only():
@@ -495,10 +618,11 @@ def test_full_report_witness_on_failure():
 
 def test_hierarchy_inversion_raises_on_every_route(monkeypatch):
     # order 2 made PSD with a positive minimum where order 1 fails decisively
-    def psd_order_two(W, k, N, tol=PSD_TOL):
-        return positivity.PsdVerdict(is_psd=True, min_eigenvalue=1.0, tol=tol, dim=1)
+    def psd_order_two(diagrams, k, N, tol=PSD_TOL):
+        return [positivity.PsdVerdict(is_psd=True, min_eigenvalue=1.0, tol=tol, dim=1)
+                for _ in diagrams]
 
-    monkeypatch.setattr(positivity, "k_hyponormal_verdict", psd_order_two)
+    monkeypatch.setattr(positivity, "k_hyponormal_verdicts", psd_order_two)
     W = build_prop2(0.95, 0.6)
     assert joint_hyponormal(W, 10)[1].joint_min_eig < -100 * PSD_TOL
     with pytest.raises(InternalConsistencyError, match="between k=1 and k=2"):

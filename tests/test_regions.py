@@ -22,7 +22,7 @@ from aluthge_lab import (
     thresholds,
     toral_transforms,
 )
-from aluthge_lab import regions, reproduce
+from aluthge_lab import positivity, regions, reproduce, transforms
 from aluthge_lab.regions import (
     BOUNDARY_MARGIN,
     SCAN_HEADER,
@@ -204,6 +204,50 @@ def test_classify_many_equals_one_point_calls(points, kmax):
         assert (a.x, a.y, a.curves, a.closed, a.numeric, a.k_hypo) == (
             b.x, b.y, b.curves, b.closed, b.numeric, b.k_hypo
         )
+        assert _bits(a) == _bits(b)
+
+
+def test_a_stack_reads_its_parent_windows_once(monkeypatch):
+    parent_windows, calls = transforms._parent_windows, []
+
+    def counting(diagrams, window):
+        calls.append(len(diagrams))
+        return parent_windows(diagrams, window)
+
+    monkeypatch.setattr(transforms, "_parent_windows", counting)
+    classify_many([(x, 0.5) for x in probe_ladder(0.5, STACK_POINTS + 2)], kmax=2)
+    assert calls == [STACK_POINTS, 2]
+
+
+def test_classify_many_checks_every_order_budget_before_any_window(monkeypatch):
+    def transforms_first(*args, **kwargs):
+        raise AssertionError("the transforms ran before the budget check")
+
+    monkeypatch.setattr(regions, "aluthge_transforms", transforms_first)
+    # order 1 fits at N = 1449; order 2 at that level does not
+    with pytest.raises(DomainError, match="order-2 blocks"):
+        classify_many([(0.5, 0.5)], N=1449, kmax=3)
+    with pytest.raises(DomainError, match="order-1 blocks"):
+        classify_many([(0.5, 0.5)], N=1460)
+
+
+def test_classify_many_splits_stacks_over_the_block_budget(monkeypatch):
+    points = [(x, 0.4) for x in probe_ladder(0.4, STACK_POINTS)]
+    want = classify_many(points, kmax=2)
+    kernel, calls = positivity._lattice_block_eigs, []
+
+    def counting(A, B, k, size):
+        calls.append((k, len(A)))
+        return kernel(A, B, k, size)
+
+    monkeypatch.setattr(positivity, "_lattice_block_eigs", counting)
+    # at N = 12 one diagram's order-2 blocks take 5^2 x 10^2 = 2500 floats,
+    # its order-1 blocks 4 x 11^2 = 484
+    monkeypatch.setattr(positivity, "MAX_BLOCK_FLOATS", 2500)
+    got = classify_many(points, kmax=2)
+    assert calls == [(1, 5), (1, 5), (1, 5)] + [(2, 1)] * 5
+    for a, b in zip(got, want, strict=True):
+        assert (a.closed, a.numeric, a.k_hypo) == (b.closed, b.numeric, b.k_hypo)
         assert _bits(a) == _bits(b)
 
 

@@ -310,6 +310,23 @@ def test_stacked_transforms_equal_one_diagram_transforms(window):
             assert all(np.array_equal(a, b) for a, b in zip(kept, fresh))
 
 
+def test_both_transforms_from_one_read_equal_the_separate_stacks():
+    window = 10
+    torals, sphericals = transforms.aluthge_transforms(_commuting_oracle_diagrams(), window=window)
+    want_torals = toral_transforms(_commuting_oracle_diagrams(), window=window)
+    want_sphericals = spherical_transforms(_commuting_oracle_diagrams(), window=window)
+    for tor, sph, want_tor, want_sph in zip(
+        torals, sphericals, want_torals, want_sphericals, strict=True
+    ):
+        assert tor.commutes is want_tor.commutes
+        assert tor.condition_residual.hex() == want_tor.condition_residual.hex()
+        assert tor.direct_residual.hex() == want_tor.direct_residual.hex()
+        assert tor.direct_witness == want_tor.direct_witness
+        _assert_same_windows(tor.diagram, want_tor.diagram, window + 2)
+        _assert_same_windows(sph, want_sph, window + 2)
+    assert transforms.aluthge_transforms([]) == ([], [])
+
+
 def test_a_non_commuting_table_in_a_stack_raises_as_when_alone():
     rng = np.random.default_rng(11)
     A, B = random_commuting_table(rng).table
