@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .diagrams import commutativity_residual
+from .diagrams import COMMUTATIVITY_TOL, commutativity_residual
 from .errors import DomainError, InternalConsistencyError, NonCommutingInputError
 from .measures import (
     berger_atomic_verify,
@@ -101,12 +101,17 @@ _nonneg_int = _nonneg(int, "non-negative integer")
 _tolerance = _nonneg(float, "finite non-negative number")
 
 
+def _usage_error(prog: str, message: str) -> int:
+    """Write the one-line usage message and return the usage exit code."""
+    sys.stderr.write(f"{prog}: error: {message} (see --help)\n")
+    return 64
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage failures exit 64, not 2, with a one-line message."""
 
     def error(self, message):
-        sys.stderr.write(f"{self.prog}: error: {message} (see --help)\n")
-        raise SystemExit(64)
+        raise SystemExit(_usage_error(self.prog, message))
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +119,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_transform(args) -> int:
+    if args.kind == "spherical" and args.tol is not None:
+        # the spherical guard's cut is fixed, so a tolerance would be ignored
+        return _usage_error("aluthge-lab transform", "--tol applies only to --kind toral")
     W = _load_diagram(args.input)
     w = args.window
     source = diagram_to_obj(W)
@@ -123,7 +131,7 @@ def _cmd_transform(args) -> int:
         report = {"transform": "spherical", "window": w, "input": source,
                   "commutativity_residual": resid}
     else:
-        res = toral_transform(W, window=w, tol=args.tol)
+        res = toral_transform(W, window=w, tol=COMMUTATIVITY_TOL if args.tol is None else args.tol)
         if args.out and not res.commutes:
             raise NonCommutingInputError(
                 "refusing to write a non-commuting toral candidate "
@@ -233,7 +241,7 @@ def _cmd_regions(args) -> int:
             "k_hypo": {str(k): v for k, v in rep.k_hypo.items()},
         }, args.out)
     else:
-        lines = region_scan(args.grid, N=args.level, out=None, ladder=args.ladder)
+        lines = region_scan(args.grid, N=args.level, ladder=args.ladder)
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -284,7 +292,10 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("transform", help="apply a transform to a diagram")
     sp.add_argument("--kind", choices=("toral", "spherical"), required=True)
     sp.add_argument("--input", required=True, help="diagram JSON path")
-    common(sp, window=14, tol=1e-12)
+    sp.add_argument("--tol", type=_tolerance, default=None,
+                    help=f"cut of the toral candidate's commutativity verdict (default "
+                         f"{COMMUTATIVITY_TOL:g}); refused with --kind spherical")
+    common(sp, window=14)
     sp.set_defaults(func=_cmd_transform)
 
     sp = sub.add_parser("hypo", help="joint and componentwise hyponormality report")

@@ -192,8 +192,8 @@ class WeightDiagram:
     evaluated ones.  `_window` maps (n1, n2) to the (alpha, beta) arrays
     on [0, n1) x [0, n2).  A point value does not depend on the window it
     is read from, so the diagram caches one window, and `weight_arrays`,
-    `alpha` and `beta` read slices of it.  `_validated` holds the widest
-    (window, tol) on which validate_commuting passed.
+    `alpha` and `beta` read slices of it.  The diagram holds no other
+    state: commutativity is validated from the windows a caller has read.
     """
 
     kind: str
@@ -201,7 +201,6 @@ class WeightDiagram:
     _window: Callable[[int, int], tuple]
     table: tuple | None = None  # (alpha_rect, beta_rect) as ndarrays
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _validated: list = field(default_factory=list, repr=False, compare=False)
 
     def alpha(self, k1: int, k2: int) -> float:
         return self._point(k1, k2)[0]
@@ -278,38 +277,28 @@ def commutativity_residual(diagram: WeightDiagram, window: int):
     return commutativity_residuals(A[None], B[None])[0]
 
 
-def validate_commuting_many(diagrams, window: int, tol: float = COMMUTATIVITY_TOL) -> None:
-    """Raise NonCommutingInputError unless each residual on [0, window]^2 is <= tol.
-
-    Each diagram remembers the widest (window, tol) it passed.  The
-    residual on a sub-window can only be smaller, so a diagram already
-    validated on a window no narrower, at a tolerance no tighter, is not
-    scanned again; the rest are scanned in one stacked reduction.  The
-    first failing diagram, in input order, raises.
-    """
-
-    def covered(W):
-        passed = W._validated
-        return passed and window <= passed[0] and tol >= passed[1]
-
-    todo = [W for W in diagrams if not covered(W)]
-    if not todo:
-        return
-    for W, (resid, k) in zip(todo, commutativity_residuals(*stacked_windows(todo, window + 2))):
+def require_commuting(residuals, tol: float = COMMUTATIVITY_TOL) -> None:
+    """Raise NonCommutingInputError for the first (residual, k) of
+    commutativity_residuals that exceeds tol."""
+    for resid, k in residuals:
         if not resid <= tol:  # also fails a NaN residual
             raise NonCommutingInputError(
                 f"weights fail commutativity at k={k}: residual {resid:.3e} > {tol:.1e}",
                 witness=k,
                 residual=resid,
             )
-        passed = W._validated
-        if not passed or window >= passed[0]:
-            passed[:] = (window, tol)
 
 
 def validate_commuting(diagram: WeightDiagram, window: int, tol: float = COMMUTATIVITY_TOL):
-    """validate_commuting_many for one diagram."""
-    validate_commuting_many([diagram], window, tol)
+    """Raise NonCommutingInputError unless the residual on [0, window]^2 is <= tol."""
+    require_commuting([commutativity_residual(diagram, window)], tol)
+
+
+def max_weight_gap(d1: WeightDiagram, d2: WeightDiagram, window: int) -> float:
+    """Largest |difference| between the weights of two diagrams on [0, window]^2."""
+    A1, B1 = d1.weight_arrays(window + 1, window + 1)
+    A2, B2 = d2.weight_arrays(window + 1, window + 1)
+    return float(max(np.max(np.abs(A1 - A2)), np.max(np.abs(B1 - B2))))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .diagrams import (
     WeightDiagram,
     as_one_var_weights,
     float_powers,
+    max_weight_gap,
     moments,
     require_normal,
 )
@@ -191,9 +192,7 @@ def _sum_and_fixed_point(W: WeightDiagram, window: int, tol: float):
     S = A**2 + B**2
     C = float(S[0, 0])
     dev_c = float(np.max(np.abs(S - C)))
-    sp = spherical_transform(W, window=window)
-    A2, B2 = sp.weight_arrays(window + 1, window + 1)
-    dev_f = float(max(np.max(np.abs(A2 - A)), np.max(np.abs(B2 - B))))
+    dev_f = max_weight_gap(W, spherical_transform(W, window=window), window)
     return C, dev_c, tol * max(1.0, C), dev_f, FIXED_POINT_TOL * max(1.0, math.sqrt(C))
 
 

@@ -209,14 +209,13 @@ def probe_ladder(y: float, count: int) -> list:
 SCAN_HEADER = "y,s,h,CA,PA,x,joint_hypo,toral_hypo,spherical_hypo,khypo2,khypo3"
 
 
-def region_scan(grid: int, N: int = DEFAULT_SCAN_LEVEL, out=None, ladder: int = 20):
+def region_scan(grid: int, N: int = DEFAULT_SCAN_LEVEL, ladder: int = 20):
     """CSV scan over y_i = i/(grid+1) with a per-row ladder of x values.
 
     Each (y, x) sample runs the full classifier including orders 2 and 3,
     one ladder row per classify_many call, so memory stays bounded by one
     stack for any ladder; floats carry 12 significant digits and verdicts
-    are 1/0.  Rows come out in (y, x) order.  Returns the CSV lines;
-    writes them to `out` when given.
+    are 1/0.  Rows come out in (y, x) order.  Returns the CSV lines.
     """
     if grid < 2:
         raise DomainError("grid must be >= 2")
@@ -237,7 +236,4 @@ def region_scan(grid: int, N: int = DEFAULT_SCAN_LEVEL, out=None, ladder: int = 
             lines.append(
                 ",".join(f"{v:.12g}" for v in vals) + "," + ",".join(str(int(b)) for b in bits)
             )
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
     return lines

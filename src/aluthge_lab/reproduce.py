@@ -15,7 +15,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .diagrams import COMMUTATIVITY_TOL, build_prop2, build_theta, commutativity_residual
+from .diagrams import (
+    COMMUTATIVITY_TOL,
+    build_prop2,
+    build_theta,
+    commutativity_residual,
+    max_weight_gap,
+)
 from .errors import InternalConsistencyError
 from .measures import (
     berger_atomic_verify,
@@ -28,7 +34,6 @@ from .measures import (
 from .positivity import (
     componentwise_hyponormal,
     joint_hyponormal,
-    k_hyponormal,
     k_hyponormal_verdicts,
     one_var_k_hyponormal,
 )
@@ -43,9 +48,9 @@ from .sampling import (
     sample_below_s,
 )
 from .transforms import (
+    aluthge_transforms,
     continuity_probe,
     spherical_transform,
-    toral_transform,
     transform_distance,
 )
 
@@ -79,12 +84,6 @@ class CheckResult:
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(f"  => {verdict}")
         return "\n".join(lines)
-
-
-def _max_weight_gap(d1, d2, window: int) -> float:
-    A1, B1 = d1.weight_arrays(window + 1, window + 1)
-    A2, B2 = d2.weight_arrays(window + 1, window + 1)
-    return float(max(np.max(np.abs(A1 - A2)), np.max(np.abs(B1 - B2))))
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +178,9 @@ def table_transform_checks(seed: int = DEFAULT_SEED) -> CheckResult:
     toral_commuting = 0
     for _ in range(50):
         W = random_commuting_table(rng)
-        resid, _ = commutativity_residual(spherical_transform(W, window=window), window)
+        (res,), (sph,) = aluthge_transforms([W], window=window)
+        resid, _ = commutativity_residual(sph, window)
         worst_resid = max(worst_resid, resid)
-        res = toral_transform(W, window=window)
         cut = COMMUTATIVITY_TOL * max(1.0, W.weight_bound(window) ** 2)
         if res.commutes != (res.direct_residual <= cut):
             toral_disagreements += 1
@@ -212,15 +211,14 @@ def lift_equivalence(seed: int = DEFAULT_SEED) -> CheckResult:
     """1-variable k-hyponormality of omega == joint test of its lift."""
     rng = np.random.default_rng(seed)
     omegas = [random_nondecreasing_omega(rng) for _ in range(20)]
+    lifts = [build_theta(om) for om in omegas]
     rows = []
     for k in (1, 2, 3):
-        level = 4 * k + 4
         mismatches = 0
         holds = 0
-        for om in omegas:
+        for om, v in zip(omegas, k_hyponormal_verdicts(lifts, k, 4 * k + 4)):
             one = one_var_k_hyponormal(om, k)
-            two = k_hyponormal(build_theta(om), k, level)
-            mismatches += int(one != two)
+            mismatches += int(one != v.is_psd)
             holds += int(one)
         rows.append(
             Row(f"k = {k}: both routes agree on 20 sequences", mismatches == 0,
@@ -240,9 +238,9 @@ def lift_transform_hypo(seed: int = DEFAULT_SEED) -> CheckResult:
     for _ in range(20):
         W = build_theta(random_nondecreasing_omega(rng))
         base_hypo += int(joint_hyponormal(W, 10)[0])
-        tor = toral_transform(W, window=window).diagram
-        sph = spherical_transform(W, window=window)
-        worst_gap = max(worst_gap, _max_weight_gap(tor, sph, window))
+        (res,), (sph,) = aluthge_transforms([W], window=window)
+        tor = res.diagram
+        worst_gap = max(worst_gap, max_weight_gap(tor, sph, window))
         toral_hypo += int(joint_hyponormal(tor, 8)[0])
         spherical_hypo += int(joint_hyponormal(sph, 8)[0])
     return CheckResult(
@@ -266,17 +264,13 @@ def proportional_rows_agree(seed: int = DEFAULT_SEED) -> CheckResult:
     window = 8
     worst_family = 0.0
     for _ in range(20):
-        W = random_thm1(rng)
-        tor = toral_transform(W, window=window).diagram
-        sph = spherical_transform(W, window=window)
-        worst_family = max(worst_family, _max_weight_gap(tor, sph, window))
+        (res,), (sph,) = aluthge_transforms([random_thm1(rng)], window=window)
+        worst_family = max(worst_family, max_weight_gap(res.diagram, sph, window))
 
     min_perturbed = float("inf")
     for _ in range(20):
-        W = bumped_thm1_table(rng)
-        tor = toral_transform(W, window=window).diagram
-        sph = spherical_transform(W, window=window)
-        min_perturbed = min(min_perturbed, _max_weight_gap(tor, sph, window))
+        (res,), (sph,) = aluthge_transforms([bumped_thm1_table(rng)], window=window)
+        min_perturbed = min(min_perturbed, max_weight_gap(res.diagram, sph, window))
 
     return CheckResult(
         "transform agreement characterizes proportional rows",

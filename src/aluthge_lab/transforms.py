@@ -41,8 +41,8 @@ from .diagrams import (
     COMMUTATIVITY_TOL,
     WeightDiagram,
     commutativity_residuals,
+    require_commuting,
     stacked_windows,
-    validate_commuting_many,
     weight_scales,
 )
 from .errors import DomainError, InternalConsistencyError, WindowError
@@ -112,11 +112,12 @@ def _parent_windows(diagrams: list, window: int):
     """Stacked (window+3)^2 windows of commuting diagrams, validated on [0, window]^2,
     and each diagram's weight scale max(1, weight_bound(window)^2).
 
-    The widest window either transform reads is fetched first, so a
-    diagram computes it once and every later read is a slice.
+    The widest window either transform reads is fetched once, and the
+    validation and the scales read slices of that one stack.
     """
     A, B = stacked_windows(diagrams, window + 3)
-    validate_commuting_many(diagrams, window)
+    m = window + 2
+    require_commuting(commutativity_residuals(A[:, :m, :m], B[:, :m, :m]))
     n = window + 1
     return A, B, weight_scales(A[:, :n, :n], B[:, :n, :n])
 
@@ -140,16 +141,13 @@ def _toral_condition_residuals(A: np.ndarray, B: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class ToralResult:
-    """Toral candidate plus verdict; unpacks as (diagram, commutes)."""
+    """Toral candidate plus verdict."""
 
     diagram: WeightDiagram
     commutes: bool
     condition_residual: float
     direct_residual: float
     direct_witness: tuple
-
-    def __iter__(self):
-        return iter((self.diagram, self.commutes))
 
 
 def toral_transforms(
@@ -367,19 +365,17 @@ def continuity_probe(W: WeightDiagram, N: int, n: int) -> ContinuityProbe:
 def transform_distance(W: WeightDiagram, Wp: WeightDiagram, which: str, N: int) -> float:
     """Operator-norm distance between the selected transforms of two diagrams.
 
-    which = "toral" or "spherical".  Both transforms are taken at a window
-    wide enough for the truncation; toral candidates are used as returned,
-    commuting or not.  The distance is max_i ||T_i - T_i'|| on level N;
-    T_i - T_i' is a weighted shift, so its norm is the largest difference
-    of truncated weights.
+    which = "toral" or "spherical".  Both diagrams are transformed in one
+    stack at a window wide enough for the truncation; toral candidates are
+    used as returned, commuting or not.  The distance is max_i ||T_i - T_i'||
+    on level N; T_i - T_i' is a weighted shift, so its norm is the largest
+    difference of truncated weights.
     """
     window = max(DEFAULT_WINDOW, N + 2)
     if which == "toral":
-        d1 = toral_transform(W, window=window).diagram
-        d2 = toral_transform(Wp, window=window).diagram
+        d1, d2 = (r.diagram for r in toral_transforms([W, Wp], window=window))
     elif which == "spherical":
-        d1 = spherical_transform(W, window=window)
-        d2 = spherical_transform(Wp, window=window)
+        d1, d2 = spherical_transforms([W, Wp], window=window)
     else:
         raise DomainError(f"unknown transform {which!r}")
     _, _, T1, T2 = _level_weights(d1, N)

@@ -12,7 +12,7 @@ from aluthge_lab import cli, positivity, reproduce
 from aluthge_lab.cli import main
 from aluthge_lab.diagrams import build_prop2
 from aluthge_lab.sampling import bump_gamma
-from aluthge_lab import diagram_to_obj, dumps
+from aluthge_lab import diagram_to_obj, dumps, region_scan
 
 
 @pytest.fixture
@@ -199,6 +199,14 @@ def test_regions_scan_csv(capsys):
     assert all(line.count(",") == lines[0].count(",") for line in lines)
 
 
+def test_regions_scan_out_file_round_trips(capsys, tmp_path):
+    out = tmp_path / "scan.csv"
+    argv = ["regions", "scan", "--grid", "3", "--ladder", "4", "-N", "8", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8").splitlines() == region_scan(3, N=8, ladder=4)
+
+
 def test_probe_continuity_report(capsys, prop2_file):
     obj = run_json(capsys, ["probe-continuity", "--input", prop2_file, "--n", "100", "-N", "6"])
     assert obj["N"] == 6 and obj["n"] == 100
@@ -303,6 +311,19 @@ def test_bad_tolerance_exits_64(capsys, argv, value):
     assert len(captured.err.strip().splitlines()) == 1
     assert "--tol" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value", ["1e-12", "1e-6"])
+def test_spherical_transform_refuses_a_tolerance(capsys, prop2_file, value):
+    # the spherical guard's cut is fixed: an explicit --tol, even the
+    # toral default, is a usage error rather than silently ignored
+    argv = ["transform", "--input", prop2_file, "--tol", value]
+    assert main([*argv, "--kind", "spherical"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "--tol" in captured.err and "toral" in captured.err
+    assert main([*argv, "--kind", "toral"]) == 0
 
 
 def test_non_finite_atom_mass_exits_2(tmp_path, capsys, prop2_file):
@@ -508,14 +529,22 @@ def test_output_matches_golden_json(capsys, tmp_path, prop2_file, argv, name):
 
 
 # ---------------------------------------------------------------------------
-# golden tables: the two reproduce loops over k_hyponormal_verdicts, at seeds
-# other than the one pinned under bench/golden
+# golden tables: the reproduce loops over k_hyponormal_verdicts and the runners
+# that take both transforms of a diagram, at seeds other than the one pinned
+# under bench/golden
 
 
 @pytest.mark.parametrize("seed", [1, 3, 11])
 @pytest.mark.parametrize(
     "target, check",
-    [("prop2", reproduce.subnormal_khypo), ("quasinormal2", reproduce.completion_khypo_qt)],
+    [
+        ("prop2", reproduce.subnormal_khypo),
+        ("quasinormal2", reproduce.completion_khypo_qt),
+        ("prop1", reproduce.table_transform_checks),
+        ("propscaling2", reproduce.lift_equivalence),
+        ("prehypo", reproduce.lift_transform_hypo),
+        ("thm1", reproduce.proportional_rows_agree),
+    ],
 )
 def test_order_k_tables_match_golden_text(target, check, seed):
     golden = GOLDEN / f"reproduce-{target}-{check.__name__}-seed{seed}.txt"

@@ -384,30 +384,3 @@ def test_classify_validates_the_corner_diagram_once(monkeypatch):
     classify(0.72, 0.4)
     # the corner diagram once, then each transform's output once
     assert len(calls) == 3
-
-
-def test_validation_memo_answers_only_covered_requests(monkeypatch):
-    # a lift whose beta is bumped at (8, 1): commutativity fails from (7, 1) on
-    lift = build_theta(OneVarWeights(values=(0.5, 0.7, 1.0)))
-
-    def window(n1, n2):
-        A, B = lift.weight_arrays(n1, n2)
-        B = B.copy()
-        B[8:9, 1:2] *= 1.3
-        return A, B
-
-    W = WeightDiagram(kind="derived", params={}, _window=window)
-    calls = _count_residual_scans(monkeypatch)
-    validate_commuting(W, 6)
-    validate_commuting(W, 5)
-    validate_commuting(W, 6, tol=1e-6)
-    assert calls == [6]
-    validate_commuting(W, 6, tol=1e-15)  # tighter: scanned again
-    assert calls == [6, 6]
-    for _ in range(2):  # a wider window is scanned, and a failure is not remembered
-        with pytest.raises(NonCommutingInputError):
-            validate_commuting(W, 7)
-    assert calls == [6, 6, 7, 7]
-    validate_commuting(W, 4)
-    assert len(calls) == 4
-

@@ -27,7 +27,7 @@ from aluthge_lab import (
     toral_transforms,
     transform_distance,
 )
-from aluthge_lab import transforms
+from aluthge_lab import diagrams, transforms
 from aluthge_lab.diagrams import OneVarWeights
 from aluthge_lab.sampling import bump_gamma, random_commuting_table
 
@@ -325,6 +325,34 @@ def test_both_transforms_from_one_read_equal_the_separate_stacks():
         _assert_same_windows(tor.diagram, want_tor.diagram, window + 2)
         _assert_same_windows(sph, want_sph, window + 2)
     assert transforms.aluthge_transforms([]) == ([], [])
+
+
+def _count_stack_reads(monkeypatch):
+    """Sizes of the stacks read through diagrams.stacked_windows, by any module."""
+    calls = []
+    original = diagrams.stacked_windows
+
+    def counting(stack, n):
+        calls.append(len(stack))
+        return original(stack, n)
+
+    monkeypatch.setattr(diagrams, "stacked_windows", counting)
+    monkeypatch.setattr(transforms, "stacked_windows", counting)
+    return calls
+
+
+def test_a_stack_is_validated_from_the_windows_it_read(monkeypatch):
+    fresh = _commuting_oracle_diagrams()
+    calls = _count_stack_reads(monkeypatch)
+    transforms.aluthge_transforms(fresh, window=8)
+    assert calls == [len(fresh)]
+
+
+@pytest.mark.parametrize("which", ["toral", "spherical"])
+def test_transform_distance_transforms_both_diagrams_in_one_stack(monkeypatch, which):
+    calls = _count_stack_reads(monkeypatch)
+    transform_distance(build_prop2(0.5, 0.5), build_prop2(0.51, 0.5), which, N=10)
+    assert calls == [2]
 
 
 def test_a_non_commuting_table_in_a_stack_raises_as_when_alone():
