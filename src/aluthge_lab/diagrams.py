@@ -48,9 +48,9 @@ def _check_positive_finite(values, what):
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise InvalidWeightsError(f"{what} must be non-empty")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise InvalidWeightsError(f"{what} must be positive and finite")
-    if np.any(arr > MAX_WEIGHT):
+    if not (arr.min() > 0.0 and arr.max() <= MAX_WEIGHT):  # also fails a NaN
+        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+            raise InvalidWeightsError(f"{what} must be positive and finite")
         raise InvalidWeightsError(f"{what} must not exceed {MAX_WEIGHT:.3e}")
 
 
@@ -237,16 +237,12 @@ class WeightDiagram:
         self._cache[key] = (A, B)
         return A[:n1, :n2], B[:n1, :n2]
 
-    def weight_bound(self, window: int = 14) -> float:
-        """sup of all weights over the evaluation window [0, window]^2."""
-        A, B = self.weight_arrays(window + 1, window + 1)
-        return float(max(A.max(), B.max()))
-
 
 def stacked_windows(diagrams, n: int):
-    """(alpha, beta) of each diagram on [0, n)^2, stacked on a leading axis."""
+    """(alpha, beta) of each diagram on [0, n)^2, stacked on a leading axis, even of length 0."""
     pairs = [W.weight_arrays(n, n) for W in diagrams]
-    return np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
+    return (np.array([a for a, _ in pairs]).reshape(len(pairs), n, n),
+            np.array([b for _, b in pairs]).reshape(len(pairs), n, n))
 
 
 def weight_scales(A: np.ndarray, B: np.ndarray) -> list:
@@ -264,11 +260,10 @@ def commutativity_residuals(A: np.ndarray, B: np.ndarray) -> list:
     lattice point.
     """
     R = np.abs(A[:, :-1, :-1] * B[:, 1:, :-1] - B[:, :-1, :-1] * A[:, :-1, 1:])
-    R = R.reshape(len(R), -1)
-    return [
-        (r, divmod(i, A.shape[2] - 1))
-        for r, i in zip(R.max(axis=1).tolist(), R.argmax(axis=1).tolist())
-    ]
+    R = R.reshape(len(R), (A.shape[1] - 1) * (A.shape[2] - 1))  # also for no diagrams
+    at = R.argmax(axis=1)  # the first NaN, if any, as max would report NaN
+    worst = R[np.arange(len(R)), at].tolist()
+    return [(r, divmod(i, A.shape[2] - 1)) for r, i in zip(worst, at.tolist())]
 
 
 def commutativity_residual(diagram: WeightDiagram, window: int):

@@ -25,6 +25,7 @@ from .diagrams import (
     max_weight_gap,
     moments,
     require_normal,
+    stacked_windows,
 )
 from .errors import (
     DomainError,
@@ -32,7 +33,7 @@ from .errors import (
     InternalConsistencyError,
     WindowError,
 )
-from .transforms import spherical_transform
+from .transforms import spherical_transforms
 
 # Constant-row deviation allowed when detecting spherical quasinormality.
 QUASINORMAL_TOL = 1e-12
@@ -181,19 +182,21 @@ def quasinormal_completion(W0, C: float) -> WeightDiagram:
 # detection
 
 
-def _sum_and_fixed_point(W: WeightDiagram, window: int, tol: float):
-    """Constant-sum and fixed-point deviations, each with its cutoff.
-
-    Returns (C, dev_c, cut_c, dev_f, cut_f) with C = alpha_0^2 + beta_0^2,
-    dev_c the worst |alpha_k^2 + beta_k^2 - C| and dev_f the worst weight
-    change under the spherical transform, both over [0, window]^2.
+def _sums_and_fixed_points(diagrams: list, window: int, tol: float) -> list:
+    """(C, dev_c, cut_c, dev_f, cut_f) of each diagram: C = alpha_0^2 + beta_0^2,
+    the worst |alpha_k^2 + beta_k^2 - C| and the worst weight change under
+    the spherical transform, both over [0, window]^2, each with its cutoff.
     """
-    A, B = W.weight_arrays(window + 1, window + 1)
+    A, B = stacked_windows(diagrams, window + 1)
     S = A**2 + B**2
-    C = float(S[0, 0])
-    dev_c = float(np.max(np.abs(S - C)))
-    dev_f = max_weight_gap(W, spherical_transform(W, window=window), window)
-    return C, dev_c, tol * max(1.0, C), dev_f, FIXED_POINT_TOL * max(1.0, math.sqrt(C))
+    Cs = S[:, :1, :1]
+    devs = np.abs(S - Cs).max(axis=(1, 2)).tolist()
+    sphericals = spherical_transforms(diagrams, window=window)
+    return [
+        (C, dev_c, tol * max(1.0, C), max_weight_gap(W, sph, window),
+         FIXED_POINT_TOL * max(1.0, math.sqrt(C)))
+        for W, sph, C, dev_c in zip(diagrams, sphericals, Cs.ravel().tolist(), devs)
+    ]
 
 
 def is_spherically_quasinormal(
@@ -207,7 +210,7 @@ def is_spherically_quasinormal(
     decisive disagreement raises InternalConsistencyError; boundary-thin
     cases resolve by the constant-row scan.
     """
-    C, dev_c, cut_c, dev_f, cut_f = _sum_and_fixed_point(W, window, tol)
+    C, dev_c, cut_c, dev_f, cut_f = _sums_and_fixed_points([W], window, tol)[0]
     flag = dev_c <= cut_c
     if flag != (dev_f <= cut_f):
         if (flag and dev_f > 1e3 * cut_f) or (not flag and dev_c > 1e3 * cut_c and dev_f <= cut_f):
@@ -216,6 +219,18 @@ def is_spherically_quasinormal(
                 f"{dev_c:.3e}, fixed-point deviation {dev_f:.3e}"
             )
     return (True, C) if flag else (False, None)
+
+
+def _constant_interiors(diagrams: list, N: int, tol: float) -> list:
+    """constant_interior_p2 of each diagram, from their windows stacked."""
+    if N < 1:
+        raise WindowError("need N >= 1 for an interior")
+    A, B = stacked_windows(diagrams, N)
+    vals = A**2 + B**2
+    Cs = vals[:, :1, :1]
+    devs = np.abs(vals - Cs).max(axis=(1, 2)).tolist()
+    return [(True, C) if dev <= tol * max(1.0, C) else (False, None)
+            for C, dev in zip(Cs.ravel().tolist(), devs)]
 
 
 def constant_interior_p2(W: WeightDiagram, N: int, tol: float = QUASINORMAL_TOL):
@@ -227,33 +242,32 @@ def constant_interior_p2(W: WeightDiagram, N: int, tol: float = QUASINORMAL_TOL)
     diagonal for a shift, so the diagonal is read from the weights on the
     interior [0, N)^2.
     """
-    if N < 1:
-        raise WindowError("need N >= 1 for an interior")
-    A, B = W.weight_arrays(N, N)
-    vals = A**2 + B**2
-    C = float(vals[0, 0])
-    flag = bool(np.max(np.abs(vals - C)) <= tol * max(1.0, C))
-    return (True, C) if flag else (False, None)
+    return _constant_interiors([W], N, tol)[0]
 
 
-def quasinormality_routes(W: WeightDiagram, window: int, N: int, tol: float = QUASINORMAL_TOL) -> dict:
-    """Raw flags from the three quasinormality detections, no reconciliation.
+def quasinormality_routes_many(diagrams, window: int, N: int,
+                               tol: float = QUASINORMAL_TOL) -> list:
+    """Raw flags from the three quasinormality detections, per diagram, no reconciliation.
 
     constant_sum scans alpha_k^2 + beta_k^2 on the window; fixed_point
     compares the weights against their spherical transform; and
-    interior_diagonal reads the compressed diagonal of T1*T1 + T2*T2.
-    The three are equivalent for genuine diagrams, which the property
-    suites assert by comparing these flags pairwise.
+    interior_diagonal reads the compressed diagonal of T1*T1 + T2*T2,
+    each route over all the diagrams as one stack.  The three are
+    equivalent for genuine diagrams, which the property suites assert by
+    comparing these flags pairwise.
     """
-    C, dev_c, cut_c, dev_f, cut_f = _sum_and_fixed_point(W, window, tol)
-    constant_sum = dev_c <= cut_c
-    interior, _ = constant_interior_p2(W, N, tol)
-    return {
-        "constant_sum": constant_sum,
-        "fixed_point": dev_f <= cut_f,
-        "interior_diagonal": interior,
-        "constant": C if constant_sum else None,
-    }
+    diagrams = list(diagrams)
+    return [
+        {"constant_sum": dev_c <= cut_c, "fixed_point": dev_f <= cut_f,
+         "interior_diagonal": interior, "constant": C if dev_c <= cut_c else None}
+        for (C, dev_c, cut_c, dev_f, cut_f), (interior, _) in zip(
+            _sums_and_fixed_points(diagrams, window, tol), _constant_interiors(diagrams, N, tol))
+    ]
+
+
+def quasinormality_routes(W: WeightDiagram, window: int, N: int, tol: float = QUASINORMAL_TOL) -> dict:
+    """quasinormality_routes_many of one diagram."""
+    return quasinormality_routes_many([W], window, N, tol)[0]
 
 
 def is_spherical_isometry(W: WeightDiagram, window: int, tol: float = QUASINORMAL_TOL) -> bool:
@@ -335,31 +349,32 @@ def berger_atomic_verify(W: WeightDiagram, mu: AtomicMeasure2D, maxdeg: int) -> 
 # Q_T power identity
 
 
-def qt_power_identity_check(W: WeightDiagram, nmax: int, N: int) -> float:
-    """max_{n <= nmax} || Q^n(I) - (Q(I))^n ||_max over [0, N]^2.
+def qt_power_identity_checks(diagrams, nmax: int, N: int) -> list:
+    """max_{n <= nmax} || Q^n(I) - (Q(I))^n ||_max over [0, N]^2, per diagram.
 
     Q(X) = T1* X T1 + T2* X T2 maps diagonals to diagonals with
     (Q(diag x))_k = alpha_k^2 x_{k+e1} + beta_k^2 x_{k+e2}.  Each iterate
     consumes one lattice margin, so weights are read on a window enlarged
-    by nmax and every reported value is exact for the full operators
-    (no truncation boundary effects).  Zero for spherically quasinormal
-    diagrams, where both sides are C^n I.
+    by nmax, each iterate is kept where it is exact, and every reported
+    value is exact for the full operators (no truncation boundary effects).
+    Zero for spherically quasinormal diagrams, where both sides are C^n I.
     """
     if nmax < 0:
         raise WindowError("nmax must be nonnegative")
-    m = N + nmax + 1
-    A, B = W.weight_arrays(m + 1, m + 1)
+    A, B = stacked_windows(diagrams, N + nmax + 2)
     A2, B2 = A**2, B**2
-    cur = np.ones((m + 1, m + 1))
-    first_power = None
-    worst = 0.0
+    cur = np.ones(A.shape)
+    worst = np.zeros(len(A))
     for n in range(1, nmax + 1):
-        shifted_up = np.vstack([cur[1:, :], np.zeros((1, m + 1))])
-        shifted_right = np.hstack([cur[:, 1:], np.zeros((m + 1, 1))])
-        cur = A2 * shifted_up + B2 * shifted_right
-        window = cur[: N + 1, : N + 1]
-        if first_power is None:
-            first_power = window.copy()
-            continue
-        worst = max(worst, float(np.max(np.abs(window - first_power**n))))
-    return worst
+        cur = A2[:, :-n, :-n] * cur[:, 1:, :-1] + B2[:, :-n, :-n] * cur[:, :-1, 1:]
+        window = cur[:, : N + 1, : N + 1]
+        if n == 1:
+            first_power = window  # cur is rebound, never written
+        else:  # fmax skips NaN, as a running Python max(worst, gap) does
+            worst = np.fmax(worst, np.abs(window - first_power**n).max(axis=(1, 2)))
+    return worst.tolist()
+
+
+def qt_power_identity_check(W: WeightDiagram, nmax: int, N: int) -> float:
+    """qt_power_identity_checks of one diagram."""
+    return qt_power_identity_checks([W], nmax, N)[0]

@@ -23,16 +23,10 @@ order-k matrix is evaluated here: one window of weights, no dense
 operator.  Each path norm ||T^p e_w|| is the one of p - e1 (of p - e2
 when p1 = 0) times one weight, so T2 steps come first.  Most blocks are
 diagonal, and a diagonal block's spectrum is its diagonal; only the
-coupled blocks, those with a nonzero off-diagonal entry, go to one
-stacked eigensolve.  Their eigenvalues come back ascending, a diagonal
-block's in row order.  Each block is assembled as its diagonal and its
-strict upper triangle, and a full matrix is built only for a coupled
-block.  At orders k >= 2 the weights of a diagram are mostly flat, so
-many coupled blocks repeat byte for byte, within a diagram and across a
-stack: each distinct one is eigensolved once and its spectrum copied to
-the others.  For u >= 0 scaling B_u by
-diag sqrt(gamma_{u+p}) gives, for a commuting pair, the Schur complement
-at gamma_u of the Curto-Lee-Yoon moment matrix (gamma_{u+p+q})_{|p|,|q|<=k}.
+coupled ones are eigensolved, each distinct one once (_lattice_block_eigs,
+_coupled_eigs).  For u >= 0 scaling B_u by diag sqrt(gamma_{u+p}) gives,
+for a commuting pair, the Schur complement at gamma_u of the Curto-Lee-Yoon
+moment matrix (gamma_{u+p+q})_{|p|,|q|<=k}.
 
 At order one the full blocks are the six-point blocks M(j) over the
 compression interior and the partial ones are rim terms
@@ -43,13 +37,11 @@ minimum against the eigensolved order-1 lattice blocks.  A mismatch is a
 package bug and raises InternalConsistencyError.  The dense operator
 construction survives only as a test oracle.
 
-Both kernels take weight windows stacked on a leading axis, one slice per
-diagram, so several diagrams (a diagram and its transforms, or a ladder
-row of corner diagrams) share one pass of numpy calls; every slice gets
-exactly the arithmetic it would get on its own, and identical blocks get
-identical bytes from LAPACK, so a stacked verdict equals the one-diagram
-verdict bit for bit.  k_hyponormal_verdicts runs one order over a list
-of diagrams in such stacks.
+The diagram-level tests take a list of diagrams and read their weight
+windows stacked on a leading axis; every slice gets exactly the arithmetic
+it would get on its own, and identical blocks get identical bytes from
+LAPACK, so a stacked verdict equals the one-diagram verdict bit for bit.
+The one-diagram functions are their one-element cases.
 """
 
 from __future__ import annotations
@@ -64,7 +56,6 @@ import numpy as np
 
 from .diagrams import (
     WeightDiagram,
-    as_one_var_weights,
     moments_1var,
     require_normal,
     stacked_windows,
@@ -158,16 +149,21 @@ def six_point_test(W: WeightDiagram, k, tol: float = PSD_TOL):
 # componentwise (each T_i hyponormal on its own)
 
 
-def componentwise_hyponormal(W: WeightDiagram, N: int, tol: float = PSD_TOL):
-    """(alpha nondecreasing along e1, beta nondecreasing along e2) on [0, N]^2.
+def componentwise_hyponormal_many(diagrams, N: int, tol: float = PSD_TOL) -> list:
+    """(alpha nondecreasing along e1, beta nondecreasing along e2) on [0, N]^2, per diagram.
 
-    Runs on squared weights with the same scaled cutoff as the PSD tests,
-    so a jointly hyponormal verdict always implies both flags (the
-    diagonal of M(k) consists of exactly these differences).
+    Runs on squared weights, read as one stack, with the same scaled cutoff
+    as the PSD tests, so a jointly hyponormal verdict always implies both
+    flags (the diagonal of M(k) consists of exactly these differences).
     """
-    A, B = (X[None] for X in W.weight_arrays(N + 2, N + 2))
+    A, B = stacked_windows(diagrams, N + 2)
     p, _, r, _ = _six_point_fields(A, B)
-    return _componentwise(p, r, [tol * scale for scale in weight_scales(A, B)])[0]
+    return _componentwise(p, r, [tol * scale for scale in weight_scales(A, B)])
+
+
+def componentwise_hyponormal(W: WeightDiagram, N: int, tol: float = PSD_TOL):
+    """componentwise_hyponormal_many of one diagram."""
+    return componentwise_hyponormal_many([W], N, tol)[0]
 
 
 def _componentwise(p: np.ndarray, r: np.ndarray, cuts: list) -> list:
@@ -222,8 +218,6 @@ def joint_hyponormal_reports(diagrams, N: int, tol: float = PSD_TOL) -> list:
 
 def _joint_stack(diagrams: list, N: int, tol: float) -> list:
     """joint_hyponormal_reports of diagrams that fit one kernel call."""
-    if not diagrams:
-        return []
     A, B = stacked_windows(diagrams, N + 2)
     scales = weight_scales(A, B)
     Mc = N - 3
@@ -564,6 +558,8 @@ def hypo_orders(diagrams, reports, N: int, kmax: int, tol: float = PSD_TOL) -> l
     """
     levels = order_levels(N, kmax)
     pairs = list(zip(diagrams, reports, strict=True))
+    if not levels:
+        return [report for _, report in pairs]
     k_maps = [dict(report.k_hypo) for _, report in pairs]
     lower_margins = [report.joint_min_eig for _, report in pairs]
     for k, level in levels.items():
@@ -595,25 +591,33 @@ def full_hypo_report(W: WeightDiagram, N: int, kmax: int = 1, tol: float = PSD_T
 # one-variable tests
 
 
-def one_var_k_hyponormal(omega, k: int, nmax: int | None = None, tol: float = PSD_TOL) -> bool:
-    """Hankel characterization for a one-variable shift.
+def one_var_k_hyponormal_many(omegas, k: int, nmax: int | None = None,
+                              tol: float = PSD_TOL) -> list:
+    """Hankel characterization for each of several one-variable shifts.
 
     shift(omega) is k-hyponormal iff the (k+1)x(k+1) Hankel matrices
     (gamma_{n+i+j})_{i,j} are PSD for every n >= 0; this checks
     n = 0 .. nmax.  The default window nmax = 4k + 6 matches the moment
     range visible to the 2-variable order-k test at level 4k + 4.  Each
-    Hankel matrix gets psd_check's scaled cutoff, all in one eigensolve;
-    moments outside the range of normal positive floats raise DomainError.
+    Hankel matrix gets psd_check's scaled cutoff, those of every row in
+    one eigensolve; moments outside the range of normal positive floats
+    raise DomainError for the first such row.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    om = as_one_var_weights(omega)
     if nmax is None:
         nmax = 4 * k + 6
+    top = nmax + 2 * k
     with np.errstate(over="ignore"):
-        gam = moments_1var(om, nmax + 2 * k)
-    require_normal([gam], f"moments gamma_0 .. gamma_{nmax + 2 * k} of the row")
+        gams = [moments_1var(omega, top) for omega in omegas]
+    require_normal(gams, f"moments gamma_0 .. gamma_{top} of the row")
     steps = np.add.outer(np.arange(k + 1), np.arange(k + 1))
-    eigs = np.linalg.eigvalsh(gam[np.arange(nmax + 1)[:, None, None] + steps])
-    scale = np.maximum(1.0, np.abs(eigs).max(axis=1))
-    return bool((eigs.min(axis=1) >= -tol * scale).all())
+    gams = np.array(gams).reshape(len(gams), top + 1)
+    eigs = np.linalg.eigvalsh(gams[:, np.arange(nmax + 1)[:, None, None] + steps])
+    scale = np.maximum(1.0, np.abs(eigs).max(axis=-1))
+    return (eigs.min(axis=-1) >= -tol * scale).all(axis=1).tolist()
+
+
+def one_var_k_hyponormal(omega, k: int, nmax: int | None = None, tol: float = PSD_TOL) -> bool:
+    """one_var_k_hyponormal_many of one row."""
+    return one_var_k_hyponormal_many([omega], k, nmax, tol)[0]

@@ -1,14 +1,16 @@
 """Experiment runners behind the `reproduce` command.
 
 Each function runs one self-contained numerical experiment and returns a
-CheckResult of labeled pass/fail rows with the measured numbers attached.
-The CLI prints them as tables; the acceptance suite re-asserts the same
-numbers.  All randomness flows from one seed through numpy Generators, so
-a fixed seed reproduces every row byte for byte.
+CheckResult of labeled pass/fail rows with the measured numbers, which the
+CLI prints as tables and the acceptance suite re-asserts.  Diagrams are
+drawn from one seed through numpy Generators and reach the library in
+stacks of at most STACK_POINTS, so a fixed seed reproduces every row byte
+for byte: each stack gives its diagrams the arithmetic they get alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,23 +21,26 @@ from .diagrams import (
     COMMUTATIVITY_TOL,
     build_prop2,
     build_theta,
-    commutativity_residual,
+    commutativity_residuals,
     max_weight_gap,
+    stacked_windows,
+    weight_scales,
 )
 from .errors import InternalConsistencyError
 from .measures import (
     berger_atomic_verify,
-    qt_power_identity_check,
+    qt_power_identity_checks,
     quasinormal2_measure,
     quasinormal_completion,
-    quasinormality_routes,
+    quasinormality_routes_many,
     stampfli,
 )
 from .positivity import (
-    componentwise_hyponormal,
-    joint_hyponormal,
+    STACK_POINTS,
+    componentwise_hyponormal_many,
+    joint_hyponormal_reports,
     k_hyponormal_verdicts,
-    one_var_k_hyponormal,
+    one_var_k_hyponormal_many,
 )
 from .regions import classify, classify_many, crossing_q, probe_ladder
 from .sampling import (
@@ -49,12 +54,19 @@ from .sampling import (
 )
 from .transforms import (
     aluthge_transforms,
-    continuity_probe,
-    spherical_transform,
+    continuity_probes,
+    spherical_transforms,
     transform_distance,
 )
 
 DEFAULT_SEED = 7
+
+
+def _stacks(items):
+    """items, drawn lazily in order, as consecutive lists of at most STACK_POINTS."""
+    items = iter(items)
+    while stack := list(itertools.islice(items, STACK_POINTS)):
+        yield stack
 
 
 @dataclass(frozen=True)
@@ -125,18 +137,15 @@ def threshold_grid(seed: int = DEFAULT_SEED) -> CheckResult:
         except InternalConsistencyError:
             # a stack raises for its first mismatch: count them point by point
             mismatches = sum(_mismatch(x, y) for x in xs)
-        rows.append(
-            Row(f"y = {y:.1f}: ladder verdicts agree", mismatches == 0,
-                float(mismatches), f"{20 - mismatches}/20")
-        )
+        rows.append(Row(f"y = {y:.1f}: ladder verdicts agree", mismatches == 0,
+                        float(mismatches), f"{20 - mismatches}/20"))
     dt = time.perf_counter() - t0
     rows.append(Row("runtime below 30 s", dt < 30.0, dt))
     return CheckResult("threshold curves vs six-point verdicts on the grid", tuple(rows))
 
 
 def counterexample_points(seed: int = DEFAULT_SEED) -> CheckResult:
-    r1 = classify(0.72, 0.4, N=12)
-    r2 = classify(0.84, 0.6, N=12)
+    r1, r2 = classify_many([(0.72, 0.4), (0.84, 0.6)], N=12)
     return CheckResult(
         "regions where exactly one transform improves hyponormality",
         (
@@ -151,17 +160,12 @@ def counterexample_points(seed: int = DEFAULT_SEED) -> CheckResult:
 def subnormal_khypo(seed: int = DEFAULT_SEED) -> CheckResult:
     """x <= s(y) implies k-hyponormality for k = 1, 2, 3 at N = 14."""
     rng = np.random.default_rng(seed)
-    diagrams = []
-    for _ in range(20):
-        x, y = sample_below_s(rng)
-        diagrams.append(build_prop2(x, y))
+    diagrams = [build_prop2(*sample_below_s(rng)) for _ in range(20)]
     rows = []
     for k in (1, 2, 3):
         bad = sum(not v.is_psd for v in k_hyponormal_verdicts(diagrams, k, 14))
-        rows.append(
-            Row(f"k = {k} holds on 20 samples below s", bad == 0, float(bad),
-                f"{20 - bad}/20")
-        )
+        rows.append(Row(f"k = {k} holds on 20 samples below s", bad == 0, float(bad),
+                        f"{20 - bad}/20"))
     return CheckResult("subnormal region is k-hyponormal through k = 3", tuple(rows))
 
 
@@ -173,25 +177,21 @@ def table_transform_checks(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = np.random.default_rng(seed)
     window = 10
 
-    worst_resid = 0.0
-    toral_disagreements = 0
-    toral_commuting = 0
-    for _ in range(50):
-        W = random_commuting_table(rng)
-        (res,), (sph,) = aluthge_transforms([W], window=window)
-        resid, _ = commutativity_residual(sph, window)
-        worst_resid = max(worst_resid, resid)
-        cut = COMMUTATIVITY_TOL * max(1.0, W.weight_bound(window) ** 2)
-        if res.commutes != (res.direct_residual <= cut):
-            toral_disagreements += 1
-        toral_commuting += int(res.commutes)
+    worst_resid, toral_disagreements, toral_commuting = 0.0, 0, 0
+    for Ws in _stacks(random_commuting_table(rng) for _ in range(50)):
+        torals, sphericals = aluthge_transforms(Ws, window=window)
+        residuals = commutativity_residuals(*stacked_windows(sphericals, window + 2))
+        cuts = [COMMUTATIVITY_TOL * s for s in weight_scales(*stacked_windows(Ws, window + 1))]
+        for res, (resid, _), cut in zip(torals, residuals, cuts):
+            worst_resid = max(worst_resid, resid)
+            toral_disagreements += res.commutes != (res.direct_residual <= cut)
+            toral_commuting += res.commutes
 
     preserved = 0
-    for _ in range(50):
-        W = random_monotone_table(rng)
-        before = componentwise_hyponormal(W, 10)
-        after = componentwise_hyponormal(spherical_transform(W, window=window), 10)
-        preserved += int(all(before) and all(after))
+    for Ws in _stacks(random_monotone_table(rng) for _ in range(50)):
+        before = componentwise_hyponormal_many(Ws, 10)
+        after = componentwise_hyponormal_many(spherical_transforms(Ws, window=window), 10)
+        preserved += sum(all(b) and all(a) for b, a in zip(before, after))
 
     return CheckResult(
         "transform behaviour on random commuting tables",
@@ -214,16 +214,12 @@ def lift_equivalence(seed: int = DEFAULT_SEED) -> CheckResult:
     lifts = [build_theta(om) for om in omegas]
     rows = []
     for k in (1, 2, 3):
-        mismatches = 0
-        holds = 0
-        for om, v in zip(omegas, k_hyponormal_verdicts(lifts, k, 4 * k + 4)):
-            one = one_var_k_hyponormal(om, k)
-            mismatches += int(one != v.is_psd)
-            holds += int(one)
-        rows.append(
-            Row(f"k = {k}: both routes agree on 20 sequences", mismatches == 0,
-                float(mismatches), f"{holds}/20 are k-hyponormal")
-        )
+        # a row's Hankel matrices are few and small: all 20 rows in one call
+        ones = one_var_k_hyponormal_many(omegas, k)
+        verdicts = k_hyponormal_verdicts(lifts, k, 4 * k + 4)
+        mismatches = sum(one != v.is_psd for one, v in zip(ones, verdicts))
+        rows.append(Row(f"k = {k}: both routes agree on 20 sequences", mismatches == 0,
+                        float(mismatches), f"{sum(ones)}/20 are k-hyponormal"))
     return CheckResult("lifted diagrams inherit exactly the 1-variable k-hyponormality", tuple(rows))
 
 
@@ -235,14 +231,15 @@ def lift_transform_hypo(seed: int = DEFAULT_SEED) -> CheckResult:
     base_hypo = 0
     toral_hypo = 0
     spherical_hypo = 0
-    for _ in range(20):
-        W = build_theta(random_nondecreasing_omega(rng))
-        base_hypo += int(joint_hyponormal(W, 10)[0])
-        (res,), (sph,) = aluthge_transforms([W], window=window)
-        tor = res.diagram
-        worst_gap = max(worst_gap, max_weight_gap(tor, sph, window))
-        toral_hypo += int(joint_hyponormal(tor, 8)[0])
-        spherical_hypo += int(joint_hyponormal(sph, 8)[0])
+    for Ws in _stacks(build_theta(random_nondecreasing_omega(rng)) for _ in range(20)):
+        base_hypo += sum(r.joint for r in joint_hyponormal_reports(Ws, 10))
+        torals, sphericals = aluthge_transforms(Ws, window=window)
+        tors = [res.diagram for res in torals]
+        gaps = [max_weight_gap(tor, sph, window) for tor, sph in zip(tors, sphericals)]
+        worst_gap = max(worst_gap, *gaps)
+        reports = joint_hyponormal_reports(tors + sphericals, 8)  # both transforms, one test
+        toral_hypo += sum(r.joint for r in reports[: len(Ws)])
+        spherical_hypo += sum(r.joint for r in reports[len(Ws) :])
     return CheckResult(
         "transforms of hyponormal lifted diagrams",
         (
@@ -258,19 +255,22 @@ def lift_transform_hypo(seed: int = DEFAULT_SEED) -> CheckResult:
     )
 
 
+def _transform_gaps(diagrams, window: int) -> list:
+    """Weight gap between the toral and the spherical transform of each diagram."""
+    gaps = []
+    for Ws in _stacks(diagrams):
+        torals, sphericals = aluthge_transforms(Ws, window=window)
+        gaps += [max_weight_gap(res.diagram, sph, window) for res, sph in zip(torals, sphericals)]
+    return gaps
+
+
 def proportional_rows_agree(seed: int = DEFAULT_SEED) -> CheckResult:
     """Transforms coincide exactly on proportional-row diagrams, and only there."""
     rng = np.random.default_rng(seed)
     window = 8
-    worst_family = 0.0
-    for _ in range(20):
-        (res,), (sph,) = aluthge_transforms([random_thm1(rng)], window=window)
-        worst_family = max(worst_family, max_weight_gap(res.diagram, sph, window))
-
-    min_perturbed = float("inf")
-    for _ in range(20):
-        (res,), (sph,) = aluthge_transforms([bumped_thm1_table(rng)], window=window)
-        min_perturbed = min(min_perturbed, max_weight_gap(res.diagram, sph, window))
+    worst_family = max(0.0, *_transform_gaps((random_thm1(rng) for _ in range(20)), window))
+    perturbed = _transform_gaps((bumped_thm1_table(rng) for _ in range(20)), window)
+    min_perturbed = min(float("inf"), *perturbed)
 
     return CheckResult(
         "transform agreement characterizes proportional rows",
@@ -299,11 +299,11 @@ def quasinormal_route_agreement(seed: int = DEFAULT_SEED) -> CheckResult:
     completions, generics = _routes_fixture(seed)
     disagreements = 0
     quasinormal_count = 0
-    for W in completions + generics:
-        r = quasinormality_routes(W, window=10, N=8)
-        flags = (r["constant_sum"], r["fixed_point"], r["interior_diagonal"])
-        disagreements += int(len(set(flags)) != 1)
-        quasinormal_count += int(all(flags))
+    for Ws in _stacks(completions + generics):
+        for r in quasinormality_routes_many(Ws, window=10, N=8):
+            flags = (r["constant_sum"], r["fixed_point"], r["interior_diagonal"])
+            disagreements += int(len(set(flags)) != 1)
+            quasinormal_count += int(all(flags))
     return CheckResult(
         "three quasinormality detections agree on 50 diagrams",
         (
@@ -343,7 +343,9 @@ def completion_khypo_qt(seed: int = DEFAULT_SEED) -> CheckResult:
         bad = sum(not v.is_psd for v in k_hyponormal_verdicts(completions, k, 14))
         rows.append(Row(f"k = {k} on all 25 completions", bad == 0, float(bad),
                         f"{25 - bad}/25"))
-    worst_qt = max(qt_power_identity_check(W, nmax=5, N=6) for W in completions)
+    worst_qt = max(
+        gap for Ws in _stacks(completions) for gap in qt_power_identity_checks(Ws, nmax=5, N=6)
+    )
     rows.append(Row("power identity residual <= 1e-10 for n <= 5", worst_qt <= 1e-10,
                     worst_qt, f"worst {worst_qt:.2e}"))
     return CheckResult("completions are k-hyponormal and satisfy the power identity", tuple(rows))
@@ -358,12 +360,8 @@ def continuity_bounds(seed: int = DEFAULT_SEED) -> CheckResult:
     diagrams = [random_commuting_table(rng) for _ in range(10)]
     rows = []
     for n in (1, 10, 100, 10_000):
-        worst = None
-        for W in diagrams:
-            probe = continuity_probe(W, N=10, n=n)
-            slack = min(e["slack"] for e in probe.bound_report.values())
-            if worst is None or slack < worst:
-                worst = slack
+        worst = min(min(e["slack"] for e in probe.bound_report.values())
+                    for Ws in _stacks(diagrams) for probe in continuity_probes(Ws, N=10, n=n))
         rows.append(Row(f"five bounds hold at n = {n}", worst >= -1e-10, worst,
                         f"min slack {worst:.2e}"))
     return CheckResult("regularization bounds on 10 random diagrams", tuple(rows))

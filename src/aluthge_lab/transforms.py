@@ -21,13 +21,13 @@ a transform costs work linear in the depth.  Its weights are not
 precomputed closed forms, so tests that compare them against
 independently derived formulas are meaningful.
 
-toral_transforms and spherical_transforms take a list of diagrams and
-run the rule, the validation and every residual once over their windows
-stacked on a leading axis; each output starts with its slice of the
-stacked result as its cached window, exactly what its own window
-function computes.  toral_transform and spherical_transform are the
-one-diagram cases, and aluthge_transforms runs both transforms of a
-stack from one read of its windows.
+toral_transforms, spherical_transforms and continuity_probes take a list
+of diagrams and run each stage once over their windows stacked on a
+leading axis; each transform output starts with its slice of the stacked
+result as its cached window, exactly what its own window function
+computes.  The one-diagram functions are their one-element cases, and
+aluthge_transforms runs both transforms of a stack from one read of its
+windows.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def _spherical_rule(A: np.ndarray, B: np.ndarray):
 
 def _parent_windows(diagrams: list, window: int):
     """Stacked (window+3)^2 windows of commuting diagrams, validated on [0, window]^2,
-    and each diagram's weight scale max(1, weight_bound(window)^2).
+    and each diagram's weight scale, max(1, largest weight there squared).
 
     The widest window either transform reads is fetched once, and the
     validation and the scales read slices of that one stack.
@@ -167,8 +167,6 @@ def toral_transforms(
     failing diagram of the first failing stage raises.
     """
     diagrams = list(diagrams)
-    if not diagrams:
-        return []
     return _toral_stack(diagrams, *_parent_windows(diagrams, window), tol)
 
 
@@ -217,8 +215,6 @@ def spherical_transforms(diagrams, *, window: int = DEFAULT_WINDOW) -> list:
     first failing diagram of the first failing stage raises.
     """
     diagrams = list(diagrams)
-    if not diagrams:
-        return []
     return _spherical_stack(diagrams, *_parent_windows(diagrams, window))
 
 
@@ -247,8 +243,6 @@ def aluthge_transforms(diagrams, *, window: int = DEFAULT_WINDOW) -> tuple:
     raise before the spherical ones.
     """
     diagrams = list(diagrams)
-    if not diagrams:
-        return [], []
     parents = _parent_windows(diagrams, window)
     return (_toral_stack(diagrams, *parents, COMMUTATIVITY_TOL),
             _spherical_stack(diagrams, *parents))
@@ -277,22 +271,9 @@ def spherical_polar(W: WeightDiagram, window: int = DEFAULT_WINDOW) -> Spherical
     return SphericalPolarData(P_diag=P, U1_coeff=A / P, U2_coeff=B / P)
 
 
-def _level_weights(W: WeightDiagram, N: int):
-    """(alpha, beta) on [0, N]^2 and the weights of T1, T2 truncated to level N.
-
-    The truncated T1 keeps alpha_k for k1 < N and the truncated T2 keeps
-    beta_k for k2 < N; each is a weighted shift with one nonzero per row
-    and per column, so its operator norm is its largest weight.
-    """
-    if N < 0:
-        raise WindowError("truncation level must be nonnegative")
-    A, B = W.weight_arrays(N + 1, N + 1)
-    return A, B, A[:-1, :], B[:, :-1]
-
-
-def _max_abs(x: np.ndarray) -> float:
-    """Largest |entry|, 0 for an empty array."""
-    return float(np.max(np.abs(x), initial=0.0))
+def _max_abs(x: np.ndarray) -> np.ndarray:
+    """Largest |entry| over the last two axes, 0 where they are empty."""
+    return np.max(np.abs(x), axis=(-2, -1), initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -314,8 +295,8 @@ class ContinuityProbe:
     v_components: tuple
 
 
-def continuity_probe(W: WeightDiagram, N: int, n: int) -> ContinuityProbe:
-    """Check the five bounds controlling the regularized polar factors.
+def continuity_probes(diagrams, N: int, n: int) -> list:
+    """Check the five bounds controlling the regularized polar factors, per diagram.
 
     With P the (diagonal) joint modulus, A_n = sqrt(max(1/n, P)) entrywise:
       (i)   ||A_n||               <= max(n^{-1/2}, ||P||^{1/2})
@@ -323,43 +304,48 @@ def continuity_probe(W: WeightDiagram, N: int, n: int) -> ContinuityProbe:
       (iii) ||A_n - P^{1/2}||     <= n^{-1/2}
       (iv)  ||P A_n^{-1} - P^{1/2}|| <= (1/4) n^{-1/2}
       (v)   ||A_n T_i A_n^{-1} - P^{1/2} U_i P^{1/2}|| <= (5/4) n^{-1/2} ||T_i||^{1/2}
-    on span{e_k : k in [0, N]^2}, with T_i truncated there.  Every operator
-    is a diagonal or a weighted shift, so each norm is a largest absolute
-    entry: the operator in (v) carries the one entry per truncated weight
-    w_k of T_i, mapping e_k to e_{k+e_i}.  The reported entry for (v) is
-    the component with the smaller slack.
+    on span{e_k : k in [0, N]^2}, with T_i truncated there (T1 keeps alpha_k
+    for k1 < N, T2 beta_k for k2 < N).  Every operator is a diagonal or a
+    weighted shift, so each norm is a largest absolute entry: the operator
+    in (v) carries the one entry per truncated weight w_k of T_i, mapping
+    e_k to e_{k+e_i}.  The reported entry for (v) is the component with
+    the smaller slack.  All the diagrams are probed as one stack.
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
-    A, B, T1, T2 = _level_weights(W, N)
+    if N < 0:
+        raise WindowError("truncation level must be nonnegative")
+    A, B = stacked_windows(diagrams, N + 1)
     P = np.hypot(A, B)
     sqrtP = np.sqrt(P)
     An = np.sqrt(np.maximum(1.0 / n, P))
     inv_sqrt_n = 1.0 / math.sqrt(n)
-    P_norm = float(np.max(P))
-
-    report = {
-        "i": {"lhs": float(np.max(An)), "rhs": max(inv_sqrt_n, math.sqrt(P_norm))},
-        "ii": {"lhs": float(np.max(P / An)), "rhs": math.sqrt(P_norm)},
-        "iii": {"lhs": _max_abs(An - sqrtP), "rhs": inv_sqrt_n},
-        "iv": {"lhs": _max_abs(P / An - sqrtP), "rhs": 0.25 * inv_sqrt_n},
-    }
-
-    components = []
-    # (weights, their sources k, their targets k + e_i)
-    for w, src, dst in ((T1, np.s_[:-1, :], np.s_[1:, :]), (T2, np.s_[:, :-1], np.s_[:, 1:])):
+    norms = [_max_abs(x).tolist() for x in (P, An, P / An, An - sqrtP, P / An - sqrtP)]
+    # per T_i: (its truncated weights w_k, their sources k, their targets k + e_i)
+    for w, src, dst in ((A[:, :-1, :], np.s_[:, :-1, :], np.s_[:, 1:, :]),
+                        (B[:, :, :-1], np.s_[:, :, :-1], np.s_[:, :, 1:])):
         gap = (An[dst] * w) / An[src] - (sqrtP[dst] * (w / P[src])) * sqrtP[src]
-        components.append((_max_abs(gap), 1.25 * inv_sqrt_n * math.sqrt(_max_abs(w))))
-    lhs, rhs = max(components, key=lambda c: c[0] - c[1])
-    report["v"] = {"lhs": lhs, "rhs": rhs}
+        norms.append(list(zip(_max_abs(gap).tolist(), _max_abs(w).tolist())))  # (lhs, ||T_i||)
 
-    for entry in report.values():
-        entry["slack"] = entry["rhs"] - entry["lhs"]
-    all_hold = all(entry["slack"] >= -RE4_SLACK for entry in report.values())
-    return ContinuityProbe(
-        N=N, n=n, A_n_diag=An.ravel(), bound_report=report, all_hold=all_hold,
-        v_components=tuple(components),
-    )
+    probes = []
+    for d, (P_norm, i, ii, iii, iv, *v_norms) in enumerate(zip(*norms)):
+        components = tuple((lhs, 1.25 * inv_sqrt_n * math.sqrt(w_norm)) for lhs, w_norm in v_norms)
+        sides = {"i": (i, max(inv_sqrt_n, math.sqrt(P_norm))), "ii": (ii, math.sqrt(P_norm)),
+                 "iii": (iii, inv_sqrt_n), "iv": (iv, 0.25 * inv_sqrt_n),
+                 "v": max(components, key=lambda c: c[0] - c[1])}
+        report = {key: {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs}
+                  for key, (lhs, rhs) in sides.items()}
+        probes.append(ContinuityProbe(
+            N=N, n=n, A_n_diag=An[d].ravel(), bound_report=report,
+            all_hold=all(entry["slack"] >= -RE4_SLACK for entry in report.values()),
+            v_components=components,
+        ))
+    return probes
+
+
+def continuity_probe(W: WeightDiagram, N: int, n: int) -> ContinuityProbe:
+    """continuity_probes of one diagram."""
+    return continuity_probes([W], N, n)[0]
 
 
 def transform_distance(W: WeightDiagram, Wp: WeightDiagram, which: str, N: int) -> float:
@@ -368,8 +354,9 @@ def transform_distance(W: WeightDiagram, Wp: WeightDiagram, which: str, N: int) 
     which = "toral" or "spherical".  Both diagrams are transformed in one
     stack at a window wide enough for the truncation; toral candidates are
     used as returned, commuting or not.  The distance is max_i ||T_i - T_i'||
-    on level N; T_i - T_i' is a weighted shift, so its norm is the largest
-    difference of truncated weights.
+    on level N, T_i truncated as in continuity_probes; T_i - T_i' is a
+    weighted shift, so its norm is the largest difference of truncated
+    weights.
     """
     window = max(DEFAULT_WINDOW, N + 2)
     if which == "toral":
@@ -378,6 +365,7 @@ def transform_distance(W: WeightDiagram, Wp: WeightDiagram, which: str, N: int) 
         d1, d2 = spherical_transforms([W, Wp], window=window)
     else:
         raise DomainError(f"unknown transform {which!r}")
-    _, _, T1, T2 = _level_weights(d1, N)
-    _, _, T1p, T2p = _level_weights(d2, N)
-    return max(_max_abs(T1 - T1p), _max_abs(T2 - T2p))
+    if N < 0:
+        raise WindowError("truncation level must be nonnegative")
+    (A1, B1), (A2, B2) = (d.weight_arrays(N + 1, N + 1) for d in (d1, d2))
+    return max(float(_max_abs(A1[:-1] - A2[:-1])), float(_max_abs(B1[:, :-1] - B2[:, :-1])))

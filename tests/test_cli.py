@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aluthge_lab import cli, positivity, reproduce
+from aluthge_lab import cli, positivity, reproduce, transforms
 from aluthge_lab.cli import main
 from aluthge_lab.diagrams import build_prop2
 from aluthge_lab.sampling import bump_gamma
@@ -529,9 +529,8 @@ def test_output_matches_golden_json(capsys, tmp_path, prop2_file, argv, name):
 
 
 # ---------------------------------------------------------------------------
-# golden tables: the reproduce loops over k_hyponormal_verdicts and the runners
-# that take both transforms of a diagram, at seeds other than the one pinned
-# under bench/golden
+# golden tables: every reproduce check whose diagrams run in stacks, at seeds
+# other than the one pinned under bench/golden
 
 
 @pytest.mark.parametrize("seed", [1, 3, 11])
@@ -544,8 +543,33 @@ def test_output_matches_golden_json(capsys, tmp_path, prop2_file, argv, name):
         ("propscaling2", reproduce.lift_equivalence),
         ("prehypo", reproduce.lift_transform_hypo),
         ("thm1", reproduce.proportional_rows_agree),
+        ("quasinormal2", reproduce.quasinormal_route_agreement),
+        ("quasinormal2", reproduce.berger_verification),
+        ("re4", reproduce.continuity_bounds),
+        ("re4", reproduce.continuity_sweep),
+        ("prop2", reproduce.counterexample_points),
+        ("prop2", reproduce.threshold_grid),
     ],
 )
 def test_order_k_tables_match_golden_text(target, check, seed):
     golden = GOLDEN / f"reproduce-{target}-{check.__name__}-seed{seed}.txt"
     assert check(seed).table() + "\n" == golden.read_text(encoding="utf-8")
+
+
+def test_reproduce_runs_its_diagrams_in_stacks(monkeypatch):
+    stacks = {}
+    for module, name in ((transforms, "_parent_windows"), (positivity, "_joint_stack")):
+        seen = stacks[name] = []
+
+        def counting(diagrams, *args, _seen=seen, _original=getattr(module, name)):
+            _seen.append(len(diagrams))
+            return _original(diagrams, *args)
+
+        monkeypatch.setattr(module, name, counting)
+    for target in reproduce.TARGETS:
+        reproduce.run_target(target, seed=7)
+    # 251 and 98 calls, 212 and 60 of them on one diagram, when the runners
+    # called the library one diagram at a time
+    assert len(stacks["_parent_windows"]) == 82
+    assert len(stacks["_joint_stack"]) == 45
+    assert 1 not in stacks["_parent_windows"] + stacks["_joint_stack"]

@@ -62,6 +62,41 @@ def test_one_var_rejects_bad_values():
         OneVarWeights(values=(1.0,))(-1)
 
 
+TOP = f"{diagrams.MAX_WEIGHT:.3e}"
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([], "must be non-empty"),
+        ([1.0, math.nan], "must be positive and finite"),
+        ([1.0, math.inf], "must be positive and finite"),
+        ([0.0, 1.0], "must be positive and finite"),
+        ([1.0, -0.5], "must be positive and finite"),
+        ([1.0, 2.0 * diagrams.MAX_WEIGHT], f"must not exceed {TOP}"),
+        # the finiteness message wins over the size one, whatever the order
+        ([2.0 * diagrams.MAX_WEIGHT, math.nan], "must be positive and finite"),
+        ([math.inf, -1.0], "must be positive and finite"),
+    ],
+)
+def test_weight_checks_name_each_failure(values, message):
+    with pytest.raises(InvalidWeightsError) as row:
+        OneVarWeights(values=values)
+    assert str(row.value) == f"omega {message}"
+    rect = np.ones((2, max(len(values), 1)))
+    if values:
+        rect[1] = values
+    else:
+        rect = rect[:0]
+    with pytest.raises(InvalidWeightsError) as table:
+        build_table(rect, np.ones_like(rect))
+    assert str(table.value) == f"alpha table {message}"
+
+
+def test_weight_checks_pass_the_largest_and_smallest_weights():
+    OneVarWeights(values=(diagrams.MAX_WEIGHT, 5e-324, 1.0))
+
+
 def test_one_var_shifted():
     om = OneVarWeights(values=(0.5, 0.7, 0.9))
     assert om.shifted(1).prefix(3).tolist() == [0.7, 0.9, 0.9]
@@ -278,7 +313,39 @@ def test_gamma_field_tables_commute(seed):
     rng = np.random.default_rng(seed)
     W = random_commuting_table(rng)
     resid, _ = commutativity_residual(W, 10)
-    assert resid <= 1e-14 * W.weight_bound(10) ** 2
+    top = max(float(X.max()) for X in W.weight_arrays(11, 11))
+    assert resid <= 1e-14 * top**2
+
+
+def _residuals_by_max_and_argmax(A, B):
+    R = np.abs(A[:, :-1, :-1] * B[:, 1:, :-1] - B[:, :-1, :-1] * A[:, :-1, 1:])
+    R = R.reshape(len(R), -1)
+    return [(r, divmod(i, A.shape[2] - 1))
+            for r, i in zip(R.max(axis=1).tolist(), R.argmax(axis=1).tolist())]
+
+
+def test_residual_scan_reads_the_worst_point_once():
+    rng = np.random.default_rng(12)
+    A = rng.uniform(0.5, 1.5, (4, 7, 7))
+    B = rng.uniform(0.5, 1.5, (4, 7, 7))
+    A[3] = B[3] = 1.0  # a commuting slice: every residual is 0, the first point reports
+    got = diagrams.commutativity_residuals(A, B)
+    assert [(r.hex(), k) for r, k in got] == [
+        (r.hex(), k) for r, k in _residuals_by_max_and_argmax(A, B)]
+    assert got[3] == (0.0, (0, 0))
+    assert diagrams.commutativity_residuals(A[:0], B[:0]) == []
+
+
+def test_residual_scan_reports_a_nan():
+    A = np.ones((2, 6, 6))
+    B = np.ones((2, 6, 6))
+    B[1, 3, 2] = 2.0  # residual 1 at k = (2, 2)
+    A[1, 4, 1] = math.nan  # NaN at k = (4, 0) and (4, 1), which scan after (2, 2)
+    (clean, k0), (resid, k) = diagrams.commutativity_residuals(A, B)
+    assert (clean, k0) == (0.0, (0, 0))
+    assert math.isnan(resid) and k == (4, 0)
+    with pytest.raises(NonCommutingInputError, match=r"k=\(4, 0\): residual nan"):
+        diagrams.require_commuting([(clean, k0), (resid, k)])
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from aluthge_lab import (
     quasinormality_routes,
     stampfli,
 )
+from aluthge_lab import measures
 from aluthge_lab.diagrams import DENOM_FLOOR, WeightDiagram
 from aluthge_lab.measures import QUASINORMAL_TOL, constant_interior_p2, is_spherical_isometry
 from aluthge_lab.sampling import random_commuting_table, random_completion
@@ -215,6 +216,32 @@ def test_routes_agree_on_completion_and_generic():
     assert r2["constant"] is None
 
 
+def _route_diagrams():
+    """Commuting diagrams on both sides of quasinormality, built afresh."""
+    rng = np.random.default_rng(8)
+    out = [W for W in oracle_diagrams() if W.kind != "derived"]
+    return out + [random_completion(rng) for _ in range(4)] + [random_commuting_table(rng)]
+
+
+def test_quasinormality_route_list_form_equals_one_diagram_calls():
+    seen = set()
+    for window, N in ((10, 8), (4, 9), (0, 1)):
+        stacked = measures.quasinormality_routes_many(_route_diagrams(), window, N)
+        for W, r in zip(_route_diagrams(), stacked, strict=True):
+            one = quasinormality_routes(W, window=window, N=N)
+            assert r.keys() == one.keys()
+            for key in ("constant_sum", "fixed_point", "interior_diagonal"):
+                assert type(r[key]) is bool and r[key] is one[key]
+            assert (r["constant"] is None) == (one["constant"] is None)
+            if r["constant"] is not None:
+                assert r["constant"].hex() == one["constant"].hex()
+            seen.add(r["constant_sum"])
+    assert seen == {True, False}
+    assert measures.quasinormality_routes_many([], 10, 8) == []
+    with pytest.raises(WindowError):
+        measures.quasinormality_routes_many(_route_diagrams(), 10, 0)
+
+
 def _assert_interior_matches_dense(W, N):
     flag, C = constant_interior_p2(W, N)
     vals = interior_p2(W, N)
@@ -384,6 +411,37 @@ def test_qt_identity_trivial_cases():
     W = quasinormal_completion(OneVarWeights(values=(0.7,)), 1.5)
     assert qt_power_identity_check(W, nmax=0, N=4) == 0.0
     assert qt_power_identity_check(W, nmax=1, N=4) == 0.0
+
+
+def _qt_on_the_full_window(W, nmax, N):
+    """The power identity residual with every iterate kept on the whole window,
+    zero past its edge: the values on [0, N]^2 are those of the full operators."""
+    m = N + nmax + 1
+    A, B = W.weight_arrays(m + 1, m + 1)
+    cur = np.ones((m + 1, m + 1))
+    first = None
+    worst = 0.0
+    for n in range(1, nmax + 1):
+        up = np.vstack([cur[1:, :], np.zeros((1, m + 1))])
+        right = np.hstack([cur[:, 1:], np.zeros((m + 1, 1))])
+        cur = A**2 * up + B**2 * right
+        if first is None:
+            first = cur[: N + 1, : N + 1].copy()
+            continue
+        worst = max(worst, float(np.max(np.abs(cur[: N + 1, : N + 1] - first**n))))
+    return worst
+
+
+def test_qt_identity_list_form_equals_one_diagram_calls():
+    diagrams = _route_diagrams()
+    for nmax, N in ((0, 4), (1, 0), (3, 5), (5, 6)):
+        stacked = measures.qt_power_identity_checks(diagrams, nmax, N)
+        assert len(stacked) == len(diagrams)
+        for W, got in zip(diagrams, stacked):
+            assert type(got) is float
+            assert got.hex() == qt_power_identity_check(W, nmax, N).hex()
+            assert got.hex() == _qt_on_the_full_window(W, nmax, N).hex()
+    assert measures.qt_power_identity_checks([], 3, 4) == []
 
 
 def test_moments_of_completion_match_closed_field():

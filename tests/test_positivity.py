@@ -1,5 +1,6 @@
 """Positivity tests against operator-level oracles and closed-form regions."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -113,6 +114,17 @@ def test_componentwise_flags_are_directional():
     assert not a_ok and not b_ok
 
 
+def test_componentwise_list_form_equals_one_diagram_calls():
+    diagrams = _stack_diagrams()
+    for N in (0, 3, 8):
+        stacked = positivity.componentwise_hyponormal_many(diagrams, N)
+        assert len(stacked) == len(diagrams)
+        for W, flags in zip(diagrams, stacked):
+            assert flags == componentwise_hyponormal(W, N)
+            assert all(type(f) is bool for f in flags)
+    assert positivity.componentwise_hyponormal_many([], 8) == []
+
+
 # ---------------------------------------------------------------------------
 # joint test carries its own operator-level cross-check; these runs would
 # raise InternalConsistencyError if the spectral identity ever failed
@@ -187,6 +199,31 @@ def test_one_var_refuses_moments_past_the_float_range():
     for w in (1e7, 1e154):
         with pytest.raises(DomainError, match="normal positive floats"):
             one_var_k_hyponormal(OneVarWeights(values=(0.5, w, w)), 3)
+
+
+def test_one_var_list_form_equals_one_row_calls():
+    rng = np.random.default_rng(31)
+    rows = [random_nondecreasing_omega(rng, length=8) for _ in range(8)]
+    rows += [OneVarWeights(values=tuple(rng.uniform(0.5, 1.5, 6))) for _ in range(4)]
+    rows += [stampfli(1.0, 2.0, 3.0).weights, [0.9, 0.7, 1.0]]
+    seen = set()
+    for k in (1, 2, 3):
+        for nmax in (None, 0, 3):
+            stacked = positivity.one_var_k_hyponormal_many(rows, k, nmax)
+            assert stacked == [one_var_k_hyponormal(om, k, nmax) for om in rows]
+            assert all(type(v) is bool for v in stacked)
+            seen.update(stacked)
+    assert seen == {True, False}
+    assert positivity.one_var_k_hyponormal_many([], 2) == []
+
+
+def test_one_var_list_form_refuses_the_first_row_past_the_float_range():
+    fine, huge = OneVarWeights(values=(0.5, 1.0, 1.0)), OneVarWeights(values=(0.5, 1e7, 1e7))
+    with pytest.raises(DomainError) as alone:
+        one_var_k_hyponormal(huge, 3)
+    with pytest.raises(DomainError) as stacked:
+        positivity.one_var_k_hyponormal_many([fine, huge, fine], 3)
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_one_var_k_must_be_positive():
@@ -614,6 +651,26 @@ def test_full_report_witness_on_failure():
     k, M = report.worst_witness
     assert k == (0, 0)
     assert not psd_check(M).is_psd
+
+
+def test_hypo_orders_without_higher_orders_hands_back_the_order_1_reports(monkeypatch):
+    def replace(*args, **kwargs):
+        raise AssertionError("no order >= 2 to add")
+
+    rng = np.random.default_rng(4)
+    diagrams = [build_prop2(0.5, 0.5), build_prop2(0.95, 0.6), random_monotone_table(rng)]
+    reports = joint_hyponormal_reports(diagrams, 8)
+    # what the reports were extended to when every call rebuilt them
+    rebuilt = [dataclasses.replace(r, k_hypo=dict(r.k_hypo), levels={**r.levels})
+               for r in reports]
+    monkeypatch.setattr(dataclasses, "replace", replace)
+    for kmax in (0, 1):
+        out = hypo_orders(diagrams, reports, 8, kmax)
+        assert len(out) == len(rebuilt)
+        for a, b in zip(out, rebuilt):
+            _same_report(a, b)
+    with pytest.raises(ValueError):
+        hypo_orders(diagrams[:2], reports, 8, 1)
 
 
 def test_hierarchy_inversion_raises_on_every_route(monkeypatch):

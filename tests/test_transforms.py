@@ -239,6 +239,28 @@ def test_continuity_bound_iii_is_tightest_near_cut():
             assert report[key]["slack"] >= -1e-10
 
 
+def test_continuity_probe_list_form_equals_one_diagram_calls():
+    diagrams = oracle_diagrams()  # the probe reads weights, commuting or not
+    for N, n in ((0, 10), (4, 1), (10, 100), (10, 10_000)):
+        stacked = transforms.continuity_probes(diagrams, N, n)
+        assert len(stacked) == len(diagrams)
+        for W, probe in zip(diagrams, stacked):
+            one = continuity_probe(W, N, n)
+            assert (probe.N, probe.n, probe.all_hold) == (one.N, one.n, one.all_hold)
+            assert probe.A_n_diag.shape == ((N + 1) ** 2,)
+            assert np.array_equal(probe.A_n_diag, one.A_n_diag)
+            assert list(probe.bound_report) == ["i", "ii", "iii", "iv", "v"]
+            for key, entry in probe.bound_report.items():
+                assert list(entry) == ["lhs", "rhs", "slack"]
+                assert [v.hex() for v in entry.values()] == [
+                    v.hex() for v in one.bound_report[key].values()]
+            assert [[v.hex() for v in c] for c in probe.v_components] == [
+                [v.hex() for v in c] for c in one.v_components]
+    assert transforms.continuity_probes([], 10, 100) == []
+    with pytest.raises(WindowError):
+        transforms.continuity_probes(diagrams, -1, 100)
+
+
 def test_transform_distance_zero_for_identical_inputs():
     W = build_prop2(0.5, 0.5)
     assert transform_distance(W, W, "spherical", N=8) == 0.0
