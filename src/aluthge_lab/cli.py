@@ -308,7 +308,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--input", required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--tol", type=_tolerance, default=1e-10)
-    sp.add_argument("--level", "-N", dest="level", type=int, default=None,
+    sp.add_argument("--level", "-N", dest="level", type=_nonneg_int, default=None,
                     help="truncation level (default 4k+2)")
     sp.add_argument("--out", "-o")
     sp.set_defaults(func=_cmd_khypo)

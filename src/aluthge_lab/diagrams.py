@@ -272,28 +272,29 @@ def commutativity_residual(diagram: WeightDiagram, window: int):
     return commutativity_residuals(A[None], B[None])[0]
 
 
-def require_commuting(residuals, tol: float = COMMUTATIVITY_TOL) -> None:
+def require_commuting(residuals) -> None:
     """Raise NonCommutingInputError for the first (residual, k) of
-    commutativity_residuals that exceeds tol."""
+    commutativity_residuals that exceeds COMMUTATIVITY_TOL."""
     for resid, k in residuals:
-        if not resid <= tol:  # also fails a NaN residual
+        if not resid <= COMMUTATIVITY_TOL:  # also fails a NaN residual
             raise NonCommutingInputError(
-                f"weights fail commutativity at k={k}: residual {resid:.3e} > {tol:.1e}",
+                f"weights fail commutativity at k={k}: "
+                f"residual {resid:.3e} > {COMMUTATIVITY_TOL:.1e}",
                 witness=k,
                 residual=resid,
             )
 
 
-def validate_commuting(diagram: WeightDiagram, window: int, tol: float = COMMUTATIVITY_TOL):
-    """Raise NonCommutingInputError unless the residual on [0, window]^2 is <= tol."""
-    require_commuting([commutativity_residual(diagram, window)], tol)
+def validate_commuting(diagram: WeightDiagram, window: int):
+    """Raise NonCommutingInputError unless the residual on [0, window]^2 is <= COMMUTATIVITY_TOL."""
+    require_commuting([commutativity_residual(diagram, window)])
 
 
-def max_weight_gap(d1: WeightDiagram, d2: WeightDiagram, window: int) -> float:
-    """Largest |difference| between the weights of two diagrams on [0, window]^2."""
-    A1, B1 = d1.weight_arrays(window + 1, window + 1)
-    A2, B2 = d2.weight_arrays(window + 1, window + 1)
-    return float(max(np.max(np.abs(A1 - A2)), np.max(np.abs(B1 - B2))))
+def max_weight_gaps(firsts, seconds, window: int) -> list:
+    """Largest |difference| between the weights of paired diagrams on [0, window]^2, per pair."""
+    A1, B1 = stacked_windows(firsts, window + 1)
+    A2, B2 = stacked_windows(seconds, window + 1)
+    return np.maximum(np.abs(A1 - A2).max(axis=(1, 2)), np.abs(B1 - B2).max(axis=(1, 2))).tolist()
 
 
 # ---------------------------------------------------------------------------

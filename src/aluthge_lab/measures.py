@@ -22,7 +22,7 @@ from .diagrams import (
     WeightDiagram,
     as_one_var_weights,
     float_powers,
-    max_weight_gap,
+    max_weight_gaps,
     moments,
     require_normal,
     stacked_windows,
@@ -182,35 +182,37 @@ def quasinormal_completion(W0, C: float) -> WeightDiagram:
 # detection
 
 
-def _sums_and_fixed_points(diagrams: list, window: int, tol: float) -> list:
-    """(C, dev_c, cut_c, dev_f, cut_f) of each diagram: C = alpha_0^2 + beta_0^2,
-    the worst |alpha_k^2 + beta_k^2 - C| and the worst weight change under
-    the spherical transform, both over [0, window]^2, each with its cutoff.
-    """
-    A, B = stacked_windows(diagrams, window + 1)
-    S = A**2 + B**2
+def _constant_sums(A: np.ndarray, B: np.ndarray, n: int) -> list:
+    """(C, dev, cut) of each diagram of windows stacked on a leading axis:
+    C = alpha_0^2 + beta_0^2, dev the worst |alpha_k^2 + beta_k^2 - C| on
+    [0, n)^2 and cut = QUASINORMAL_TOL max(1, C)."""
+    S = A[:, :n, :n] ** 2 + B[:, :n, :n] ** 2
     Cs = S[:, :1, :1]
     devs = np.abs(S - Cs).max(axis=(1, 2)).tolist()
-    sphericals = spherical_transforms(diagrams, window=window)
-    return [
-        (C, dev_c, tol * max(1.0, C), max_weight_gap(W, sph, window),
-         FIXED_POINT_TOL * max(1.0, math.sqrt(C)))
-        for W, sph, C, dev_c in zip(diagrams, sphericals, Cs.ravel().tolist(), devs)
-    ]
+    return [(C, dev, QUASINORMAL_TOL * max(1.0, C)) for C, dev in zip(Cs.ravel().tolist(), devs)]
 
 
-def is_spherically_quasinormal(
-    W: WeightDiagram, window: int, tol: float = QUASINORMAL_TOL
-):
+def _fixed_point_gaps(diagrams: list, window: int, sums: list) -> list:
+    """(gap, cut) of each diagram: the worst weight change under the spherical
+    transform on [0, window]^2 and FIXED_POINT_TOL max(1, sqrt(C)), C from
+    the diagram's _constant_sums."""
+    gaps = max_weight_gaps(diagrams, spherical_transforms(diagrams, window=window), window)
+    return [(gap, FIXED_POINT_TOL * max(1.0, math.sqrt(C))) for gap, (C, _, _) in zip(gaps, sums)]
+
+
+def is_spherically_quasinormal(W: WeightDiagram, window: int):
     """(flag, C or None): whether alpha_k^2 + beta_k^2 is constant on the window.
 
     Two independent routes run on every call: the constant-row scan and
     the fixed-point property of the spherical transform (the transform
     leaves the weights unchanged exactly when the row is constant).  A
     decisive disagreement raises InternalConsistencyError; boundary-thin
-    cases resolve by the constant-row scan.
+    cases resolve by the constant-row scan.  The window is read once, at
+    the transform's (window+3)^2.
     """
-    C, dev_c, cut_c, dev_f, cut_f = _sums_and_fixed_points([W], window, tol)[0]
+    sums = _constant_sums(*stacked_windows([W], window + 3), window + 1)
+    (C, dev_c, cut_c), = sums
+    (dev_f, cut_f), = _fixed_point_gaps([W], window, sums)
     flag = dev_c <= cut_c
     if flag != (dev_f <= cut_f):
         if (flag and dev_f > 1e3 * cut_f) or (not flag and dev_c > 1e3 * cut_c and dev_f <= cut_f):
@@ -221,59 +223,56 @@ def is_spherically_quasinormal(
     return (True, C) if flag else (False, None)
 
 
-def _constant_interiors(diagrams: list, N: int, tol: float) -> list:
-    """constant_interior_p2 of each diagram, from their windows stacked."""
+def constant_interior_p2(W: WeightDiagram, N: int):
+    """(flag, C or None): whether alpha_k^2 + beta_k^2 is constant on [0, N)^2.
+
+    These are the diagonal entries of T1*T1 + T2*T2 at the interior basis
+    vectors (k1 < N and k2 < N) of a truncation, since T_i* T_i is
+    diagonal for a shift.  The scan reads them from one weight window,
+    with the constant-sum route's arithmetic; no operator is built, and
+    the dense operator lives only in tests/oracles.interior_p2.
+    """
     if N < 1:
         raise WindowError("need N >= 1 for an interior")
-    A, B = stacked_windows(diagrams, N)
-    vals = A**2 + B**2
-    Cs = vals[:, :1, :1]
-    devs = np.abs(vals - Cs).max(axis=(1, 2)).tolist()
-    return [(True, C) if dev <= tol * max(1.0, C) else (False, None)
-            for C, dev in zip(Cs.ravel().tolist(), devs)]
+    C, dev, cut = _constant_sums(*stacked_windows([W], N), N)[0]
+    return (True, C) if dev <= cut else (False, None)
 
 
-def constant_interior_p2(W: WeightDiagram, N: int, tol: float = QUASINORMAL_TOL):
-    """(flag, C or None) from the diagonal of T1*T1 + T2*T2 on a truncation.
-
-    The compressed diagonal equals alpha_k^2 + beta_k^2 at interior basis
-    vectors (k1 < N and k2 < N), so constancy there is a third,
-    operator-level route to spherical quasinormality.  T_i* T_i is
-    diagonal for a shift, so the diagonal is read from the weights on the
-    interior [0, N)^2.
-    """
-    return _constant_interiors([W], N, tol)[0]
-
-
-def quasinormality_routes_many(diagrams, window: int, N: int,
-                               tol: float = QUASINORMAL_TOL) -> list:
+def quasinormality_routes_many(diagrams, window: int, N: int) -> list:
     """Raw flags from the three quasinormality detections, per diagram, no reconciliation.
 
-    constant_sum scans alpha_k^2 + beta_k^2 on the window; fixed_point
-    compares the weights against their spherical transform; and
-    interior_diagonal reads the compressed diagonal of T1*T1 + T2*T2,
-    each route over all the diagrams as one stack.  The three are
+    constant_sum scans alpha_k^2 + beta_k^2 on [0, window]^2; fixed_point
+    compares the weights there against their spherical transform; and
+    interior_diagonal scans alpha_k^2 + beta_k^2 on [0, N)^2, the
+    diagonal of T1*T1 + T2*T2 at the interior of a truncation, read from
+    the weights (constant_interior_p2).  Each diagram's window is read
+    once, at max(window + 3, N), and every route reads a slice of it; each
+    route runs once over all the diagrams as one stack.  The three are
     equivalent for genuine diagrams, which the property suites assert by
     comparing these flags pairwise.
     """
+    if N < 1:
+        raise WindowError("need N >= 1 for an interior")
     diagrams = list(diagrams)
+    A, B = stacked_windows(diagrams, max(window + 3, N))
+    sums = _constant_sums(A, B, window + 1)
     return [
-        {"constant_sum": dev_c <= cut_c, "fixed_point": dev_f <= cut_f,
-         "interior_diagonal": interior, "constant": C if dev_c <= cut_c else None}
-        for (C, dev_c, cut_c, dev_f, cut_f), (interior, _) in zip(
-            _sums_and_fixed_points(diagrams, window, tol), _constant_interiors(diagrams, N, tol))
+        {"constant_sum": dev_c <= cut_c, "fixed_point": gap <= cut_f,
+         "interior_diagonal": dev_i <= cut_i, "constant": C if dev_c <= cut_c else None}
+        for (C, dev_c, cut_c), (gap, cut_f), (_, dev_i, cut_i) in zip(
+            sums, _fixed_point_gaps(diagrams, window, sums), _constant_sums(A, B, N))
     ]
 
 
-def quasinormality_routes(W: WeightDiagram, window: int, N: int, tol: float = QUASINORMAL_TOL) -> dict:
+def quasinormality_routes(W: WeightDiagram, window: int, N: int) -> dict:
     """quasinormality_routes_many of one diagram."""
-    return quasinormality_routes_many([W], window, N, tol)[0]
+    return quasinormality_routes_many([W], window, N)[0]
 
 
-def is_spherical_isometry(W: WeightDiagram, window: int, tol: float = QUASINORMAL_TOL) -> bool:
-    """Spherical quasinormality with constant exactly 1 (P^2 = I)."""
-    flag, C = is_spherically_quasinormal(W, window, tol)
-    return bool(flag and abs(C - 1.0) <= tol)
+def is_spherical_isometry(W: WeightDiagram, window: int) -> bool:
+    """Spherical quasinormality with constant exactly 1 (P^2 = I), to QUASINORMAL_TOL."""
+    flag, C = is_spherically_quasinormal(W, window)
+    return bool(flag and abs(C - 1.0) <= QUASINORMAL_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -125,17 +125,12 @@ def six_point_matrix(W: WeightDiagram, k1: int, k2: int) -> np.ndarray:
     if k1 < 0 or k2 < 0:
         raise WindowError("lattice indices must be nonnegative")
     A, B = W.weight_arrays(k1 + 2, k2 + 2)
-    return _six_point_at(A, B, k1, k2)
+    return _six_point_at(_six_point_fields(A[k1:, k2:], B[k1:, k2:]), (0, 0))
 
 
-def _six_point_at(A: np.ndarray, B: np.ndarray, k1: int, k2: int) -> np.ndarray:
-    """M(k) read from weight windows, in Python-float arithmetic."""
-    # a0, a1, a2: alpha at k, k + e1, k + e2, and likewise b for beta
-    (a0, a2), (a1, _) = A[k1 : k1 + 2, k2 : k2 + 2].tolist()
-    (b0, b2), (b1, _) = B[k1 : k1 + 2, k2 : k2 + 2].tolist()
-    p = a1**2 - a0**2
-    r = b2**2 - b0**2
-    q = a2 * b1 - a0 * b0
+def _six_point_at(fields: tuple, k: tuple) -> np.ndarray:
+    """M(k) read from the (p, q, r, ...) arrays of _six_point_fields."""
+    p, q, r = (X[k] for X in fields[:3])
     return np.array([[p, q], [q, r]])
 
 
@@ -149,7 +144,7 @@ def six_point_test(W: WeightDiagram, k, tol: float = PSD_TOL):
 # componentwise (each T_i hyponormal on its own)
 
 
-def componentwise_hyponormal_many(diagrams, N: int, tol: float = PSD_TOL) -> list:
+def componentwise_hyponormal_many(diagrams, N: int) -> list:
     """(alpha nondecreasing along e1, beta nondecreasing along e2) on [0, N]^2, per diagram.
 
     Runs on squared weights, read as one stack, with the same scaled cutoff
@@ -158,12 +153,12 @@ def componentwise_hyponormal_many(diagrams, N: int, tol: float = PSD_TOL) -> lis
     """
     A, B = stacked_windows(diagrams, N + 2)
     p, _, r, _ = _six_point_fields(A, B)
-    return _componentwise(p, r, [tol * scale for scale in weight_scales(A, B)])
+    return _componentwise(p, r, [PSD_TOL * scale for scale in weight_scales(A, B)])
 
 
-def componentwise_hyponormal(W: WeightDiagram, N: int, tol: float = PSD_TOL):
+def componentwise_hyponormal(W: WeightDiagram, N: int):
     """componentwise_hyponormal_many of one diagram."""
-    return componentwise_hyponormal_many([W], N, tol)[0]
+    return componentwise_hyponormal_many([W], N)[0]
 
 
 def _componentwise(p: np.ndarray, r: np.ndarray, cuts: list) -> list:
@@ -224,7 +219,7 @@ def _joint_stack(diagrams: list, N: int, tol: float) -> list:
     if N >= 4:
         # before the six-point fields exist, so a stack never holds both
         blocks = _lattice_block_eigs(A, B, 1, Mc + 1).min(axis=(1, 2))
-    p, _, r, mineigs = _six_point_fields(A, B)
+    fields = p, _, r, mineigs = _six_point_fields(A, B)
 
     if N >= 4:
         rim_a = A[:, 1 : Mc + 1, Mc] ** 2 - A[:, :Mc, Mc] ** 2
@@ -252,7 +247,7 @@ def _joint_stack(diagrams: list, N: int, tol: float) -> list:
         witness = None
         if not flag:
             k = divmod(at[i], mineigs.shape[2])
-            witness = (k, _six_point_at(A[i], B[i], *k))
+            witness = (k, _six_point_at(fields, (i, *k)))
         reports.append(
             HypoReport(
                 componentwise=flags,
@@ -591,8 +586,7 @@ def full_hypo_report(W: WeightDiagram, N: int, kmax: int = 1, tol: float = PSD_T
 # one-variable tests
 
 
-def one_var_k_hyponormal_many(omegas, k: int, nmax: int | None = None,
-                              tol: float = PSD_TOL) -> list:
+def one_var_k_hyponormal_many(omegas, k: int, nmax: int | None = None) -> list:
     """Hankel characterization for each of several one-variable shifts.
 
     shift(omega) is k-hyponormal iff the (k+1)x(k+1) Hankel matrices
@@ -615,9 +609,9 @@ def one_var_k_hyponormal_many(omegas, k: int, nmax: int | None = None,
     gams = np.array(gams).reshape(len(gams), top + 1)
     eigs = np.linalg.eigvalsh(gams[:, np.arange(nmax + 1)[:, None, None] + steps])
     scale = np.maximum(1.0, np.abs(eigs).max(axis=-1))
-    return (eigs.min(axis=-1) >= -tol * scale).all(axis=1).tolist()
+    return (eigs.min(axis=-1) >= -PSD_TOL * scale).all(axis=1).tolist()
 
 
-def one_var_k_hyponormal(omega, k: int, nmax: int | None = None, tol: float = PSD_TOL) -> bool:
+def one_var_k_hyponormal(omega, k: int, nmax: int | None = None) -> bool:
     """one_var_k_hyponormal_many of one row."""
-    return one_var_k_hyponormal_many([omega], k, nmax, tol)[0]
+    return one_var_k_hyponormal_many([omega], k, nmax)[0]

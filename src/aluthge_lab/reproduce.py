@@ -22,7 +22,7 @@ from .diagrams import (
     build_prop2,
     build_theta,
     commutativity_residuals,
-    max_weight_gap,
+    max_weight_gaps,
     stacked_windows,
     weight_scales,
 )
@@ -232,11 +232,11 @@ def lift_transform_hypo(seed: int = DEFAULT_SEED) -> CheckResult:
     toral_hypo = 0
     spherical_hypo = 0
     for Ws in _stacks(build_theta(random_nondecreasing_omega(rng)) for _ in range(20)):
-        base_hypo += sum(r.joint for r in joint_hyponormal_reports(Ws, 10))
+        # the transforms read the widest window, so the joint test reads a slice
         torals, sphericals = aluthge_transforms(Ws, window=window)
+        base_hypo += sum(r.joint for r in joint_hyponormal_reports(Ws, 10))
         tors = [res.diagram for res in torals]
-        gaps = [max_weight_gap(tor, sph, window) for tor, sph in zip(tors, sphericals)]
-        worst_gap = max(worst_gap, *gaps)
+        worst_gap = max(worst_gap, *max_weight_gaps(tors, sphericals, window))
         reports = joint_hyponormal_reports(tors + sphericals, 8)  # both transforms, one test
         toral_hypo += sum(r.joint for r in reports[: len(Ws)])
         spherical_hypo += sum(r.joint for r in reports[len(Ws) :])
@@ -260,7 +260,7 @@ def _transform_gaps(diagrams, window: int) -> list:
     gaps = []
     for Ws in _stacks(diagrams):
         torals, sphericals = aluthge_transforms(Ws, window=window)
-        gaps += [max_weight_gap(res.diagram, sph, window) for res, sph in zip(torals, sphericals)]
+        gaps += max_weight_gaps([res.diagram for res in torals], sphericals, window)
     return gaps
 
 

@@ -358,6 +358,8 @@ def transform_distance(W: WeightDiagram, Wp: WeightDiagram, which: str, N: int) 
     weighted shift, so its norm is the largest difference of truncated
     weights.
     """
+    if N < 0:
+        raise WindowError("truncation level must be nonnegative")
     window = max(DEFAULT_WINDOW, N + 2)
     if which == "toral":
         d1, d2 = (r.diagram for r in toral_transforms([W, Wp], window=window))
@@ -365,7 +367,5 @@ def transform_distance(W: WeightDiagram, Wp: WeightDiagram, which: str, N: int) 
         d1, d2 = spherical_transforms([W, Wp], window=window)
     else:
         raise DomainError(f"unknown transform {which!r}")
-    if N < 0:
-        raise WindowError("truncation level must be nonnegative")
     (A1, B1), (A2, B2) = (d.weight_arrays(N + 1, N + 1) for d in (d1, d2))
     return max(float(_max_abs(A1[:-1] - A2[:-1])), float(_max_abs(B1[:, :-1] - B2[:, :-1])))

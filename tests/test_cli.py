@@ -284,12 +284,14 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         (["regions", "classify", "--x", "0.5", "--y", "0.5", "--kmax", "-1"], 64),
         (["regions", "scan", "--grid", "2", "--ladder", "0"], 2),
         (["reproduce", "prop1", "--seed", "-1"], 64),
+        (["khypo", "--input", "x.json", "--k", "2", "--level", "-5"], 64),
     ],
 )
 def test_bad_integer_flags_exit_cleanly(capsys, argv, code):
     assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
 
 

@@ -1,5 +1,6 @@
 """Core diagram mechanics: weights, commutativity, moments, cores."""
 
+import collections
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from aluthge_lab import (
     toral_transform,
     validate_commuting,
 )
-from aluthge_lab import diagrams, regions, transforms
+from aluthge_lab import diagrams, regions, reproduce, transforms
 from aluthge_lab.diagrams import WeightDiagram
 from aluthge_lab.sampling import gamma_rectangle, random_commuting_table
 
@@ -301,6 +302,39 @@ def test_classify_computes_one_window_per_transform(monkeypatch):
     assert counts == {"toral": 1, "spherical": 1}
     # the widest read, the toral condition's (N + 5)^2, comes first
     assert corner_reads == [(17, 17)]
+
+
+def _computed_windows(monkeypatch, kind, run):
+    """Counter of the windows computed for diagrams of `kind` while run() runs."""
+    computed = collections.Counter()
+    read = WeightDiagram.weight_arrays
+
+    def counting(self, n1, n2):
+        before = list(self._cache)
+        out = read(self, n1, n2)
+        if self.kind == kind and list(self._cache) != before:
+            computed.update(list(self._cache))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(WeightDiagram, "weight_arrays", counting)
+        run()
+    return computed
+
+
+def test_reproduce_reads_each_window_at_its_widest_first(monkeypatch):
+    def quasinormal2_randomized():
+        reproduce._routes_fixture.cache_clear()
+        reproduce.quasinormal_route_agreement(7)
+        reproduce.completion_khypo_qt(7)
+
+    # the sampler's touch at 10, then the routes' (10 + 3)^2 read; every
+    # later read, power identity and k-hyponormality included, is a slice
+    assert _computed_windows(monkeypatch, "quasinormal-completion", quasinormal2_randomized) == {
+        (10, 10): 25, (13, 13): 25}
+    # the transforms' (10 + 3)^2 read, then the joint test's 12^2 slice
+    assert _computed_windows(monkeypatch, "theta", lambda: reproduce.lift_transform_hypo(7)) == {
+        (13, 13): 20}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Positivity tests against operator-level oracles and closed-form regions."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -359,6 +360,30 @@ def test_witness_is_the_six_point_matrix_at_the_worst_point():
         assert mineigs[0][k] == report.joint_min_eig == mineigs.min()
         checked += k[0] != k[1]
     assert checked  # an off-diagonal witness, where swapping k1 and k2 shows
+
+
+def test_witness_and_six_point_matrix_are_the_verdict_fields_bit_for_bit():
+    # M(k) has one body: the witness and six_point_matrix read the arrays
+    # that decide the verdict, where Python-float ** and numpy products can
+    # differ in the last bit
+    rng = np.random.default_rng(5)
+    tables = ([random_commuting_table(rng) for _ in range(40)]
+              + [random_monotone_table(rng) for _ in range(20)])
+    witnesses = 0
+    for W, report in zip(tables, joint_hyponormal_reports(tables, 8)):
+        p, q, r, _ = positivity._six_point_fields(*stacked_windows([W], 10))
+
+        def field_at(k):
+            return [float(X[0][k]).hex() for X in (p, q, q, r)]
+
+        for k in itertools.product(range(9), repeat=2):
+            M = positivity.six_point_matrix(W, *k)
+            assert [float(v).hex() for v in M.ravel()] == field_at(k), (W.kind, k)
+        if report.worst_witness is not None:
+            k, M = report.worst_witness
+            assert [float(v).hex() for v in M.ravel()] == field_at(k)
+            witnesses += 1
+    assert witnesses
 
 
 def test_joint_cutoff_scales_with_the_squared_weights():

@@ -276,6 +276,16 @@ def test_transform_distance_scales_with_perturbation():
     assert d2 / d3 == pytest.approx(10.0, rel=0.2)
 
 
+def test_transform_distance_refuses_a_negative_level_before_reading_a_window():
+    def unreadable(n1, n2):
+        raise AssertionError("no window may be read")
+
+    W = diagrams.WeightDiagram(kind="table", params={}, _window=unreadable)
+    for which in ("toral", "spherical"):
+        with pytest.raises(WindowError):
+            transform_distance(W, W, which, N=-1)
+
+
 def test_transform_distance_rejects_unknown_kind():
     W = build_prop2(0.5, 0.5)
     with pytest.raises(Exception):
