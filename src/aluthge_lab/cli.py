@@ -13,34 +13,21 @@ import functools
 import math
 import sys
 
-import numpy as np
-
-from .diagrams import COMMUTATIVITY_TOL, commutativity_residual
 from .errors import DomainError, InternalConsistencyError, NonCommutingInputError
-from .measures import (
-    berger_atomic_verify,
-    quasinormal2_measure,
-    quasinormal_completion,
-    quasinormality_routes,
-    stampfli,
-)
-from .positivity import full_hypo_report, k_hyponormal_verdict
-from .regions import classify, crossing_q, region_scan
-from .reproduce import DEFAULT_SEED, TARGETS, run_target
-from .serialize import (
-    diagram_from_obj,
-    diagram_to_obj,
-    dumps,
-    load_json,
-    measure_from_obj,
-    omega_from_obj,
-    omega_to_obj,
-)
-from .transforms import continuity_probe, spherical_transform, toral_transform
+
+# Library values the parser prints.  They are literals so that building
+# the parser (--help, usage errors) imports no numpy; tests/test_cli.py
+# pins each to its source: diagrams.COMMUTATIVITY_TOL,
+# reproduce.DEFAULT_SEED and sorted(reproduce.TARGETS).
+_COMMUTATIVITY_TOL = 1e-12
+_DEFAULT_SEED = 7
+_TARGETS = ("prehypo", "prop1", "prop2", "propscaling2", "quasinormal2", "re4", "thm1")
 
 
 def _plain(x):
     """Recursively coerce report values into JSON-encodable builtins."""
+    import numpy as np
+
     if isinstance(x, dict):
         return {str(k): _plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -65,10 +52,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(obj, out: str | None) -> None:
+    from .serialize import dumps
+
     _emit(dumps(_plain(obj)), out)
 
 
 def _load_diagram(path: str):
+    from .serialize import diagram_from_obj, load_json
+
     return diagram_from_obj(load_json(path))
 
 
@@ -122,6 +113,10 @@ def _cmd_transform(args) -> int:
     if args.kind == "spherical" and args.tol is not None:
         # the spherical guard's cut is fixed, so a tolerance would be ignored
         return _usage_error("aluthge-lab transform", "--tol applies only to --kind toral")
+    from .diagrams import COMMUTATIVITY_TOL, commutativity_residual
+    from .serialize import diagram_to_obj
+    from .transforms import spherical_transform, toral_transform
+
     W = _load_diagram(args.input)
     w = args.window
     source = diagram_to_obj(W)
@@ -150,6 +145,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_hypo(args) -> int:
+    from .positivity import full_hypo_report
+
     W = _load_diagram(args.input)
     report = full_hypo_report(W, args.level, kmax=args.kmax, tol=args.tol)
     obj = {
@@ -168,6 +165,8 @@ def _cmd_hypo(args) -> int:
 
 
 def _cmd_khypo(args) -> int:
+    from .positivity import k_hyponormal_verdict
+
     W = _load_diagram(args.input)
     level = args.level if args.level is not None else 4 * args.k + 2
     v = k_hyponormal_verdict(W, args.k, level, tol=args.tol)
@@ -178,6 +177,9 @@ def _cmd_khypo(args) -> int:
 
 
 def _cmd_quasinormal(args) -> int:
+    from .measures import quasinormal_completion, quasinormality_routes
+    from .serialize import diagram_to_obj, load_json, omega_from_obj
+
     if args.action == "complete":
         om = omega_from_obj(load_json(args.omega))
         W = quasinormal_completion(om, args.constant)
@@ -195,6 +197,9 @@ def _cmd_quasinormal(args) -> int:
 
 
 def _cmd_stampfli(args) -> int:
+    from .measures import stampfli
+    from .serialize import omega_to_obj
+
     d = stampfli(*args.triple)
     _emit_json({
         "a": d.a, "b": d.b, "c": d.c,
@@ -207,6 +212,10 @@ def _cmd_stampfli(args) -> int:
 
 
 def _cmd_berger(args) -> int:
+    from .measures import (berger_atomic_verify, quasinormal2_measure, quasinormal_completion,
+                           stampfli)
+    from .serialize import load_json, measure_from_obj
+
     if args.triple is not None:
         data = stampfli(*args.triple)
         W = quasinormal_completion(data.weights, data.phi1)
@@ -228,6 +237,8 @@ def _cmd_berger(args) -> int:
 
 
 def _cmd_regions(args) -> int:
+    from .regions import classify, crossing_q, region_scan
+
     if args.action == "q":
         _emit_json({"q": crossing_q()}, args.out)
     elif args.action == "classify":
@@ -247,6 +258,8 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_probe_continuity(args) -> int:
+    from .transforms import continuity_probe
+
     W = _load_diagram(args.input)
     probe = continuity_probe(W, args.level, args.n)
     _emit_json({
@@ -259,6 +272,8 @@ def _cmd_probe_continuity(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .reproduce import run_target
+
     results = run_target(args.target, seed=args.seed)
     text = "\n\n".join(r.table() for r in results) + "\n"
     _emit(text, args.out)
@@ -294,7 +309,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--input", required=True, help="diagram JSON path")
     sp.add_argument("--tol", type=_tolerance, default=None,
                     help=f"cut of the toral candidate's commutativity verdict (default "
-                         f"{COMMUTATIVITY_TOL:g}); refused with --kind spherical")
+                         f"{_COMMUTATIVITY_TOL:g}); refused with --kind spherical")
     common(sp, window=14)
     sp.set_defaults(func=_cmd_transform)
 
@@ -367,9 +382,9 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_probe_continuity)
 
     sp = sub.add_parser("reproduce", help="run a named experiment suite")
-    sp.add_argument("target", choices=sorted(TARGETS))
-    sp.add_argument("--seed", type=_nonneg_int, default=DEFAULT_SEED,
-                    help=f"generator seed for the property suites (default {DEFAULT_SEED})")
+    sp.add_argument("target", choices=_TARGETS)
+    sp.add_argument("--seed", type=_nonneg_int, default=_DEFAULT_SEED,
+                    help=f"generator seed for the property suites (default {_DEFAULT_SEED})")
     sp.add_argument("--out", "-o")
     sp.set_defaults(func=_cmd_reproduce)
 

@@ -575,3 +575,89 @@ def test_reproduce_runs_its_diagrams_in_stacks(monkeypatch):
     assert len(stacks["_parent_windows"]) == 82
     assert len(stacks["_joint_stack"]) == 45
     assert 1 not in stacks["_parent_windows"] + stacks["_joint_stack"]
+
+
+# ---------------------------------------------------------------------------
+# --help text, and the library values the parser prints from literals
+
+HELP_ARGVS = [
+    [],
+    ["transform"],
+    ["hypo"],
+    ["khypo"],
+    ["quasinormal", "complete"],
+    ["quasinormal", "check"],
+    ["stampfli"],
+    ["berger", "verify"],
+    ["regions", "q"],
+    ["regions", "classify"],
+    ["regions", "scan"],
+    ["probe-continuity"],
+    ["reproduce"],
+]
+
+
+def test_help_text_matches_golden(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    pages = []
+    for argv in HELP_ARGVS:
+        argv = [*argv, "--help"]
+        assert main(argv) == 0
+        pages.append(f"$ aluthge-lab {' '.join(argv)}\n{capsys.readouterr().out}")
+    assert "\n".join(pages) == (GOLDEN / "cli-help.txt").read_text(encoding="utf-8")
+
+
+def test_parser_literals_match_the_library():
+    from aluthge_lab import diagrams
+
+    assert cli._TARGETS == tuple(sorted(reproduce.TARGETS))
+    assert cli._DEFAULT_SEED == reproduce.DEFAULT_SEED
+    assert cli._COMMUTATIVITY_TOL == diagrams.COMMUTATIVITY_TOL
+
+
+# ---------------------------------------------------------------------------
+# start-up: what each entry point imports, each in a fresh interpreter
+
+
+def _loaded_after(code):
+    """Run code in a fresh interpreter; return its exit, stderr and aluthge_lab/numpy modules."""
+    probe = (
+        "import contextlib, io, json, sys\n"
+        f"{code}\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m == 'numpy' or m.startswith('aluthge_lab'))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr, set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(None, None), (["--help"], 0), (["reproduce", "--help"], 0),
+     (["regions", "scan", "--grid", "x"], 64)],
+    ids=["import", "help", "reproduce-help", "usage-error"],
+)
+def test_startup_imports_no_numpy(argv, code):
+    run = "import aluthge_lab"
+    if argv is not None:
+        run = (
+            "from aluthge_lab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == {code}\n"
+        )
+    stderr, loaded = _loaded_after(run)
+    assert "numpy" not in loaded
+    if code == 64:
+        assert len(stderr.splitlines()) == 1
+
+
+def test_classify_loads_neither_reproduce_nor_sampling():
+    stderr, loaded = _loaded_after(
+        "from aluthge_lab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['regions', 'classify', '--x', '0.72', '--y', '0.4']) == 0\n"
+    )
+    assert "numpy" in loaded and "aluthge_lab.regions" in loaded
+    assert not loaded & {"aluthge_lab.reproduce", "aluthge_lab.sampling"}
