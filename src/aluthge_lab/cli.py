@@ -274,8 +274,10 @@ def _cmd_probe_continuity(args) -> int:
 def _cmd_reproduce(args) -> int:
     from .reproduce import run_target
 
-    results = run_target(args.target, seed=args.seed)
-    text = "\n\n".join(r.table() for r in results) + "\n"
+    # each target's text is what a run of that target alone prints
+    targets = [t for name in args.targets for t in (_TARGETS if name == "all" else (name,))]
+    text = "".join("\n\n".join(r.table() for r in run_target(t, seed=args.seed)) + "\n"
+                   for t in targets)
     _emit(text, args.out)
     return 0
 
@@ -381,8 +383,10 @@ def _build_parser() -> _Parser:
     common(sp, level=10)
     sp.set_defaults(func=_cmd_probe_continuity)
 
-    sp = sub.add_parser("reproduce", help="run a named experiment suite")
-    sp.add_argument("target", choices=_TARGETS)
+    sp = sub.add_parser("reproduce", help="run named experiment suites")
+    sp.add_argument("targets", nargs="+", choices=(*_TARGETS, "all"), metavar="target",
+                    help=f"targets to run in order, in one process: {', '.join(_TARGETS)}, "
+                         "or all (each of those in turn)")
     sp.add_argument("--seed", type=_nonneg_int, default=_DEFAULT_SEED,
                     help=f"generator seed for the property suites (default {_DEFAULT_SEED})")
     sp.add_argument("--out", "-o")

@@ -42,6 +42,10 @@ DENOM_FLOOR = 1e-30
 MAX_WEIGHT = math.sqrt(sys.float_info.max)
 # Relative move allowed in the top atom when a two-atom row is re-anchored.
 REANCHOR_TOL = 1e-12
+# Largest weight window a diagram materializes, in lattice points (two
+# float arrays of 18 MB).  The widest window an order-1 test within the
+# block budget reads is 1451 x 1451 (hypo -N 1449).
+MAX_WINDOW_POINTS = 1500 * 1500
 
 
 def _check_positive_finite(values, what):
@@ -220,7 +224,8 @@ class WeightDiagram:
         The diagram keeps one window.  A request inside it is answered by
         a read-only slice; a miss replaces it by the window on the bounding
         box of the request and the kept window, so any sequence of reads
-        leaves one window that covers them all.
+        leaves one window that covers them all.  A miss whose window would
+        exceed MAX_WINDOW_POINTS raises WindowError before reading any weight.
         """
         key = (n1, n2)
         hit = self._cache.get(key)
@@ -230,6 +235,11 @@ class WeightDiagram:
             if n1 <= m1 and n2 <= m2:
                 return A[:n1, :n2], B[:n1, :n2]
             key = (max(n1, m1), max(n2, m2))
+        if key[0] * key[1] > MAX_WINDOW_POINTS:
+            raise WindowError(
+                f"a {key[0]}x{key[1]} weight window exceeds the budget of "
+                f"{MAX_WINDOW_POINTS} lattice points"
+            )
         A, B = self._window(*key)
         A.setflags(write=False)
         B.setflags(write=False)

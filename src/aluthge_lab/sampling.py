@@ -11,11 +11,21 @@ flat tail, which stays commuting exactly when the last alpha row is
 constant along k2 and the last beta column is constant along k1; the
 builders force those two seams after deriving the weights.
 
-All generators take a numpy Generator so suites stay reproducible from a
-single seed.
+All generators draw from one PCG64Stream, so suites stay reproducible
+from a single seed.  The stream is numpy's default generator,
+`default_rng(seed)`, rebuilt from the stdlib for the three methods the
+generators call: the same SeedSequence mixing, PCG64 state and method
+algorithms, so it yields the same values bit for bit without importing
+numpy's random module.  Under NEP 19 numpy pins only its bit generators'
+streams across releases, not the `Generator` methods; owning those
+methods here keeps a seed's draws fixed whatever numpy does.  The
+generators only call `random`, `uniform` and `integers`, so a numpy
+Generator works in place of the stream.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,6 +41,138 @@ from .measures import quasinormal_completion, stampfli
 
 # Resample cap for generators with feasibility rejection.
 MAX_RESAMPLE = 50
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# SeedSequence hash constants (O'Neill's seed_seq_fe, as numpy mixes a 4-word pool).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier (O'Neill 2014, PCG_DEFAULT_MULTIPLIER_128).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_DOUBLE_UNIT = 2.0**-53
+
+
+def _seed_words(seed: int) -> list:
+    """The four 64-bit words of numpy's SeedSequence(seed).generate_state(4, uint64)."""
+    entropy = [seed & _MASK32]  # the seed as 32-bit words, least significant first
+    while seed := seed >> 32:
+        entropy.append(seed & _MASK32)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    halves = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        halves.append(value ^ value >> 16)
+    return [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class PCG64Stream:
+    """numpy's default_rng(seed), bit for bit, for random, uniform and integers.
+
+    The state is PCG64's: a 128-bit LCG stepped before each output and
+    read out by XSL-RR 128/64, seeded from SeedSequence(seed).  Doubles
+    take the top 53 bits of one 64-bit output; 32-bit draws take the two
+    halves of one output in turn, low half first, and a double draw in
+    between leaves the buffered half in place, as numpy's bit generator
+    does.
+    """
+
+    __slots__ = ("_state", "_inc", "_half")
+
+    def __init__(self, seed: int):
+        seed = int(seed)
+        if seed < 0:
+            raise ValueError("seed must be non-negative")
+        s0, s1, i0, i1 = _seed_words(seed)
+        self._inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        # numpy's srandom: step from 0 (giving inc), add the seed word, step again
+        self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULT + self._inc) & _MASK128
+        self._half = None
+
+    def _next64s(self, count: int) -> list:
+        """The next count 64-bit outputs."""
+        state, inc = self._state, self._inc
+        out = []
+        for _ in range(count):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            x = ((state >> 64) ^ state) & _MASK64
+            rot = state >> 122
+            out.append((x >> rot | x << (64 - rot)) & _MASK64)
+        self._state = state
+        return out
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        (x,) = self._next64s(1)
+        self._half = x >> 32
+        return x & _MASK32
+
+    def random(self) -> float:
+        """A float in [0, 1) with 53 random bits."""
+        (x,) = self._next64s(1)
+        return (x >> 11) * _DOUBLE_UNIT
+
+    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
+        """low + (high - low) * random(): a float, or a float64 array of shape size."""
+        low, high = float(low), float(high)
+        span = high - low
+        if not 0.0 <= span < math.inf:
+            raise ValueError("uniform needs finite low <= high")
+        if size is None:
+            return low + span * self.random()
+        shape = (size,) if isinstance(size, int) else tuple(size)
+        bits = np.array([x >> 11 for x in self._next64s(math.prod(shape))], dtype=float)
+        # each step is one IEEE operation, as in numpy's per-element loop
+        return (low + span * (bits * _DOUBLE_UNIT)).reshape(shape)
+
+    def integers(self, low: int, high: int) -> int:
+        """An int in [low, high), high - low <= 2**32, by Lemire's draw on 32-bit halves."""
+        low, high = int(low), int(high)
+        top = high - 1 - low  # the largest offset
+        if top < 0:
+            raise ValueError("low >= high")
+        if top > _MASK32:
+            raise ValueError("integers draws ranges of at most 2**32 values")
+        if top == 0:  # one value: numpy draws nothing
+            return low
+        if top == _MASK32:  # all 2**32 values: one 32-bit half as it is
+            return low + self._next32()
+        count = top + 1
+        m = self._next32() * count
+        if m & _MASK32 < count:
+            threshold = (_MASK32 - top) % count
+            while m & _MASK32 < threshold:
+                m = self._next32() * count
+        return low + (m >> 32)
 
 
 def _table_from_log_field(G: np.ndarray) -> WeightDiagram:
@@ -48,7 +190,7 @@ def _table_from_log_field(G: np.ndarray) -> WeightDiagram:
     return build_table(A, B)
 
 
-def random_commuting_table(rng: np.random.Generator, rows: int = 6, cols: int = 6,
+def random_commuting_table(rng: PCG64Stream, rows: int = 6, cols: int = 6,
                            spread: float = 0.4) -> WeightDiagram:
     """Generic bounded commuting diagram with weights around 1.
 
@@ -59,7 +201,7 @@ def random_commuting_table(rng: np.random.Generator, rows: int = 6, cols: int = 
     return _table_from_log_field(G)
 
 
-def random_monotone_table(rng: np.random.Generator, rows: int = 6, cols: int = 6) -> WeightDiagram:
+def random_monotone_table(rng: PCG64Stream, rows: int = 6, cols: int = 6) -> WeightDiagram:
     """Componentwise hyponormal diagram: alpha nondecreasing along k1 and
     beta nondecreasing along k2 (here along both axes, which is stronger).
 
@@ -85,7 +227,7 @@ def random_monotone_table(rng: np.random.Generator, rows: int = 6, cols: int = 6
     return _table_from_log_field(G)
 
 
-def random_nondecreasing_omega(rng: np.random.Generator, length: int = 12) -> OneVarWeights:
+def random_nondecreasing_omega(rng: PCG64Stream, length: int = 12) -> OneVarWeights:
     """Bounded nondecreasing weight sequence with an exactly flat tail.
 
     Half the draws are moment sequences of a two-atom measure (so the
@@ -107,7 +249,7 @@ def random_nondecreasing_omega(rng: np.random.Generator, length: int = 12) -> On
     return OneVarWeights(values=tuple(vals))
 
 
-def random_thm1(rng: np.random.Generator) -> WeightDiagram:
+def random_thm1(rng: PCG64Stream) -> WeightDiagram:
     """Diagram with proportional rows, the family where both transforms agree."""
     om = random_nondecreasing_omega(rng)
     y = om(0) * rng.uniform(0.4, 1.1)
@@ -138,7 +280,7 @@ def bump_gamma(diagram: WeightDiagram, factor: float, at=(1, 1),
         return _table_from_log_field(np.log(G))
 
 
-def bumped_thm1_table(rng: np.random.Generator, rows: int = 6, cols: int = 6) -> WeightDiagram:
+def bumped_thm1_table(rng: PCG64Stream, rows: int = 6, cols: int = 6) -> WeightDiagram:
     """Commuting perturbation of a proportional-row diagram.
 
     One interior gamma value is scaled by 1.25..1.6, far enough from the
@@ -152,7 +294,7 @@ def bumped_thm1_table(rng: np.random.Generator, rows: int = 6, cols: int = 6) ->
                       rows=rows, cols=cols)
 
 
-def random_completion(rng: np.random.Generator) -> WeightDiagram:
+def random_completion(rng: PCG64Stream) -> WeightDiagram:
     """Spherically quasinormal diagram via the constant-sum completion.
 
     Alternates between completions of random three-weight canonical rows
@@ -180,7 +322,7 @@ def random_completion(rng: np.random.Generator) -> WeightDiagram:
     raise InfeasibleConstantError("no feasible completion after resampling")
 
 
-def sample_below_s(rng: np.random.Generator):
+def sample_below_s(rng: PCG64Stream):
     """(x, y) in the region x <= s(y) where the corner family is subnormal."""
     from .regions import curve_s
 

@@ -1,14 +1,16 @@
 """Command-line behaviour: output schemas, determinism, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aluthge_lab import cli, positivity, reproduce, transforms
+from aluthge_lab import cli, diagrams, positivity, reproduce, transforms
 from aluthge_lab.cli import main
 from aluthge_lab.diagrams import build_prop2
 from aluthge_lab.sampling import bump_gamma
@@ -32,6 +34,7 @@ def bumped_file(tmp_path):
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+BENCH_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
 
 
 def run_json(capsys, argv):
@@ -242,6 +245,35 @@ def test_reproduce_output_is_byte_stable(capsys):
     # a different seed samples different diagrams
     main(["reproduce", "thm1", "--seed", "12"])
     assert capsys.readouterr().out != first
+
+
+def _golden_target_text(target, seed):
+    """What `reproduce TARGET --seed SEED` prints, from the committed golden texts."""
+    if seed == 7:
+        return (BENCH_GOLDEN / f"reproduce-{target}-seed7.txt").read_text(encoding="utf-8")
+    tables = []
+    for check in reproduce.TARGETS[target]:
+        if check.__name__ == "crossing_point":
+            # it takes no seed: its table opens the seed-7 prop2 text
+            tables.append(_golden_target_text("prop2", 7).split("\n\n")[0] + "\n")
+        else:
+            name = f"reproduce-{target}-{check.__name__}-seed{seed}.txt"
+            tables.append((GOLDEN / name).read_text(encoding="utf-8"))
+    return "\n".join(tables)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7, 11])
+def test_reproduce_all_prints_every_target_in_turn(capsys, seed):
+    assert main(["reproduce", "all", "--seed", str(seed)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == "".join(_golden_target_text(t, seed) for t in cli._TARGETS)
+
+
+def test_reproduce_runs_its_targets_in_argument_order(capsys):
+    assert main(["reproduce", "thm1", "prehypo", "thm1", "--seed", "3"]) == 0
+    thm1, prehypo = _golden_target_text("thm1", 3), _golden_target_text("prehypo", 3)
+    assert capsys.readouterr().out == thm1 + prehypo + thm1
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +534,8 @@ def test_cached_parser_prints_what_a_fresh_one_prints(capsys, argv, code):
         runs.append(capsys.readouterr())
     assert runs[0] == runs[1]
     if argv[0] == "reproduce":
-        golden = Path(__file__).resolve().parents[1] / "bench" / "golden"
-        assert runs[1].out == (golden / "reproduce-prop2-seed7.txt").read_text(encoding="utf-8")
+        golden = BENCH_GOLDEN / "reproduce-prop2-seed7.txt"
+        assert runs[1].out == golden.read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +640,8 @@ def test_help_text_matches_golden(capsys, monkeypatch):
 
 
 def test_parser_literals_match_the_library():
-    from aluthge_lab import diagrams
-
     assert cli._TARGETS == tuple(sorted(reproduce.TARGETS))
+    assert "all" not in reproduce.TARGETS  # the keyword for every target
     assert cli._DEFAULT_SEED == reproduce.DEFAULT_SEED
     assert cli._COMMUTATIVITY_TOL == diagrams.COMMUTATIVITY_TOL
 
@@ -619,13 +650,18 @@ def test_parser_literals_match_the_library():
 # start-up: what each entry point imports, each in a fresh interpreter
 
 
+# numpy's random module and what importing it pulls in (hmac and OpenSSL via secrets)
+RANDOM_MODULES = {"numpy.random", "secrets", "hmac", "_hashlib"}
+
+
 def _loaded_after(code):
-    """Run code in a fresh interpreter; return its exit, stderr and aluthge_lab/numpy modules."""
+    """Run code in a fresh interpreter; return its stderr and which aluthge_lab,
+    numpy and RANDOM_MODULES modules it loaded."""
     probe = (
         "import contextlib, io, json, sys\n"
         f"{code}\n"
         "print(json.dumps(sorted(m for m in sys.modules"
-        " if m == 'numpy' or m.startswith('aluthge_lab'))))\n"
+        f" if m == 'numpy' or m in {sorted(RANDOM_MODULES)!r} or m.startswith('aluthge_lab'))))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           timeout=120)
@@ -661,3 +697,70 @@ def test_classify_loads_neither_reproduce_nor_sampling():
     )
     assert "numpy" in loaded and "aluthge_lab.regions" in loaded
     assert not loaded & {"aluthge_lab.reproduce", "aluthge_lab.sampling"}
+
+
+@pytest.mark.parametrize("target", cli._TARGETS)
+def test_reproduce_imports_no_random_module_of_numpy(target):
+    _, loaded = _loaded_after(
+        "from aluthge_lab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['reproduce', {target!r}]) == 0\n"
+    )
+    assert "aluthge_lab.sampling" in loaded
+    assert not loaded & RANDOM_MODULES
+
+
+# ---------------------------------------------------------------------------
+# the window budget: each flag's first value whose weight window exceeds
+# diagrams.MAX_WINDOW_POINTS exits 2 before the window is read
+
+
+def _window_argvs(side, diagram, omega):
+    """Each windowed flag at the value whose largest window is side x side."""
+    return {
+        "transform-w": ["transform", "--kind", "spherical", "--input", diagram,
+                        "-w", str(side - 3)],
+        "complete-w": ["quasinormal", "complete", "--omega", omega, "-C", "4.0",
+                       "-w", str(side - 1)],
+        "berger-maxdeg": ["berger", "verify", "--triple", "1,2,3", "--maxdeg", str(side - 1)],
+        "probe-N": ["probe-continuity", "--input", diagram, "--n", "3", "-N", str(side - 1)],
+        "qcheck-N": ["quasinormal", "check", "--input", diagram, "-N", str(side)],
+    }
+
+
+WINDOW_FLAGS = list(_window_argvs(0, "", ""))
+
+
+@pytest.fixture
+def omega_file(tmp_path):
+    path = tmp_path / "om.json"
+    path.write_text(dumps({"stampfli": [1.0, 2.0, 3.0]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("flag", WINDOW_FLAGS)
+def test_one_window_past_the_budget_exits_2_unread(capsys, prop2_file, omega_file, flag):
+    side = math.isqrt(diagrams.MAX_WINDOW_POINTS) + 1  # the first square side over it
+    argv = _window_argvs(side, prop2_file, omega_file)[flag]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: a {side}x{side} weight window exceeds the budget of "
+                            f"{diagrams.MAX_WINDOW_POINTS} lattice points\n")
+    assert peak_mib < 1  # one window of the budget's size is 34 MiB
+
+
+@pytest.mark.parametrize("flag", WINDOW_FLAGS)
+def test_the_budget_refuses_exactly_past_its_last_window(
+        capsys, monkeypatch, prop2_file, omega_file, flag):
+    monkeypatch.setattr(diagrams, "MAX_WINDOW_POINTS", 30 * 30)
+    assert main(_window_argvs(30, prop2_file, omega_file)[flag]) == 0
+    assert main(_window_argvs(31, prop2_file, omega_file)[flag]) == 2
+    assert capsys.readouterr().err.endswith("a 31x31 weight window exceeds the budget of "
+                                            "900 lattice points\n")

@@ -272,6 +272,17 @@ def test_window_slices_match_fresh_windows(name):
     assert list(W._cache) == [(24, 20)]
 
 
+def test_the_window_budget_counts_the_bounding_box(monkeypatch):
+    monkeypatch.setattr(diagrams, "MAX_WINDOW_POINTS", 100)
+    W = build_prop2(0.7, 0.6)
+    W.weight_arrays(10, 10)
+    # 11 x 1 fits alone, but the window it would replace the kept one with is 11 x 10
+    with pytest.raises(WindowError, match="^a 11x10 weight window exceeds the budget of 100 "):
+        W.weight_arrays(11, 1)
+    assert list(W._cache) == [(10, 10)]
+    assert W.weight_arrays(4, 9)[0].shape == (4, 9)  # reads inside the kept window still serve
+
+
 def test_classify_computes_one_window_per_transform(monkeypatch):
     counts = {"toral": 0, "spherical": 0}
     corner_reads = []
