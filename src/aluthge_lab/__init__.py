@@ -25,15 +25,13 @@ _EXPORTS = {
     ),
     "measures": (
         "AtomicMeasure2D", "StampfliData", "berger_atomic_verify",
-        "constant_interior_p2", "is_spherical_isometry", "is_spherically_quasinormal",
-        "qt_power_identity_check", "quasinormal2_measure", "quasinormal_completion",
-        "quasinormality_routes", "stampfli",
+        "is_spherical_isometry", "is_spherically_quasinormal", "quasinormal2_measure",
+        "quasinormal_completion", "quasinormality_routes", "stampfli",
     ),
     "positivity": (
-        "HypoReport", "PsdVerdict", "componentwise_hyponormal", "full_hypo_report",
-        "hypo_orders", "joint_hyponormal", "joint_hyponormal_reports", "k_hyponormal",
-        "k_hyponormal_verdict", "k_hyponormal_verdicts", "one_var_k_hyponormal",
-        "psd_check", "six_point_matrix", "six_point_test",
+        "HypoReport", "PsdVerdict", "full_hypo_report", "hypo_orders",
+        "joint_hyponormal", "joint_hyponormal_reports", "k_hyponormal_verdict",
+        "k_hyponormal_verdicts",
     ),
     "regions": (
         "RegionReport", "ThresholdCurves", "classify", "classify_many", "crossing_q",
@@ -44,9 +42,9 @@ _EXPORTS = {
         "measure_to_obj", "omega_from_obj", "omega_to_obj",
     ),
     "transforms": (
-        "ContinuityProbe", "SphericalPolarData", "ToralResult", "continuity_probe",
-        "spherical_polar", "spherical_transform", "spherical_transforms",
-        "toral_transform", "toral_transforms", "transform_distance",
+        "ContinuityProbe", "ToralResult", "continuity_probe", "spherical_transform",
+        "spherical_transforms", "toral_transform", "toral_transforms",
+        "transform_distance",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

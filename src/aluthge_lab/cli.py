@@ -33,7 +33,7 @@ def _plain(x):
     if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
     if isinstance(x, np.ndarray):
-        return [_plain(v) for v in x.tolist()]
+        return x.tolist()  # nested lists of Python bool, int and float
     if isinstance(x, (bool, np.bool_)):
         return bool(x)
     if isinstance(x, (int, np.integer)):
@@ -103,6 +103,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise SystemExit(_usage_error(self.prog, message))
+
+    def _get_values(self, action, arg_strings):
+        if action.nargs is None and arg_strings == ["--"]:  # "--flag=--" would parse as []
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
 
 
 # ---------------------------------------------------------------------------

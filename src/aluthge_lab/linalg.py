@@ -1,6 +1,4 @@
-"""PSD tolerances shared by the positivity tests."""
+"""PSD tolerance shared by the positivity tests."""
 
 # A matrix passes the PSD test when min eig >= -PSD_TOL * max(1, scale).
 PSD_TOL = 1e-10
-# Inputs to the PSD test must be symmetric to this absolute tolerance.
-SYMMETRY_TOL = 1e-12

@@ -223,21 +223,6 @@ def is_spherically_quasinormal(W: WeightDiagram, window: int):
     return (True, C) if flag else (False, None)
 
 
-def constant_interior_p2(W: WeightDiagram, N: int):
-    """(flag, C or None): whether alpha_k^2 + beta_k^2 is constant on [0, N)^2.
-
-    These are the diagonal entries of T1*T1 + T2*T2 at the interior basis
-    vectors (k1 < N and k2 < N) of a truncation, since T_i* T_i is
-    diagonal for a shift.  The scan reads them from one weight window,
-    with the constant-sum route's arithmetic; no operator is built, and
-    the dense operator lives only in tests/oracles.interior_p2.
-    """
-    if N < 1:
-        raise WindowError("need N >= 1 for an interior")
-    C, dev, cut = _constant_sums(*stacked_windows([W], N), N)[0]
-    return (True, C) if dev <= cut else (False, None)
-
-
 def quasinormality_routes_many(diagrams, window: int, N: int) -> list:
     """Raw flags from the three quasinormality detections, per diagram, no reconciliation.
 
@@ -245,11 +230,12 @@ def quasinormality_routes_many(diagrams, window: int, N: int) -> list:
     compares the weights there against their spherical transform; and
     interior_diagonal scans alpha_k^2 + beta_k^2 on [0, N)^2, the
     diagonal of T1*T1 + T2*T2 at the interior of a truncation, read from
-    the weights (constant_interior_p2).  Each diagram's window is read
-    once, at max(window + 3, N), and every route reads a slice of it; each
-    route runs once over all the diagrams as one stack.  The three are
-    equivalent for genuine diagrams, which the property suites assert by
-    comparing these flags pairwise.
+    the weights with constant_sum's arithmetic (_constant_sums): it is no
+    independent route, so only constant_sum and fixed_point cross-check.
+    Each diagram's window is read once, at max(window + 3, N), and every
+    route reads a slice of it; each route runs once over all the diagrams
+    as one stack.  The three are equivalent for genuine diagrams, which
+    the property suites assert by comparing these flags pairwise.
     """
     if N < 1:
         raise WindowError("need N >= 1 for an interior")
@@ -368,12 +354,9 @@ def qt_power_identity_checks(diagrams, nmax: int, N: int) -> list:
         cur = A2[:, :-n, :-n] * cur[:, 1:, :-1] + B2[:, :-n, :-n] * cur[:, :-1, 1:]
         window = cur[:, : N + 1, : N + 1]
         if n == 1:
-            first_power = window  # cur is rebound, never written
+            first_power = power = window  # cur is rebound, never written
         else:  # fmax skips NaN, as a running Python max(worst, gap) does
-            worst = np.fmax(worst, np.abs(window - first_power**n).max(axis=(1, 2)))
+            # a running product: np.power's last bit depends on numpy's SIMD dispatch
+            power = power * first_power
+            worst = np.fmax(worst, np.abs(window - power).max(axis=(1, 2)))
     return worst.tolist()
-
-
-def qt_power_identity_check(W: WeightDiagram, nmax: int, N: int) -> float:
-    """qt_power_identity_checks of one diagram."""
-    return qt_power_identity_checks([W], nmax, N)[0]

@@ -62,7 +62,7 @@ from .diagrams import (
     weight_scales,
 )
 from .errors import DomainError, InternalConsistencyError, WindowError
-from .linalg import PSD_TOL, SYMMETRY_TOL
+from .linalg import PSD_TOL
 
 # The order-1 spectral identity must hold to this absolute-per-scale level.
 CROSS_CHECK_TOL = 1e-8
@@ -84,19 +84,6 @@ class PsdVerdict:
     min_eigenvalue: float
     tol: float
     dim: int
-
-
-def psd_check(M, tol: float = PSD_TOL) -> PsdVerdict:
-    """PSD verdict with the scaled cutoff min eig >= -tol * max(1, ||M||)."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DomainError("psd_check expects a square matrix")
-    if M.size == 0:
-        return PsdVerdict(is_psd=True, min_eigenvalue=0.0, tol=tol, dim=0)
-    skew = float(np.max(np.abs(M - M.T)))
-    if skew > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(M)))):
-        raise DomainError(f"matrix is not symmetric: max skew {skew:.3e}")
-    return _eig_verdict(np.linalg.eigvalsh(0.5 * (M + M.T)), tol, M.shape[0])
 
 
 def _eig_verdict(eigs, tol: float, dim: int) -> PsdVerdict:
@@ -121,25 +108,6 @@ def _six_point_fields(A: np.ndarray, B: np.ndarray):
     return p, q, r, mineigs
 
 
-def six_point_matrix(W: WeightDiagram, k1: int, k2: int) -> np.ndarray:
-    if k1 < 0 or k2 < 0:
-        raise WindowError("lattice indices must be nonnegative")
-    A, B = W.weight_arrays(k1 + 2, k2 + 2)
-    return _six_point_at(_six_point_fields(A[k1:, k2:], B[k1:, k2:]), (0, 0))
-
-
-def _six_point_at(fields: tuple, k: tuple) -> np.ndarray:
-    """M(k) read from the (p, q, r, ...) arrays of _six_point_fields."""
-    p, q, r = (X[k] for X in fields[:3])
-    return np.array([[p, q], [q, r]])
-
-
-def six_point_test(W: WeightDiagram, k, tol: float = PSD_TOL):
-    """M(k) and its PSD verdict for a single lattice point k = (k1, k2)."""
-    M = six_point_matrix(W, k[0], k[1])
-    return M, psd_check(M, tol)
-
-
 # ---------------------------------------------------------------------------
 # componentwise (each T_i hyponormal on its own)
 
@@ -154,11 +122,6 @@ def componentwise_hyponormal_many(diagrams, N: int) -> list:
     A, B = stacked_windows(diagrams, N + 2)
     p, _, r, _ = _six_point_fields(A, B)
     return _componentwise(p, r, [PSD_TOL * scale for scale in weight_scales(A, B)])
-
-
-def componentwise_hyponormal(W: WeightDiagram, N: int):
-    """componentwise_hyponormal_many of one diagram."""
-    return componentwise_hyponormal_many([W], N)[0]
 
 
 def _componentwise(p: np.ndarray, r: np.ndarray, cuts: list) -> list:
@@ -219,7 +182,7 @@ def _joint_stack(diagrams: list, N: int, tol: float) -> list:
     if N >= 4:
         # before the six-point fields exist, so a stack never holds both
         blocks = _lattice_block_eigs(A, B, 1, Mc + 1).min(axis=(1, 2))
-    fields = p, _, r, mineigs = _six_point_fields(A, B)
+    p, q, r, mineigs = _six_point_fields(A, B)
 
     if N >= 4:
         rim_a = A[:, 1 : Mc + 1, Mc] ** 2 - A[:, :Mc, Mc] ** 2
@@ -247,7 +210,8 @@ def _joint_stack(diagrams: list, N: int, tol: float) -> list:
         witness = None
         if not flag:
             k = divmod(at[i], mineigs.shape[2])
-            witness = (k, _six_point_at(fields, (i, *k)))
+            # M(k) read from the arrays that decided the verdict
+            witness = (k, np.array([X[i][k] for X in (p, q, q, r)]).reshape(2, 2))
         reports.append(
             HypoReport(
                 componentwise=flags,
@@ -520,10 +484,6 @@ def k_hyponormal_verdict(W: WeightDiagram, k: int, N: int, tol: float = PSD_TOL)
     return k_hyponormal_verdicts([W], k, N, tol)[0]
 
 
-def k_hyponormal(W: WeightDiagram, k: int, N: int, tol: float = PSD_TOL) -> bool:
-    return k_hyponormal_verdict(W, k, N, tol).is_psd
-
-
 def order_levels(N: int, kmax: int) -> dict:
     """Level max(N, 4k+2) of each order k in 2..kmax.
 
@@ -593,9 +553,9 @@ def one_var_k_hyponormal_many(omegas, k: int, nmax: int | None = None) -> list:
     (gamma_{n+i+j})_{i,j} are PSD for every n >= 0; this checks
     n = 0 .. nmax.  The default window nmax = 4k + 6 matches the moment
     range visible to the 2-variable order-k test at level 4k + 4.  Each
-    Hankel matrix gets psd_check's scaled cutoff, those of every row in
-    one eigensolve; moments outside the range of normal positive floats
-    raise DomainError for the first such row.
+    Hankel matrix passes when min eig >= -PSD_TOL max(1, largest |eig|),
+    those of every row in one eigensolve; moments outside the range of
+    normal positive floats raise DomainError for the first such row.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -610,8 +570,3 @@ def one_var_k_hyponormal_many(omegas, k: int, nmax: int | None = None) -> list:
     eigs = np.linalg.eigvalsh(gams[:, np.arange(nmax + 1)[:, None, None] + steps])
     scale = np.maximum(1.0, np.abs(eigs).max(axis=-1))
     return (eigs.min(axis=-1) >= -PSD_TOL * scale).all(axis=1).tolist()
-
-
-def one_var_k_hyponormal(omega, k: int, nmax: int | None = None) -> bool:
-    """one_var_k_hyponormal_many of one row."""
-    return one_var_k_hyponormal_many([omega], k, nmax)[0]

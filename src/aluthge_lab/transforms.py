@@ -104,8 +104,12 @@ def _joint_modulus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _spherical_rule(A: np.ndarray, B: np.ndarray):
     P = _joint_modulus(A, B)
     P0 = P[..., :-1, :-1]
-    return (A[..., :-1, :-1] * np.sqrt(P[..., 1:, :-1] / P0),
-            B[..., :-1, :-1] * np.sqrt(P[..., :-1, 1:] / P0))
+    with np.errstate(over="ignore"):  # a ratio past the float range is refused below
+        T = (A[..., :-1, :-1] * np.sqrt(P[..., 1:, :-1] / P0),
+             B[..., :-1, :-1] * np.sqrt(P[..., :-1, 1:] / P0))
+    if not all(np.isfinite(X).all() for X in T):
+        raise DomainError("spherical transform: a ratio P_(k+e_i) / P_k leaves the float range")
+    return T
 
 
 def _parent_windows(diagrams: list, window: int):
@@ -246,29 +250,6 @@ def aluthge_transforms(diagrams, *, window: int = DEFAULT_WINDOW) -> tuple:
     parents = _parent_windows(diagrams, window)
     return (_toral_stack(diagrams, *parents, COMMUTATIVITY_TOL),
             _spherical_stack(diagrams, *parents))
-
-
-@dataclass(frozen=True)
-class SphericalPolarData:
-    """Weight-level joint polar data (T1, T2) = (U1 P, U2 P) on a window.
-
-    Arrays over [0, window]^2: P_diag = sqrt(alpha_k^2 + beta_k^2) and the
-    direction cosines U1_coeff = alpha_k / P_k, U2_coeff = beta_k / P_k,
-    which satisfy U1^2 + U2^2 = 1 at every lattice point.
-    """
-
-    P_diag: np.ndarray
-    U1_coeff: np.ndarray
-    U2_coeff: np.ndarray
-
-    def isometry_residual(self) -> float:
-        return float(np.max(np.abs(self.U1_coeff**2 + self.U2_coeff**2 - 1.0)))
-
-
-def spherical_polar(W: WeightDiagram, window: int = DEFAULT_WINDOW) -> SphericalPolarData:
-    A, B = W.weight_arrays(window + 1, window + 1)
-    P = _joint_modulus(A, B)
-    return SphericalPolarData(P_diag=P, U1_coeff=A / P, U2_coeff=B / P)
 
 
 def _max_abs(x: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ import numpy as np
 from aluthge_lab import (
     build_prop2,
     build_theta,
-    psd_check,
     spherical_transform,
     toral_transform,
 )
@@ -312,9 +311,15 @@ def moment_matrix(table, k, base=(0, 0)):
     )
 
 
+def eigvalsh_is_psd(M, tol=1e-10):
+    """Whether min eig >= -tol * max(1, largest |eig|) for the symmetric matrix M."""
+    eigs = np.linalg.eigvalsh(np.asarray(M, dtype=float))
+    return bool(eigs.min() >= -tol * max(1.0, float(np.abs(eigs).max())))
+
+
 def moment_matrix_psd(table, k, base=(0, 0), tol=1e-10):
-    """PSD verdict of moment_matrix(table, k, base); needs maxdeg >= |base| + 2k."""
-    return psd_check(moment_matrix(table, k, base), tol)
+    """eigvalsh_is_psd of moment_matrix(table, k, base); needs maxdeg >= |base| + 2k."""
+    return eigvalsh_is_psd(moment_matrix(table, k, base), tol)
 
 
 def scaled_schur_complement(table, k, u):

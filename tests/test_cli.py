@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from aluthge_lab import cli, diagrams, positivity, reproduce, transforms
 from aluthge_lab.cli import main
@@ -85,6 +89,50 @@ def test_transform_writes_file_with_out(tmp_path, capsys, prop2_file):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert json.loads(out.read_text())["transform"] == "spherical"
+
+
+def _plain_by_element(x):
+    """cli._plain as it was, walking and coercing each array element on its own."""
+    if isinstance(x, dict):
+        return {str(k): _plain_by_element(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain_by_element(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return [_plain_by_element(v) for v in x.tolist()]
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if isinstance(x, (float, np.floating)):
+        return float(x)
+    return x
+
+
+EDGE_VALUES = np.array([-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 1.5])
+ARRAYS = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=4),
+               elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                  st.sampled_from(EDGE_VALUES.tolist()))),
+    hnp.arrays(st.sampled_from([np.bool_, np.int64, np.int32, np.uint8]),
+               hnp.array_shapes(min_dims=1, max_dims=3, max_side=4)),
+)
+REPORTS = st.recursive(
+    st.one_of(ARRAYS, st.floats(allow_nan=False, allow_infinity=False), st.booleans(),
+              st.integers(), st.sampled_from([np.float64(-0.0), np.int64(3), np.bool_(True)])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.tuples(inner, inner),
+                            st.dictionaries(st.text(max_size=2), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(report=REPORTS)
+@example(report={"alpha": EDGE_VALUES.reshape(1, -1), "k": np.arange(3, dtype=np.int32),
+                 "flags": np.array([[True, False]]), "nested": [(np.float64(5e-324), 1e308)]})
+def test_plain_converts_arrays_as_the_per_element_walk_did(report):
+    got, want = cli._plain(report), _plain_by_element(report)
+    # the JSON text tells bool from int from float and keeps the sign of -0.0
+    assert dumps(got) == dumps(want)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +318,49 @@ def test_reproduce_all_prints_every_target_in_turn(capsys, seed):
     assert captured.out == "".join(_golden_target_text(t, seed) for t in cli._TARGETS)
 
 
+def _numpy_dispatches_avx512():
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return "X86_V4" in __cpu_dispatch__ and __cpu_features__.get("X86_V4", False)
+
+
+# Runs `reproduce all` at each seed with numpy's AVX-512 kernels switched off,
+# after checking that the switch took: every seed's stdout, one JSON list.
+REPRODUCE_WITHOUT_AVX512 = """
+import contextlib, io, json
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+assert not __cpu_features__["X86_V4"]
+from aluthge_lab import cli
+texts = []
+for seed in {seeds!r}:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["reproduce", "all", "--seed", str(seed)]) == 0
+    texts.append(buf.getvalue())
+print(json.dumps(texts))
+"""
+
+
+def test_reproduce_bytes_do_not_depend_on_avx512_dispatch():
+    if not _numpy_dispatches_avx512():
+        pytest.skip("numpy dispatches no X86_V4 (AVX-512) kernels here, so none can be "
+                    "switched off")
+    seeds = [1, 3, 7, 11]
+    proc = subprocess.run(
+        [sys.executable, "-c", REPRODUCE_WITHOUT_AVX512.format(seeds=seeds)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    for seed, text in zip(seeds, json.loads(proc.stdout), strict=True):
+        assert text == "".join(_golden_target_text(t, seed) for t in cli._TARGETS), seed
+
+
 def test_reproduce_runs_its_targets_in_argument_order(capsys):
     assert main(["reproduce", "thm1", "prehypo", "thm1", "--seed", "3"]) == 0
     thm1, prehypo = _golden_target_text("thm1", 3), _golden_target_text("prehypo", 3)
@@ -317,6 +408,8 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         (["regions", "scan", "--grid", "2", "--ladder", "0"], 2),
         (["reproduce", "prop1", "--seed", "-1"], 64),
         (["khypo", "--input", "x.json", "--k", "2", "--level", "-5"], 64),
+        (["regions", "scan", "--grid=--"], 64),
+        (["hypo", "--input", "x.json", "--tol=--"], 64),
     ],
 )
 def test_bad_integer_flags_exit_cleanly(capsys, argv, code):
@@ -380,6 +473,21 @@ def test_overflowing_weights_exit_2(tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("kind", ["spherical", "classify"])
+def test_spherical_ratio_past_the_float_range_exits_2(tmp_path, capsys, kind):
+    # a subnormal corner weight: P_(1,0) / P_(0,0) overflows, and the transform
+    # of it would be inf, which the JSON writer cannot print
+    path = tmp_path / "tiny.json"
+    path.write_text(dumps(diagram_to_obj(build_prop2(1e-320, 0.5))))
+    argv = {"spherical": ["transform", "--kind", "spherical", "--input", str(path)],
+            "classify": ["regions", "classify", "--x", "1e-320", "--y", "0.5"]}[kind]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: spherical transform: a ratio P_(k+e_i) / P_k "
+                            "leaves the float range\n")
 
 
 @pytest.fixture

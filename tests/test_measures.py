@@ -19,15 +19,14 @@ from aluthge_lab import (
     core_of,
     is_spherically_quasinormal,
     moments,
-    qt_power_identity_check,
     quasinormal2_measure,
     quasinormal_completion,
     quasinormality_routes,
     stampfli,
 )
 from aluthge_lab import measures
-from aluthge_lab.diagrams import DENOM_FLOOR, WeightDiagram
-from aluthge_lab.measures import QUASINORMAL_TOL, constant_interior_p2, is_spherical_isometry
+from aluthge_lab.diagrams import DENOM_FLOOR, WeightDiagram, stacked_windows
+from aluthge_lab.measures import QUASINORMAL_TOL, is_spherical_isometry
 from aluthge_lab.sampling import random_commuting_table, random_completion
 
 from oracles import interior_p2, oracle_diagrams
@@ -242,19 +241,27 @@ def test_quasinormality_route_list_form_equals_one_diagram_calls():
         measures.quasinormality_routes_many(_route_diagrams(), 10, 0)
 
 
+def _interior_diagonal(diagrams, N):
+    """(flag, C) of the interior_diagonal route on [0, N)^2, per diagram.
+
+    The route's own arithmetic, measures._constant_sums, read directly:
+    quasinormality_routes_many also runs the fixed-point route, which
+    refuses the non-commuting oracle diagrams.
+    """
+    return [(dev <= cut, C)
+            for C, dev, cut in measures._constant_sums(*stacked_windows(diagrams, N), N)]
+
+
 def _assert_interior_matches_dense(W, N):
-    flag, C = constant_interior_p2(W, N)
+    ((flag, C),) = _interior_diagonal([W], N)
     vals = interior_p2(W, N)
     assert flag == bool(np.max(np.abs(vals - vals[0])) <= QUASINORMAL_TOL * max(1.0, vals[0]))
-    if flag:
-        np.testing.assert_array_max_ulp(C, vals[0], maxulp=4)
-    else:
-        assert C is None
+    np.testing.assert_array_max_ulp(C, vals[0], maxulp=4)
 
 
 def test_interior_diagonal_matches_dense_oracle():
     diagrams = oracle_diagrams()
-    assert any(constant_interior_p2(W, 8)[0] for W in diagrams)
+    assert any(flag for flag, _ in _interior_diagonal(diagrams, 8))
     for W in diagrams:
         for N in range(1, 9):
             _assert_interior_matches_dense(W, N)
@@ -285,14 +292,14 @@ def test_interior_diagonal_stops_at_the_truncation_boundary():
     Q = quasinormal_completion(stampfli(1.0, 2.0, 3.0).weights, 4.0)
     for k in ((4, 1), (1, 4)):
         W = _alpha_bumped_at(Q, k)
-        assert [constant_interior_p2(W, N)[0] for N in range(1, 8)] == [True] * 4 + [False] * 3
+        assert [_interior_diagonal([W], N)[0][0] for N in range(1, 8)] == [True] * 4 + [False] * 3
         for N in range(1, 8):
             _assert_interior_matches_dense(W, N)
 
 
 def test_interior_diagonal_needs_an_interior():
     with pytest.raises(WindowError):
-        constant_interior_p2(random_completion(np.random.default_rng(3)), 0)
+        quasinormality_routes(random_completion(np.random.default_rng(3)), window=0, N=0)
 
 
 def test_is_spherically_quasinormal_returns_constant():
@@ -398,19 +405,19 @@ def test_theta_lift_of_two_atom_row_has_diagonal_measure():
 
 def test_qt_identity_zero_on_completions():
     W = quasinormal_completion(stampfli(1.0, 2.0, 3.0).weights, 4.0)
-    assert qt_power_identity_check(W, nmax=5, N=6) <= 1e-10
+    assert measures.qt_power_identity_checks([W], nmax=5, N=6)[0] <= 1e-10
 
 
 def test_qt_identity_positive_off_the_class():
     rng = np.random.default_rng(33)
     W = random_commuting_table(rng)
-    assert qt_power_identity_check(W, nmax=3, N=5) > 1e-6
+    assert measures.qt_power_identity_checks([W], nmax=3, N=5)[0] > 1e-6
 
 
 def test_qt_identity_trivial_cases():
     W = quasinormal_completion(OneVarWeights(values=(0.7,)), 1.5)
-    assert qt_power_identity_check(W, nmax=0, N=4) == 0.0
-    assert qt_power_identity_check(W, nmax=1, N=4) == 0.0
+    assert measures.qt_power_identity_checks([W], nmax=0, N=4) == [0.0]
+    assert measures.qt_power_identity_checks([W], nmax=1, N=4) == [0.0]
 
 
 def _qt_on_the_full_window(W, nmax, N):
@@ -426,9 +433,10 @@ def _qt_on_the_full_window(W, nmax, N):
         right = np.hstack([cur[:, 1:], np.zeros((m + 1, 1))])
         cur = A**2 * up + B**2 * right
         if first is None:
-            first = cur[: N + 1, : N + 1].copy()
+            first = power = cur[: N + 1, : N + 1].copy()
             continue
-        worst = max(worst, float(np.max(np.abs(cur[: N + 1, : N + 1] - first**n))))
+        power = power * first  # (Q(I))^n as a running product, as the library forms it
+        worst = max(worst, float(np.max(np.abs(cur[: N + 1, : N + 1] - power))))
     return worst
 
 
@@ -439,7 +447,8 @@ def test_qt_identity_list_form_equals_one_diagram_calls():
         assert len(stacked) == len(diagrams)
         for W, got in zip(diagrams, stacked):
             assert type(got) is float
-            assert got.hex() == qt_power_identity_check(W, nmax, N).hex()
+            (alone,) = measures.qt_power_identity_checks([W], nmax, N)
+            assert got.hex() == alone.hex()
             assert got.hex() == _qt_on_the_full_window(W, nmax, N).hex()
     assert measures.qt_power_identity_checks([], 3, 4) == []
 

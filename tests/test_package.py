@@ -1,7 +1,9 @@
 """The package namespace: names load on first use and are never cached."""
 
+import ast
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,9 +17,39 @@ ROOT = Path(__file__).resolve().parents[1]
 EXPORTS = [(name, module) for module, names in aluthge_lab._EXPORTS.items() for name in names]
 
 
-def test_the_public_surface_has_69_names():
-    assert len(aluthge_lab.__all__) == len(EXPORTS) == 69
+def test_the_public_surface_has_59_names():
+    assert len(aluthge_lab.__all__) == len(EXPORTS) == 59
     assert sorted(aluthge_lab.__all__) == sorted(name for name, _ in EXPORTS)
+
+
+def _names_used_by_the_library() -> set:
+    """Every name read, attribute taken or name imported by a module under
+    src/aluthge_lab/ other than __init__.py; a def or class alone is no use."""
+    used = set()
+    for path in (ROOT / "src" / "aluthge_lab").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
+
+
+def _readme_library_section() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split("## Library in one minute", 1)[1].split("\n## ", 1)[0]
+
+
+def test_every_export_is_used_by_the_library_or_named_in_the_readme():
+    used = _names_used_by_the_library()
+    section = _readme_library_section()
+    unused = [name for name, _ in EXPORTS
+              if name not in used and not re.search(rf"\b{name}\b", section)]
+    assert unused == []
 
 
 @pytest.mark.parametrize("name, module", EXPORTS, ids=[name for name, _ in EXPORTS])

@@ -1,7 +1,6 @@
 """Positivity tests against operator-level oracles and closed-form regions."""
 
 import dataclasses
-import itertools
 import math
 import tracemalloc
 
@@ -19,18 +18,13 @@ from aluthge_lab import (
     build_theta,
     classify,
     classify_many,
-    componentwise_hyponormal,
     full_hypo_report,
     hypo_orders,
     joint_hyponormal,
     joint_hyponormal_reports,
-    k_hyponormal,
     k_hyponormal_verdict,
     k_hyponormal_verdicts,
     moments,
-    one_var_k_hyponormal,
-    psd_check,
-    six_point_test,
 )
 from aluthge_lab import diagrams, positivity
 from aluthge_lab.diagrams import WeightDiagram, build_table, stacked_windows
@@ -44,6 +38,7 @@ from aluthge_lab.transforms import spherical_transform, toral_transform
 
 from oracles import (
     block_commutator_spectrum,
+    eigvalsh_is_psd,
     lattice_block_spectra,
     moment_matrix_psd,
     one_var_block_min_eig,
@@ -52,25 +47,6 @@ from oracles import (
 )
 
 PSD_TOL = 1e-10
-
-
-# ---------------------------------------------------------------------------
-# psd_check basics
-
-
-def test_psd_check_verdicts():
-    assert psd_check(np.eye(3)).is_psd
-    v = psd_check(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert not v.is_psd
-    assert v.min_eigenvalue == pytest.approx(-1.0)
-    assert v.dim == 2
-
-
-def test_psd_check_rejects_nonsymmetric_and_nonsquare():
-    with pytest.raises(DomainError):
-        psd_check(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(DomainError):
-        psd_check(np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -87,31 +63,33 @@ def test_six_point_corner_family_threshold():
     assert not above
     k, M = report.worst_witness
     assert k == (0, 0)  # the corner is the only non-flat lattice point
-    _, verdict = six_point_test(build_prop2(h + 0.01, y), k)
-    assert not verdict.is_psd
+    assert not eigvalsh_is_psd(M)
 
 
 def test_six_point_single_point_matches_scan():
     W = build_prop2(0.9, 0.3)
-    M, verdict = six_point_test(W, (0, 0))
+    flag, report = joint_hyponormal(W, 10)
+    k, M = report.worst_witness
+    assert k == (0, 0)
     # hand values: p = 1 - x^2, r = 1 - x^2, q = y^2 - x^2
     assert M[0, 0] == pytest.approx(1 - 0.81)
     assert M[0, 1] == pytest.approx(0.09 - 0.81)
-    assert not verdict.is_psd
+    assert not flag
+    assert not eigvalsh_is_psd(M)
 
 
 def test_componentwise_on_monotone_tables():
     rng = np.random.default_rng(2)
     for _ in range(5):
         W = random_monotone_table(rng)
-        a_ok, b_ok = componentwise_hyponormal(W, 8)
+        ((a_ok, b_ok),) = positivity.componentwise_hyponormal_many([W], 8)
         assert a_ok and b_ok
 
 
 def test_componentwise_flags_are_directional():
     om = OneVarWeights(values=(0.9, 0.7, 1.0))  # dips, then recovers
     W = build_theta(om)
-    a_ok, b_ok = componentwise_hyponormal(W, 6)
+    ((a_ok, b_ok),) = positivity.componentwise_hyponormal_many([W], 6)
     assert not a_ok and not b_ok
 
 
@@ -121,7 +99,7 @@ def test_componentwise_list_form_equals_one_diagram_calls():
         stacked = positivity.componentwise_hyponormal_many(diagrams, N)
         assert len(stacked) == len(diagrams)
         for W, flags in zip(diagrams, stacked):
-            assert flags == componentwise_hyponormal(W, N)
+            assert [flags] == positivity.componentwise_hyponormal_many([W], N)
             assert all(type(f) is bool for f in flags)
     assert positivity.componentwise_hyponormal_many([], 8) == []
 
@@ -154,7 +132,7 @@ def test_one_var_hankel_matches_operator_blocks():
         om = random_nondecreasing_omega(rng, length=8)
         for k in (1, 2):
             nmax = 4 * k + 6
-            hankel = one_var_k_hyponormal(om, k, nmax)
+            (hankel,) = positivity.one_var_k_hyponormal_many([om], k, nmax)
             me = one_var_block_min_eig(om, k, nmax + 2 * k)
             scale = max(1.0, om(0) ** 2) ** k
             if _decisive(me, scale):
@@ -165,7 +143,7 @@ def test_one_var_hankel_matches_operator_blocks():
 
 def test_one_var_decreasing_fails_k1_both_routes():
     om = OneVarWeights(values=(1.0, 0.6, 1.1))
-    assert not one_var_k_hyponormal(om, 1)
+    assert positivity.one_var_k_hyponormal_many([om], 1) == [False]
     assert one_var_block_min_eig(om, 1, 10) < -1e-3
 
 
@@ -173,7 +151,7 @@ def test_one_var_two_atom_rows_fully_hyponormal():
     # rows of a two-atom measure are subnormal, so every order passes
     om = stampfli(1.0, 2.0, 3.0).weights
     for k in (1, 2, 3):
-        assert one_var_k_hyponormal(om, k)
+        assert positivity.one_var_k_hyponormal_many([om], k) == [True]
     assert one_var_block_min_eig(om, 3, 12) > -1e-12
 
 
@@ -187,8 +165,8 @@ def test_one_var_stacked_verdict_equals_psd_check_loop():
             nmax = 4 * k + 6
             gam = diagrams.moments_1var(om, nmax + 2 * k)
             steps = np.add.outer(np.arange(k + 1), np.arange(k + 1))
-            want = all(psd_check(gam[n + steps]).is_psd for n in range(nmax + 1))
-            assert one_var_k_hyponormal(om, k) is want
+            want = all(eigvalsh_is_psd(gam[n + steps]) for n in range(nmax + 1))
+            assert positivity.one_var_k_hyponormal_many([om], k) == [want]
             seen.add(want)
     assert seen == {True, False}
 
@@ -196,10 +174,11 @@ def test_one_var_stacked_verdict_equals_psd_check_loop():
 def test_one_var_refuses_moments_past_the_float_range():
     # the verdict is scale-invariant, so these rows would pass as
     # (0.5, 1, 1) does; their moments overflow instead
-    assert one_var_k_hyponormal(OneVarWeights(values=(0.5, 1.0, 1.0)), 3)
+    rows = [OneVarWeights(values=(0.5, 1.0, 1.0))]
+    assert positivity.one_var_k_hyponormal_many(rows, 3) == [True]
     for w in (1e7, 1e154):
         with pytest.raises(DomainError, match="normal positive floats"):
-            one_var_k_hyponormal(OneVarWeights(values=(0.5, w, w)), 3)
+            positivity.one_var_k_hyponormal_many([OneVarWeights(values=(0.5, w, w))], 3)
 
 
 def test_one_var_list_form_equals_one_row_calls():
@@ -211,7 +190,8 @@ def test_one_var_list_form_equals_one_row_calls():
     for k in (1, 2, 3):
         for nmax in (None, 0, 3):
             stacked = positivity.one_var_k_hyponormal_many(rows, k, nmax)
-            assert stacked == [one_var_k_hyponormal(om, k, nmax) for om in rows]
+            alone = [positivity.one_var_k_hyponormal_many([om], k, nmax) for om in rows]
+            assert [[v] for v in stacked] == alone
             assert all(type(v) is bool for v in stacked)
             seen.update(stacked)
     assert seen == {True, False}
@@ -221,7 +201,7 @@ def test_one_var_list_form_equals_one_row_calls():
 def test_one_var_list_form_refuses_the_first_row_past_the_float_range():
     fine, huge = OneVarWeights(values=(0.5, 1.0, 1.0)), OneVarWeights(values=(0.5, 1e7, 1e7))
     with pytest.raises(DomainError) as alone:
-        one_var_k_hyponormal(huge, 3)
+        positivity.one_var_k_hyponormal_many([huge], 3)
     with pytest.raises(DomainError) as stacked:
         positivity.one_var_k_hyponormal_many([fine, huge, fine], 3)
     assert str(stacked.value) == str(alone.value)
@@ -229,7 +209,7 @@ def test_one_var_list_form_refuses_the_first_row_past_the_float_range():
 
 def test_one_var_k_must_be_positive():
     with pytest.raises(DomainError):
-        one_var_k_hyponormal(OneVarWeights(values=(1.0,)), 0)
+        positivity.one_var_k_hyponormal_many([OneVarWeights(values=(1.0,))], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +219,7 @@ def test_one_var_k_must_be_positive():
 def test_k1_block_matches_six_point_verdict():
     for x, y, expect in ((0.70, 0.6, True), (0.95, 0.6, False)):
         W = build_prop2(x, y)
-        assert k_hyponormal(W, 1, 8) is expect
+        assert k_hyponormal_verdict(W, 1, 8).is_psd is expect
         assert joint_hyponormal(W, 8)[0] is expect
 
 
@@ -355,34 +335,34 @@ def test_witness_is_the_six_point_matrix_at_the_worst_point():
         if flag:
             continue
         k, M = report.worst_witness
-        assert np.array_equal(M, positivity.six_point_matrix(W, *k))
+        k1, k2 = k
+        a, b = W.alpha, W.beta
+        # the module docstring's M(k), from point values
+        want = [[a(k1 + 1, k2) ** 2 - a(k1, k2) ** 2,
+                 a(k1, k2 + 1) * b(k1 + 1, k2) - a(k1, k2) * b(k1, k2)],
+                [a(k1, k2 + 1) * b(k1 + 1, k2) - a(k1, k2) * b(k1, k2),
+                 b(k1, k2 + 1) ** 2 - b(k1, k2) ** 2]]
+        np.testing.assert_allclose(M, want, rtol=1e-13, atol=1e-15)
         p, q, r, mineigs = positivity._six_point_fields(*(X[None] for X in W.weight_arrays(10, 10)))
         assert mineigs[0][k] == report.joint_min_eig == mineigs.min()
         checked += k[0] != k[1]
     assert checked  # an off-diagonal witness, where swapping k1 and k2 shows
 
 
-def test_witness_and_six_point_matrix_are_the_verdict_fields_bit_for_bit():
-    # M(k) has one body: the witness and six_point_matrix read the arrays
-    # that decide the verdict, where Python-float ** and numpy products can
-    # differ in the last bit
+def test_witness_is_the_verdict_fields_bit_for_bit():
+    # the witness reads M(k) from the arrays that decide the verdict, where
+    # Python-float ** and numpy products can differ in the last bit
     rng = np.random.default_rng(5)
     tables = ([random_commuting_table(rng) for _ in range(40)]
               + [random_monotone_table(rng) for _ in range(20)])
     witnesses = 0
     for W, report in zip(tables, joint_hyponormal_reports(tables, 8)):
+        if report.worst_witness is None:
+            continue
+        k, M = report.worst_witness
         p, q, r, _ = positivity._six_point_fields(*stacked_windows([W], 10))
-
-        def field_at(k):
-            return [float(X[0][k]).hex() for X in (p, q, q, r)]
-
-        for k in itertools.product(range(9), repeat=2):
-            M = positivity.six_point_matrix(W, *k)
-            assert [float(v).hex() for v in M.ravel()] == field_at(k), (W.kind, k)
-        if report.worst_witness is not None:
-            k, M = report.worst_witness
-            assert [float(v).hex() for v in M.ravel()] == field_at(k)
-            witnesses += 1
+        assert [float(v).hex() for v in M.ravel()] == [float(X[0][k]).hex() for X in (p, q, q, r)]
+        witnesses += 1
     assert witnesses
 
 
@@ -595,8 +575,8 @@ def test_oversized_blocks_refused_before_any_window():
 def test_k_hierarchy_downward():
     # failure at order 1 forces failure at every higher order
     W = build_prop2(0.95, 0.6)
-    assert not k_hyponormal(W, 1, 10)
-    assert not k_hyponormal(W, 2, 10)
+    assert not k_hyponormal_verdict(W, 1, 10).is_psd
+    assert not k_hyponormal_verdict(W, 2, 10).is_psd
 
 
 def test_khypo_window_requirement():
@@ -610,11 +590,11 @@ def test_khypo_window_requirement():
 def test_subnormal_completion_k_hyponormal_and_moment_psd():
     W = quasinormal_completion(stampfli(1.0, 2.0, 3.0).weights, 4.0)
     for k in (1, 2):
-        assert k_hyponormal(W, k, 4 * k + 2)
+        assert k_hyponormal_verdict(W, k, 4 * k + 2).is_psd
     table = moments(W, 8)
     for k in (1, 2):
-        assert moment_matrix_psd(table, k).is_psd
-    assert moment_matrix_psd(table, 2, base=(1, 1)).is_psd
+        assert moment_matrix_psd(table, k)
+    assert moment_matrix_psd(table, 2, base=(1, 1))
 
 
 def test_moment_matrix_detects_nonsubnormal():
@@ -629,7 +609,7 @@ def test_moment_matrix_detects_nonsubnormal():
     bad = False
     for k in (2, 3):
         for base in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            if not moment_matrix_psd(table, k, base=base).is_psd:
+            if not moment_matrix_psd(table, k, base=base):
                 bad = True
     assert bad  # some truncated moment matrix must witness non-subnormality
 
@@ -675,7 +655,7 @@ def test_full_report_witness_on_failure():
     assert not report.joint
     k, M = report.worst_witness
     assert k == (0, 0)
-    assert not psd_check(M).is_psd
+    assert not eigvalsh_is_psd(M)
 
 
 def test_hypo_orders_without_higher_orders_hands_back_the_order_1_reports(monkeypatch):

@@ -19,7 +19,6 @@ from aluthge_lab import (
     continuity_probe,
     quasinormal_completion,
     quasinormality_routes,
-    spherical_polar,
     spherical_transform,
     spherical_transforms,
     stampfli,
@@ -195,14 +194,6 @@ def test_iterated_spherical_transform_follows_parameter_maps():
 
 # ---------------------------------------------------------------------------
 # polar data
-
-
-def test_polar_directions_are_unit():
-    rng = np.random.default_rng(9)
-    W = random_commuting_table(rng)
-    polar = spherical_polar(W, window=8)
-    assert polar.isometry_residual() <= 1e-15
-    assert polar.P_diag[1, 2] == pytest.approx(math.hypot(W.alpha(1, 2), W.beta(1, 2)))
 
 
 def test_joint_partial_isometry_identity():
