@@ -66,15 +66,19 @@ from .linalg import PSD_TOL
 
 # The order-1 spectral identity must hold to this absolute-per-scale level.
 CROSS_CHECK_TOL = 1e-8
-# Largest order-k block array, in floats per kernel call, that is assembled:
-# 2**23 floats are 64 MiB, and the assembly holds a few such arrays at once.
+# Largest order-k block array of one diagram, in floats: 2**23 floats are
+# 64 MiB, and the assembly holds a few such arrays at once.  A diagram over
+# it is refused.
 MAX_BLOCK_FLOATS = 2**23
-# Most diagrams k_hyponormal_verdicts puts in one kernel call, and most points
-# regions.classify_many puts in one stack.  On 40-point rows at N = 12, past
-# one classify(kmax=3) call, stacks of 5, 10, 20 and 40 points raised peak
-# RSS by about 0.13, 0.25, 0.95 and 2.5 MB.  A 4 x 10 scan ran under 5%
-# slower with 5 than with 10, which cost about 1% of its peak RSS.
-STACK_POINTS = 5
+# Most order-k block floats one kernel call assembles, summed over its
+# diagrams (a diagram over it runs alone); every stack is sized from it.
+# At N = 12 a call holds 101 diagrams at order 1, 19 at order 2 and 5 at
+# order 3 (level 14, as in stacks of 5 points), and classify_many stacks
+# 33 points.  On the bench, against stacks of 5 points, corner-scan took
+# 13% less time at +0.1 MB of peak RSS and reproduce 12% less at +0.8 MB;
+# 2**15 (3 diagrams at order 3) saved 9% and 11%, and 2**16 (45-point
+# stacks) 9% and 13% at +0.3 and +1.5 MB.
+STACK_FLOATS = 3 * 2**14
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -160,13 +164,12 @@ def joint_hyponormal_reports(diagrams, N: int, tol: float = PSD_TOL) -> list:
     compressed to [0, N-3]^2 and asserts, per diagram, the exact spectral
     identity relating their minimum to the six-point, rim, and wall terms;
     disagreement beyond round-off raises InternalConsistencyError for the
-    first failing diagram.  The diagrams go through the kernels as one
-    stack, split into consecutive stacks only where the order-1 blocks of
-    one would exceed MAX_BLOCK_FLOATS; one diagram over the budget is
-    refused before any window is read.
+    first failing diagram.  The diagrams go through the kernels in
+    consecutive stacks of joint_stack_size(N); one diagram over
+    MAX_BLOCK_FLOATS is refused before any window is read.
     """
     diagrams = list(diagrams)
-    per = _per_call(1, N - 2, len(diagrams)) if N >= 4 else max(1, len(diagrams))
+    per = joint_stack_size(N)
     return [
         report
         for i in range(0, len(diagrams), per)
@@ -261,12 +264,19 @@ def _check_block_budget(k: int, size: int) -> int:
     return floats
 
 
-def _per_call(k: int, size: int, most: int) -> int:
-    """Diagrams per kernel call at order k on [0, size-1]^2: at most `most`
-    (at least 1), and together within MAX_BLOCK_FLOATS.  Refuses one
-    diagram over the budget (_check_block_budget).
+def _per_call(k: int, size: int) -> int:
+    """Diagrams per kernel call at order k on [0, size-1]^2: as many as
+    fit STACK_FLOATS together, at least 1.  Refuses one diagram over
+    MAX_BLOCK_FLOATS (_check_block_budget).
     """
-    return max(1, min(most, MAX_BLOCK_FLOATS // _check_block_budget(k, size)))
+    return max(1, STACK_FLOATS // _check_block_budget(k, size))
+
+
+def joint_stack_size(N: int) -> int:
+    """Diagrams per joint_hyponormal_reports stack at level N: _per_call of
+    its order-1 blocks, those of level 4 below it, where none are assembled.
+    """
+    return _per_call(1, max(N, 4) - 2)
 
 
 @functools.lru_cache(maxsize=8)
@@ -459,17 +469,17 @@ def k_hyponormal_verdicts(diagrams, k: int, N: int, tol: float = PSD_TOL) -> lis
     is a sound necessary condition for k-hyponormality.  `dim` is the size
     m (Mc+1)^2 of the compressed matrix.
 
-    The diagrams go through the kernel in consecutive stacks of at most
-    STACK_POINTS, fewer where a stack's blocks would exceed
-    MAX_BLOCK_FLOATS, one stacked eigensolve each.  Every verdict equals
-    that of a one-diagram call bit for bit.
+    The diagrams go through the kernel in consecutive stacks whose blocks
+    fit STACK_FLOATS together (_per_call), one stacked eigensolve each; a
+    diagram over it runs alone.  Every verdict equals that of a
+    one-diagram call bit for bit.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
     if N < 4 * k + 2:
         raise WindowError(f"k = {k} needs truncation level N >= {4 * k + 2}, got {N}")
     size = N - 2 * k  # compression window [0, Mc]^2
-    per = _per_call(k, size, STACK_POINTS)
+    per = _per_call(k, size)
     dim = len(_graded_multi_indices(k)) * size * size
     diagrams = list(diagrams)
     out = []

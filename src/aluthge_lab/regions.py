@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .diagrams import build_prop2
 from .errors import DomainError, InternalConsistencyError
-from .positivity import STACK_POINTS, hypo_orders, joint_hyponormal_reports, order_levels
+from .positivity import hypo_orders, joint_hyponormal_reports, joint_stack_size, order_levels
 from .transforms import aluthge_transforms
 
 # Points closer than this to a curve are skipped when comparing verdicts.
@@ -135,24 +135,28 @@ def classify_many(points, N: int = DEFAULT_SCAN_LEVEL, kmax: int = 1) -> list:
     flags must agree, and a mismatch raises InternalConsistencyError.
 
     Every order's block budget is checked before any stack runs.  Points
-    go through in stacks of at most STACK_POINTS consecutive ones: per
-    stack one read of the parent windows serves both transforms and their
+    go through in consecutive stacks of as many as fit three diagrams'
+    order-1 blocks in positivity.STACK_FLOATS (33 at N = 12): per stack
+    one read of the parent windows serves both transforms and their
     checks, one joint_hyponormal_reports call covers the 3 diagrams of
     each point, and one hypo_orders call (the order-k route of
-    full_hypo_report) runs each order 2..kmax as one stacked kernel call
-    over the corner diagrams.  Every slice of a stack gets exactly the
-    arithmetic it would get alone, so the reports equal those of one-point
-    calls bit for bit.  Of several failing points, the first of the first
-    failing stage raises.
+    full_hypo_report) runs each order 2..kmax over the corner diagrams,
+    in kernel calls sized by the same budget.  Every slice of a stack
+    gets exactly the arithmetic it would get alone, so the reports equal
+    those of one-point calls bit for bit.  Of several failing points, the
+    first failing point of the first failing stage raises, within a
+    stack whose size the budget sets, so a request with several failures
+    may name a different point under another budget.
     """
     points = [(x, y) for x, y in points]
     for x, y in points:
         if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
             raise DomainError(f"require (x, y) in the open unit square, got ({x}, {y})")
     order_levels(N, kmax)
+    per = max(1, joint_stack_size(N) // 3)
     out = []
-    for i in range(0, len(points), STACK_POINTS):
-        out += _classify_stack(points[i : i + STACK_POINTS], N, kmax)
+    for i in range(0, len(points), per):
+        out += _classify_stack(points[i : i + per], N, kmax)
     return out
 
 
@@ -213,8 +217,9 @@ def region_scan(grid: int, N: int = DEFAULT_SCAN_LEVEL, ladder: int = 20):
     """CSV scan over y_i = i/(grid+1) with a per-row ladder of x values.
 
     Each (y, x) sample runs the full classifier including orders 2 and 3,
-    one ladder row per classify_many call, so memory stays bounded by one
-    stack for any ladder; floats carry 12 significant digits and verdicts
+    one ladder row per classify_many call.  Time grows with grid x ladder,
+    and memory stays bounded by one stack, which positivity.STACK_FLOATS
+    sizes, for any ladder; floats carry 12 significant digits and verdicts
     are 1/0.  Rows come out in (y, x) order.  Returns the CSV lines.
     """
     if grid < 2:

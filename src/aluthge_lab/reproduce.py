@@ -4,14 +4,14 @@ Each function runs one self-contained numerical experiment and returns a
 CheckResult of labeled pass/fail rows with the measured numbers, which the
 CLI prints as tables and the acceptance suite re-asserts.  Diagrams are
 drawn from one seed through a sampling.PCG64Stream (numpy's default
-generator rebuilt from the stdlib) and reach the library in
-stacks of at most STACK_POINTS, so a fixed seed reproduces every row byte
-for byte: each stack gives its diagrams the arithmetic they get alone.
+generator rebuilt from the stdlib), and each check passes its whole
+fixture to the library's list forms, which size their stacks by
+positivity.STACK_FLOATS.  A fixed seed reproduces every row byte for
+byte: each stack gives its diagrams the arithmetic they get alone.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,7 +37,6 @@ from .measures import (
     stampfli,
 )
 from .positivity import (
-    STACK_POINTS,
     componentwise_hyponormal_many,
     joint_hyponormal_reports,
     k_hyponormal_verdicts,
@@ -62,13 +61,6 @@ from .transforms import (
 )
 
 DEFAULT_SEED = 7
-
-
-def _stacks(items):
-    """items, drawn lazily in order, as consecutive lists of at most STACK_POINTS."""
-    items = iter(items)
-    while stack := list(itertools.islice(items, STACK_POINTS)):
-        yield stack
 
 
 @dataclass(frozen=True)
@@ -129,18 +121,16 @@ def _mismatch(x: float, y: float) -> bool:
 def threshold_grid(seed: int = DEFAULT_SEED) -> CheckResult:
     """Closed-form vs numerical verdicts on a 9 x 20 ladder grid, N = 12."""
     t0 = time.perf_counter()
-    rows = []
-    for i in range(1, 10):
-        y = i / 10
-        xs = probe_ladder(y, 20)
-        try:
-            classify_many([(x, y) for x in xs], N=12)
-            mismatches = 0
-        except InternalConsistencyError:
-            # a stack raises for its first mismatch: count them point by point
-            mismatches = sum(_mismatch(x, y) for x in xs)
-        rows.append(Row(f"y = {y:.1f}: ladder verdicts agree", mismatches == 0,
-                        float(mismatches), f"{20 - mismatches}/20"))
+    ladders = [(i / 10, probe_ladder(i / 10, 20)) for i in range(1, 10)]
+    try:
+        classify_many([(x, y) for y, xs in ladders for x in xs], N=12)
+        counts = [0] * len(ladders)
+    except InternalConsistencyError:
+        # a stack raises for its first mismatch: count them point by point
+        counts = [sum(_mismatch(x, y) for x in xs) for y, xs in ladders]
+    rows = [Row(f"y = {y:.1f}: ladder verdicts agree", mismatches == 0,
+                float(mismatches), f"{20 - mismatches}/20")
+            for (y, _), mismatches in zip(ladders, counts)]
     dt = time.perf_counter() - t0
     rows.append(Row("runtime below 30 s", dt < 30.0, dt))
     return CheckResult("threshold curves vs six-point verdicts on the grid", tuple(rows))
@@ -179,21 +169,19 @@ def table_transform_checks(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = PCG64Stream(seed)
     window = 10
 
-    worst_resid, toral_disagreements, toral_commuting = 0.0, 0, 0
-    for Ws in _stacks(random_commuting_table(rng) for _ in range(50)):
-        torals, sphericals = aluthge_transforms(Ws, window=window)
-        residuals = commutativity_residuals(*stacked_windows(sphericals, window + 2))
-        cuts = [COMMUTATIVITY_TOL * s for s in weight_scales(*stacked_windows(Ws, window + 1))]
-        for res, (resid, _), cut in zip(torals, residuals, cuts):
-            worst_resid = max(worst_resid, resid)
-            toral_disagreements += res.commutes != (res.direct_residual <= cut)
-            toral_commuting += res.commutes
+    Ws = [random_commuting_table(rng) for _ in range(50)]
+    torals, sphericals = aluthge_transforms(Ws, window=window)
+    residuals = commutativity_residuals(*stacked_windows(sphericals, window + 2))
+    cuts = [COMMUTATIVITY_TOL * s for s in weight_scales(*stacked_windows(Ws, window + 1))]
+    worst_resid = max(0.0, *(resid for resid, _ in residuals))
+    toral_disagreements = sum(res.commutes != (res.direct_residual <= cut)
+                              for res, cut in zip(torals, cuts))
+    toral_commuting = sum(res.commutes for res in torals)
 
-    preserved = 0
-    for Ws in _stacks(random_monotone_table(rng) for _ in range(50)):
-        before = componentwise_hyponormal_many(Ws, 10)
-        after = componentwise_hyponormal_many(spherical_transforms(Ws, window=window), 10)
-        preserved += sum(all(b) and all(a) for b, a in zip(before, after))
+    monotone = [random_monotone_table(rng) for _ in range(50)]
+    before = componentwise_hyponormal_many(monotone, 10)
+    after = componentwise_hyponormal_many(spherical_transforms(monotone, window=window), 10)
+    preserved = sum(all(b) and all(a) for b, a in zip(before, after))
 
     return CheckResult(
         "transform behaviour on random commuting tables",
@@ -229,19 +217,15 @@ def lift_transform_hypo(seed: int = DEFAULT_SEED) -> CheckResult:
     """On hyponormal lifts the transforms coincide and stay hyponormal."""
     rng = PCG64Stream(seed)
     window = 10
-    worst_gap = 0.0
-    base_hypo = 0
-    toral_hypo = 0
-    spherical_hypo = 0
-    for Ws in _stacks(build_theta(random_nondecreasing_omega(rng)) for _ in range(20)):
-        # the transforms read the widest window, so the joint test reads a slice
-        torals, sphericals = aluthge_transforms(Ws, window=window)
-        base_hypo += sum(r.joint for r in joint_hyponormal_reports(Ws, 10))
-        tors = [res.diagram for res in torals]
-        worst_gap = max(worst_gap, *max_weight_gaps(tors, sphericals, window))
-        reports = joint_hyponormal_reports(tors + sphericals, 8)  # both transforms, one test
-        toral_hypo += sum(r.joint for r in reports[: len(Ws)])
-        spherical_hypo += sum(r.joint for r in reports[len(Ws) :])
+    Ws = [build_theta(random_nondecreasing_omega(rng)) for _ in range(20)]
+    # the transforms read the widest window, so the joint test reads a slice
+    torals, sphericals = aluthge_transforms(Ws, window=window)
+    base_hypo = sum(r.joint for r in joint_hyponormal_reports(Ws, 10))
+    tors = [res.diagram for res in torals]
+    worst_gap = max(0.0, *max_weight_gaps(tors, sphericals, window))
+    reports = joint_hyponormal_reports(tors + sphericals, 8)  # both transforms, one test
+    toral_hypo = sum(r.joint for r in reports[: len(Ws)])
+    spherical_hypo = sum(r.joint for r in reports[len(Ws) :])
     return CheckResult(
         "transforms of hyponormal lifted diagrams",
         (
@@ -259,19 +243,16 @@ def lift_transform_hypo(seed: int = DEFAULT_SEED) -> CheckResult:
 
 def _transform_gaps(diagrams, window: int) -> list:
     """Weight gap between the toral and the spherical transform of each diagram."""
-    gaps = []
-    for Ws in _stacks(diagrams):
-        torals, sphericals = aluthge_transforms(Ws, window=window)
-        gaps += max_weight_gaps([res.diagram for res in torals], sphericals, window)
-    return gaps
+    torals, sphericals = aluthge_transforms(diagrams, window=window)
+    return max_weight_gaps([res.diagram for res in torals], sphericals, window)
 
 
 def proportional_rows_agree(seed: int = DEFAULT_SEED) -> CheckResult:
     """Transforms coincide exactly on proportional-row diagrams, and only there."""
     rng = PCG64Stream(seed)
     window = 8
-    worst_family = max(0.0, *_transform_gaps((random_thm1(rng) for _ in range(20)), window))
-    perturbed = _transform_gaps((bumped_thm1_table(rng) for _ in range(20)), window)
+    worst_family = max(0.0, *_transform_gaps([random_thm1(rng) for _ in range(20)], window))
+    perturbed = _transform_gaps([bumped_thm1_table(rng) for _ in range(20)], window)
     min_perturbed = min(float("inf"), *perturbed)
 
     return CheckResult(
@@ -301,11 +282,10 @@ def quasinormal_route_agreement(seed: int = DEFAULT_SEED) -> CheckResult:
     completions, generics = _routes_fixture(seed)
     disagreements = 0
     quasinormal_count = 0
-    for Ws in _stacks(completions + generics):
-        for r in quasinormality_routes_many(Ws, window=10, N=8):
-            flags = (r["constant_sum"], r["fixed_point"], r["interior_diagonal"])
-            disagreements += int(len(set(flags)) != 1)
-            quasinormal_count += int(all(flags))
+    for r in quasinormality_routes_many(completions + generics, window=10, N=8):
+        flags = (r["constant_sum"], r["fixed_point"], r["interior_diagonal"])
+        disagreements += int(len(set(flags)) != 1)
+        quasinormal_count += int(all(flags))
     return CheckResult(
         "three quasinormality detections agree on 50 diagrams",
         (
@@ -345,9 +325,7 @@ def completion_khypo_qt(seed: int = DEFAULT_SEED) -> CheckResult:
         bad = sum(not v.is_psd for v in k_hyponormal_verdicts(completions, k, 14))
         rows.append(Row(f"k = {k} on all 25 completions", bad == 0, float(bad),
                         f"{25 - bad}/25"))
-    worst_qt = max(
-        gap for Ws in _stacks(completions) for gap in qt_power_identity_checks(Ws, nmax=5, N=6)
-    )
+    worst_qt = max(qt_power_identity_checks(completions, nmax=5, N=6))
     rows.append(Row("power identity residual <= 1e-10 for n <= 5", worst_qt <= 1e-10,
                     worst_qt, f"worst {worst_qt:.2e}"))
     return CheckResult("completions are k-hyponormal and satisfy the power identity", tuple(rows))
@@ -363,7 +341,7 @@ def continuity_bounds(seed: int = DEFAULT_SEED) -> CheckResult:
     rows = []
     for n in (1, 10, 100, 10_000):
         worst = min(min(e["slack"] for e in probe.bound_report.values())
-                    for Ws in _stacks(diagrams) for probe in continuity_probes(Ws, N=10, n=n))
+                    for probe in continuity_probes(diagrams, N=10, n=n))
         rows.append(Row(f"five bounds hold at n = {n}", worst >= -1e-10, worst,
                         f"min slack {worst:.2e}"))
     return CheckResult("regularization bounds on 10 random diagrams", tuple(rows))

@@ -8,6 +8,7 @@ dual-route tests assert.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -293,6 +294,40 @@ def lattice_block_spectra(W, k, size):
             if not ok:
                 b[i, i] = filler
     return np.array([np.linalg.eigvalsh(b) for b in blocks])
+
+
+def exact_six_point_flags(W, N, factors, tol=1e-10):
+    """(joint, alpha, beta) flags of the six-point test on [0, N]^2, decided
+    exactly at each cut f c, f in factors, with c = tol max(1, largest
+    squared weight) on the window [0, N+2)^2.
+
+    Reads the float weights the library reads, that window, and forms
+    M(k) = [[p, q], [q, r]] from them in fractions.Fraction.  M(k) + c I is
+    PSD exactly when p + c >= 0, r + c >= 0 and (p + c)(r + c) >= q^2; the
+    componentwise flags ask p + c >= 0, and r + c >= 0, at every k.
+    """
+    A, B = W.weight_arrays(N + 2, N + 2)
+    a = [[Fraction(w) for w in row] for row in A.tolist()]
+    b = [[Fraction(w) for w in row] for row in B.tolist()]
+    fields = [
+        (a[i + 1][j] ** 2 - a[i][j] ** 2,
+         a[i][j + 1] * b[i + 1][j] - a[i][j] * b[i][j],
+         b[i][j + 1] ** 2 - b[i][j] ** 2)
+        for i in range(N + 1)
+        for j in range(N + 1)
+    ]
+    top = max(max(map(max, a)), max(map(max, b)))
+    c = Fraction(tol) * max(Fraction(1), top * top)
+    flags = []
+    for f in factors:
+        cut = Fraction(f) * c
+        flags.append((
+            all(p + cut >= 0 and r + cut >= 0 and (p + cut) * (r + cut) >= q * q
+                for p, q, r in fields),
+            all(p + cut >= 0 for p, _, _ in fields),
+            all(r + cut >= 0 for _, _, r in fields),
+        ))
+    return flags
 
 
 def _graded_with_zero(k):

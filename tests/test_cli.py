@@ -700,7 +700,8 @@ def test_order_k_tables_match_golden_text(target, check, seed):
 
 def test_reproduce_runs_its_diagrams_in_stacks(monkeypatch):
     stacks = {}
-    for module, name in ((transforms, "_parent_windows"), (positivity, "_joint_stack")):
+    for module, name in ((transforms, "_parent_windows"), (positivity, "_joint_stack"),
+                         (positivity, "_lattice_block_eigs")):
         seen = stacks[name] = []
 
         def counting(diagrams, *args, _seen=seen, _original=getattr(module, name)):
@@ -710,11 +711,55 @@ def test_reproduce_runs_its_diagrams_in_stacks(monkeypatch):
         monkeypatch.setattr(module, name, counting)
     for target in reproduce.TARGETS:
         reproduce.run_target(target, seed=7)
-    # 251 and 98 calls, 212 and 60 of them on one diagram, when the runners
-    # called the library one diagram at a time
-    assert len(stacks["_parent_windows"]) == 82
-    assert len(stacks["_joint_stack"]) == 45
+    # each check hands its whole fixture to the library, whose stacks the
+    # block budget sizes; 82, 45 and 84 calls in stacks of at most 5 points,
+    # and 251 and 98 parent-window reads and joint tests, 212 and 60 of them
+    # on one diagram, when the runners called the library one diagram at a time
+    assert len(stacks["_parent_windows"]) == 16
+    assert len(stacks["_joint_stack"]) == 9
+    assert len(stacks["_lattice_block_eigs"]) == 34
     assert 1 not in stacks["_parent_windows"] + stacks["_joint_stack"]
+
+
+def _record_kernel_calls(monkeypatch, budget):
+    """Set the stack budget; returns the (diagrams, block floats per diagram)
+    of each order-k kernel call made from then on."""
+    monkeypatch.setattr(positivity, "STACK_FLOATS", budget)
+    kernel, calls = positivity._lattice_block_eigs, []
+
+    def recording(A, B, k, size):
+        calls.append((len(A), positivity._check_block_budget(k, size)))
+        return kernel(A, B, k, size)
+
+    monkeypatch.setattr(positivity, "_lattice_block_eigs", recording)
+    return calls
+
+
+# one diagram per kernel call and one point per classify stack, the
+# default budget, and every list in one stack: the bytes are the golden
+# ones.  `row` lists the (diagrams, block floats per diagram) of the kernel
+# calls of one 10-point scan row: orders 1, 2 and 3.
+@pytest.mark.parametrize(
+    "budget, seeds, row",
+    [
+        (1, [7], ([(1, 484)] * 3 + [(1, 2500), (1, 9801)]) * 10),
+        (positivity.STACK_FLOATS, [7], [(30, 484), (10, 2500), (5, 9801), (5, 9801)]),
+        (2**30, [1, 3, 7, 11], [(30, 484), (10, 2500), (10, 9801)]),
+    ],
+    ids=["one-diagram", "default", "one-stack"],
+)
+def test_the_stack_budget_never_changes_a_byte(capsys, monkeypatch, budget, seeds, row):
+    calls = _record_kernel_calls(monkeypatch, budget)
+    for seed in seeds:
+        assert main(["reproduce", "all", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == "".join(
+            _golden_target_text(t, seed) for t in cli._TARGETS)
+    scan = (BENCH_GOLDEN / "corner-scan-grid4-ladder10-N12.csv").read_text(encoding="utf-8")
+    before = len(calls)
+    assert region_scan(4, 12, 10) == scan.splitlines()
+    assert calls[before:] == row * 4
+    # no kernel call assembles more block floats than the budget, unless alone
+    assert all(n == 1 or n * floats <= budget for n, floats in calls)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from aluthge_lab.transforms import spherical_transform, toral_transform
 from oracles import (
     block_commutator_spectrum,
     eigvalsh_is_psd,
+    exact_six_point_flags,
     lattice_block_spectra,
     moment_matrix_psd,
     one_var_block_min_eig,
@@ -468,7 +471,33 @@ def test_block_dedup_falls_back_to_every_block_on_a_fingerprint_collision(monkey
 def _mixed_diagrams(draw):
     corner = st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)).map(lambda xy: build_prop2(*xy))
     table = st.integers(0, 10_000).map(lambda seed: random_commuting_table(np.random.default_rng(seed)))
-    return draw(st.lists(st.one_of(corner, table), min_size=1, max_size=2 * positivity.STACK_POINTS - 3))
+    return draw(st.lists(st.one_of(corner, table), min_size=1, max_size=7))
+
+
+@st.composite
+def _diagrams_near_the_cut(draw):
+    """Corner diagrams whose six-point minimum lies within a few cuts of 0
+    (x within 4e-10 of h(y)), mixed with _mixed_diagrams."""
+    y = st.floats(0.05, 0.95)
+    near = st.tuples(y, st.floats(-4e-10, 4e-10)).map(
+        lambda yd: build_prop2(math.sqrt((1 + yd[0] ** 2) / 2) + yd[1], yd[0]))
+    return draw(_mixed_diagrams()) + draw(st.lists(near, min_size=1, max_size=4))
+
+
+# stacks of one diagram up to all of them: order-1 blocks take 36 to 484
+# floats per diagram at N = 4 to 12
+@settings(max_examples=25, deadline=None)
+@given(_diagrams_near_the_cut(), st.integers(4, 12), st.integers(1, 6000))
+def test_order_one_flags_equal_the_exact_verdicts_off_the_cut(diagrams, N, budget):
+    with mock.patch.object(positivity, "STACK_FLOATS", budget):
+        reports = joint_hyponormal_reports(diagrams, N)
+    for W, report in zip(diagrams, reports, strict=True):
+        # exact verdicts at c / 2 and 2 c, c = PSD_TOL x scale: where they
+        # agree, the cut at c cannot decide otherwise
+        half, double = exact_six_point_flags(W, N, (Fraction(1, 2), 2), PSD_TOL)
+        for flag, lo, hi in zip((report.joint, *report.componentwise), half, double):
+            if lo == hi:
+                assert flag == lo
 
 
 def _verdict_bits(v):
@@ -479,7 +508,9 @@ def _verdict_bits(v):
 @given(_mixed_diagrams(), st.sampled_from([2, 3]), st.data())
 def test_stacked_verdicts_equal_one_diagram_verdicts(diagrams, k, data):
     N = data.draw(st.integers(max(10, 4 * k + 2), 16))
-    got = k_hyponormal_verdicts(diagrams, k, N)
+    # from one diagram per kernel call to all of them in one
+    with mock.patch.object(positivity, "STACK_FLOATS", data.draw(st.integers(1, 2**17))):
+        got = k_hyponormal_verdicts(diagrams, k, N)
     assert [_verdict_bits(v) for v in got] == [
         _verdict_bits(k_hyponormal_verdict(W, k, N)) for W in diagrams
     ]
@@ -511,15 +542,25 @@ def test_block_budget_bounds_one_kernel_call(monkeypatch):
 
     monkeypatch.setattr(positivity, "_lattice_block_eigs", counting)
     # order 1 at N = 8 takes 4 x 7^2 = 196 floats per diagram, order 2 at
-    # level 10 takes 5^2 x 8^2 = 1600
-    monkeypatch.setattr(positivity, "MAX_BLOCK_FLOATS", 3 * 196)
+    # level 10 takes 5^2 x 8^2 = 1600: the default budget fits all 7 at both
+    for a, b in zip(joint_hyponormal_reports(diagrams, 8), joint):
+        _same_report(a, b)
+    assert k_hyponormal_verdicts(diagrams, 2, 10) == orders
+    assert calls == [7, 7]
+    calls.clear()
+    monkeypatch.setattr(positivity, "STACK_FLOATS", 3 * 196)
     for a, b in zip(joint_hyponormal_reports(diagrams, 8), joint):
         _same_report(a, b)
     assert calls == [3, 3, 1]
     calls.clear()
-    monkeypatch.setattr(positivity, "MAX_BLOCK_FLOATS", 2 * 1600)
+    monkeypatch.setattr(positivity, "STACK_FLOATS", 2 * 1600)
     assert k_hyponormal_verdicts(diagrams, 2, 10) == orders
     assert calls == [2, 2, 2, 1]
+    calls.clear()
+    # a budget below one diagram's blocks runs each diagram alone
+    monkeypatch.setattr(positivity, "STACK_FLOATS", 1599)
+    assert k_hyponormal_verdicts(diagrams, 2, 10) == orders
+    assert calls == [1] * 7
 
 
 def test_stacks_over_the_budget_refused_before_any_window(monkeypatch):

@@ -3,6 +3,7 @@
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,6 @@ from aluthge_lab import positivity, regions, reproduce, transforms
 from aluthge_lab.regions import (
     BOUNDARY_MARGIN,
     SCAN_HEADER,
-    STACK_POINTS,
     curve_pa,
     probe_ladder,
 )
@@ -178,23 +178,27 @@ def _near_curve_point(draw):
 
 @st.composite
 def _point_lists(draw):
-    return [_near_curve_point(draw) for _ in range(draw(st.integers(1, 2 * STACK_POINTS + 3)))]
+    return [_near_curve_point(draw) for _ in range(draw(st.integers(1, 13)))]
 
 
 def _bits(report):
     return {key: value.hex() for key, value in report.joint_min_eig.items()}
 
 
+# stacks of one point, of 5 (three order-1 block sets of 484 floats each at
+# N = 12), and of every point
 @settings(max_examples=25, deadline=None)
-@given(_point_lists(), st.sampled_from([1, 2]))
-def test_classify_many_equals_one_point_calls(points, kmax):
+@given(_point_lists(), st.sampled_from([1, 2]), st.sampled_from([1, 5 * 3 * 484, 2**16]))
+def test_classify_many_equals_one_point_calls(points, kmax, budget):
     try:
         expected = [classify(x, y, kmax=kmax) for x, y in points]
     except (DomainError, InternalConsistencyError) as exc:  # the stack raises the same
-        with pytest.raises(type(exc), match=re.escape(str(exc))):
+        with mock.patch.object(positivity, "STACK_FLOATS", budget), \
+                pytest.raises(type(exc), match=re.escape(str(exc))):
             classify_many(points, kmax=kmax)
         return
-    got = classify_many(points, kmax=kmax)
+    with mock.patch.object(positivity, "STACK_FLOATS", budget):
+        got = classify_many(points, kmax=kmax)
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         assert (a.x, a.y, a.curves, a.closed, a.numeric, a.k_hypo) == (
@@ -211,8 +215,10 @@ def test_a_stack_reads_its_parent_windows_once(monkeypatch):
         return parent_windows(diagrams, window)
 
     monkeypatch.setattr(transforms, "_parent_windows", counting)
-    classify_many([(x, 0.5) for x in probe_ladder(0.5, STACK_POINTS + 2)], kmax=2)
-    assert calls == [STACK_POINTS, 2]
+    # at N = 12 a point's 3 diagrams take 3 x 4 x 11^2 = 1452 order-1 block
+    # floats: the budget of 49152 fits 33 points
+    classify_many([(x, 0.5) for x in probe_ladder(0.5, 35)], kmax=2)
+    assert calls == [33, 2]
 
 
 def test_classify_many_checks_every_order_budget_before_any_window(monkeypatch):
@@ -228,7 +234,7 @@ def test_classify_many_checks_every_order_budget_before_any_window(monkeypatch):
 
 
 def test_classify_many_splits_stacks_over_the_block_budget(monkeypatch):
-    points = [(x, 0.4) for x in probe_ladder(0.4, STACK_POINTS)]
+    points = [(x, 0.4) for x in probe_ladder(0.4, 5)]
     want = classify_many(points, kmax=2)
     kernel, calls = positivity._lattice_block_eigs, []
 
@@ -238,10 +244,11 @@ def test_classify_many_splits_stacks_over_the_block_budget(monkeypatch):
 
     monkeypatch.setattr(positivity, "_lattice_block_eigs", counting)
     # at N = 12 one diagram's order-2 blocks take 5^2 x 10^2 = 2500 floats,
-    # its order-1 blocks 4 x 11^2 = 484
-    monkeypatch.setattr(positivity, "MAX_BLOCK_FLOATS", 2500)
+    # its order-1 blocks 4 x 11^2 = 484: stacks of 10 // 3 = 3 points, and
+    # order-2 kernel calls of 2 corner diagrams
+    monkeypatch.setattr(positivity, "STACK_FLOATS", 2 * 2500)
     got = classify_many(points, kmax=2)
-    assert calls == [(1, 5), (1, 5), (1, 5)] + [(2, 1)] * 5
+    assert calls == [(1, 9), (2, 2), (2, 1), (1, 6), (2, 2)]
     for a, b in zip(got, want, strict=True):
         assert (a.closed, a.numeric, a.k_hypo) == (b.closed, b.numeric, b.k_hypo)
         assert _bits(a) == _bits(b)
@@ -261,8 +268,8 @@ def test_classify_many_refuses_a_point_outside_the_square():
 def test_threshold_grid_counts_each_mismatch(monkeypatch):
     # Lowering CA by 0.15 y makes the closed form wrong for the ladder
     # points just below the true curve: none at y = 0.1, one up to y = 0.5
-    # and two from y = 0.6.  A row's stack raises on its first mismatch,
-    # and the row still reports how many points disagree.
+    # and two from y = 0.6.  The grid's call raises on its first mismatch,
+    # and each row still reports how many points disagree.
     curve_ca = regions.curve_ca
     monkeypatch.setattr(regions, "curve_ca", lambda y: curve_ca(y) - 0.15 * y)
     ladder_rows = reproduce.threshold_grid().rows[:-1]
@@ -272,8 +279,11 @@ def test_threshold_grid_counts_each_mismatch(monkeypatch):
     assert [r.ok for r in ladder_rows] == [c == 0 for c in counts]
 
 
-def test_scan_rows_longer_than_one_stack_match_one_point_calls():
-    ladder = STACK_POINTS + 3
+def test_scan_rows_longer_than_one_stack_match_one_point_calls(monkeypatch):
+    # at N = 8 a point's order-1 blocks take 3 x 4 x 7^2 = 588 floats:
+    # stacks of 5 points
+    monkeypatch.setattr(positivity, "STACK_FLOATS", 5 * 588)
+    ladder = 8
     lines = region_scan(2, N=8, ladder=ladder)[1:]
     points = [(x, y) for y in (1 / 3, 2 / 3) for x in probe_ladder(y, ladder)]
     assert len(lines) == len(points)
