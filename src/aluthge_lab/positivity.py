@@ -41,7 +41,9 @@ The diagram-level tests take a list of diagrams and read their weight
 windows stacked on a leading axis; every slice gets exactly the arithmetic
 it would get on its own, and identical blocks get identical bytes from
 LAPACK, so a stacked verdict equals the one-diagram verdict bit for bit.
-The one-diagram functions are their one-element cases.
+The one-diagram functions are their one-element cases, and
+joint_window_reports takes windows already stacked, as classify_many
+holds them for a diagram and its transforms.
 """
 
 from __future__ import annotations
@@ -177,9 +179,24 @@ def joint_hyponormal_reports(diagrams, N: int, tol: float = PSD_TOL) -> list:
     ]
 
 
+def joint_window_reports(A: np.ndarray, B: np.ndarray, N: int, tol: float = PSD_TOL) -> list:
+    """joint_hyponormal_reports of the diagrams whose [0, N+2)^2 weight
+    windows A and B stack on a leading axis, in the same kernel stacks."""
+    per = joint_stack_size(N)
+    return [
+        report
+        for i in range(0, len(A), per)
+        for report in _joint_windows(A[i : i + per], B[i : i + per], N, tol)
+    ]
+
+
 def _joint_stack(diagrams: list, N: int, tol: float) -> list:
     """joint_hyponormal_reports of diagrams that fit one kernel call."""
-    A, B = stacked_windows(diagrams, N + 2)
+    return _joint_windows(*stacked_windows(diagrams, N + 2), N, tol)
+
+
+def _joint_windows(A: np.ndarray, B: np.ndarray, N: int, tol: float) -> list:
+    """_joint_stack of the diagrams whose [0, N+2)^2 windows A and B stack."""
     scales = weight_scales(A, B)
     Mc = N - 3
     if N >= 4:

@@ -29,10 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .diagrams import build_prop2
 from .errors import DomainError, InternalConsistencyError
-from .positivity import hypo_orders, joint_hyponormal_reports, joint_stack_size, order_levels
-from .transforms import aluthge_transforms
+from .positivity import hypo_orders, joint_stack_size, joint_window_reports, order_levels
+from .transforms import aluthge_windows
 
 # Points closer than this to a curve are skipped when comparing verdicts.
 BOUNDARY_MARGIN = 1e-6
@@ -136,12 +138,13 @@ def classify_many(points, N: int = DEFAULT_SCAN_LEVEL, kmax: int = 1) -> list:
 
     Every order's block budget is checked before any stack runs.  Points
     go through in consecutive stacks of as many as fit three diagrams'
-    order-1 blocks in positivity.STACK_FLOATS (33 at N = 12): per stack
+    order-1 blocks in positivity.STACK_FLOATS (33 at N = 12).  Per stack,
     one read of the parent windows serves both transforms and their
-    checks, one joint_hyponormal_reports call covers the 3 diagrams of
-    each point, and one hypo_orders call (the order-k route of
-    full_hypo_report) runs each order 2..kmax over the corner diagrams,
-    in kernel calls sized by the same budget.  Every slice of a stack
+    checks (transforms.aluthge_windows, which builds no derived diagram);
+    one joint_window_reports call covers the windows of each point's
+    diagram and its two transforms; and one hypo_orders call (the order-k
+    route of full_hypo_report) runs each order 2..kmax over the corner
+    diagrams, in kernel calls sized by the same budget.  Every slice of a stack
     gets exactly the arithmetic it would get alone, so the reports equal
     those of one-point calls bit for bit.  Of several failing points, the
     first failing point of the first failing stage raises, within a
@@ -160,13 +163,24 @@ def classify_many(points, N: int = DEFAULT_SCAN_LEVEL, kmax: int = 1) -> list:
     return out
 
 
+def _trio_windows(diagrams: list, n: int):
+    """(alpha, beta) on [0, n)^2 of each diagram and its toral and spherical
+    transforms, stacked point after point, from aluthge_windows at window n.
+
+    Only the stack returned outlives the call.
+    """
+    (A, B), (TA, TB, _), (SA, SB) = aluthge_windows(diagrams, n)
+    trios = np.empty((2, len(diagrams), 3, n, n))
+    for side, windows in zip(trios, ((A, TA, SA), (B, TB, SB))):
+        for j, X in enumerate(windows):
+            side[:, j] = X[:, :n, :n]
+    return trios.reshape(2, -1, n, n)
+
+
 def _classify_stack(points: list, N: int, kmax: int) -> list:
     curves = [thresholds(y) for _, y in points]
     diagrams = [build_prop2(x, y) for x, y in points]
-    torals, sphericals = aluthge_transforms(diagrams, window=N + 2)
-    # each point's diagram and its two transforms, point after point
-    stack = [d for trio in zip(diagrams, (t.diagram for t in torals), sphericals) for d in trio]
-    reports = joint_hyponormal_reports(stack, N)
+    reports = joint_window_reports(*_trio_windows(diagrams, N + 2), N)
     corners = hypo_orders(diagrams, reports[0::3], N, kmax)
 
     out = []

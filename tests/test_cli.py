@@ -700,13 +700,15 @@ def test_order_k_tables_match_golden_text(target, check, seed):
 
 def test_reproduce_runs_its_diagrams_in_stacks(monkeypatch):
     stacks = {}
-    for module, name in ((transforms, "_parent_windows"), (positivity, "_joint_stack"),
+    # the parents' window reads, and the joint and order-k kernel calls on
+    # stacked windows, whatever route reached them
+    for module, name in ((transforms, "_parent_windows"), (positivity, "_joint_windows"),
                          (positivity, "_lattice_block_eigs")):
         seen = stacks[name] = []
 
-        def counting(diagrams, *args, _seen=seen, _original=getattr(module, name)):
-            _seen.append(len(diagrams))
-            return _original(diagrams, *args)
+        def counting(stack, *args, _seen=seen, _original=getattr(module, name)):
+            _seen.append(len(stack))
+            return _original(stack, *args)
 
         monkeypatch.setattr(module, name, counting)
     for target in reproduce.TARGETS:
@@ -716,9 +718,9 @@ def test_reproduce_runs_its_diagrams_in_stacks(monkeypatch):
     # and 251 and 98 parent-window reads and joint tests, 212 and 60 of them
     # on one diagram, when the runners called the library one diagram at a time
     assert len(stacks["_parent_windows"]) == 16
-    assert len(stacks["_joint_stack"]) == 9
+    assert len(stacks["_joint_windows"]) == 9
     assert len(stacks["_lattice_block_eigs"]) == 34
-    assert 1 not in stacks["_parent_windows"] + stacks["_joint_stack"]
+    assert 1 not in stacks["_parent_windows"] + stacks["_joint_windows"]
 
 
 def _record_kernel_calls(monkeypatch, budget):
@@ -760,6 +762,19 @@ def test_the_stack_budget_never_changes_a_byte(capsys, monkeypatch, budget, seed
     assert calls[before:] == row * 4
     # no kernel call assembles more block floats than the budget, unless alone
     assert all(n == 1 or n * floats <= budget for n, floats in calls)
+
+
+# the numpy port of math.hypot wherever the inputs are normal, and the
+# math.hypot map everywhere: the bytes are the golden ones
+@pytest.mark.parametrize("crossover", [0, math.inf], ids=["port", "map"])
+def test_the_hypot_crossover_never_changes_a_byte(capsys, monkeypatch, crossover):
+    monkeypatch.setattr(transforms, "HYPOT_PORT_FLOATS", crossover)
+    for seed in [1, 3, 7, 11]:
+        assert main(["reproduce", "all", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == "".join(
+            _golden_target_text(t, seed) for t in cli._TARGETS)
+    scan = (BENCH_GOLDEN / "corner-scan-grid4-ladder10-N12.csv").read_text(encoding="utf-8")
+    assert region_scan(4, 12, 10) == scan.splitlines()
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def test_classify_many_checks_every_order_budget_before_any_window(monkeypatch):
     def transforms_first(*args, **kwargs):
         raise AssertionError("the transforms ran before the budget check")
 
-    monkeypatch.setattr(regions, "aluthge_transforms", transforms_first)
+    monkeypatch.setattr(regions, "aluthge_windows", transforms_first)
     # order 1 fits at N = 1449; order 2 at that level does not
     with pytest.raises(DomainError, match="order-2 blocks"):
         classify_many([(0.5, 0.5)], N=1449, kmax=3)

@@ -1,6 +1,7 @@
 """Transform formulas against dense-conjugation oracles, plus continuity."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -494,3 +495,88 @@ def test_joint_modulus_is_elementwise_math_hypot():
         want = [[math.hypot(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A.tolist(), B.tolist())]
         got = transforms._joint_modulus(A, B)
         assert got.dtype == float and np.array_equal(got, np.array(want))
+
+
+# normal magnitudes up to the largest weight a diagram may hold, as exponents of 2
+_NORMAL_EXPONENTS = (math.log2(sys.float_info.min), math.log2(diagrams.MAX_WEIGHT))
+
+
+def _log_uniform(rng, shape, lo=_NORMAL_EXPONENTS[0], hi=_NORMAL_EXPONENTS[1]):
+    return np.clip(np.exp2(rng.uniform(lo, hi, shape)), 2.0**lo, 2.0**hi)
+
+
+@st.composite
+def _hypot_arguments(draw):
+    """(A, B) of one shape: stacks of windows of 4 to 400 or 512 to 2304
+    floats, on both sides of HYPOT_PORT_FLOATS, with magnitudes
+    log-uniform over the normal range up to MAX_WEIGHT.  B is drawn alone,
+    equal to A, or A times 2^j or a ratio near 2^27 or 2^-27, where
+    Veltkamp's split changes which half holds the bits.  Zero or subnormal
+    entries, or a zero or subnormal larger argument, may be mixed in, and
+    the arrays may be reversed or strided views."""
+    if draw(st.booleans()):  # at least 512 floats
+        shape = (draw(st.integers(2, 4)), draw(st.integers(16, 24)), draw(st.integers(16, 24)))
+    else:  # at most 400
+        shape = (1, draw(st.integers(2, 20)), draw(st.integers(2, 20)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = _log_uniform(rng, shape)
+    relation = draw(st.sampled_from(["alone", "equal", "power of 2", "split", "narrow"]))
+    if relation == "alone":
+        B = _log_uniform(rng, shape)
+    elif relation == "equal":
+        B = A.copy()
+    elif relation == "power of 2":
+        B = A * 2.0 ** draw(st.integers(-60, 60))
+    elif relation == "split":
+        B = A * np.exp2(draw(st.sampled_from([27, -27])) + rng.uniform(-1, 1, shape))
+    else:  # weights around 1, as most diagrams hold
+        B = rng.uniform(0.3, 1.0, shape)
+        A = rng.uniform(0.3, 1.0, shape)
+    B = np.clip(B, 0.0, diagrams.MAX_WEIGHT)
+    for edge in draw(st.sets(st.sampled_from(["zero", "subnormal", "zero max", "subnormal max"]))):
+        at = tuple(rng.integers(0, n) for n in shape)
+        if edge == "zero":
+            B[at] = 0.0
+        elif edge == "subnormal":
+            B[at] = 5e-324 * rng.integers(1, 2**52)
+        elif edge == "zero max":
+            A[at] = B[at] = 0.0
+        else:
+            A[at], B[at] = 5e-324 * rng.integers(1, 2**52), 5e-324 * rng.integers(1, 2**52)
+    if draw(st.booleans()):
+        A, B = B, A
+    view = draw(st.sampled_from(["contiguous", "reversed", "strided"]))
+    if view == "reversed":
+        A, B = A[::-1, ::-1], B[:, ::-1]
+    elif view == "strided":
+        A, B = (np.repeat(X, 2, axis=2)[..., ::2] for X in (A, B))
+    return A, B
+
+
+def _map_hypot(A, B):
+    want = [math.hypot(a, b) for a, b in zip(A.ravel().tolist(), B.ravel().tolist())]
+    return np.array(want).reshape(A.shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hypot_arguments())
+def test_joint_modulus_equals_math_hypot_bit_for_bit(AB):
+    A, B = AB
+    got = transforms._joint_modulus(A, B)
+    assert got.shape == A.shape
+    assert np.array_equal(got.view(np.uint64), _map_hypot(A, B).view(np.uint64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-400, 400), st.integers(1, 3), st.integers(2, 24), st.integers(0, 2**32 - 1))
+def test_joint_modulus_scales_exactly_by_powers_of_two(j, stack, side, seed):
+    # the drawn magnitudes keep A, B, 2^j A and 2^j B normal and below MAX_WEIGHT
+    lo, hi = _NORMAL_EXPONENTS[0] + max(0, -j), _NORMAL_EXPONENTS[1] - max(0, j)
+    rng = np.random.default_rng(seed)
+    shape = (stack, side, side)
+    A = _log_uniform(rng, shape, lo + 28, hi)
+    near_split = A * 2.0**-28 * rng.uniform(1.0, 2.0, shape)
+    B = np.where(rng.random(shape) < 0.5, near_split, _log_uniform(rng, shape, lo, hi))
+    scaled = transforms._joint_modulus(2.0**j * A, 2.0**j * B)
+    want = 2.0**j * transforms._joint_modulus(A, B)
+    assert np.array_equal(scaled.view(np.uint64), want.view(np.uint64))
