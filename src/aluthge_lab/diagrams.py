@@ -48,6 +48,13 @@ REANCHOR_TOL = 1e-12
 MAX_WINDOW_POINTS = 1500 * 1500
 
 
+def _check_window_budget(n1: int, n2: int) -> None:
+    if n1 * n2 > MAX_WINDOW_POINTS:
+        raise WindowError(
+            f"a {n1}x{n2} weight window exceeds the budget of {MAX_WINDOW_POINTS} lattice points"
+        )
+
+
 def _check_positive_finite(values, what):
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
@@ -235,11 +242,7 @@ class WeightDiagram:
             if n1 <= m1 and n2 <= m2:
                 return A[:n1, :n2], B[:n1, :n2]
             key = (max(n1, m1), max(n2, m2))
-        if key[0] * key[1] > MAX_WINDOW_POINTS:
-            raise WindowError(
-                f"a {key[0]}x{key[1]} weight window exceeds the budget of "
-                f"{MAX_WINDOW_POINTS} lattice points"
-            )
+        _check_window_budget(*key)
         A, B = self._window(*key)
         A.setflags(write=False)
         B.setflags(write=False)
@@ -371,38 +374,68 @@ def build_thm1(omega, y: float) -> WeightDiagram:
     return WeightDiagram(kind="thm1", params={"omega": om, "y": float(y)}, _window=window)
 
 
+def _clamped(A: np.ndarray, B: np.ndarray):
+    """Window function of a stored rectangle: each coordinate clamps to the
+    nearest stored index, also for the stacked rectangles of several tables."""
+    rows, cols = A.shape[-2:]
+
+    def window(n1, n2):
+        idx = np.ix_(np.minimum(np.arange(n1), rows - 1), np.minimum(np.arange(n2), cols - 1))
+        return A[(..., *idx)], B[(..., *idx)]
+
+    return window
+
+
+def build_tables(alpha_rects, beta_rects, *, window: int | None = None) -> list:
+    """build_table of each pair of rectangles of one shape, stacked on a leading axis.
+
+    The weights of the whole stack are checked at once, then every table's
+    validation window [0, window+2)^2 is gathered in one index and scanned
+    in one commutativity_residuals call; the first failing table raises.
+    Each diagram keeps its slice of that stack as its cached window and
+    its slice of the copied rectangles as its table.
+    """
+    A = np.array(alpha_rects, dtype=float)
+    B = np.array(beta_rects, dtype=float)
+    if A.ndim != 3 or A.shape != B.shape:
+        raise DomainError("alpha and beta rectangles must share a 2-d shape")
+    if not len(A):
+        return []
+    _check_positive_finite(A, "alpha table")
+    _check_positive_finite(B, "beta table")
+    _, rows, cols = A.shape
+    n = (rows + cols + 2 if window is None else window) + 2
+    _check_window_budget(n, n)
+    A.setflags(write=False)
+    B.setflags(write=False)
+    WA, WB = _clamped(A, B)(n, n)
+    require_commuting(commutativity_residuals(WA, WB))
+    WA.setflags(write=False)
+    WB.setflags(write=False)
+    return [
+        WeightDiagram(
+            kind="table",
+            params={"rows": rows, "cols": cols, "tail_rule": "flat"},
+            _window=_clamped(a, b),
+            table=(a, b),
+            _cache={(n, n): (wa, wb)},
+        )
+        for a, b, wa, wb in zip(A, B, WA, WB)
+    ]
+
+
 def build_table(alpha_rect, beta_rect, *, window: int | None = None) -> WeightDiagram:
     """Diagram from a stored rectangle of weights with a flat tail.
 
     Outside the rectangle each coordinate clamps to the nearest stored
     index.  Commutativity (including across the tail seam) is validated on
     [0, window]^2, default rows+cols+2, and a NonCommutingInputError with
-    the worst offending point is raised on failure.
+    the worst offending point is raised on failure.  The one-table case
+    of build_tables.
     """
     A = np.asarray(alpha_rect, dtype=float)
     B = np.asarray(beta_rect, dtype=float)
-    if A.ndim != 2 or A.shape != B.shape:
-        raise DomainError("alpha and beta rectangles must share a 2-d shape")
-    _check_positive_finite(A, "alpha table")
-    _check_positive_finite(B, "beta table")
-    rows, cols = A.shape
-    A = A.copy()
-    B = B.copy()
-    A.setflags(write=False)
-    B.setflags(write=False)
-
-    def clamped(n1, n2):
-        idx = np.ix_(np.minimum(np.arange(n1), rows - 1), np.minimum(np.arange(n2), cols - 1))
-        return A[idx], B[idx]
-
-    diagram = WeightDiagram(
-        kind="table",
-        params={"rows": rows, "cols": cols, "tail_rule": "flat"},
-        _window=clamped,
-        table=(A, B),
-    )
-    validate_commuting(diagram, rows + cols + 2 if window is None else window)
-    return diagram
+    return build_tables(A[None], B[None], window=window)[0]
 
 
 def core_of(diagram: WeightDiagram) -> WeightDiagram:
@@ -473,10 +506,11 @@ class MomentTable:
 
 def rows_first_moments(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """gamma on the window of (A, B), gamma(0,0) = 1, filled along the
-    path that runs up column 0 to (m, 0), then along row m to (m, n)."""
+    path that runs up column 0 to (m, 0), then along row m to (m, n);
+    windows stacked on leading axes give their fields stacked alike."""
     G = np.ones(A.shape)
-    G[1:, 0] = np.cumprod(A[:-1, 0] ** 2)
-    G[:, 1:] = G[:, :1] * np.cumprod(B[:, :-1] ** 2, axis=1)
+    G[..., 1:, 0] = np.cumprod(A[..., :-1, 0] ** 2, axis=-1)
+    G[..., 1:] = G[..., :1] * np.cumprod(B[..., :-1] ** 2, axis=-1)
     return G
 
 

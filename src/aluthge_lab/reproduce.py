@@ -4,8 +4,9 @@ Each function runs one self-contained numerical experiment and returns a
 CheckResult of labeled pass/fail rows with the measured numbers, which the
 CLI prints as tables and the acceptance suite re-asserts.  Diagrams are
 drawn from one seed through a sampling.PCG64Stream (numpy's default
-generator rebuilt from the stdlib), and each check passes its whole
-fixture to the library's list forms, which size their stacks by
+generator rebuilt from the stdlib), a fixture's random tables drawn and
+built as one stack by sampling's list forms, and each check passes its
+whole fixture to the library's list forms, which size their stacks by
 positivity.STACK_FLOATS.  A fixed seed reproduces every row byte for
 byte: each stack gives its diagrams the arithmetic they get alone.
 """
@@ -45,10 +46,10 @@ from .positivity import (
 from .regions import classify, classify_many, crossing_q, probe_ladder
 from .sampling import (
     PCG64Stream,
-    bumped_thm1_table,
-    random_commuting_table,
+    bumped_thm1_tables,
+    random_commuting_tables,
     random_completion,
-    random_monotone_table,
+    random_monotone_tables,
     random_nondecreasing_omega,
     random_thm1,
     sample_below_s,
@@ -169,7 +170,7 @@ def table_transform_checks(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = PCG64Stream(seed)
     window = 10
 
-    Ws = [random_commuting_table(rng) for _ in range(50)]
+    Ws = random_commuting_tables(rng, 50)
     torals, sphericals = aluthge_transforms(Ws, window=window)
     residuals = commutativity_residuals(*stacked_windows(sphericals, window + 2))
     cuts = [COMMUTATIVITY_TOL * s for s in weight_scales(*stacked_windows(Ws, window + 1))]
@@ -178,7 +179,7 @@ def table_transform_checks(seed: int = DEFAULT_SEED) -> CheckResult:
                               for res, cut in zip(torals, cuts))
     toral_commuting = sum(res.commutes for res in torals)
 
-    monotone = [random_monotone_table(rng) for _ in range(50)]
+    monotone = random_monotone_tables(rng, 50)
     before = componentwise_hyponormal_many(monotone, 10)
     after = componentwise_hyponormal_many(spherical_transforms(monotone, window=window), 10)
     preserved = sum(all(b) and all(a) for b, a in zip(before, after))
@@ -252,7 +253,7 @@ def proportional_rows_agree(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = PCG64Stream(seed)
     window = 8
     worst_family = max(0.0, *_transform_gaps([random_thm1(rng) for _ in range(20)], window))
-    perturbed = _transform_gaps([bumped_thm1_table(rng) for _ in range(20)], window)
+    perturbed = _transform_gaps(bumped_thm1_tables(rng, 20), window)
     min_perturbed = min(float("inf"), *perturbed)
 
     return CheckResult(
@@ -274,7 +275,7 @@ def proportional_rows_agree(seed: int = DEFAULT_SEED) -> CheckResult:
 def _routes_fixture(seed: int):
     rng = PCG64Stream(seed)
     completions = tuple(random_completion(rng) for _ in range(25))
-    generics = tuple(random_commuting_table(rng) for _ in range(25))
+    generics = tuple(random_commuting_tables(rng, 25))
     return completions, generics
 
 
@@ -337,7 +338,7 @@ def completion_khypo_qt(seed: int = DEFAULT_SEED) -> CheckResult:
 
 def continuity_bounds(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = PCG64Stream(seed)
-    diagrams = [random_commuting_table(rng) for _ in range(10)]
+    diagrams = random_commuting_tables(rng, 10)
     rows = []
     for n in (1, 10, 100, 10_000):
         worst = min(min(e["slack"] for e in probe.bound_report.values())

@@ -11,6 +11,14 @@ flat tail, which stays commuting exactly when the last alpha row is
 constant along k2 and the last beta column is constant along k1; the
 builders force those two seams after deriving the weights.
 
+Each table generator has a list form that builds count tables as one
+stack: random_commuting_tables, random_monotone_tables and
+bumped_thm1_tables draw their tables' values in the order count
+one-table calls would, map each as such a call maps it, and then take
+one np.exp of all the log fields and one diagrams.build_tables.  So the
+list equals count one-table calls bit for bit and leaves the stream in
+the same state; the one-table functions are the lists of one.
+
 All generators draw from one PCG64Stream, so suites stay reproducible
 from a single seed.  The stream is numpy's default generator,
 `default_rng(seed)`, rebuilt from the stdlib for the three methods the
@@ -20,19 +28,20 @@ numpy's random module.  Under NEP 19 numpy pins only its bit generators'
 streams across releases, not the `Generator` methods; owning those
 methods here keeps a seed's draws fixed whatever numpy does.  The
 generators only call `random`, `uniform` and `integers`, so a numpy
-Generator works in place of the stream.
+Generator still works in place of the stream, list forms included.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from .diagrams import (
     OneVarWeights,
     WeightDiagram,
-    build_table,
+    build_tables,
     build_thm1,
     rows_first_moments,
 )
@@ -92,6 +101,17 @@ def _seed_words(seed: int) -> list:
     return [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
 
 
+def _dimension(n) -> int:
+    """One dimension of a size, read as numpy reads it: any integer through
+    operator.index, a bool refused, a negative one refused."""
+    if isinstance(n, (bool, np.bool_)):
+        raise TypeError(f"a size holds integers, not {n!r}")
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("negative dimensions are not allowed")
+    return n
+
+
 class PCG64Stream:
     """numpy's default_rng(seed), bit for bit, for random, uniform and integers.
 
@@ -149,7 +169,7 @@ class PCG64Stream:
             raise ValueError("uniform needs finite low <= high")
         if size is None:
             return low + span * self.random()
-        shape = (size,) if isinstance(size, int) else tuple(size)
+        shape = tuple(map(_dimension, size)) if np.iterable(size) else (_dimension(size),)
         bits = np.array([x >> 11 for x in self._next64s(math.prod(shape))], dtype=float)
         # each step is one IEEE operation, as in numpy's per-element loop
         return (low + span * (bits * _DOUBLE_UNIT)).reshape(shape)
@@ -175,56 +195,79 @@ class PCG64Stream:
         return low + (m >> 32)
 
 
-def _table_from_log_field(G: np.ndarray) -> WeightDiagram:
-    """Weights from a log moment field, with the tail seams forced exactly.
+def _tables_from_log_fields(G: np.ndarray) -> list:
+    """Weights from log moment fields stacked on a leading axis, with the
+    tail seams forced exactly, built in one stack.
 
-    G has shape (rows+1, cols+1); the derived rectangles have shape
-    (rows, cols).  Forcing the last alpha row / beta column to constants
-    only touches identities that the constancy itself satisfies, so the
-    result commutes on the whole lattice.
+    Each field has shape (rows+1, cols+1); the derived rectangles have
+    shape (rows, cols).  Forcing the last alpha row / beta column to
+    constants only touches identities that the constancy itself
+    satisfies, so each result commutes on the whole lattice.
     """
-    A = np.exp(0.5 * (G[1:, :-1] - G[:-1, :-1]))
-    B = np.exp(0.5 * (G[:-1, 1:] - G[:-1, :-1]))
-    A[-1, :] = A[-1, 0]
-    B[:, -1] = B[0, -1]
-    return build_table(A, B)
+    G0 = G[:, :-1, :-1]
+    A, B = np.exp(0.5 * np.stack((G[:, 1:, :-1] - G0, G[:, :-1, 1:] - G0)))
+    A[:, -1, :] = A[:, -1, :1]
+    B[:, :, -1] = B[:, :1, -1]
+    return build_tables(A, B)
+
+
+def _uniform(u, low, high):
+    """uniform(low, high) from the unit draw u, by the generator's IEEE steps."""
+    return low + (high - low) * u
+
+
+def random_commuting_tables(rng: PCG64Stream, count: int, rows: int = 6, cols: int = 6,
+                            spread: float = 0.4) -> list:
+    """count generic bounded commuting diagrams with weights around 1.
+
+    spread bounds |log gamma|, so individual weights stay inside
+    [exp(-spread), exp(spread)].  One draw holds every field.
+    """
+    return _tables_from_log_fields(rng.uniform(-spread, spread, size=(count, rows + 1, cols + 1)))
 
 
 def random_commuting_table(rng: PCG64Stream, rows: int = 6, cols: int = 6,
                            spread: float = 0.4) -> WeightDiagram:
-    """Generic bounded commuting diagram with weights around 1.
-
-    spread bounds |log gamma|, so individual weights stay inside
-    [exp(-spread), exp(spread)].
-    """
-    G = rng.uniform(-spread, spread, size=(rows + 1, cols + 1))
-    return _table_from_log_field(G)
+    """random_commuting_tables of one diagram."""
+    return random_commuting_tables(rng, 1, rows, cols, spread)[0]
 
 
-def random_monotone_table(rng: PCG64Stream, rows: int = 6, cols: int = 6) -> WeightDiagram:
-    """Componentwise hyponormal diagram: alpha nondecreasing along k1 and
-    beta nondecreasing along k2 (here along both axes, which is stronger).
+def random_monotone_tables(rng: PCG64Stream, count: int, rows: int = 6,
+                           cols: int = 6) -> list:
+    """count componentwise hyponormal diagrams: alpha nondecreasing along k1
+    and beta nondecreasing along k2 (here along both axes, which is stronger).
 
     Field: log gamma(m,n) = A_m + B_n + c*m*n with convex A, B and small
     c >= 0.  Then alpha(m,n)^2 = exp(dA_m + c n) grows in both indices,
     likewise beta.  The convexity steps exceed c*max(rows,cols) so the
     forced flat seams cannot break monotonicity.
+
+    One draw of 1 + rows + cols unit doubles per table holds, in order,
+    c, the rows - 1 convexity steps of A and its first difference, then
+    those of B; each value is mapped as a scalar uniform call maps it.
     """
-    c = rng.uniform(0.0, 0.02)
+    u = rng.uniform(size=(count, 1 + rows + cols))
+    c = _uniform(u[:, :1], 0.0, 0.02)
     boost = c * max(rows, cols)
 
-    def convex_profile(count):
-        # count values whose first differences only ever grow, by >= boost
-        steps = rng.uniform(boost, boost + 0.06, size=count - 2)
-        diffs = rng.uniform(-0.2, 0.1) + np.concatenate(([0.0], np.cumsum(steps)))
-        return np.concatenate(([0.0], np.cumsum(diffs)))
+    def convex_profiles(u):
+        # per table, values whose first differences only ever grow, by >= boost
+        steps = _uniform(u[:, :-1], boost, boost + 0.06)
+        zero = np.zeros((count, 1))
+        diffs = _uniform(u[:, -1:], -0.2, 0.1) + np.concatenate((zero, np.cumsum(steps, axis=1)), 1)
+        return np.concatenate((zero, np.cumsum(diffs, axis=1)), 1)
 
-    A = convex_profile(rows + 1)
-    B = convex_profile(cols + 1)
+    A = convex_profiles(u[:, 1 : 1 + rows])
+    B = convex_profiles(u[:, 1 + rows :])
     m = np.arange(rows + 1)[:, None]
     n = np.arange(cols + 1)[None, :]
-    G = A[:, None] + B[None, :] + c * m * n
-    return _table_from_log_field(G)
+    G = A[:, :, None] + B[:, None, :] + c[:, :, None] * m * n
+    return _tables_from_log_fields(G)
+
+
+def random_monotone_table(rng: PCG64Stream, rows: int = 6, cols: int = 6) -> WeightDiagram:
+    """random_monotone_tables of one diagram."""
+    return random_monotone_tables(rng, 1, rows, cols)[0]
 
 
 def random_nondecreasing_omega(rng: PCG64Stream, length: int = 12) -> OneVarWeights:
@@ -256,9 +299,32 @@ def random_thm1(rng: PCG64Stream) -> WeightDiagram:
     return build_thm1(om, y)
 
 
+def _gamma_rectangles(diagrams: list, rows: int, cols: int) -> np.ndarray:
+    """Moment fields gamma on [0, rows] x [0, cols] of the diagrams, stacked
+    on a leading axis, gamma(0,0) = 1."""
+    W = np.array([D.weight_arrays(rows + 1, cols + 1) for D in diagrams])
+    W = W.reshape(len(diagrams), 2, rows + 1, cols + 1)
+    return rows_first_moments(W[:, 0], W[:, 1])
+
+
 def gamma_rectangle(diagram: WeightDiagram, rows: int, cols: int) -> np.ndarray:
     """Moment field gamma on [0, rows] x [0, cols], gamma(0,0) = 1."""
-    return rows_first_moments(*diagram.weight_arrays(rows + 1, cols + 1))
+    return _gamma_rectangles([diagram], rows, cols)[0]
+
+
+def _bumped_tables(diagrams: list, factors: list, ats: list, rows: int, cols: int) -> list:
+    """bump_gamma of each diagram by its factor at its point, in one stack."""
+    for factor, at in zip(factors, ats):
+        i, j = at
+        if not (0 < i < rows - 1 and 0 < j < cols - 1):
+            raise DomainError(f"bump point {at} must be interior to the {rows}x{cols} rectangle")
+        if factor <= 0.0:
+            raise DomainError("bump factor must be positive")
+    G = _gamma_rectangles(diagrams, rows, cols)
+    I, J = np.array(ats, dtype=int).reshape(len(ats), 2).T
+    G[np.arange(len(G)), I, J] *= factors
+    with np.errstate(divide="raise"):
+        return _tables_from_log_fields(np.log(G))
 
 
 def bump_gamma(diagram: WeightDiagram, factor: float, at=(1, 1),
@@ -269,29 +335,28 @@ def bump_gamma(diagram: WeightDiagram, factor: float, at=(1, 1),
     leaves whatever structured family the input belonged to.  `at` must be
     interior to the rectangle so the forced seams are untouched.
     """
-    i, j = at
-    if not (0 < i < rows - 1 and 0 < j < cols - 1):
-        raise DomainError(f"bump point {at} must be interior to the {rows}x{cols} rectangle")
-    if factor <= 0.0:
-        raise DomainError("bump factor must be positive")
-    G = gamma_rectangle(diagram, rows, cols).copy()
-    G[i, j] *= factor
-    with np.errstate(divide="raise"):
-        return _table_from_log_field(np.log(G))
+    return _bumped_tables([diagram], [factor], [at], rows, cols)[0]
+
+
+def bumped_thm1_tables(rng: PCG64Stream, count: int, rows: int = 6, cols: int = 6) -> list:
+    """count commuting perturbations of proportional-row diagrams.
+
+    One interior gamma value of each is scaled by 1.25..1.6, far enough
+    from the proportional-row family that the two transforms separate
+    while the diagram still commutes exactly.  Each table's diagram,
+    factor and point are drawn in turn; the bumps are built in one stack.
+    """
+    bases, factors, ats = [], [], []
+    for _ in range(count):
+        bases.append(random_thm1(rng))
+        factors.append(rng.uniform(1.25, 1.6))
+        ats.append((1 + rng.integers(0, rows - 3), 1 + rng.integers(0, cols - 3)))
+    return _bumped_tables(bases, factors, ats, rows, cols)
 
 
 def bumped_thm1_table(rng: PCG64Stream, rows: int = 6, cols: int = 6) -> WeightDiagram:
-    """Commuting perturbation of a proportional-row diagram.
-
-    One interior gamma value is scaled by 1.25..1.6, far enough from the
-    proportional-row family that the two transforms separate while the
-    diagram still commutes exactly.
-    """
-    base = random_thm1(rng)
-    factor = rng.uniform(1.25, 1.6)
-    return bump_gamma(base, factor, at=(1 + rng.integers(0, rows - 3),
-                                        1 + rng.integers(0, cols - 3)),
-                      rows=rows, cols=cols)
+    """bumped_thm1_tables of one diagram."""
+    return bumped_thm1_tables(rng, 1, rows, cols)[0]
 
 
 def random_completion(rng: PCG64Stream) -> WeightDiagram:

@@ -31,7 +31,8 @@ stack, returning arrays; classify_many uses it as is.  toral_transforms,
 spherical_transforms and aluthge_transforms wrap the same stages and give
 each output its slice of the stacked result as its cached window, exactly
 what its own window function computes; the one-diagram functions are
-their one-element cases.  continuity_probes probes a list the same way.
+their one-element cases.  continuity_probes probes a list the same way,
+with P from the same _joint_modulus.
 """
 
 from __future__ import annotations
@@ -398,7 +399,8 @@ class ContinuityProbe:
 def continuity_probes(diagrams, N: int, n: int) -> list:
     """Check the five bounds controlling the regularized polar factors, per diagram.
 
-    With P the (diagonal) joint modulus, A_n = sqrt(max(1/n, P)) entrywise:
+    With P the (diagonal) joint modulus, the spherical rule's _joint_modulus
+    (math.hypot's value bit for bit), and A_n = sqrt(max(1/n, P)) entrywise:
       (i)   ||A_n||               <= max(n^{-1/2}, ||P||^{1/2})
       (ii)  ||P A_n^{-1}||        <= ||P||^{1/2}
       (iii) ||A_n - P^{1/2}||     <= n^{-1/2}
@@ -416,7 +418,7 @@ def continuity_probes(diagrams, N: int, n: int) -> list:
     if N < 0:
         raise WindowError("truncation level must be nonnegative")
     A, B = stacked_windows(diagrams, N + 1)
-    P = np.hypot(A, B)
+    P = _joint_modulus(A, B)
     sqrtP = np.sqrt(P)
     An = np.sqrt(np.maximum(1.0 / n, P))
     inv_sqrt_n = 1.0 / math.sqrt(n)

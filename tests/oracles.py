@@ -80,12 +80,12 @@ def joint_moduli(W, N):
     """sqrt(alpha_k^2 + beta_k^2) over [0, N]^2, in dense_pair's basis order.
 
     These are the untruncated values, not the diagonal of the compressed
-    operator.
+    operator.  Each is math.hypot of one point's two weights, taken per
+    point with no numpy array arithmetic.
     """
     n = N + 1
-    A = np.array([[W.alpha(k1, k2) for k2 in range(n)] for k1 in range(n)])
-    B = np.array([[W.beta(k1, k2) for k2 in range(n)] for k1 in range(n)])
-    return np.hypot(A, B).ravel()
+    return np.array([math.hypot(W.alpha(k1, k2), W.beta(k1, k2))
+                     for k1 in range(n) for k2 in range(n)])
 
 
 def joint_partial_isometry_check(W, N, tol=1e-12):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from aluthge_lab import cli, diagrams, positivity, reproduce, transforms
+from aluthge_lab import cli, diagrams, positivity, reproduce, sampling, transforms
 from aluthge_lab.cli import main
 from aluthge_lab.diagrams import build_prop2
 from aluthge_lab.sampling import bump_gamma
@@ -721,6 +721,25 @@ def test_reproduce_runs_its_diagrams_in_stacks(monkeypatch):
     assert len(stacks["_joint_windows"]) == 9
     assert len(stacks["_lattice_block_eigs"]) == 34
     assert 1 not in stacks["_parent_windows"] + stacks["_joint_windows"]
+
+
+def test_reproduce_builds_its_random_tables_in_stacks(monkeypatch):
+    sizes = []
+
+    def counting(alpha_rects, beta_rects, *, _original=diagrams.build_tables, **kwargs):
+        sizes.append(len(alpha_rects))
+        return _original(alpha_rects, beta_rects, **kwargs)
+
+    # build_table reaches build_tables in diagrams, the samplers in sampling
+    for module in (diagrams, sampling):
+        monkeypatch.setattr(module, "build_tables", counting)
+    reproduce._routes_fixture.cache_clear()  # so the 25 generic tables are drawn here
+    for target in reproduce.TARGETS:
+        reproduce.run_target(target, seed=7)
+    # one stack per fixture, none of one table: 50 commuting and 50 monotone
+    # tables (prop1), 20 bumped ones (thm1), 25 generic ones (quasinormal2)
+    # and 10 probed ones (re4)
+    assert sizes == [50, 50, 20, 25, 10]
 
 
 def _record_kernel_calls(monkeypatch, budget):

@@ -223,6 +223,73 @@ def test_nan_commutativity_residual_fails_validation():
         validate_commuting(broken, 4)
 
 
+def _refusal(build, *args, **kwargs):
+    with pytest.raises(Exception) as err:
+        build(*args, **kwargs)
+    return type(err.value), str(err.value), getattr(err.value, "witness", None), \
+        getattr(err.value, "residual", None)
+
+
+def _three_tables():
+    rng = np.random.default_rng(11)
+    A, B = zip(*(random_commuting_table(rng).table for _ in range(3)))
+    return np.array(A), np.array(B)
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [lambda A, B: B.__setitem__((1, 4, 1), B[1, 4, 1] * 1.3),
+     lambda A, B: A.__setitem__((1, 0, 3), math.nan),
+     lambda A, B: B.__setitem__((1, 2, 2), -1.0),
+     lambda A, B: B.__setitem__((1, 5, 5), math.inf),
+     lambda A, B: A.__setitem__((1, 1, 1), 1.01 * diagrams.MAX_WEIGHT)],
+    ids=["non-commuting", "nan", "negative", "infinite", "over MAX_WEIGHT"],
+)
+def test_a_stack_of_tables_refuses_as_its_failing_table_alone(spoil):
+    A, B = _three_tables()
+    spoil(A, B)
+    # table 2 breaks commutativity too: the first failing table is the one reported
+    B[2, 3, 1] *= 1.5
+    assert _refusal(diagrams.build_tables, A, B) == _refusal(build_table, A[1], B[1])
+
+
+def test_a_stack_of_tables_refuses_a_window_over_the_budget_as_one_table():
+    A, B = _three_tables()
+    side = math.isqrt(diagrams.MAX_WINDOW_POINTS) + 1
+    stacked = _refusal(diagrams.build_tables, A, B, window=side - 2)
+    assert stacked == _refusal(build_table, A[0], B[0], window=side - 2)
+    assert stacked[:2] == (WindowError, f"a {side}x{side} weight window exceeds the budget of "
+                                        f"{diagrams.MAX_WINDOW_POINTS} lattice points")
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, error, message",
+    [(np.ones((2, 3, 3)), np.ones((2, 3, 4)), DomainError, "must share a 2-d shape"),
+     (np.ones((3, 3)), np.ones((3, 3)), DomainError, "must share a 2-d shape"),
+     (np.ones((2, 0, 3)), np.ones((2, 0, 3)), InvalidWeightsError, "alpha table must be non-empty")],
+    ids=["shapes differ", "one rectangle", "empty rectangles"],
+)
+def test_a_stack_of_tables_refuses_bad_shapes(alpha, beta, error, message):
+    with pytest.raises(error, match=message):
+        diagrams.build_tables(alpha, beta)
+
+
+def test_a_stack_of_no_tables_builds_none():
+    assert diagrams.build_tables(np.ones((0, 3, 3)), np.ones((0, 3, 3))) == []
+
+
+def test_stacked_tables_equal_tables_built_alone():
+    A, B = _three_tables()
+    for window in (None, 3):
+        for W, (a, b) in zip(diagrams.build_tables(A, B, window=window), zip(A, B)):
+            V = build_table(a, b, window=window)
+            assert W.kind == V.kind and W.params == V.params
+            assert list(W._cache) == list(V._cache)  # the validation window, kept
+            for x, y in zip(W.table + W.weight_arrays(20, 20), V.table + V.weight_arrays(20, 20)):
+                assert not x.flags.writeable
+                assert x.view(np.uint64).tobytes() == y.view(np.uint64).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # point reads share cached windows
 

@@ -5,12 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aluthge_lab.sampling import PCG64Stream, random_commuting_table, random_completion
+from aluthge_lab import sampling
+from aluthge_lab.sampling import (
+    PCG64Stream,
+    bumped_thm1_table,
+    bumped_thm1_tables,
+    random_commuting_table,
+    random_commuting_tables,
+    random_completion,
+    random_monotone_table,
+    random_monotone_tables,
+)
 
 # One draw: ("random",), ("uniform", low, span, shape or None) or ("integers", low, count).
 _bounds = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 _spans = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
-_shapes = st.none() | st.integers(0, 9) | st.tuples(st.integers(0, 8), st.integers(0, 8))
+_shapes = (st.none() | st.integers(0, 9) | st.integers(0, 9).map(np.int64)
+           | st.tuples(st.integers(0, 8), st.integers(0, 8).map(np.int32)))
 _DRAWS = st.one_of(
     st.tuples(st.just("random")),
     st.tuples(st.just("uniform"), _bounds, _spans, _shapes),
@@ -71,6 +82,32 @@ def test_stream_refuses_what_it_cannot_draw(call):
         call(PCG64Stream(7))
 
 
+@pytest.mark.parametrize(
+    "size",
+    [np.int64(3), np.uint8(2), np.array(4), (np.int64(2), 3), [np.int16(1), np.int32(2)],
+     np.array([2, 3]), 0, (0, 3), ()],
+    ids=["int64", "uint8", "0-d array", "tuple", "list", "array", "0", "(0, 3)", "()"],
+)
+def test_uniform_reads_sizes_as_numpy_does(size):
+    ours, ref = PCG64Stream(5), np.random.default_rng(5)
+    got, want = ours.uniform(-1.0, 2.0, size=size), ref.uniform(-1.0, 2.0, size=size)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert ours.random().hex() == ref.random().hex()
+
+
+@pytest.mark.parametrize(
+    "size, error",
+    [(True, TypeError), (np.True_, TypeError), ((2, False), TypeError), (2.0, TypeError),
+     ("3", TypeError), (-1, ValueError), ((2, np.int64(-1)), ValueError)],
+    ids=["True", "np.True_", "bool in tuple", "float", "str", "-1", "negative in tuple"],
+)
+def test_uniform_refuses_the_sizes_numpy_refuses(size, error):
+    for rng in (PCG64Stream(5), np.random.default_rng(5)):
+        with pytest.raises(error):
+            rng.uniform(size=size)
+
+
 def test_stream_refuses_a_negative_seed():
     with pytest.raises(ValueError):
         PCG64Stream(-1)
@@ -83,3 +120,65 @@ def test_samplers_build_the_same_diagrams_from_either_generator(seed):
         a, b = make(ours).weight_arrays(8, 8), make(ref).weight_arrays(8, 8)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
+
+
+def _tail(rng):
+    """The stream's next draws: they differ if its state or its buffered
+    32-bit half differs."""
+    return int(rng.integers(0, 1000)), rng.random().hex(), int(rng.integers(0, 1000))
+
+
+def _same_bits(W, V):
+    return all(np.array_equal(np.asarray(x).view(np.uint64), np.asarray(y).view(np.uint64))
+               for x, y in zip(W.table + W.weight_arrays(16, 16), V.table + V.weight_arrays(16, 16)))
+
+
+_GENERATORS = st.sampled_from([PCG64Stream, np.random.default_rng])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(random_commuting_tables, random_commuting_table),
+                     (random_monotone_tables, random_monotone_table),
+                     (bumped_thm1_tables, bumped_thm1_table)]),
+    _GENERATORS, st.integers(0, 2**64), st.integers(0, 7),
+)
+def test_each_list_form_equals_one_table_calls(forms, generator, seed, count):
+    many, one = forms
+    stacked_rng, alone_rng = generator(seed), generator(seed)
+    stacked = many(stacked_rng, count)
+    alone = [one(alone_rng) for _ in range(count)]
+    assert len(stacked) == count
+    assert all(_same_bits(W, V) for W, V in zip(stacked, alone))
+    assert _tail(stacked_rng) == _tail(alone_rng)
+
+
+def _scalar_monotone_field(rng, rows=6, cols=6):
+    """The log moment field of one monotone table, drawn by one scalar
+    uniform call per value in the order random_monotone_tables documents."""
+    c = rng.uniform(0.0, 0.02)
+    boost = c * max(rows, cols)
+
+    def convex_profile(count):
+        steps = [rng.uniform(boost, boost + 0.06) for _ in range(count - 2)]
+        diffs = rng.uniform(-0.2, 0.1) + np.concatenate(([0.0], np.cumsum(steps)))
+        return np.concatenate(([0.0], np.cumsum(diffs)))
+
+    A = convex_profile(rows + 1)
+    B = convex_profile(cols + 1)
+    m = np.arange(rows + 1)[:, None]
+    n = np.arange(cols + 1)[None, :]
+    return A[:, None] + B[None, :] + c * m * n
+
+
+@settings(max_examples=30, deadline=None)
+@given(_GENERATORS, st.integers(0, 2**64), st.integers(0, 7),
+       st.integers(1, 8), st.integers(1, 8))
+def test_monotone_tables_map_each_draw_as_a_scalar_uniform_call(generator, seed, count,
+                                                                rows, cols):
+    stacked_rng, scalar_rng = generator(seed), generator(seed)
+    stacked = random_monotone_tables(stacked_rng, count, rows, cols)
+    fields = [_scalar_monotone_field(scalar_rng, rows, cols) for _ in range(count)]
+    scalar = sampling._tables_from_log_fields(np.array(fields).reshape(count, rows + 1, cols + 1))
+    assert all(_same_bits(W, V) for W, V in zip(stacked, scalar, strict=True))
+    assert _tail(stacked_rng) == _tail(scalar_rng)

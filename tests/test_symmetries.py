@@ -4,8 +4,9 @@ Each relation follows from a definition in the paper: the swap
 (T1, T2) -> (T2, T1), a joint scaling (cT1, cT2) and separate scalings
 (aT1, bT2) of a commuting pair.  Where the arithmetic the library does is
 itself symmetric or exact under the relation, the relation holds bit for
-bit, and that is what is asserted.  Scalings are powers of two, so every
-scaled weight is exact.
+bit, and that is what is asserted.  Elsewhere the verdicts are asserted
+equal wherever the relation cannot move them across their cut.  Scalings
+are powers of two, so every scaled weight is exact.
 """
 
 import math
@@ -14,13 +15,22 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aluthge_lab import WeightDiagram, build_prop2, joint_hyponormal_reports
+from aluthge_lab import (
+    WeightDiagram,
+    build_prop2,
+    joint_hyponormal_reports,
+    k_hyponormal_verdicts,
+)
+from aluthge_lab.measures import quasinormality_routes_many
+from aluthge_lab.positivity import PSD_TOL
 from aluthge_lab.regions import BOUNDARY_MARGIN, thresholds
-from aluthge_lab.sampling import random_commuting_table
+from aluthge_lab.sampling import random_commuting_table, random_completion
 from aluthge_lab.transforms import aluthge_windows
 
 WINDOW = 8
 N = 8
+# order k -> the truncation level of its test; order 1 is the joint test
+LEVELS = {1: N, 2: 10, 3: 14}
 
 
 def _swapped(W: WeightDiagram) -> WeightDiagram:
@@ -44,17 +54,21 @@ def _scaled(W: WeightDiagram, a: float, b: float) -> WeightDiagram:
 
 
 @st.composite
-def _diagrams(draw):
+def _diagrams(draw, completions=False):
     """Random commuting tables, corner diagrams, and corner diagrams within
-    2 BOUNDARY_MARGIN of one of the four curves s, h, CA and PA."""
+    2 BOUNDARY_MARGIN of one of the four curves s, h, CA and PA; with
+    `completions`, also random quasinormal completions."""
     coordinate = st.floats(0.05, 0.95)
-    table = st.integers(0, 10_000).map(
-        lambda seed: random_commuting_table(np.random.default_rng(seed)))
+    seeds = st.integers(0, 10_000)
+    table = seeds.map(lambda seed: random_commuting_table(np.random.default_rng(seed)))
     corner = st.tuples(coordinate, coordinate).map(lambda xy: build_prop2(*xy))
     offset = st.floats(-2 * BOUNDARY_MARGIN, 2 * BOUNDARY_MARGIN)
     near = st.tuples(coordinate, st.integers(0, 3), offset).map(
         lambda ycd: build_prop2(tuple(thresholds(ycd[0]))[ycd[1]] + ycd[2], ycd[0]))
-    return draw(st.lists(st.one_of(table, corner, near), min_size=1, max_size=5))
+    kinds = [table, corner, near]
+    if completions:
+        kinds.append(seeds.map(lambda seed: random_completion(np.random.default_rng(seed))))
+    return draw(st.lists(st.one_of(*kinds), min_size=1, max_size=5))
 
 
 def _windows(diagrams):
@@ -125,3 +139,92 @@ def test_the_toral_transform_commutes_with_separate_scalings(diagrams, i, j):
     (TA2, TB2), _ = _windows([_scaled(W, a, b) for W in diagrams])
     assert np.array_equal(_bits(TA2), _bits(a * TA))
     assert np.array_equal(_bits(TB2), _bits(b * TB))
+
+
+def _verdicts(diagrams, k, tol=PSD_TOL):
+    """Order-k verdict of each diagram at level LEVELS[k], the joint one for k = 1."""
+    if k == 1:
+        return [r.joint for r in joint_hyponormal_reports(diagrams, LEVELS[k], tol)]
+    return [v.is_psd for v in k_hyponormal_verdicts(diagrams, k, LEVELS[k], tol)]
+
+
+def _spread(i, j, k):
+    """How far (2^i T1, 2^j T2) can move an order-k minimum eigenvalue
+    relative to its cut, as a factor on the cut, doubled for rounding.
+
+    The order-k matrix of (a T1, b T2) is D M D for the diagonal D whose
+    entry at the multi-index p (1 <= |p| <= k) is a^p1 b^p2, so each of
+    its eigenvalues is that of M times a factor between the least and the
+    largest entry of D^2 (Ostrowski), and the cut's scale, max(1, largest
+    squared weight) at order 1 and max(1, largest |eigenvalue|) above,
+    moves by a factor between min(1, least) and max(1, largest).
+    """
+    exponents = [2 * (i * p1 + j * p2)
+                 for p1 in range(k + 1) for p2 in range(k + 1 - p1) if p1 + p2]
+    return 2.0 ** (1 + max(0, *exponents) - min(0, *exponents))
+
+
+def _assert_verdicts_kept(diagrams, mapped, i, j):
+    """At every order, the mapped diagrams' verdicts equal those of the
+    diagrams wherever these are the same at PSD_TOL / s and PSD_TOL * s,
+    s = _spread(i, j, k), and so cannot cross the cut under the map."""
+    for k in LEVELS:
+        spread = _spread(i, j, k)
+        strict = _verdicts(diagrams, k, PSD_TOL / spread)
+        lenient = _verdicts(diagrams, k, PSD_TOL * spread)
+        got = _verdicts(mapped, k)
+        assert all(s != l or s == g for s, l, g in zip(strict, lenient, got)), k
+
+
+@settings(max_examples=20, deadline=None)
+@given(_diagrams())
+def test_the_swap_keeps_the_joint_and_order_k_verdicts(diagrams):
+    """Each order-k matrix of (T2, T1) is that of (T1, T2) with its rows
+    and columns permuted (T^p becomes T^(p2, p1)), a congruence by a
+    permutation, which keeps the eigenvalues; only rounding moves them."""
+    _assert_verdicts_kept(diagrams, [_swapped(W) for W in diagrams], 0, 0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_diagrams(), st.integers(-2, 2))
+def test_a_joint_scaling_keeps_the_joint_and_order_k_verdicts(diagrams, i):
+    """(c T1, c T2) has the order-k matrix D M D with D = c^|p| on the
+    multi-index p, a congruence, so PSD-ness is kept."""
+    c = math.ldexp(1.0, i)
+    _assert_verdicts_kept(diagrams, [_scaled(W, c, c) for W in diagrams], i, i)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_diagrams(), st.integers(-1, 1), st.integers(-1, 1))
+def test_separate_scalings_keep_the_joint_and_order_k_verdicts(diagrams, i, j):
+    """(a T1, b T2) has the order-k matrix D M D with D = a^p1 b^p2 on the
+    multi-index p, a congruence, so PSD-ness is kept."""
+    a, b = math.ldexp(1.0, i), math.ldexp(1.0, j)
+    _assert_verdicts_kept(diagrams, [_scaled(W, a, b) for W in diagrams], i, j)
+
+
+def _routes(diagrams):
+    return quasinormality_routes_many(diagrams, window=WINDOW, N=N)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_diagrams(completions=True))
+def test_the_swap_keeps_spherical_quasinormality(diagrams):
+    """Spherical quasinormality asks alpha_k^2 + beta_k^2 = C for every k.
+    The swap reads the sum at (k1, k2) as beta^2 + alpha^2 at (k2, k1),
+    the same floats added in the other order, and swaps the spherical
+    transform; so every route's flag and the constant C are kept."""
+    assert _routes([_swapped(W) for W in diagrams]) == _routes(diagrams)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_diagrams(completions=True), st.integers(-2, 2))
+def test_a_joint_scaling_keeps_spherical_quasinormality(diagrams, i):
+    """(c T1, c T2) has the sums c^2 (alpha_k^2 + beta_k^2), constant
+    exactly when those of (T1, T2) are, with constant c^2 C; c is a power
+    of two, so c^2 C is exact."""
+    c = math.ldexp(1.0, i)
+    for got, want in zip(_routes([_scaled(W, c, c) for W in diagrams]), _routes(diagrams)):
+        flags = ("constant_sum", "fixed_point", "interior_diagonal")
+        assert [got[f] for f in flags] == [want[f] for f in flags]
+        assert got["constant"] == (None if want["constant"] is None else c * c * want["constant"])
