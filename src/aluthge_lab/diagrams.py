@@ -252,7 +252,8 @@ class WeightDiagram:
 
 
 def stacked_windows(diagrams, n: int):
-    """(alpha, beta) of each diagram on [0, n)^2, stacked on a leading axis, even of length 0."""
+    """(alpha, beta) of each diagram on [0, n)^2, stacked on a leading axis, even of
+    length 0: the one place where a list of diagrams becomes arrays."""
     pairs = [W.weight_arrays(n, n) for W in diagrams]
     return (np.array([a for a, _ in pairs]).reshape(len(pairs), n, n),
             np.array([b for _, b in pairs]).reshape(len(pairs), n, n))
@@ -281,8 +282,15 @@ def commutativity_residuals(A: np.ndarray, B: np.ndarray) -> list:
 
 def commutativity_residual(diagram: WeightDiagram, window: int):
     """Worst residual over [0, window]^2 and its lattice point, for one diagram."""
+    require_window(window)
     A, B = diagram.weight_arrays(window + 2, window + 2)
     return commutativity_residuals(A[None], B[None])[0]
+
+
+def require_window(window: int) -> None:
+    """Raise WindowError for a negative evaluation window, before any weight is read."""
+    if window < 0:
+        raise WindowError(f"evaluation window must be nonnegative, got {window}")
 
 
 def require_commuting(residuals) -> None:
@@ -303,10 +311,11 @@ def validate_commuting(diagram: WeightDiagram, window: int):
     require_commuting([commutativity_residual(diagram, window)])
 
 
-def max_weight_gaps(firsts, seconds, window: int) -> list:
-    """Largest |difference| between the weights of paired diagrams on [0, window]^2, per pair."""
-    A1, B1 = stacked_windows(firsts, window + 1)
-    A2, B2 = stacked_windows(seconds, window + 1)
+def max_weight_gaps(firsts: tuple, seconds: tuple, window: int) -> list:
+    """Largest |difference| on [0, window]^2 between paired (alpha, beta) windows
+    stacked on a leading axis, per pair."""
+    n = window + 1
+    (A1, B1), (A2, B2) = ((A[:, :n, :n], B[:, :n, :n]) for A, B in (firsts, seconds))
     return np.maximum(np.abs(A1 - A2).max(axis=(1, 2)), np.abs(B1 - B2).max(axis=(1, 2))).tolist()
 
 
@@ -405,6 +414,7 @@ def build_tables(alpha_rects, beta_rects, *, window: int | None = None) -> list:
     _check_positive_finite(B, "beta table")
     _, rows, cols = A.shape
     n = (rows + cols + 2 if window is None else window) + 2
+    require_window(n - 2)
     _check_window_budget(n, n)
     A.setflags(write=False)
     B.setflags(write=False)

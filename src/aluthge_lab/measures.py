@@ -25,6 +25,7 @@ from .diagrams import (
     max_weight_gaps,
     moments,
     require_normal,
+    require_window,
     stacked_windows,
 )
 from .errors import (
@@ -33,7 +34,7 @@ from .errors import (
     InternalConsistencyError,
     WindowError,
 )
-from .transforms import spherical_transforms
+from .transforms import spherical_windows
 
 # Constant-row deviation allowed when detecting spherical quasinormality.
 QUASINORMAL_TOL = 1e-12
@@ -192,12 +193,17 @@ def _constant_sums(A: np.ndarray, B: np.ndarray, n: int) -> list:
     return [(C, dev, QUASINORMAL_TOL * max(1.0, C)) for C, dev in zip(Cs.ravel().tolist(), devs)]
 
 
-def _fixed_point_gaps(diagrams: list, window: int, sums: list) -> list:
-    """(gap, cut) of each diagram: the worst weight change under the spherical
-    transform on [0, window]^2 and FIXED_POINT_TOL max(1, sqrt(C)), C from
-    the diagram's _constant_sums."""
-    gaps = max_weight_gaps(diagrams, spherical_transforms(diagrams, window=window), window)
-    return [(gap, FIXED_POINT_TOL * max(1.0, math.sqrt(C))) for gap, (C, _, _) in zip(gaps, sums)]
+def _route_deviations(diagrams, window: int, N: int) -> list:
+    """Per diagram, from one read of its window at max(window + 3, N):
+    _constant_sums on [0, window]^2, the fixed-point (gap, cut), gap the worst
+    weight change under the spherical transform on [0, window]^2 and cut
+    FIXED_POINT_TOL max(1, sqrt(C)), and _constant_sums on [0, N)^2."""
+    require_window(window)
+    A, B = stacked_windows(diagrams, max(window + 3, N))
+    sums = _constant_sums(A, B, window + 1)
+    gaps = max_weight_gaps((A, B), spherical_windows(A, B, window), window)
+    cuts = [FIXED_POINT_TOL * max(1.0, math.sqrt(C)) for C, _, _ in sums]
+    return list(zip(sums, zip(gaps, cuts), _constant_sums(A, B, N)))
 
 
 def is_spherically_quasinormal(W: WeightDiagram, window: int):
@@ -210,9 +216,7 @@ def is_spherically_quasinormal(W: WeightDiagram, window: int):
     cases resolve by the constant-row scan.  The window is read once, at
     the transform's (window+3)^2.
     """
-    sums = _constant_sums(*stacked_windows([W], window + 3), window + 1)
-    (C, dev_c, cut_c), = sums
-    (dev_f, cut_f), = _fixed_point_gaps([W], window, sums)
+    ((C, dev_c, cut_c), (dev_f, cut_f), _), = _route_deviations([W], window, 1)
     flag = dev_c <= cut_c
     if flag != (dev_f <= cut_f):
         if (flag and dev_f > 1e3 * cut_f) or (not flag and dev_c > 1e3 * cut_c and dev_f <= cut_f):
@@ -239,14 +243,11 @@ def quasinormality_routes_many(diagrams, window: int, N: int) -> list:
     """
     if N < 1:
         raise WindowError("need N >= 1 for an interior")
-    diagrams = list(diagrams)
-    A, B = stacked_windows(diagrams, max(window + 3, N))
-    sums = _constant_sums(A, B, window + 1)
     return [
         {"constant_sum": dev_c <= cut_c, "fixed_point": gap <= cut_f,
          "interior_diagonal": dev_i <= cut_i, "constant": C if dev_c <= cut_c else None}
-        for (C, dev_c, cut_c), (gap, cut_f), (_, dev_i, cut_i) in zip(
-            sums, _fixed_point_gaps(diagrams, window, sums), _constant_sums(A, B, N))
+        for (C, dev_c, cut_c), (gap, cut_f), (_, dev_i, cut_i)
+        in _route_deviations(diagrams, window, N)
     ]
 
 

@@ -38,12 +38,13 @@ package bug and raises InternalConsistencyError.  The dense operator
 construction survives only as a test oracle.
 
 The diagram-level tests take a list of diagrams and read their weight
-windows stacked on a leading axis; every slice gets exactly the arithmetic
-it would get on its own, and identical blocks get identical bytes from
-LAPACK, so a stacked verdict equals the one-diagram verdict bit for bit.
-The one-diagram functions are their one-element cases, and
-joint_window_reports takes windows already stacked, as classify_many
-holds them for a diagram and its transforms.
+windows once, stacked on a leading axis; joint_window_reports and
+componentwise_window_flags take windows a caller has read, as
+classify_many and reproduce hold them for a diagram and its transforms.
+Every slice gets exactly the arithmetic it would get on its own, and
+identical blocks get identical bytes from LAPACK, so a stacked verdict
+equals the one-diagram verdict bit for bit.  The one-diagram functions
+are their one-element cases.
 """
 
 from __future__ import annotations
@@ -118,14 +119,14 @@ def _six_point_fields(A: np.ndarray, B: np.ndarray):
 # componentwise (each T_i hyponormal on its own)
 
 
-def componentwise_hyponormal_many(diagrams, N: int) -> list:
-    """(alpha nondecreasing along e1, beta nondecreasing along e2) on [0, N]^2, per diagram.
+def componentwise_window_flags(A: np.ndarray, B: np.ndarray) -> list:
+    """(alpha nondecreasing along e1, beta nondecreasing along e2) on [0, N]^2,
+    per diagram whose [0, N+2)^2 weight windows A and B stack on a leading axis.
 
-    Runs on squared weights, read as one stack, with the same scaled cutoff
-    as the PSD tests, so a jointly hyponormal verdict always implies both
-    flags (the diagonal of M(k) consists of exactly these differences).
+    Runs on squared weights with the same scaled cutoff as the PSD tests,
+    so a jointly hyponormal verdict always implies both flags (the
+    diagonal of M(k) consists of exactly these differences).
     """
-    A, B = stacked_windows(diagrams, N + 2)
     p, _, r, _ = _six_point_fields(A, B)
     return _componentwise(p, r, [PSD_TOL * scale for scale in weight_scales(A, B)])
 
@@ -166,17 +167,12 @@ def joint_hyponormal_reports(diagrams, N: int, tol: float = PSD_TOL) -> list:
     compressed to [0, N-3]^2 and asserts, per diagram, the exact spectral
     identity relating their minimum to the six-point, rim, and wall terms;
     disagreement beyond round-off raises InternalConsistencyError for the
-    first failing diagram.  The diagrams go through the kernels in
-    consecutive stacks of joint_stack_size(N); one diagram over
+    first failing diagram.  The windows are read once and go through the
+    kernels in consecutive stacks of joint_stack_size(N); one diagram over
     MAX_BLOCK_FLOATS is refused before any window is read.
     """
-    diagrams = list(diagrams)
-    per = joint_stack_size(N)
-    return [
-        report
-        for i in range(0, len(diagrams), per)
-        for report in _joint_stack(diagrams[i : i + per], N, tol)
-    ]
+    joint_stack_size(N)  # the budget check
+    return joint_window_reports(*stacked_windows(diagrams, N + 2), N, tol)
 
 
 def joint_window_reports(A: np.ndarray, B: np.ndarray, N: int, tol: float = PSD_TOL) -> list:
@@ -190,13 +186,8 @@ def joint_window_reports(A: np.ndarray, B: np.ndarray, N: int, tol: float = PSD_
     ]
 
 
-def _joint_stack(diagrams: list, N: int, tol: float) -> list:
-    """joint_hyponormal_reports of diagrams that fit one kernel call."""
-    return _joint_windows(*stacked_windows(diagrams, N + 2), N, tol)
-
-
 def _joint_windows(A: np.ndarray, B: np.ndarray, N: int, tol: float) -> list:
-    """_joint_stack of the diagrams whose [0, N+2)^2 windows A and B stack."""
+    """joint_window_reports of windows that fit one kernel call."""
     scales = weight_scales(A, B)
     Mc = N - 3
     if N >= 4:

@@ -38,8 +38,8 @@ from .measures import (
     stampfli,
 )
 from .positivity import (
-    componentwise_hyponormal_many,
-    joint_hyponormal_reports,
+    componentwise_window_flags,
+    joint_window_reports,
     k_hyponormal_verdicts,
     one_var_k_hyponormal_many,
 )
@@ -54,12 +54,7 @@ from .sampling import (
     random_thm1,
     sample_below_s,
 )
-from .transforms import (
-    aluthge_transforms,
-    continuity_probes,
-    spherical_transforms,
-    transform_distance,
-)
+from .transforms import aluthge_windows, continuity_probes, spherical_windows, transform_distance
 
 DEFAULT_SEED = 7
 
@@ -169,19 +164,20 @@ def subnormal_khypo(seed: int = DEFAULT_SEED) -> CheckResult:
 def table_transform_checks(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = PCG64Stream(seed)
     window = 10
+    n = window + 1
 
     Ws = random_commuting_tables(rng, 50)
-    torals, sphericals = aluthge_transforms(Ws, window=window)
-    residuals = commutativity_residuals(*stacked_windows(sphericals, window + 2))
-    cuts = [COMMUTATIVITY_TOL * s for s in weight_scales(*stacked_windows(Ws, window + 1))]
-    worst_resid = max(0.0, *(resid for resid, _ in residuals))
-    toral_disagreements = sum(res.commutes != (res.direct_residual <= cut)
-                              for res, cut in zip(torals, cuts))
-    toral_commuting = sum(res.commutes for res in torals)
+    (A, B), (_, _, torals), spherical = aluthge_windows(Ws, window)
+    worst_resid = max(0.0, *(resid for resid, _ in commutativity_residuals(*spherical)))
+    cuts = [COMMUTATIVITY_TOL * s for s in weight_scales(A[:, :n, :n], B[:, :n, :n])]
+    toral_disagreements = sum(commutes != (direct <= cut)
+                              for (commutes, _, direct, _), cut in zip(torals, cuts))
+    toral_commuting = sum(commutes for commutes, *_ in torals)
 
-    monotone = random_monotone_tables(rng, 50)
-    before = componentwise_hyponormal_many(monotone, 10)
-    after = componentwise_hyponormal_many(spherical_transforms(monotone, window=window), 10)
+    # one read of the monotone tables: their (window+2)^2 windows and their transforms'
+    A, B = stacked_windows(random_monotone_tables(rng, 50), window + 3)
+    before = componentwise_window_flags(A[:, : n + 1, : n + 1], B[:, : n + 1, : n + 1])
+    after = componentwise_window_flags(*spherical_windows(A, B, window))
     preserved = sum(all(b) and all(a) for b, a in zip(before, after))
 
     return CheckResult(
@@ -219,12 +215,12 @@ def lift_transform_hypo(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = PCG64Stream(seed)
     window = 10
     Ws = [build_theta(random_nondecreasing_omega(rng)) for _ in range(20)]
-    # the transforms read the widest window, so the joint test reads a slice
-    torals, sphericals = aluthge_transforms(Ws, window=window)
-    base_hypo = sum(r.joint for r in joint_hyponormal_reports(Ws, 10))
-    tors = [res.diagram for res in torals]
-    worst_gap = max(0.0, *max_weight_gaps(tors, sphericals, window))
-    reports = joint_hyponormal_reports(tors + sphericals, 8)  # both transforms, one test
+    # the transforms read the widest window, so the joint tests read slices
+    (A, B), (TA, TB, _), (SA, SB) = aluthge_windows(Ws, window)
+    base_hypo = sum(r.joint for r in joint_window_reports(A[:, :12, :12], B[:, :12, :12], 10))
+    worst_gap = max(0.0, *max_weight_gaps((TA, TB), (SA, SB), window))
+    both = (np.concatenate(pair)[:, :10, :10] for pair in ((TA, SA), (TB, SB)))
+    reports = joint_window_reports(*both, 8)  # both transforms, one test
     toral_hypo = sum(r.joint for r in reports[: len(Ws)])
     spherical_hypo = sum(r.joint for r in reports[len(Ws) :])
     return CheckResult(
@@ -244,8 +240,8 @@ def lift_transform_hypo(seed: int = DEFAULT_SEED) -> CheckResult:
 
 def _transform_gaps(diagrams, window: int) -> list:
     """Weight gap between the toral and the spherical transform of each diagram."""
-    torals, sphericals = aluthge_transforms(diagrams, window=window)
-    return max_weight_gaps([res.diagram for res in torals], sphericals, window)
+    _, (TA, TB, _), spherical = aluthge_windows(diagrams, window)
+    return max_weight_gaps((TA, TB), spherical, window)
 
 
 def proportional_rows_agree(seed: int = DEFAULT_SEED) -> CheckResult:

@@ -44,6 +44,7 @@ from .diagrams import (
     build_tables,
     build_thm1,
     rows_first_moments,
+    stacked_windows,
 )
 from .errors import DomainError, InfeasibleConstantError
 from .measures import quasinormal_completion, stampfli
@@ -301,10 +302,9 @@ def random_thm1(rng: PCG64Stream) -> WeightDiagram:
 
 def _gamma_rectangles(diagrams: list, rows: int, cols: int) -> np.ndarray:
     """Moment fields gamma on [0, rows] x [0, cols] of the diagrams, stacked
-    on a leading axis, gamma(0,0) = 1."""
-    W = np.array([D.weight_arrays(rows + 1, cols + 1) for D in diagrams])
-    W = W.reshape(len(diagrams), 2, rows + 1, cols + 1)
-    return rows_first_moments(W[:, 0], W[:, 1])
+    on a leading axis, gamma(0,0) = 1, from their square windows."""
+    A, B = stacked_windows(diagrams, max(rows, cols) + 1)
+    return rows_first_moments(A[:, : rows + 1, : cols + 1], B[:, : rows + 1, : cols + 1])
 
 
 def gamma_rectangle(diagram: WeightDiagram, rows: int, cols: int) -> np.ndarray:

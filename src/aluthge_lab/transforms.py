@@ -18,21 +18,18 @@ of CPython's algorithm (Dekker's exact products, error-free sums and one
 correction) on inputs of HYPOT_PORT_FLOATS floats or more, the map of
 math.hypot on smaller ones.
 
-A transformed diagram (kind "derived") computes each window by array
-arithmetic on its parent's cached window one step larger, so iterating
-a transform costs work linear in the depth.  Its weights are not
-precomputed closed forms, so tests that compare them against
-independently derived formulas are meaningful.
-
-Each stage runs once over the windows of a list of diagrams stacked on a
-leading axis.  aluthge_windows reads, validates and scales the parents
-once and runs both rules and every check of both transforms on that
-stack, returning arrays; classify_many uses it as is.  toral_transforms,
-spherical_transforms and aluthge_transforms wrap the same stages and give
-each output its slice of the stacked result as its cached window, exactly
-what its own window function computes; the one-diagram functions are
-their one-element cases.  continuity_probes probes a list the same way,
-with P from the same _joint_modulus.
+Each stage is one function of windows stacked on a leading axis, and
+only arrays pass between stages.  aluthge_windows reads, validates and
+scales the parents once and runs both transforms on that stack, and
+spherical_windows the spherical one on windows a caller has read.  Only
+the exported toral_transforms and spherical_transforms build transformed
+diagrams (kind "derived"): each keeps its slice of the stacked result as
+its cached window, exactly what its own window function computes from
+its parent's cached window one step larger, so iterating a transform
+costs work linear in the depth.  Its weights are not precomputed closed
+forms, so tests that compare them against independently derived formulas
+are meaningful.  The one-diagram functions are their one-element cases;
+continuity_probes takes P from the same _joint_modulus.
 """
 
 from __future__ import annotations
@@ -47,6 +44,7 @@ from .diagrams import (
     WeightDiagram,
     commutativity_residuals,
     require_commuting,
+    require_window,
     stacked_windows,
     weight_scales,
 )
@@ -60,32 +58,18 @@ RE4_SLACK = 1e-10
 DECISIVE_BAND = 1e2
 
 
-def _derived(parent: WeightDiagram, op: str, rule, seed: tuple) -> WeightDiagram:
-    """Diagram whose (n1, n2) window is rule(parent's (n1+1, n2+1) window).
-
-    `seed`, an (alpha, beta) pair of read-only n x n arrays, is taken as
-    the diagram's first cached window.
-    """
-
-    def window(n1, n2):
-        return rule(*parent.weight_arrays(n1 + 1, n2 + 1))
-
-    return WeightDiagram(
-        kind="derived",
-        params={"op": op, "parent": parent.kind},
-        _window=window,
-        _cache={seed[0].shape: seed},
-    )
-
-
 def _derived_stack(parents: list, op: str, rule, TA: np.ndarray, TB: np.ndarray) -> list:
-    """The `op` transform of each parent, given `rule` of their windows
-    stacked on a leading axis; each output keeps its slice of TA, TB as its
-    cached window.
-    """
+    """The `op` transform of each parent as a diagram whose (n1, n2) window is
+    rule(parent's (n1+1, n2+1) window), keeping as its cached window its slice
+    of TA, TB, `rule` of the parents' windows stacked on a leading axis."""
     TA.setflags(write=False)
     TB.setflags(write=False)
-    return [_derived(W, op, rule, (a, b)) for W, a, b in zip(parents, TA, TB)]
+    return [
+        WeightDiagram(kind="derived", params={"op": op, "parent": W.kind},
+                      _window=lambda n1, n2, W=W: rule(*W.weight_arrays(n1 + 1, n2 + 1)),
+                      _cache={a.shape: (a, b)})
+        for W, a, b in zip(parents, TA, TB)
+    ]
 
 
 def _toral_rule(A: np.ndarray, B: np.ndarray):
@@ -208,18 +192,22 @@ def _spherical_rule(A: np.ndarray, B: np.ndarray):
     return T
 
 
-def _parent_windows(diagrams: list, window: int):
-    """Stacked (window+3)^2 windows of commuting diagrams, validated on [0, window]^2,
-    and each diagram's weight scale, max(1, largest weight there squared).
-
-    The widest window either transform reads is fetched once, and the
-    validation and the scales read slices of that one stack.
-    """
-    A, B = stacked_windows(diagrams, window + 3)
+def _parent_windows(A: np.ndarray, B: np.ndarray, window: int):
+    """Stacked windows A, B of commuting diagrams covering [0, window+3)^2, cut
+    to that square, the widest either transform reads, and validated on
+    [0, window]^2, and each diagram's weight scale, max(1, largest weight
+    there squared); the validation and the scales read slices of the cut."""
+    A, B = A[:, : window + 3, : window + 3], B[:, : window + 3, : window + 3]
     m = window + 2
     require_commuting(commutativity_residuals(A[:, :m, :m], B[:, :m, :m]))
     n = window + 1
     return A, B, weight_scales(A[:, :n, :n], B[:, :n, :n])
+
+
+def _read_parents(diagrams, window: int):
+    """_parent_windows of the diagrams, read once after a negative window is refused."""
+    require_window(window)
+    return _parent_windows(*stacked_windows(diagrams, window + 3), window)
 
 
 def _toral_condition_residuals(A: np.ndarray, B: np.ndarray) -> list:
@@ -302,14 +290,13 @@ def aluthge_windows(diagrams: list, window: int) -> tuple:
     runs once over the stack: validation raises first, then the toral
     stages, then the spherical ones.
     """
-    A, B, scales = _parent_windows(diagrams, window)
+    A, B, scales = _read_parents(diagrams, window)
     return (A, B), _toral_windows(A, B, scales, COMMUTATIVITY_TOL), _spherical_windows(A, B, scales)
 
 
-def _toral_results(diagrams: list, TA: np.ndarray, TB: np.ndarray, verdicts: list) -> list:
-    """One ToralResult per diagram from its _toral_windows."""
-    candidates = _derived_stack(diagrams, "toral", _toral_rule, TA, TB)
-    return [ToralResult(candidate, *verdict) for candidate, verdict in zip(candidates, verdicts)]
+def spherical_windows(A: np.ndarray, B: np.ndarray, window: int) -> tuple:
+    """_spherical_windows of the _parent_windows of stacked windows A, B on [0, window+3)^2."""
+    return _spherical_windows(*_parent_windows(A, B, window))
 
 
 def toral_transforms(
@@ -329,8 +316,9 @@ def toral_transforms(
     failing diagram of the first failing stage raises.
     """
     diagrams = list(diagrams)
-    A, B, scales = _parent_windows(diagrams, window)
-    return _toral_results(diagrams, *_toral_windows(A, B, scales, tol))
+    TA, TB, verdicts = _toral_windows(*_read_parents(diagrams, window), tol)
+    candidates = _derived_stack(diagrams, "toral", _toral_rule, TA, TB)
+    return [ToralResult(candidate, *verdict) for candidate, verdict in zip(candidates, verdicts)]
 
 
 def toral_transform(
@@ -351,25 +339,13 @@ def spherical_transforms(diagrams, *, window: int = DEFAULT_WINDOW) -> list:
     first failing diagram of the first failing stage raises.
     """
     diagrams = list(diagrams)
-    A, B, scales = _parent_windows(diagrams, window)
-    return _derived_stack(diagrams, "spherical", _spherical_rule, *_spherical_windows(A, B, scales))
+    SA, SB = _spherical_windows(*_read_parents(diagrams, window))
+    return _derived_stack(diagrams, "spherical", _spherical_rule, SA, SB)
 
 
 def spherical_transform(W: WeightDiagram, *, window: int = DEFAULT_WINDOW) -> WeightDiagram:
     """spherical_transforms of one diagram."""
     return spherical_transforms([W], window=window)[0]
-
-
-def aluthge_transforms(diagrams, *, window: int = DEFAULT_WINDOW) -> tuple:
-    """(toral_transforms, spherical_transforms) of the same diagrams.
-
-    The diagram form of aluthge_windows: every output equals that of the
-    separate calls, and the toral stages raise before the spherical ones.
-    """
-    diagrams = list(diagrams)
-    _, toral, spherical = aluthge_windows(diagrams, window)
-    return (_toral_results(diagrams, *toral),
-            _derived_stack(diagrams, "spherical", _spherical_rule, *spherical))
 
 
 def _max_abs(x: np.ndarray) -> np.ndarray:
@@ -454,20 +430,19 @@ def transform_distance(W: WeightDiagram, Wp: WeightDiagram, which: str, N: int) 
     """Operator-norm distance between the selected transforms of two diagrams.
 
     which = "toral" or "spherical".  Both diagrams are transformed in one
-    stack at a window wide enough for the truncation; toral candidates are
-    used as returned, commuting or not.  The distance is max_i ||T_i - T_i'||
-    on level N, T_i truncated as in continuity_probes; T_i - T_i' is a
-    weighted shift, so its norm is the largest difference of truncated
-    weights.
+    stack at a window wide enough for the truncation, as toral_transforms
+    or spherical_transforms would, but no diagram is built; toral
+    candidates are used commuting or not.  The distance is
+    max_i ||T_i - T_i'|| on level N, T_i truncated as in continuity_probes;
+    T_i - T_i' is a weighted shift, so its norm is the largest difference
+    of truncated weights.
     """
     if N < 0:
         raise WindowError("truncation level must be nonnegative")
-    window = max(DEFAULT_WINDOW, N + 2)
-    if which == "toral":
-        d1, d2 = (r.diagram for r in toral_transforms([W, Wp], window=window))
-    elif which == "spherical":
-        d1, d2 = spherical_transforms([W, Wp], window=window)
-    else:
+    if which not in ("toral", "spherical"):
         raise DomainError(f"unknown transform {which!r}")
-    (A1, B1), (A2, B2) = (d.weight_arrays(N + 1, N + 1) for d in (d1, d2))
-    return max(float(_max_abs(A1[:-1] - A2[:-1])), float(_max_abs(B1[:, :-1] - B2[:, :-1])))
+    parents = _read_parents([W, Wp], max(DEFAULT_WINDOW, N + 2))
+    TA, TB = (_toral_windows(*parents, COMMUTATIVITY_TOL)[:2] if which == "toral"
+              else _spherical_windows(*parents))
+    return max(float(_max_abs(TA[0, :N, : N + 1] - TA[1, :N, : N + 1])),
+               float(_max_abs(TB[0, : N + 1, :N] - TB[1, : N + 1, :N])))

@@ -700,8 +700,10 @@ def test_order_k_tables_match_golden_text(target, check, seed):
 
 def test_reproduce_runs_its_diagrams_in_stacks(monkeypatch):
     stacks = {}
-    # the parents' window reads, and the joint and order-k kernel calls on
-    # stacked windows, whatever route reached them
+    # the validation of the parents' stacked windows, whoever read them (the
+    # transforms, measures' fixed-point route, the monotone check), and the
+    # joint and order-k kernel calls on stacked windows, whatever route
+    # reached them
     for module, name in ((transforms, "_parent_windows"), (positivity, "_joint_windows"),
                          (positivity, "_lattice_block_eigs")):
         seen = stacks[name] = []
@@ -721,6 +723,24 @@ def test_reproduce_runs_its_diagrams_in_stacks(monkeypatch):
     assert len(stacks["_joint_windows"]) == 9
     assert len(stacks["_lattice_block_eigs"]) == 34
     assert 1 not in stacks["_parent_windows"] + stacks["_joint_windows"]
+
+
+def test_reproduce_and_the_scan_build_no_derived_diagram(capsys, monkeypatch):
+    sizes = []
+
+    def counting(parents, *args, _original=transforms._derived_stack):
+        sizes.append(len(parents))
+        return _original(parents, *args)
+
+    monkeypatch.setattr(transforms, "_derived_stack", counting)
+    assert main(["reproduce", "all", "--seed", "7"]) == 0
+    capsys.readouterr()
+    region_scan(4, 12, 10)
+    # every stage passes stacked windows; 13 stacks of 326 derived diagrams
+    # when the runners and transform_distance read derived diagrams back
+    assert sizes == []
+    transforms.spherical_transform(build_prop2(0.5, 0.5))  # the spy sees the exported form
+    assert sizes == [1]
 
 
 def test_reproduce_builds_its_random_tables_in_stacks(monkeypatch):

@@ -21,12 +21,15 @@ from aluthge_lab import (
     classify,
     commutativity_residual,
     core_of,
+    is_spherically_quasinormal,
     moments,
     moments_1var,
     quasinormal_completion,
+    quasinormality_routes,
     spherical_transform,
     stampfli,
     toral_transform,
+    toral_transforms,
     validate_commuting,
 )
 from aluthge_lab import diagrams, regions, reproduce, transforms
@@ -493,6 +496,28 @@ def test_moments_window_errors():
         table.gamma(3, 2)
     with pytest.raises(WindowError):
         moments(W, -1)
+
+
+# each ended in a bare numpy ValueError (an empty argmax, a zero-size
+# reduction or a reshape) before the window was checked
+NEGATIVE_WINDOW_CALLS = {
+    "build_table": lambda W: build_table(*W.weight_arrays(3, 3), window=-1),
+    "commutativity_residual": lambda W: commutativity_residual(W, -1),
+    "validate_commuting": lambda W: validate_commuting(W, -1),
+    "toral_transform-1": lambda W: toral_transform(W, window=-1),
+    "toral_transform-2": lambda W: toral_transform(W, window=-2),
+    "toral_transforms-empty": lambda W: toral_transforms([], window=-1),
+    "spherical_transform-2": lambda W: spherical_transform(W, window=-2),
+    "spherical_transform-3": lambda W: spherical_transform(W, window=-3),
+    "is_spherically_quasinormal": lambda W: is_spherically_quasinormal(W, -1),
+    "quasinormality_routes": lambda W: quasinormality_routes(W, -2, 3),
+}
+
+
+@pytest.mark.parametrize("call", NEGATIVE_WINDOW_CALLS.values(), ids=NEGATIVE_WINDOW_CALLS)
+def test_a_negative_window_is_refused_with_window_error(call):
+    with pytest.raises(WindowError, match="evaluation window must be nonnegative"):
+        call(build_prop2(0.5, 0.5))
 
 
 def test_moments_1var_cumprod():

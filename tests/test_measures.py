@@ -1,6 +1,7 @@
 """Two-atom measures, constant-sum completions, and their detections."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -239,6 +240,25 @@ def test_quasinormality_route_list_form_equals_one_diagram_calls():
     assert measures.quasinormality_routes_many([], 10, 8) == []
     with pytest.raises(WindowError):
         measures.quasinormality_routes_many(_route_diagrams(), 10, 0)
+
+
+def test_quasinormality_routes_read_each_window_once(monkeypatch):
+    ds = _route_diagrams()
+    sizes = []
+
+    def counting(stack, n, _original=stacked_windows):
+        stack = list(stack)
+        sizes.append(len(stack))
+        return _original(stack, n)
+
+    # every module that reads through stacked_windows
+    for name, module in list(sys.modules.items()):
+        if name.startswith("aluthge_lab.") and hasattr(module, "stacked_windows"):
+            monkeypatch.setattr(module, "stacked_windows", counting)
+    measures.quasinormality_routes_many(ds, window=10, N=8)
+    # the fixed-point route transforms a slice of that read; 4 reads when it
+    # transformed the diagrams and read the derived ones back
+    assert sizes == [len(ds)]
 
 
 def _interior_diagonal(diagrams, N):

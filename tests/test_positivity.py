@@ -81,30 +81,39 @@ def test_six_point_single_point_matches_scan():
     assert not eigvalsh_is_psd(M)
 
 
+def _componentwise(diagrams, N):
+    """Componentwise flags on [0, N]^2 of the diagrams' stacked windows."""
+    return positivity.componentwise_window_flags(*stacked_windows(diagrams, N + 2))
+
+
 def test_componentwise_on_monotone_tables():
     rng = np.random.default_rng(2)
     for _ in range(5):
         W = random_monotone_table(rng)
-        ((a_ok, b_ok),) = positivity.componentwise_hyponormal_many([W], 8)
+        ((a_ok, b_ok),) = _componentwise([W], 8)
         assert a_ok and b_ok
 
 
 def test_componentwise_flags_are_directional():
     om = OneVarWeights(values=(0.9, 0.7, 1.0))  # dips, then recovers
     W = build_theta(om)
-    ((a_ok, b_ok),) = positivity.componentwise_hyponormal_many([W], 6)
+    ((a_ok, b_ok),) = _componentwise([W], 6)
     assert not a_ok and not b_ok
 
 
 def test_componentwise_list_form_equals_one_diagram_calls():
     diagrams = _stack_diagrams()
     for N in (0, 3, 8):
-        stacked = positivity.componentwise_hyponormal_many(diagrams, N)
+        stacked = _componentwise(diagrams, N)
         assert len(stacked) == len(diagrams)
         for W, flags in zip(diagrams, stacked):
-            assert [flags] == positivity.componentwise_hyponormal_many([W], N)
+            assert [flags] == _componentwise([W], N)
             assert all(type(f) is bool for f in flags)
-    assert positivity.componentwise_hyponormal_many([], 8) == []
+        # a slice of a wider window gives the same flags
+        A, B = stacked_windows(diagrams, N + 5)
+        assert positivity.componentwise_window_flags(A[:, : N + 2, : N + 2],
+                                                     B[:, : N + 2, : N + 2]) == stacked
+    assert _componentwise([], 8) == []
 
 
 # ---------------------------------------------------------------------------

@@ -210,9 +210,9 @@ def test_classify_many_equals_one_point_calls(points, kmax, budget):
 def test_a_stack_reads_its_parent_windows_once(monkeypatch):
     parent_windows, calls = transforms._parent_windows, []
 
-    def counting(diagrams, window):
-        calls.append(len(diagrams))
-        return parent_windows(diagrams, window)
+    def counting(A, B, window):
+        calls.append(len(A))
+        return parent_windows(A, B, window)
 
     monkeypatch.setattr(transforms, "_parent_windows", counting)
     # at N = 12 a point's 3 diagrams take 3 x 4 x 11^2 = 1452 order-1 block

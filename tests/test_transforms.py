@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aluthge_lab import (
+    DomainError,
     NonCommutingInputError,
     WindowError,
     build_prop2,
@@ -283,6 +284,39 @@ def test_transform_distance_rejects_unknown_kind():
     with pytest.raises(Exception):
         transform_distance(W, W, "diagonal", N=6)
 
+    def unreadable(n1, n2):
+        raise AssertionError("no window may be read")
+
+    W = diagrams.WeightDiagram(kind="table", params={}, _window=unreadable)
+    with pytest.raises(DomainError, match="unknown transform"):
+        transform_distance(W, W, "diagonal", N=6)
+
+
+def _derived_distance(W, Wp, which, N):
+    """transform_distance by the derived diagrams: transform both in one
+    stack, then read each output's weights at level N."""
+    window = max(transforms.DEFAULT_WINDOW, N + 2)
+    if which == "toral":
+        d1, d2 = (r.diagram for r in toral_transforms([W, Wp], window=window))
+    else:
+        d1, d2 = spherical_transforms([W, Wp], window=window)
+    (A1, B1), (A2, B2) = (d.weight_arrays(N + 1, N + 1) for d in (d1, d2))
+    return max(float(np.max(np.abs(A1[:-1] - A2[:-1]), initial=0.0)),
+               float(np.max(np.abs(B1[:, :-1] - B2[:, :-1]), initial=0.0)))
+
+
+@pytest.mark.parametrize("N", [0, 1, 10])
+@pytest.mark.parametrize("which", ["toral", "spherical"])
+def test_transform_distance_equals_the_derived_diagram_route(which, N):
+    rng = np.random.default_rng(17)
+    pairs = [(build_prop2(0.5, 0.5), build_prop2(0.51, 0.5)),
+             (build_prop2(0.72, 0.4), build_prop2(0.3, 0.6)),
+             (random_commuting_table(rng), random_commuting_table(rng))]
+    for W, Wp in pairs:
+        got = transform_distance(W, Wp, which, N)
+        assert got.hex() == _derived_distance(W, Wp, which, N).hex()
+        assert (got > 0.0) is (N > 0)
+
 
 def test_spherical_consistency_guard_is_quiet_on_real_input():
     # thm1 diagrams exercise the guard path with nontrivial weights
@@ -334,21 +368,33 @@ def test_stacked_transforms_equal_one_diagram_transforms(window):
             assert all(np.array_equal(a, b) for a, b in zip(kept, fresh))
 
 
+def _same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_both_transforms_from_one_read_equal_the_separate_stacks():
     window = 10
-    torals, sphericals = transforms.aluthge_transforms(_commuting_oracle_diagrams(), window=window)
+    (A, B), (TA, TB, verdicts), (SA, SB) = transforms.aluthge_windows(
+        _commuting_oracle_diagrams(), window)
     want_torals = toral_transforms(_commuting_oracle_diagrams(), window=window)
     want_sphericals = spherical_transforms(_commuting_oracle_diagrams(), window=window)
-    for tor, sph, want_tor, want_sph in zip(
-        torals, sphericals, want_torals, want_sphericals, strict=True
+    parents = diagrams.stacked_windows(_commuting_oracle_diagrams(), window + 3)
+    for got, want in zip((A, B), parents):
+        _same_bits(got, want)
+    for ta, tb, (commutes, cond, direct, witness), sa, sb, want_tor, want_sph in zip(
+        TA, TB, verdicts, SA, SB, want_torals, want_sphericals, strict=True
     ):
-        assert tor.commutes is want_tor.commutes
-        assert tor.condition_residual.hex() == want_tor.condition_residual.hex()
-        assert tor.direct_residual.hex() == want_tor.direct_residual.hex()
-        assert tor.direct_witness == want_tor.direct_witness
-        _assert_same_windows(tor.diagram, want_tor.diagram, window + 2)
-        _assert_same_windows(sph, want_sph, window + 2)
-    assert transforms.aluthge_transforms([]) == ([], [])
+        assert commutes is want_tor.commutes
+        assert cond.hex() == want_tor.condition_residual.hex()
+        assert direct.hex() == want_tor.direct_residual.hex()
+        assert witness == want_tor.direct_witness
+        # each derived diagram's cached window is its slice of the stacked result
+        n = window + 2
+        wants = (*want_tor.diagram.weight_arrays(n, n), *want_sph.weight_arrays(n, n))
+        for got, want in zip((ta, tb, sa, sb), wants, strict=True):
+            _same_bits(got, want)
+    (A, B), (TA, TB, verdicts), (SA, SB) = transforms.aluthge_windows([], window)
+    assert verdicts == [] and all(len(X) == 0 for X in (A, B, TA, TB, SA, SB))
 
 
 def _count_stack_reads(monkeypatch):
@@ -366,10 +412,14 @@ def _count_stack_reads(monkeypatch):
 
 
 def test_a_stack_is_validated_from_the_windows_it_read(monkeypatch):
-    fresh = _commuting_oracle_diagrams()
+    stages = (lambda ds: transforms.aluthge_windows(ds, 8),
+              lambda ds: toral_transforms(ds, window=8),
+              lambda ds: spherical_transforms(ds, window=8))
+    fresh = [_commuting_oracle_diagrams() for _ in stages]
     calls = _count_stack_reads(monkeypatch)
-    transforms.aluthge_transforms(fresh, window=8)
-    assert calls == [len(fresh)]
+    for stage, ds in zip(stages, fresh):
+        stage(ds)
+    assert calls == [len(ds) for ds in fresh]
 
 
 @pytest.mark.parametrize("which", ["toral", "spherical"])
