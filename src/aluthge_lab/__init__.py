@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "diagrams": (
-        "COMMUTATIVITY_TOL", "MomentTable", "OneVarWeights", "WeightDiagram",
+        "MomentTable", "OneVarWeights", "WeightDiagram",
         "build_prop2", "build_table", "build_theta", "build_thm1",
         "commutativity_residual", "core_of", "moments", "moments_1var",
         "validate_commuting",
@@ -23,6 +23,7 @@ _EXPORTS = {
         "DomainError", "InfeasibleConstantError", "InternalConsistencyError",
         "InvalidWeightsError", "NonCommutingInputError", "WindowError",
     ),
+    "limits": ("COMMUTATIVITY_TOL",),
     "measures": (
         "AtomicMeasure2D", "StampfliData", "berger_atomic_verify",
         "is_spherical_isometry", "is_spherically_quasinormal", "quasinormal2_measure",

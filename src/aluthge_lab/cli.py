@@ -14,14 +14,23 @@ import math
 import sys
 
 from .errors import DomainError, InternalConsistencyError, NonCommutingInputError
-
-# Library values the parser prints.  They are literals so that building
-# the parser (--help, usage errors) imports no numpy; tests/test_cli.py
-# pins each to its source: diagrams.COMMUTATIVITY_TOL,
-# reproduce.DEFAULT_SEED and sorted(reproduce.TARGETS).
-_COMMUTATIVITY_TOL = 1e-12
-_DEFAULT_SEED = 7
-_TARGETS = ("prehypo", "prop1", "prop2", "propscaling2", "quasinormal2", "re4", "thm1")
+# every default the parser prints; limits imports no numpy
+from .limits import (
+    BERGER_MAXDEG,
+    BERGER_TOL,
+    COMMUTATIVITY_TOL,
+    DEFAULT_KMAX,
+    DEFAULT_LADDER,
+    DEFAULT_LEVEL,
+    DEFAULT_SCAN_LEVEL,
+    DEFAULT_SEED,
+    DEFAULT_WINDOW,
+    PSD_TOL,
+    QUASINORMAL_LEVEL,
+    QUASINORMAL_WINDOW,
+    STAMPFLI_COUNT,
+    TARGETS,
+)
 
 
 def _plain(x):
@@ -118,7 +127,7 @@ def _cmd_transform(args) -> int:
     if args.kind == "spherical" and args.tol is not None:
         # the spherical guard's cut is fixed, so a tolerance would be ignored
         return _usage_error("aluthge-lab transform", "--tol applies only to --kind toral")
-    from .diagrams import COMMUTATIVITY_TOL, commutativity_residual
+    from .diagrams import commutativity_residual
     from .serialize import diagram_to_obj
     from .transforms import spherical_transform, toral_transform
 
@@ -280,7 +289,7 @@ def _cmd_reproduce(args) -> int:
     from .reproduce import run_target
 
     # each target's text is what a run of that target alone prints
-    targets = [t for name in args.targets for t in (_TARGETS if name == "all" else (name,))]
+    targets = [t for name in args.targets for t in (TARGETS if name == "all" else (name,))]
     text = "".join("\n\n".join(r.table() for r in run_target(t, seed=args.seed)) + "\n"
                    for t in targets)
     _emit(text, args.out)
@@ -316,20 +325,21 @@ def _build_parser() -> _Parser:
     sp.add_argument("--input", required=True, help="diagram JSON path")
     sp.add_argument("--tol", type=_tolerance, default=None,
                     help=f"cut of the toral candidate's commutativity verdict (default "
-                         f"{_COMMUTATIVITY_TOL:g}); refused with --kind spherical")
-    common(sp, window=14)
+                         f"{COMMUTATIVITY_TOL:g}); refused with --kind spherical")
+    common(sp, window=DEFAULT_WINDOW)
     sp.set_defaults(func=_cmd_transform)
 
     sp = sub.add_parser("hypo", help="joint and componentwise hyponormality report")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--kmax", type=_nonneg_int, default=1, help="highest order to test (default 1)")
-    common(sp, level=10, tol=1e-10)
+    sp.add_argument("--kmax", type=_nonneg_int, default=DEFAULT_KMAX,
+                    help=f"highest order to test (default {DEFAULT_KMAX})")
+    common(sp, level=DEFAULT_LEVEL, tol=PSD_TOL)
     sp.set_defaults(func=_cmd_hypo)
 
     sp = sub.add_parser("khypo", help="k-hyponormality verdict at one order")
     sp.add_argument("--input", required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--tol", type=_tolerance, default=1e-10)
+    sp.add_argument("--tol", type=_tolerance, default=PSD_TOL)
     sp.add_argument("--level", "-N", dest="level", type=_nonneg_int, default=None,
                     help="truncation level (default 4k+2)")
     sp.add_argument("--out", "-o")
@@ -340,16 +350,17 @@ def _build_parser() -> _Parser:
     spc = qsub.add_parser("complete", help="complete a zeroth row to constant alpha^2+beta^2")
     spc.add_argument("--omega", required=True, help="weight sequence JSON path")
     spc.add_argument("--constant", "-C", type=float, required=True)
-    common(spc, window=10)
+    common(spc, window=QUASINORMAL_WINDOW)
     spc.set_defaults(func=_cmd_quasinormal)
     spk = qsub.add_parser("check", help="run the three quasinormality detections")
     spk.add_argument("--input", required=True)
-    common(spk, window=10, level=8)
+    common(spk, window=QUASINORMAL_WINDOW, level=QUASINORMAL_LEVEL)
     spk.set_defaults(func=_cmd_quasinormal)
 
     sp = sub.add_parser("stampfli", help="two-atom measure with prescribed first weights")
     sp.add_argument("--triple", type=_triple, required=True, metavar="a,b,c")
-    sp.add_argument("--count", type=_nonneg_int, default=8, help="weights to print (default 8)")
+    sp.add_argument("--count", type=_nonneg_int, default=STAMPFLI_COUNT,
+                    help=f"weights to print (default {STAMPFLI_COUNT})")
     sp.add_argument("--out", "-o")
     sp.set_defaults(func=_cmd_stampfli)
 
@@ -360,8 +371,8 @@ def _build_parser() -> _Parser:
                      help="canonical completion and measure for this triple")
     spv.add_argument("--input", help="diagram JSON (with --measure)")
     spv.add_argument("--measure", help="measure JSON (with --input)")
-    spv.add_argument("--maxdeg", type=_nonneg_int, default=10)
-    spv.add_argument("--tol", type=_tolerance, default=1e-10)
+    spv.add_argument("--maxdeg", type=_nonneg_int, default=BERGER_MAXDEG)
+    spv.add_argument("--tol", type=_tolerance, default=BERGER_TOL)
     spv.add_argument("--out", "-o")
     spv.set_defaults(func=_cmd_berger)
 
@@ -373,27 +384,27 @@ def _build_parser() -> _Parser:
     spc = rsub.add_parser("classify", help="closed-form and numerical verdicts at (x, y)")
     spc.add_argument("--x", type=float, required=True)
     spc.add_argument("--y", type=float, required=True)
-    spc.add_argument("--kmax", type=_nonneg_int, default=1)
-    common(spc, level=12)
+    spc.add_argument("--kmax", type=_nonneg_int, default=DEFAULT_KMAX)
+    common(spc, level=DEFAULT_SCAN_LEVEL)
     spc.set_defaults(func=_cmd_regions)
     sps = rsub.add_parser("scan", help="CSV scan over a y-grid with an x-ladder per row")
     sps.add_argument("--grid", type=int, required=True)
-    sps.add_argument("--ladder", type=int, default=20)
-    common(sps, level=12)
+    sps.add_argument("--ladder", type=int, default=DEFAULT_LADDER)
+    common(sps, level=DEFAULT_SCAN_LEVEL)
     sps.set_defaults(func=_cmd_regions)
 
     sp = sub.add_parser("probe-continuity", help="regularization bounds at one n")
     sp.add_argument("--input", required=True)
     sp.add_argument("--n", type=int, required=True)
-    common(sp, level=10)
+    common(sp, level=DEFAULT_LEVEL)
     sp.set_defaults(func=_cmd_probe_continuity)
 
     sp = sub.add_parser("reproduce", help="run named experiment suites")
-    sp.add_argument("targets", nargs="+", choices=(*_TARGETS, "all"), metavar="target",
-                    help=f"targets to run in order, in one process: {', '.join(_TARGETS)}, "
+    sp.add_argument("targets", nargs="+", choices=(*TARGETS, "all"), metavar="target",
+                    help=f"targets to run in order, in one process: {', '.join(TARGETS)}, "
                          "or all (each of those in turn)")
-    sp.add_argument("--seed", type=_nonneg_int, default=_DEFAULT_SEED,
-                    help=f"generator seed for the property suites (default {_DEFAULT_SEED})")
+    sp.add_argument("--seed", type=_nonneg_int, default=DEFAULT_SEED,
+                    help=f"generator seed for the property suites (default {DEFAULT_SEED})")
     sp.add_argument("--out", "-o")
     sp.set_defaults(func=_cmd_reproduce)
 

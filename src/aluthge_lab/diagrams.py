@@ -19,6 +19,7 @@ tests, moments) reads slices of one cached window through `weight_arrays`;
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -31,21 +32,14 @@ from .errors import (
     NonCommutingInputError,
     WindowError,
 )
-
-# Absolute tolerance on the commutativity residual alpha_k beta_{k+e1} - beta_k alpha_{k+e2}.
-COMMUTATIVITY_TOL = 1e-12
-# Relative tolerance for path independence of moment tables.
-MOMENT_REL_TOL = 1e-10
-# Relative-error denominators are floored at this value.
-DENOM_FLOOR = 1e-30
-# Largest accepted stored weight: squares and pairwise products stay finite.
-MAX_WEIGHT = math.sqrt(sys.float_info.max)
-# Relative move allowed in the top atom when a two-atom row is re-anchored.
-REANCHOR_TOL = 1e-12
-# Largest weight window a diagram materializes, in lattice points (two
-# float arrays of 18 MB).  The widest window an order-1 test within the
-# block budget reads is 1451 x 1451 (hypo -N 1449).
-MAX_WINDOW_POINTS = 1500 * 1500
+from .limits import (
+    COMMUTATIVITY_TOL,
+    DENOM_FLOOR,
+    MAX_WEIGHT,
+    MAX_WINDOW_POINTS,
+    MOMENT_REL_TOL,
+    REANCHOR_TOL,
+)
 
 
 def _check_window_budget(n1: int, n2: int) -> None:
@@ -291,6 +285,19 @@ def require_window(window: int) -> None:
     """Raise WindowError for a negative evaluation window, before any weight is read."""
     if window < 0:
         raise WindowError(f"evaluation window must be nonnegative, got {window}")
+
+
+def require_integer(name: str, value, least: int) -> None:
+    """Raise DomainError unless value is an integer (numpy's included, bool
+    refused, as operator.index reads it), and WindowError if it is below least."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if index < least:
+        raise WindowError(f"{name} must be >= {least}")
 
 
 def require_commuting(residuals) -> None:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagrams import (
-    DENOM_FLOOR,
     OneVarWeights,
     WeightDiagram,
     as_one_var_weights,
@@ -34,12 +33,14 @@ from .errors import (
     InternalConsistencyError,
     WindowError,
 )
+from .limits import (
+    DENOM_FLOOR,
+    FIXED_POINT_TOL,
+    MASS_SUM_TOL,
+    QUASINORMAL_BAND,
+    QUASINORMAL_TOL,
+)
 from .transforms import spherical_windows
-
-# Constant-row deviation allowed when detecting spherical quasinormality.
-QUASINORMAL_TOL = 1e-12
-# Fixed-point route: allowed weight deviation between W and its spherical transform.
-FIXED_POINT_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +220,8 @@ def is_spherically_quasinormal(W: WeightDiagram, window: int):
     ((C, dev_c, cut_c), (dev_f, cut_f), _), = _route_deviations([W], window, 1)
     flag = dev_c <= cut_c
     if flag != (dev_f <= cut_f):
-        if (flag and dev_f > 1e3 * cut_f) or (not flag and dev_c > 1e3 * cut_c and dev_f <= cut_f):
+        if ((flag and dev_f > QUASINORMAL_BAND * cut_f)
+                or (not flag and dev_c > QUASINORMAL_BAND * cut_c and dev_f <= cut_f)):
             raise InternalConsistencyError(
                 "quasinormality routes disagree: constant-row deviation "
                 f"{dev_c:.3e}, fixed-point deviation {dev_f:.3e}"
@@ -288,7 +290,7 @@ class AtomicMeasure2D:
             total += rho
         if len(pts) != len(self.atoms):
             raise DomainError("atoms must be distinct")
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > MASS_SUM_TOL:
             raise DomainError(f"masses must sum to 1, got {total!r}")
         object.__setattr__(
             self, "atoms", tuple((float(s), float(t), float(r)) for s, t, r in self.atoms)

@@ -60,28 +60,22 @@ import numpy as np
 from .diagrams import (
     WeightDiagram,
     moments_1var,
+    require_integer,
     require_normal,
     stacked_windows,
     weight_scales,
 )
 from .errors import DomainError, InternalConsistencyError, WindowError
-from .linalg import PSD_TOL
+from .limits import (
+    CROSS_CHECK_TOL,
+    DEFAULT_KMAX,
+    HIERARCHY_BAND,
+    MAX_BLOCK_FLOATS,
+    OVERFLOW_ROUNDOFF,
+    PSD_TOL,
+    STACK_FLOATS,
+)
 
-# The order-1 spectral identity must hold to this absolute-per-scale level.
-CROSS_CHECK_TOL = 1e-8
-# Largest order-k block array of one diagram, in floats: 2**23 floats are
-# 64 MiB, and the assembly holds a few such arrays at once.  A diagram over
-# it is refused.
-MAX_BLOCK_FLOATS = 2**23
-# Most order-k block floats one kernel call assembles, summed over its
-# diagrams (a diagram over it runs alone); every stack is sized from it.
-# At N = 12 a call holds 101 diagrams at order 1, 19 at order 2 and 5 at
-# order 3 (level 14, as in stacks of 5 points), and classify_many stacks
-# 33 points.  On the bench, against stacks of 5 points, corner-scan took
-# 13% less time at +0.1 MB of peak RSS and reproduce 12% less at +0.8 MB;
-# 2**15 (3 diagrams at order 3) saved 9% and 11%, and 2**16 (45-point
-# stacks) 9% and 13% at +0.3 and +1.5 MB.
-STACK_FLOATS = 3 * 2**14
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -284,6 +278,7 @@ def joint_stack_size(N: int) -> int:
     """Diagrams per joint_hyponormal_reports stack at level N: _per_call of
     its order-1 blocks, those of level 4 below it, where none are assembled.
     """
+    require_integer("N", N, 0)
     return _per_call(1, max(N, 4) - 2)
 
 
@@ -372,8 +367,7 @@ def _lattice_block_eigs(A: np.ndarray, B: np.ndarray, k: int, size: int) -> np.n
     B = B[:, :nu, :nu]
 
     def overflows(top: float) -> bool:
-        # round-off allowance: the products and the logarithms are each rounded
-        return 2 * k * math.log(top) >= _LOG_FLOAT_MAX * (1.0 - 1e-12)
+        return 2 * k * math.log(top) >= _LOG_FLOAT_MAX * (1.0 - OVERFLOW_ROUNDOFF)
 
     if overflows(float(max(A.max(), B.max()))):
         tops = np.maximum(A.max(axis=(1, 2)), B.max(axis=(1, 2))).tolist()
@@ -482,8 +476,8 @@ def k_hyponormal_verdicts(diagrams, k: int, N: int, tol: float = PSD_TOL) -> lis
     diagram over it runs alone.  Every verdict equals that of a
     one-diagram call bit for bit.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
+    require_integer("k", k, 1)
+    require_integer("N", N, 0)
     if N < 4 * k + 2:
         raise WindowError(f"k = {k} needs truncation level N >= {4 * k + 2}, got {N}")
     size = N - 2 * k  # compression window [0, Mc]^2
@@ -505,10 +499,13 @@ def k_hyponormal_verdict(W: WeightDiagram, k: int, N: int, tol: float = PSD_TOL)
 def order_levels(N: int, kmax: int) -> dict:
     """Level max(N, 4k+2) of each order k in 2..kmax.
 
-    Refuses, with DomainError, a request whose order-1 blocks at level N
-    or order-k blocks at their level exceed the block budget of one
-    diagram, so callers refuse before any window is read.
+    Refuses, with DomainError, an N or kmax that is no integer or is
+    negative (require_integer), and a request whose order-1 blocks at
+    level N or order-k blocks at their level exceed the block budget of
+    one diagram, so callers refuse before any window is read.
     """
+    require_integer("N", N, 0)
+    require_integer("kmax", kmax, 0)
     if N >= 4:
         _check_block_budget(1, N - 2)
     levels = {k: max(N, 4 * k + 2) for k in range(2, kmax + 1)}
@@ -525,9 +522,9 @@ def hypo_orders(diagrams, reports, N: int, kmax: int, tol: float = PSD_TOL) -> l
     before any order runs.  Each order is one k_hyponormal_verdicts call
     over all the diagrams, followed by the hierarchy check of each: a
     decisive inversion between consecutive orders (the higher one PSD
-    with a positive minimum, the lower one failing below -100 tol) raises
-    InternalConsistencyError for the first such diagram of the lowest
-    such order.
+    with a positive minimum, the lower one failing below -HIERARCHY_BAND
+    tol) raises InternalConsistencyError for the first such diagram of
+    the lowest such order.
     """
     levels = order_levels(N, kmax)
     pairs = list(zip(diagrams, reports, strict=True))
@@ -539,7 +536,7 @@ def hypo_orders(diagrams, reports, N: int, kmax: int, tol: float = PSD_TOL) -> l
         verdicts = k_hyponormal_verdicts([W for W, _ in pairs], k, level, tol)
         for i, v in enumerate(verdicts):
             if (v.is_psd and not k_maps[i][k - 1] and v.min_eigenvalue > 0
-                    and lower_margins[i] < -100 * tol):
+                    and lower_margins[i] < -HIERARCHY_BAND * tol):
                 raise InternalConsistencyError(
                     f"hyponormality hierarchy inverted between k={k - 1} and k={k}"
                 )
@@ -551,7 +548,8 @@ def hypo_orders(diagrams, reports, N: int, kmax: int, tol: float = PSD_TOL) -> l
     ]
 
 
-def full_hypo_report(W: WeightDiagram, N: int, kmax: int = 1, tol: float = PSD_TOL) -> HypoReport:
+def full_hypo_report(W: WeightDiagram, N: int, kmax: int = DEFAULT_KMAX,
+                     tol: float = PSD_TOL) -> HypoReport:
     """Componentwise, joint, and order-k verdicts up to kmax: hypo_orders of one diagram.
 
     Every order's block budget is checked before order 1 reads a window.

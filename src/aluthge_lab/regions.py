@@ -31,15 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import build_prop2
+from .diagrams import build_prop2, require_integer
 from .errors import DomainError, InternalConsistencyError
+from .limits import (
+    BISECTION_TOL,
+    BOUNDARY_MARGIN,
+    CURVE_ORDER_SLACK,
+    DEFAULT_KMAX,
+    DEFAULT_LADDER,
+    DEFAULT_SCAN_LEVEL,
+)
 from .positivity import hypo_orders, joint_stack_size, joint_window_reports, order_levels
 from .transforms import aluthge_windows
-
-# Points closer than this to a curve are skipped when comparing verdicts.
-BOUNDARY_MARGIN = 1e-6
-BISECTION_TOL = 1e-10
-DEFAULT_SCAN_LEVEL = 12
 
 
 def curve_s(y: float) -> float:
@@ -79,7 +82,8 @@ def thresholds(y: float) -> ThresholdCurves:
     if not (0.0 < y < 1.0):
         raise DomainError(f"require 0 < y < 1, got {y}")
     t = ThresholdCurves(s=curve_s(y), h=curve_h(y), CA=curve_ca(y), PA=curve_pa(y))
-    if not (t.s <= t.h + 1e-15 and t.h <= t.PA + 1e-15 and t.CA <= t.h + 1e-15):
+    if not (t.s <= t.h + CURVE_ORDER_SLACK and t.h <= t.PA + CURVE_ORDER_SLACK
+            and t.CA <= t.h + CURVE_ORDER_SLACK):
         raise InternalConsistencyError(f"curve ordering failed at y={y}: {t}")
     return t
 
@@ -120,7 +124,8 @@ class RegionReport:
     k_hypo: dict  # order -> verdict, empty when not requested
 
 
-def classify(x: float, y: float, N: int = DEFAULT_SCAN_LEVEL, kmax: int = 1) -> RegionReport:
+def classify(x: float, y: float, N: int = DEFAULT_SCAN_LEVEL,
+             kmax: int = DEFAULT_KMAX) -> RegionReport:
     """Verdicts for the corner diagram at (x, y) on truncation level N.
 
     The one-point case of classify_many.
@@ -128,7 +133,7 @@ def classify(x: float, y: float, N: int = DEFAULT_SCAN_LEVEL, kmax: int = 1) -> 
     return classify_many([(x, y)], N, kmax)[0]
 
 
-def classify_many(points, N: int = DEFAULT_SCAN_LEVEL, kmax: int = 1) -> list:
+def classify_many(points, N: int = DEFAULT_SCAN_LEVEL, kmax: int = DEFAULT_KMAX) -> list:
     """Verdicts for the corner diagram at each (x, y) of points, in order.
 
     Closed-form flags compare x against the four curves; numerical flags
@@ -138,7 +143,7 @@ def classify_many(points, N: int = DEFAULT_SCAN_LEVEL, kmax: int = 1) -> list:
 
     Every order's block budget is checked before any stack runs.  Points
     go through in consecutive stacks of as many as fit three diagrams'
-    order-1 blocks in positivity.STACK_FLOATS (33 at N = 12).  Per stack,
+    order-1 blocks in limits.STACK_FLOATS (33 at N = 12).  Per stack,
     one read of the parent windows serves both transforms and their
     checks (transforms.aluthge_windows, which builds no derived diagram);
     one joint_window_reports call covers the windows of each point's
@@ -227,19 +232,17 @@ def probe_ladder(y: float, count: int) -> list:
 SCAN_HEADER = "y,s,h,CA,PA,x,joint_hypo,toral_hypo,spherical_hypo,khypo2,khypo3"
 
 
-def region_scan(grid: int, N: int = DEFAULT_SCAN_LEVEL, ladder: int = 20):
+def region_scan(grid: int, N: int = DEFAULT_SCAN_LEVEL, ladder: int = DEFAULT_LADDER):
     """CSV scan over y_i = i/(grid+1) with a per-row ladder of x values.
 
     Each (y, x) sample runs the full classifier including orders 2 and 3,
     one ladder row per classify_many call.  Time grows with grid x ladder,
-    and memory stays bounded by one stack, which positivity.STACK_FLOATS
+    and memory stays bounded by one stack, which limits.STACK_FLOATS
     sizes, for any ladder; floats carry 12 significant digits and verdicts
     are 1/0.  Rows come out in (y, x) order.  Returns the CSV lines.
     """
-    if grid < 2:
-        raise DomainError("grid must be >= 2")
-    if ladder < 1:
-        raise DomainError("ladder must be >= 1")
+    require_integer("grid", grid, 2)
+    require_integer("ladder", ladder, 1)
     lines = [SCAN_HEADER]
     for y in (i / (grid + 1) for i in range(1, grid + 1)):
         xs = probe_ladder(y, ladder)

@@ -7,7 +7,7 @@ drawn from one seed through a sampling.PCG64Stream (numpy's default
 generator rebuilt from the stdlib), a fixture's random tables drawn and
 built as one stack by sampling's list forms, and each check passes its
 whole fixture to the library's list forms, which size their stacks by
-positivity.STACK_FLOATS.  A fixed seed reproduces every row byte for
+limits.STACK_FLOATS.  A fixed seed reproduces every row byte for
 byte: each stack gives its diagrams the arithmetic they get alone.
 """
 
@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 from .diagrams import (
-    COMMUTATIVITY_TOL,
     build_prop2,
     build_theta,
     commutativity_residuals,
@@ -29,6 +28,19 @@ from .diagrams import (
     weight_scales,
 )
 from .errors import InternalConsistencyError
+from .limits import (
+    BERGER_TOL,
+    COMMUTATIVITY_TOL,
+    CROSSING_Q_TOL,
+    CROSSING_RUNTIME_S,
+    DEFAULT_SEED,
+    GRID_RUNTIME_S,
+    PERTURBED_GAP,
+    POWER_IDENTITY_TOL,
+    RE4_SLACK,
+    ROUNDOFF_GAP,
+    SWEEP_DISTANCE_CAP,
+)
 from .measures import (
     berger_atomic_verify,
     qt_power_identity_checks,
@@ -55,8 +67,6 @@ from .sampling import (
     sample_below_s,
 )
 from .transforms import aluthge_windows, continuity_probes, spherical_windows, transform_distance
-
-DEFAULT_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -99,9 +109,10 @@ def crossing_point(seed: int = DEFAULT_SEED) -> CheckResult:
     return CheckResult(
         "crossing point of the toral and subnormality curves",
         (
-            Row("q within 1e-4 of 0.52138", abs(q - 0.52138) <= 1e-4, q, f"q = {q:.10f}"),
+            Row("q within 1e-4 of 0.52138", abs(q - 0.52138) <= CROSSING_Q_TOL, q,
+                f"q = {q:.10f}"),
             # wall time stays out of the detail text so output bytes are stable
-            Row("runtime below 1 s", dt < 1.0, dt),
+            Row("runtime below 1 s", dt < CROSSING_RUNTIME_S, dt),
         ),
     )
 
@@ -128,7 +139,7 @@ def threshold_grid(seed: int = DEFAULT_SEED) -> CheckResult:
                 float(mismatches), f"{20 - mismatches}/20")
             for (y, _), mismatches in zip(ladders, counts)]
     dt = time.perf_counter() - t0
-    rows.append(Row("runtime below 30 s", dt < 30.0, dt))
+    rows.append(Row("runtime below 30 s", dt < GRID_RUNTIME_S, dt))
     return CheckResult("threshold curves vs six-point verdicts on the grid", tuple(rows))
 
 
@@ -183,7 +194,7 @@ def table_transform_checks(seed: int = DEFAULT_SEED) -> CheckResult:
     return CheckResult(
         "transform behaviour on random commuting tables",
         (
-            Row("spherical residual <= 1e-12 on 50 tables", worst_resid <= 1e-12,
+            Row("spherical residual <= 1e-12 on 50 tables", worst_resid <= ROUNDOFF_GAP,
                 worst_resid, f"worst {worst_resid:.2e}"),
             Row("toral condition route = direct route on 50 tables",
                 toral_disagreements == 0, float(toral_disagreements),
@@ -228,7 +239,7 @@ def lift_transform_hypo(seed: int = DEFAULT_SEED) -> CheckResult:
         (
             Row("all 20 lifts jointly hyponormal", base_hypo == 20, float(base_hypo),
                 f"{base_hypo}/20"),
-            Row("toral and spherical weights coincide <= 1e-12", worst_gap <= 1e-12,
+            Row("toral and spherical weights coincide <= 1e-12", worst_gap <= ROUNDOFF_GAP,
                 worst_gap, f"worst gap {worst_gap:.2e}"),
             Row("toral transforms jointly hyponormal", toral_hypo == 20,
                 float(toral_hypo), f"{toral_hypo}/20"),
@@ -255,9 +266,9 @@ def proportional_rows_agree(seed: int = DEFAULT_SEED) -> CheckResult:
     return CheckResult(
         "transform agreement characterizes proportional rows",
         (
-            Row("20 proportional-row diagrams: gap <= 1e-12", worst_family <= 1e-12,
+            Row("20 proportional-row diagrams: gap <= 1e-12", worst_family <= ROUNDOFF_GAP,
                 worst_family, f"worst {worst_family:.2e}"),
-            Row("20 perturbed diagrams: gap > 1e-6", min_perturbed > 1e-6,
+            Row("20 perturbed diagrams: gap > 1e-6", min_perturbed > PERTURBED_GAP,
                 min_perturbed, f"smallest {min_perturbed:.2e}"),
         ),
     )
@@ -302,16 +313,16 @@ def berger_verification(seed: int = DEFAULT_SEED) -> CheckResult:
         W = quasinormal_completion(data.weights, data.phi1)
         err = berger_atomic_verify(W, quasinormal2_measure(*triple), maxdeg=10)
         label = f"moments of ({triple[0]:g}, {triple[1]:g}, {triple[2]:g}) completion match"
-        rows.append(Row(label, err <= 1e-10, err, f"max rel err {err:.2e}"))
+        rows.append(Row(label, err <= BERGER_TOL, err, f"max rel err {err:.2e}"))
 
     data = stampfli(1.0, 2.0, 3.0)
     W = quasinormal_completion(data.weights, 4.0)
     b00 = W.beta(0, 0)
     a01 = W.alpha(0, 1)
     rows.append(Row("beta(0,0) = sqrt(3) for (1,2,3) with C = 4",
-                    abs(b00 - np.sqrt(3.0)) <= 1e-12, b00, f"{b00:.12f}"))
+                    abs(b00 - np.sqrt(3.0)) <= ROUNDOFF_GAP, b00, f"{b00:.12f}"))
     rows.append(Row("alpha(0,1) = sqrt(2/3) for (1,2,3) with C = 4",
-                    abs(a01 - np.sqrt(2.0 / 3.0)) <= 1e-12, a01, f"{a01:.12f}"))
+                    abs(a01 - np.sqrt(2.0 / 3.0)) <= ROUNDOFF_GAP, a01, f"{a01:.12f}"))
     return CheckResult("two-atom Berger measures of canonical completions", tuple(rows))
 
 
@@ -323,8 +334,8 @@ def completion_khypo_qt(seed: int = DEFAULT_SEED) -> CheckResult:
         rows.append(Row(f"k = {k} on all 25 completions", bad == 0, float(bad),
                         f"{25 - bad}/25"))
     worst_qt = max(qt_power_identity_checks(completions, nmax=5, N=6))
-    rows.append(Row("power identity residual <= 1e-10 for n <= 5", worst_qt <= 1e-10,
-                    worst_qt, f"worst {worst_qt:.2e}"))
+    rows.append(Row("power identity residual <= 1e-10 for n <= 5",
+                    worst_qt <= POWER_IDENTITY_TOL, worst_qt, f"worst {worst_qt:.2e}"))
     return CheckResult("completions are k-hyponormal and satisfy the power identity", tuple(rows))
 
 
@@ -339,7 +350,7 @@ def continuity_bounds(seed: int = DEFAULT_SEED) -> CheckResult:
     for n in (1, 10, 100, 10_000):
         worst = min(min(e["slack"] for e in probe.bound_report.values())
                     for probe in continuity_probes(diagrams, N=10, n=n))
-        rows.append(Row(f"five bounds hold at n = {n}", worst >= -1e-10, worst,
+        rows.append(Row(f"five bounds hold at n = {n}", worst >= -RE4_SLACK, worst,
                         f"min slack {worst:.2e}"))
     return CheckResult("regularization bounds on 10 random diagrams", tuple(rows))
 
@@ -356,7 +367,7 @@ def continuity_sweep(seed: int = DEFAULT_SEED) -> CheckResult:
         (
             Row("distances decrease over delta = 1e-2, 1e-3, 1e-4", decreasing,
                 None, ", ".join(f"{d:.3e}" for d in distances)),
-            Row("distance below 1e-2 at delta = 1e-4", distances[2] < 1e-2,
+            Row("distance below 1e-2 at delta = 1e-4", distances[2] < SWEEP_DISTANCE_CAP,
                 distances[2], f"{distances[2]:.3e}"),
         ),
     )

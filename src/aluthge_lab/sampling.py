@@ -47,10 +47,8 @@ from .diagrams import (
     stacked_windows,
 )
 from .errors import DomainError, InfeasibleConstantError
+from .limits import MAX_RESAMPLE
 from .measures import quasinormal_completion, stampfli
-
-# Resample cap for generators with feasibility rejection.
-MAX_RESAMPLE = 50
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF

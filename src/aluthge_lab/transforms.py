@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagrams import (
-    COMMUTATIVITY_TOL,
     WeightDiagram,
     commutativity_residuals,
     require_commuting,
@@ -49,13 +48,14 @@ from .diagrams import (
     weight_scales,
 )
 from .errors import DomainError, InternalConsistencyError, WindowError
-
-DEFAULT_WINDOW = 14
-# Round-off allowance on the continuity bounds (slack may dip this far below 0).
-RE4_SLACK = 1e-10
-# Two routes to the same verdict must not disagree by more than this factor
-# on both sides of the cutoff; anything closer counts as boundary noise.
-DECISIVE_BAND = 1e2
+from .limits import (
+    COMMUTATIVITY_TOL,
+    DECISIVE_BAND,
+    DEFAULT_WINDOW,
+    HYPOT_PORT_FLOATS,
+    RE4_SLACK,
+    SPHERICAL_GUARD_TOL,
+)
 
 
 def _derived_stack(parents: list, op: str, rule, TA: np.ndarray, TB: np.ndarray) -> list:
@@ -78,14 +78,6 @@ def _toral_rule(A: np.ndarray, B: np.ndarray):
             np.sqrt(B[..., :-1, :-1] * B[..., :-1, 1:]))
 
 
-# _joint_modulus maps math.hypot over inputs of fewer floats than this and
-# runs its numpy port on larger ones; both give the same bits.  The port
-# costs more per call and less per float.  On the bench's 2-vCPU Xeon VM
-# (best of 9 repeats of 200 or 300 calls, uniform draws in [0.3, 1)) the map took
-# 18.7, 25.4, 36.5 and 585 us on 289, 400, 578 and 9537 floats and the port
-# 26.3, 26.9, 31.8 and 176 us, even near 420.  So one 17^2 window, a
-# one-point classify at N = 12, keeps the map, and two windows take the port.
-HYPOT_PORT_FLOATS = 420
 # Veltkamp's splitting constant 2^27 + 1: x * _SPLIT - (x * _SPLIT - x) is x
 # rounded to 26 bits.
 _SPLIT = 134217729.0
@@ -273,7 +265,7 @@ def _spherical_windows(A: np.ndarray, B: np.ndarray, scales: list):
     """
     SA, SB = _spherical_rule(A, B)
     for (resid, witness), scale in zip(commutativity_residuals(SA, SB), scales):
-        if resid > 100 * COMMUTATIVITY_TOL * scale:
+        if resid > SPHERICAL_GUARD_TOL * scale:
             raise InternalConsistencyError(
                 f"spherical transform lost commutativity at k={witness}: "
                 f"residual {resid:.3e}"

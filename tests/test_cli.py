@@ -1,5 +1,6 @@
 """Command-line behaviour: output schemas, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from aluthge_lab import cli, diagrams, positivity, reproduce, sampling, transforms
+from aluthge_lab import cli, diagrams, limits, positivity, reproduce, sampling, transforms
 from aluthge_lab.cli import main
 from aluthge_lab.diagrams import build_prop2
 from aluthge_lab.sampling import bump_gamma
@@ -315,7 +316,7 @@ def test_reproduce_all_prints_every_target_in_turn(capsys, seed):
     assert main(["reproduce", "all", "--seed", str(seed)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert captured.out == "".join(_golden_target_text(t, seed) for t in cli._TARGETS)
+    assert captured.out == "".join(_golden_target_text(t, seed) for t in limits.TARGETS)
 
 
 def _numpy_dispatches_avx512():
@@ -358,7 +359,7 @@ def test_reproduce_bytes_do_not_depend_on_avx512_dispatch():
     )
     assert proc.returncode == 0, proc.stderr
     for seed, text in zip(seeds, json.loads(proc.stdout), strict=True):
-        assert text == "".join(_golden_target_text(t, seed) for t in cli._TARGETS), seed
+        assert text == "".join(_golden_target_text(t, seed) for t in limits.TARGETS), seed
 
 
 def test_reproduce_runs_its_targets_in_argument_order(capsys):
@@ -794,7 +795,7 @@ def test_the_stack_budget_never_changes_a_byte(capsys, monkeypatch, budget, seed
     for seed in seeds:
         assert main(["reproduce", "all", "--seed", str(seed)]) == 0
         assert capsys.readouterr().out == "".join(
-            _golden_target_text(t, seed) for t in cli._TARGETS)
+            _golden_target_text(t, seed) for t in limits.TARGETS)
     scan = (BENCH_GOLDEN / "corner-scan-grid4-ladder10-N12.csv").read_text(encoding="utf-8")
     before = len(calls)
     assert region_scan(4, 12, 10) == scan.splitlines()
@@ -811,13 +812,13 @@ def test_the_hypot_crossover_never_changes_a_byte(capsys, monkeypatch, crossover
     for seed in [1, 3, 7, 11]:
         assert main(["reproduce", "all", "--seed", str(seed)]) == 0
         assert capsys.readouterr().out == "".join(
-            _golden_target_text(t, seed) for t in cli._TARGETS)
+            _golden_target_text(t, seed) for t in limits.TARGETS)
     scan = (BENCH_GOLDEN / "corner-scan-grid4-ladder10-N12.csv").read_text(encoding="utf-8")
     assert region_scan(4, 12, 10) == scan.splitlines()
 
 
 # ---------------------------------------------------------------------------
-# --help text, and the library values the parser prints from literals
+# --help text, and the defaults the parser reads from limits
 
 HELP_ARGVS = [
     [],
@@ -846,11 +847,67 @@ def test_help_text_matches_golden(capsys, monkeypatch):
     assert "\n".join(pages) == (GOLDEN / "cli-help.txt").read_text(encoding="utf-8")
 
 
-def test_parser_literals_match_the_library():
-    assert cli._TARGETS == tuple(sorted(reproduce.TARGETS))
+# (subcommand, dest) of every option with a default -> its name in limits
+PARSER_DEFAULTS = {
+    ("transform", "window"): "DEFAULT_WINDOW",
+    ("hypo", "kmax"): "DEFAULT_KMAX",
+    ("hypo", "level"): "DEFAULT_LEVEL",
+    ("hypo", "tol"): "PSD_TOL",
+    ("khypo", "tol"): "PSD_TOL",
+    ("quasinormal complete", "window"): "QUASINORMAL_WINDOW",
+    ("quasinormal check", "window"): "QUASINORMAL_WINDOW",
+    ("quasinormal check", "level"): "QUASINORMAL_LEVEL",
+    ("stampfli", "count"): "STAMPFLI_COUNT",
+    ("berger verify", "maxdeg"): "BERGER_MAXDEG",
+    ("berger verify", "tol"): "BERGER_TOL",
+    ("regions classify", "kmax"): "DEFAULT_KMAX",
+    ("regions classify", "level"): "DEFAULT_SCAN_LEVEL",
+    ("regions scan", "ladder"): "DEFAULT_LADDER",
+    ("regions scan", "level"): "DEFAULT_SCAN_LEVEL",
+    ("probe-continuity", "level"): "DEFAULT_LEVEL",
+    ("reproduce", "seed"): "DEFAULT_SEED",
+}
+
+
+def _parser_defaults(parser, path=()) -> dict:
+    """{(subcommand, dest): default} of every option of the tree with a default."""
+    defaults = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                defaults.update(_parser_defaults(sub, (*path, name)))
+        elif action.default not in (None, argparse.SUPPRESS):
+            defaults[(" ".join(path), action.dest)] = action.default
+    return defaults
+
+
+def _subparser(parser, *names):
+    for name in names:
+        parser = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)).choices[name]
+    return parser
+
+
+def test_every_parser_default_is_the_limits_value(monkeypatch):
+    assert _parser_defaults(cli._build_parser()) == {
+        key: getattr(limits, name) for key, name in PARSER_DEFAULTS.items()}
+    # the parser reads the names cli imports from limits, not copies of them
+    stand_ins = {}
+    for name in sorted({*PARSER_DEFAULTS.values(), "COMMUTATIVITY_TOL"}):
+        assert getattr(cli, name) is getattr(limits, name)
+        stand_ins[name] = 1000 + len(stand_ins)
+        monkeypatch.setattr(cli, name, stand_ins[name])
+    assert cli.TARGETS is limits.TARGETS
+    monkeypatch.setattr(cli, "TARGETS", ("a", "b"))
+    fresh = cli._build_parser.__wrapped__()
+    assert _parser_defaults(fresh) == {
+        key: stand_ins[name] for key, name in PARSER_DEFAULTS.items()}
+    transform_help = " ".join(_subparser(fresh, "transform").format_help().split())
+    assert f"(default {stand_ins['COMMUTATIVITY_TOL']})" in transform_help
+    targets = _subparser(fresh, "reproduce")._actions[1]
+    assert targets.dest == "targets" and targets.choices == ("a", "b", "all")
+    assert limits.TARGETS == tuple(sorted(reproduce.TARGETS))
     assert "all" not in reproduce.TARGETS  # the keyword for every target
-    assert cli._DEFAULT_SEED == reproduce.DEFAULT_SEED
-    assert cli._COMMUTATIVITY_TOL == diagrams.COMMUTATIVITY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -892,6 +949,10 @@ def test_startup_imports_no_numpy(argv, code):
         )
     stderr, loaded = _loaded_after(run)
     assert "numpy" not in loaded
+    expected = {"aluthge_lab"}
+    if argv is not None:
+        expected |= {"aluthge_lab.cli", "aluthge_lab.errors", "aluthge_lab.limits"}
+    assert loaded == expected
     if code == 64:
         assert len(stderr.splitlines()) == 1
 
@@ -906,7 +967,7 @@ def test_classify_loads_neither_reproduce_nor_sampling():
     assert not loaded & {"aluthge_lab.reproduce", "aluthge_lab.sampling"}
 
 
-@pytest.mark.parametrize("target", cli._TARGETS)
+@pytest.mark.parametrize("target", limits.TARGETS)
 def test_reproduce_imports_no_random_module_of_numpy(target):
     _, loaded = _loaded_after(
         "from aluthge_lab import cli\n"

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aluthge_lab import cli, diagrams, positivity
+from aluthge_lab import cli, diagrams, limits, positivity
 
 EXIT_CODES = {0, 1, 2, 3, 64}
 WINDOW_SIDE = 30
@@ -191,7 +191,7 @@ def _command_argvs(diagram, measure, omega):
                   _flag("--ladder", SMALL_INT_TEXT), _flag("-N", INT_TEXT))),
         "reproduce": _argv(
             st.just(["reproduce"]),
-            st.lists(st.sampled_from([*cli._TARGETS, "all", "nope"]), max_size=2),
+            st.lists(st.sampled_from([*limits.TARGETS, "all", "nope"]), max_size=2),
             _flag("--seed", INT_TEXT)),
     }
 

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -119,3 +120,109 @@ def test_traced_tiny_pass(workload):
         assert out["layers"]["regions.classify.calls"] == 6
     if workload == "corner-scan":
         assert out["layers"]["regions.region_scan.calls"] == 1
+
+
+# ---------------------------------------------------------------------------
+# limits.py: one home for every cut, budget and default
+
+SOURCES = sorted((ROOT / "src" / "aluthge_lab").glob("*.py"))
+
+
+def _numeric(node) -> bool:
+    """Whether node is a number, a name or arithmetic on those with at least one number."""
+    def leaves(n):
+        if isinstance(n, ast.BinOp):
+            return leaves(n.left) + leaves(n.right)
+        if isinstance(n, ast.UnaryOp):
+            return leaves(n.operand)
+        return [n]
+    parts = leaves(node)
+    numbers = [n for n in parts if isinstance(n, ast.Constant)
+               and isinstance(n.value, (int, float)) and not isinstance(n.value, bool)]
+    return bool(numbers) and all(n in numbers or isinstance(n, ast.Name) for n in parts)
+
+
+def test_each_value_has_one_definition_in_limits():
+    # private constants of an algorithm (_SPLIT, the PCG and mask words,
+    # _LOG_FLOAT_MAX) stay beside it
+    strays = []
+    for path in SOURCES:
+        if path.name == "limits.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                if any(n.isupper() and not n.startswith("_") for n in names) and _numeric(node.value):
+                    strays.append(f"{path.name}:{node.lineno} {names[0]}")
+    assert strays == []
+
+
+def test_limits_holds_values_only():
+    from aluthge_lab import limits
+
+    tree = ast.parse(Path(limits.__file__).read_text(encoding="utf-8"))
+    imports = [alias.name for node in tree.body if isinstance(node, ast.Import)
+               for alias in node.names]
+    assert imports == ["math", "sys"]
+    assert all(isinstance(node, (ast.Import, ast.Assign))
+               or isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+               for node in tree.body)
+    assigned = [t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
+    assert len(assigned) == len(set(assigned))
+
+
+def _operands(node):
+    """node and what it is computed from, not descending into calls."""
+    yield node
+    if not isinstance(node, ast.Call):
+        for child in ast.iter_child_nodes(node):
+            yield from _operands(child)
+
+
+def test_no_comparison_holds_an_unnamed_cut():
+    """A literal of magnitude at most 1e-2 or at least 100 compared, or scaling
+    what is compared, is a cut.  Arguments of calls (bit patterns) are not."""
+    cuts = []
+    for path in SOURCES:
+        for compare in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(compare, ast.Compare):
+                cuts += [f"{path.name}:{node.lineno} {node.value!r}" for node in _operands(compare)
+                         if isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                         and node.value and not 1e-2 < abs(node.value) < 100]
+    assert cuts == []
+
+
+# ---------------------------------------------------------------------------
+# integer arguments of the exports: refused as the CLI refuses them
+
+
+def _prop2():
+    return aluthge_lab.build_prop2(0.5, 0.5)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: aluthge_lab.joint_hyponormal(_prop2(), -5), aluthge_lab.WindowError),
+    (lambda: aluthge_lab.classify(0.7, 0.4, N=-1), aluthge_lab.WindowError),
+    (lambda: aluthge_lab.joint_hyponormal(_prop2(), 2.5), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.k_hyponormal_verdict(_prop2(), 1, math.nan), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.full_hypo_report(_prop2(), 10, kmax=2.0), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.region_scan(2.5), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.classify_many([(0.7, 0.4)], N=12.0), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.k_hyponormal_verdicts([_prop2()], True, 6), aluthge_lab.DomainError),
+], ids=["joint-negative", "classify-negative", "joint-float", "khypo-nan", "kmax-float",
+        "scan-float", "classify-many-float", "order-bool"])
+def test_integer_arguments_are_refused_with_domain_errors(call, error):
+    with pytest.raises(error) as info:
+        call()
+    # a non-integer is a DomainError of its own, never a WindowError
+    assert (type(info.value) is aluthge_lab.WindowError) == (error is aluthge_lab.WindowError)
+
+
+def test_numpy_integers_pass_the_integer_check():
+    import numpy as np
+
+    W = _prop2()
+    assert aluthge_lab.joint_hyponormal(W, np.int64(10))[1] == aluthge_lab.joint_hyponormal(W, 10)[1]
+    assert aluthge_lab.k_hyponormal_verdict(W, np.int32(1), np.int64(6)) == \
+        aluthge_lab.k_hyponormal_verdict(W, 1, 6)
