@@ -102,6 +102,17 @@ def _two_atom_solve(a: float, b: float, c: float) -> tuple:
     return phi0, phi1, s0, s1, rho0, rho1
 
 
+def two_atom_weights(s0: float, s1: float, rho0: float, rho1: float, n: int,
+                     what: str) -> np.ndarray:
+    """omega_0 .. omega_{n-1} = sqrt(gamma_{j+1} / gamma_j) of the row with
+    moments gamma_j = rho0 s0^j + rho1 s1^j; DomainError naming `what` once a
+    moment up to gamma_n is not a normal positive float."""
+    with np.errstate(over="ignore"):
+        g = rho0 * float_powers(s0, n + 1) + rho1 * float_powers(s1, n + 1)
+    require_normal([g], what)
+    return np.sqrt(g[1:] / g[:-1])
+
+
 def _reanchored(parent: "OneVarWeights", weights) -> "OneVarWeights":
     """The two-atom row that starts with `weights`, taken further along a
     row with the atoms of `parent`; DomainError once the weights are too
@@ -156,10 +167,8 @@ class OneVarWeights:
         if self.values is not None:
             return np.array(self.values)[np.minimum(np.arange(n), len(self.values) - 1)]
         _, _, s0, s1, rho0, rho1 = self.solve
-        with np.errstate(over="ignore"):
-            g = rho0 * float_powers(s0, n + 1) + rho1 * float_powers(s1, n + 1)
-        require_normal([g], f"moments of the two-atom row {self.triple} up to gamma_{n}")
-        return np.sqrt(g[1:] / g[:-1])
+        return two_atom_weights(s0, s1, rho0, rho1, n,
+                                f"moments of the two-atom row {self.triple} up to gamma_{n}")
 
     def shifted(self, by: int) -> "OneVarWeights":
         """The sequence j -> omega_{j+by}.
@@ -281,22 +290,29 @@ def commutativity_residual(diagram: WeightDiagram, window: int):
     return commutativity_residuals(A[None], B[None])[0]
 
 
-def require_window(window: int) -> None:
-    """Raise WindowError for a negative evaluation window, before any weight is read."""
-    if window < 0:
-        raise WindowError(f"evaluation window must be nonnegative, got {window}")
-
-
-def require_integer(name: str, value, least: int) -> None:
-    """Raise DomainError unless value is an integer (numpy's included, bool
-    refused, as operator.index reads it), and WindowError if it is below least."""
+def as_integer(name: str, value) -> int:
+    """value as operator.index reads it (numpy integers pass); DomainError for
+    a bool or a non-integer."""
     try:
         index = operator.index(value)
     except TypeError:
         index = None
     if index is None or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
-    if index < least:
+    return index
+
+
+def require_window(window: int) -> None:
+    """Raise DomainError for a non-integer evaluation window and WindowError for
+    a negative one, before any weight is read."""
+    if as_integer("evaluation window", window) < 0:
+        raise WindowError(f"evaluation window must be nonnegative, got {window}")
+
+
+def require_integer(name: str, value, least: int) -> None:
+    """Raise DomainError unless value is an integer (as_integer), and
+    WindowError if it is below least."""
+    if as_integer(name, value) < least:
         raise WindowError(f"{name} must be >= {least}")
 
 
@@ -420,8 +436,9 @@ def build_tables(alpha_rects, beta_rects, *, window: int | None = None) -> list:
     _check_positive_finite(A, "alpha table")
     _check_positive_finite(B, "beta table")
     _, rows, cols = A.shape
-    n = (rows + cols + 2 if window is None else window) + 2
-    require_window(n - 2)
+    window = rows + cols + 2 if window is None else window
+    require_window(window)
+    n = window + 2
     _check_window_budget(n, n)
     A.setflags(write=False)
     B.setflags(write=False)
@@ -432,7 +449,7 @@ def build_tables(alpha_rects, beta_rects, *, window: int | None = None) -> list:
     return [
         WeightDiagram(
             kind="table",
-            params={"rows": rows, "cols": cols, "tail_rule": "flat"},
+            params={},
             _window=_clamped(a, b),
             table=(a, b),
             _cache={(n, n): (wa, wb)},
@@ -539,7 +556,7 @@ def moments(diagram: WeightDiagram, maxdeg: int) -> MomentTable:
     NonCommutingInputError, since path independence is equivalent to
     commutativity of the underlying pair.
     """
-    if maxdeg < 0:
+    if as_integer("maxdeg", maxdeg) < 0:
         raise WindowError("maxdeg must be nonnegative")
     n = maxdeg + 1
     A, B = diagram.weight_arrays(n, n)
@@ -563,6 +580,8 @@ def moments(diagram: WeightDiagram, maxdeg: int) -> MomentTable:
 
 def moments_1var(omega, nmax: int) -> np.ndarray:
     """gamma_0 .. gamma_nmax for a one-variable shift, gamma_0 = 1."""
+    if as_integer("nmax", nmax) < 0:
+        raise WindowError("nmax must be nonnegative")
     om = as_one_var_weights(omega)
     gam = np.ones(nmax + 1)
     if nmax > 0:

@@ -19,6 +19,7 @@ import numpy as np
 from .diagrams import (
     OneVarWeights,
     WeightDiagram,
+    as_integer,
     as_one_var_weights,
     float_powers,
     max_weight_gaps,
@@ -243,7 +244,7 @@ def quasinormality_routes_many(diagrams, window: int, N: int) -> list:
     as one stack.  The three are equivalent for genuine diagrams, which
     the property suites assert by comparing these flags pairwise.
     """
-    if N < 1:
+    if as_integer("N", N) < 1:
         raise WindowError("need N >= 1 for an interior")
     return [
         {"constant_sum": dev_c <= cut_c, "fixed_point": gap <= cut_f,
@@ -347,7 +348,7 @@ def qt_power_identity_checks(diagrams, nmax: int, N: int) -> list:
     value is exact for the full operators (no truncation boundary effects).
     Zero for spherically quasinormal diagrams, where both sides are C^n I.
     """
-    if nmax < 0:
+    if as_integer("nmax", nmax) < 0:
         raise WindowError("nmax must be nonnegative")
     A, B = stacked_windows(diagrams, N + nmax + 2)
     A2, B2 = A**2, B**2

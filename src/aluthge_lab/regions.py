@@ -168,24 +168,17 @@ def classify_many(points, N: int = DEFAULT_SCAN_LEVEL, kmax: int = DEFAULT_KMAX)
     return out
 
 
-def _trio_windows(diagrams: list, n: int):
-    """(alpha, beta) on [0, n)^2 of each diagram and its toral and spherical
-    transforms, stacked point after point, from aluthge_windows at window n.
-
-    Only the stack returned outlives the call.
-    """
-    (A, B), (TA, TB, _), (SA, SB) = aluthge_windows(diagrams, n)
-    trios = np.empty((2, len(diagrams), 3, n, n))
-    for side, windows in zip(trios, ((A, TA, SA), (B, TB, SB))):
-        for j, X in enumerate(windows):
-            side[:, j] = X[:, :n, :n]
-    return trios.reshape(2, -1, n, n)
-
-
 def _classify_stack(points: list, N: int, kmax: int) -> list:
     curves = [thresholds(y) for _, y in points]
     diagrams = [build_prop2(x, y) for x, y in points]
-    reports = joint_window_reports(*_trio_windows(diagrams, N + 2), N)
+    n = N + 2
+    (A, B), (TA, TB, _), (SA, SB) = aluthge_windows(diagrams, n)
+    # each diagram, then its toral and its spherical transform, point after point
+    trios = [np.concatenate((P[:, None, :n, :n], T[:, None, :n, :n], S[:, None, :n, :n]), 1)
+             .reshape(-1, n, n) for P, T, S in ((A, TA, SA), (B, TB, SB))]
+    # freed before the joint test, which then reuses their memory: measured faster
+    del A, B, TA, TB, SA, SB
+    reports = joint_window_reports(*trios, N)
     corners = hypo_orders(diagrams, reports[0::3], N, kmax)
 
     out = []

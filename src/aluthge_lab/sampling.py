@@ -11,13 +11,13 @@ flat tail, which stays commuting exactly when the last alpha row is
 constant along k2 and the last beta column is constant along k1; the
 builders force those two seams after deriving the weights.
 
-Each table generator has a list form that builds count tables as one
-stack: random_commuting_tables, random_monotone_tables and
-bumped_thm1_tables draw their tables' values in the order count
-one-table calls would, map each as such a call maps it, and then take
-one np.exp of all the log fields and one diagrams.build_tables.  So the
-list equals count one-table calls bit for bit and leaves the stream in
-the same state; the one-table functions are the lists of one.
+Each table generator builds count tables of _SIDE x _SIDE weights as
+one stack: random_commuting_tables, random_monotone_tables and
+bumped_thm1_tables draw their tables' values in the order count calls
+for one table would, map each as such a call maps it, and then take one
+np.exp of all the log fields and one diagrams.build_tables.  So a list
+of count tables equals count lists of one bit for bit and leaves the
+stream in the same state.
 
 All generators draw from one PCG64Stream, so suites stay reproducible
 from a single seed.  The stream is numpy's default generator,
@@ -45,6 +45,7 @@ from .diagrams import (
     build_thm1,
     rows_first_moments,
     stacked_windows,
+    two_atom_weights,
 )
 from .errors import DomainError, InfeasibleConstantError
 from .limits import MAX_RESAMPLE
@@ -194,6 +195,13 @@ class PCG64Stream:
         return low + (m >> 32)
 
 
+# Every table sampler draws a square log moment field of this side, so its
+# rectangles hold _SIDE x _SIDE weights; |log gamma| of a commuting table
+# stays below _SPREAD.
+_SIDE = 6
+_SPREAD = 0.4
+
+
 def _tables_from_log_fields(G: np.ndarray) -> list:
     """Weights from log moment fields stacked on a leading axis, with the
     tail seams forced exactly, built in one stack.
@@ -215,39 +223,32 @@ def _uniform(u, low, high):
     return low + (high - low) * u
 
 
-def random_commuting_tables(rng: PCG64Stream, count: int, rows: int = 6, cols: int = 6,
-                            spread: float = 0.4) -> list:
+def random_commuting_tables(rng: PCG64Stream, count: int) -> list:
     """count generic bounded commuting diagrams with weights around 1.
 
-    spread bounds |log gamma|, so individual weights stay inside
-    [exp(-spread), exp(spread)].  One draw holds every field.
+    |log gamma| stays below _SPREAD, so individual weights stay inside
+    [exp(-_SPREAD), exp(_SPREAD)].  One draw holds every field.
     """
-    return _tables_from_log_fields(rng.uniform(-spread, spread, size=(count, rows + 1, cols + 1)))
+    G = rng.uniform(-_SPREAD, _SPREAD, size=(count, _SIDE + 1, _SIDE + 1))
+    return _tables_from_log_fields(G)
 
 
-def random_commuting_table(rng: PCG64Stream, rows: int = 6, cols: int = 6,
-                           spread: float = 0.4) -> WeightDiagram:
-    """random_commuting_tables of one diagram."""
-    return random_commuting_tables(rng, 1, rows, cols, spread)[0]
-
-
-def random_monotone_tables(rng: PCG64Stream, count: int, rows: int = 6,
-                           cols: int = 6) -> list:
+def random_monotone_tables(rng: PCG64Stream, count: int) -> list:
     """count componentwise hyponormal diagrams: alpha nondecreasing along k1
     and beta nondecreasing along k2 (here along both axes, which is stronger).
 
     Field: log gamma(m,n) = A_m + B_n + c*m*n with convex A, B and small
     c >= 0.  Then alpha(m,n)^2 = exp(dA_m + c n) grows in both indices,
-    likewise beta.  The convexity steps exceed c*max(rows,cols) so the
-    forced flat seams cannot break monotonicity.
+    likewise beta.  The convexity steps exceed c*_SIDE so the forced flat
+    seams cannot break monotonicity.
 
-    One draw of 1 + rows + cols unit doubles per table holds, in order,
-    c, the rows - 1 convexity steps of A and its first difference, then
-    those of B; each value is mapped as a scalar uniform call maps it.
+    One draw of 1 + 2 _SIDE unit doubles per table holds, in order, c, the
+    _SIDE - 1 convexity steps of A and its first difference, then those of
+    B; each value is mapped as a scalar uniform call maps it.
     """
-    u = rng.uniform(size=(count, 1 + rows + cols))
+    u = rng.uniform(size=(count, 1 + 2 * _SIDE))
     c = _uniform(u[:, :1], 0.0, 0.02)
-    boost = c * max(rows, cols)
+    boost = c * _SIDE
 
     def convex_profiles(u):
         # per table, values whose first differences only ever grow, by >= boost
@@ -256,17 +257,12 @@ def random_monotone_tables(rng: PCG64Stream, count: int, rows: int = 6,
         diffs = _uniform(u[:, -1:], -0.2, 0.1) + np.concatenate((zero, np.cumsum(steps, axis=1)), 1)
         return np.concatenate((zero, np.cumsum(diffs, axis=1)), 1)
 
-    A = convex_profiles(u[:, 1 : 1 + rows])
-    B = convex_profiles(u[:, 1 + rows :])
-    m = np.arange(rows + 1)[:, None]
-    n = np.arange(cols + 1)[None, :]
+    A = convex_profiles(u[:, 1 : 1 + _SIDE])
+    B = convex_profiles(u[:, 1 + _SIDE :])
+    m = np.arange(_SIDE + 1)[:, None]
+    n = np.arange(_SIDE + 1)[None, :]
     G = A[:, :, None] + B[:, None, :] + c[:, :, None] * m * n
     return _tables_from_log_fields(G)
-
-
-def random_monotone_table(rng: PCG64Stream, rows: int = 6, cols: int = 6) -> WeightDiagram:
-    """random_monotone_tables of one diagram."""
-    return random_monotone_tables(rng, 1, rows, cols)[0]
 
 
 def random_nondecreasing_omega(rng: PCG64Stream, length: int = 12) -> OneVarWeights:
@@ -281,8 +277,8 @@ def random_nondecreasing_omega(rng: PCG64Stream, length: int = 12) -> OneVarWeig
         s0 = rng.uniform(0.3, 0.9)
         s1 = s0 + rng.uniform(0.3, 1.0)
         rho = rng.uniform(0.1, 0.9)
-        gam = [rho * s0 ** j + (1.0 - rho) * s1 ** j for j in range(length + 1)]
-        vals = [float(np.sqrt(gam[j + 1] / gam[j])) for j in range(length)]
+        vals = two_atom_weights(s0, s1, rho, 1.0 - rho, length,
+                                "moments of a sampled two-atom row")
     else:
         w0 = rng.uniform(0.5, 0.9)
         top = w0 + rng.uniform(0.1, 0.5)
@@ -298,45 +294,36 @@ def random_thm1(rng: PCG64Stream) -> WeightDiagram:
     return build_thm1(om, y)
 
 
-def _gamma_rectangles(diagrams: list, rows: int, cols: int) -> np.ndarray:
-    """Moment fields gamma on [0, rows] x [0, cols] of the diagrams, stacked
-    on a leading axis, gamma(0,0) = 1, from their square windows."""
-    A, B = stacked_windows(diagrams, max(rows, cols) + 1)
-    return rows_first_moments(A[:, : rows + 1, : cols + 1], B[:, : rows + 1, : cols + 1])
+def _gamma_rectangles(diagrams: list) -> np.ndarray:
+    """Moment fields gamma on [0, _SIDE]^2 of the diagrams, stacked on a
+    leading axis, gamma(0,0) = 1, from their windows."""
+    A, B = stacked_windows(diagrams, _SIDE + 1)
+    return rows_first_moments(A, B)
 
 
-def gamma_rectangle(diagram: WeightDiagram, rows: int, cols: int) -> np.ndarray:
-    """Moment field gamma on [0, rows] x [0, cols], gamma(0,0) = 1."""
-    return _gamma_rectangles([diagram], rows, cols)[0]
+def _bumped_tables(diagrams: list, factors: list, ats: list) -> list:
+    """Commuting tables from the diagrams' moment fields, each with the one
+    interior gamma value at its point scaled by its factor, in one stack.
 
-
-def _bumped_tables(diagrams: list, factors: list, ats: list, rows: int, cols: int) -> list:
-    """bump_gamma of each diagram by its factor at its point, in one stack."""
+    Each result stays exactly commuting (it is still a positive field) but
+    leaves whatever structured family its diagram belonged to.  A point
+    must be interior to the field, off its last two rows and columns, so
+    the forced seams are untouched.
+    """
     for factor, at in zip(factors, ats):
         i, j = at
-        if not (0 < i < rows - 1 and 0 < j < cols - 1):
-            raise DomainError(f"bump point {at} must be interior to the {rows}x{cols} rectangle")
+        if not (0 < i < _SIDE - 1 and 0 < j < _SIDE - 1):
+            raise DomainError(f"bump point {at} must be interior to the {_SIDE}x{_SIDE} rectangle")
         if factor <= 0.0:
             raise DomainError("bump factor must be positive")
-    G = _gamma_rectangles(diagrams, rows, cols)
+    G = _gamma_rectangles(diagrams)
     I, J = np.array(ats, dtype=int).reshape(len(ats), 2).T
     G[np.arange(len(G)), I, J] *= factors
     with np.errstate(divide="raise"):
         return _tables_from_log_fields(np.log(G))
 
 
-def bump_gamma(diagram: WeightDiagram, factor: float, at=(1, 1),
-               rows: int = 6, cols: int = 6) -> WeightDiagram:
-    """Commuting table obtained by scaling one interior gamma value.
-
-    The result stays exactly commuting (it is still a positive field) but
-    leaves whatever structured family the input belonged to.  `at` must be
-    interior to the rectangle so the forced seams are untouched.
-    """
-    return _bumped_tables([diagram], [factor], [at], rows, cols)[0]
-
-
-def bumped_thm1_tables(rng: PCG64Stream, count: int, rows: int = 6, cols: int = 6) -> list:
+def bumped_thm1_tables(rng: PCG64Stream, count: int) -> list:
     """count commuting perturbations of proportional-row diagrams.
 
     One interior gamma value of each is scaled by 1.25..1.6, far enough
@@ -348,13 +335,8 @@ def bumped_thm1_tables(rng: PCG64Stream, count: int, rows: int = 6, cols: int = 
     for _ in range(count):
         bases.append(random_thm1(rng))
         factors.append(rng.uniform(1.25, 1.6))
-        ats.append((1 + rng.integers(0, rows - 3), 1 + rng.integers(0, cols - 3)))
-    return _bumped_tables(bases, factors, ats, rows, cols)
-
-
-def bumped_thm1_table(rng: PCG64Stream, rows: int = 6, cols: int = 6) -> WeightDiagram:
-    """bumped_thm1_tables of one diagram."""
-    return bumped_thm1_tables(rng, 1, rows, cols)[0]
+        ats.append((1 + rng.integers(0, _SIDE - 3), 1 + rng.integers(0, _SIDE - 3)))
+    return _bumped_tables(bases, factors, ats)
 
 
 def random_completion(rng: PCG64Stream) -> WeightDiagram:

@@ -41,6 +41,7 @@ import numpy as np
 
 from .diagrams import (
     WeightDiagram,
+    as_integer,
     commutativity_residuals,
     require_commuting,
     require_window,
@@ -221,13 +222,15 @@ def _toral_condition_residuals(A: np.ndarray, B: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class ToralResult:
-    """Toral candidate plus verdict."""
+    """Toral candidate plus verdict: `commutes` is the condition route's
+    flag and `direct_commutes` the direct residual's, on the same cut."""
 
     diagram: WeightDiagram
     commutes: bool
     condition_residual: float
     direct_residual: float
     direct_witness: tuple
+    direct_commutes: bool
 
 
 def _toral_windows(A: np.ndarray, B: np.ndarray, scales: list, tol: float):
@@ -243,8 +246,8 @@ def _toral_windows(A: np.ndarray, B: np.ndarray, scales: list, tol: float):
     verdicts = []
     for cond, (direct, witness), scale in zip(conds, commutativity_residuals(TA, TB), scales):
         cut = tol * scale
-        flag = cond <= cut
-        if flag != (direct <= cut):
+        flag, direct_flag = cond <= cut, direct <= cut
+        if flag != direct_flag:
             cond_decisive = cond <= cut / DECISIVE_BAND or cond >= cut * DECISIVE_BAND
             direct_decisive = direct <= cut / DECISIVE_BAND or direct >= cut * DECISIVE_BAND
             if cond_decisive and direct_decisive:
@@ -252,7 +255,7 @@ def _toral_windows(A: np.ndarray, B: np.ndarray, scales: list, tol: float):
                     "toral commutativity routes disagree: "
                     f"condition residual {cond:.3e}, direct residual {direct:.3e}"
                 )
-        verdicts.append((flag, cond, direct, witness))
+        verdicts.append((flag, cond, direct, witness, direct_flag))
     return TA, TB, verdicts
 
 
@@ -381,9 +384,9 @@ def continuity_probes(diagrams, N: int, n: int) -> list:
     e_k to e_{k+e_i}.  The reported entry for (v) is the component with
     the smaller slack.  All the diagrams are probed as one stack.
     """
-    if n < 1:
+    if as_integer("n", n) < 1:
         raise DomainError("n must be a positive integer")
-    if N < 0:
+    if as_integer("truncation level", N) < 0:
         raise WindowError("truncation level must be nonnegative")
     A, B = stacked_windows(diagrams, N + 1)
     P = _joint_modulus(A, B)
@@ -429,7 +432,7 @@ def transform_distance(W: WeightDiagram, Wp: WeightDiagram, which: str, N: int) 
     T_i - T_i' is a weighted shift, so its norm is the largest difference
     of truncated weights.
     """
-    if N < 0:
+    if as_integer("truncation level", N) < 0:
         raise WindowError("truncation level must be nonnegative")
     if which not in ("toral", "spherical"):
         raise DomainError(f"unknown transform {which!r}")

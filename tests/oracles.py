@@ -18,11 +18,11 @@ from aluthge_lab import (
     spherical_transform,
     toral_transform,
 )
+from aluthge_lab import sampling
 from aluthge_lab.sampling import (
-    bump_gamma,
-    random_commuting_table,
+    random_commuting_tables,
     random_completion,
-    random_monotone_table,
+    random_monotone_tables,
     random_nondecreasing_omega,
 )
 
@@ -39,10 +39,10 @@ def oracle_diagrams():
     s = np.sqrt(1 / (2 - y * y))
     h = np.sqrt((1 + y * y) / 2)
     out = [build_prop2(x, y) for x in (s - 0.02, 0.5 * (s + h), h + 0.02)]
-    out += [random_monotone_table(rng), random_commuting_table(rng)]
+    out += [random_monotone_tables(rng, 1)[0], random_commuting_tables(rng, 1)[0]]
     out += [build_theta(random_nondecreasing_omega(rng, length=8)), random_completion(rng)]
-    bumped = bump_gamma(build_prop2(0.8, 0.5), 1.4, at=(1, 1), rows=6, cols=6)
-    for parent in (bumped, random_commuting_table(rng)):
+    bumped = sampling._bumped_tables([build_prop2(0.8, 0.5)], [1.4], [(1, 1)])[0]
+    for parent in (bumped, random_commuting_tables(rng, 1)[0]):
         res = toral_transform(parent)
         assert not res.commutes
         out.append(res.diagram)

@@ -18,7 +18,6 @@ from hypothesis.extra import numpy as hnp
 from aluthge_lab import cli, diagrams, limits, positivity, reproduce, sampling, transforms
 from aluthge_lab.cli import main
 from aluthge_lab.diagrams import build_prop2
-from aluthge_lab.sampling import bump_gamma
 from aluthge_lab import diagram_to_obj, dumps, region_scan
 
 
@@ -32,7 +31,7 @@ def prop2_file(tmp_path):
 @pytest.fixture
 def bumped_file(tmp_path):
     # commuting table whose toral candidate does not commute
-    W = bump_gamma(build_prop2(0.8, 0.5), 1.4, at=(1, 1), rows=6, cols=6)
+    W = sampling._bumped_tables([build_prop2(0.8, 0.5)], [1.4], [(1, 1)])[0]
     path = tmp_path / "bumped.json"
     path.write_text(dumps(diagram_to_obj(W)))
     return str(path)

@@ -32,9 +32,9 @@ from aluthge_lab import (
     toral_transforms,
     validate_commuting,
 )
-from aluthge_lab import diagrams, regions, reproduce, transforms
+from aluthge_lab import diagrams, regions, reproduce, sampling, transforms
 from aluthge_lab.diagrams import WeightDiagram
-from aluthge_lab.sampling import gamma_rectangle, random_commuting_table
+from aluthge_lab.sampling import random_commuting_tables
 
 from oracles import dense_pair
 
@@ -235,7 +235,7 @@ def _refusal(build, *args, **kwargs):
 
 def _three_tables():
     rng = np.random.default_rng(11)
-    A, B = zip(*(random_commuting_table(rng).table for _ in range(3)))
+    A, B = zip(*(W.table for W in random_commuting_tables(rng, 3)))
     return np.array(A), np.array(B)
 
 
@@ -305,12 +305,13 @@ def test_point_scan_keeps_one_window():
 
 _POINT_DIAGRAMS = {
     "prop2": lambda: build_prop2(0.7, 0.6),
-    "table": lambda: random_commuting_table(np.random.default_rng(31)),
+    "table": lambda: random_commuting_tables(np.random.default_rng(31), 1)[0],
     "thm1": lambda: build_thm1(OneVarWeights(values=(0.6, 0.8, 0.9)), 0.4),
     "two-atom completion": lambda: quasinormal_completion(stampfli(1.0, 2.0, 3.0).weights, 4.0),
     "finite-row completion": lambda: quasinormal_completion(OneVarWeights(values=(0.8, 1.0)), 2.5),
     "spherical": lambda: spherical_transform(build_prop2(0.7, 0.6)),
-    "toral": lambda: toral_transform(random_commuting_table(np.random.default_rng(31))).diagram,
+    "toral": lambda: toral_transform(
+        random_commuting_tables(np.random.default_rng(31), 1)[0]).diagram,
 }
 
 
@@ -426,7 +427,7 @@ def test_reproduce_reads_each_window_at_its_widest_first(monkeypatch):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_gamma_field_tables_commute(seed):
     rng = np.random.default_rng(seed)
-    W = random_commuting_table(rng)
+    W = random_commuting_tables(rng, 1)[0]
     resid, _ = commutativity_residual(W, 10)
     top = max(float(X.max()) for X in W.weight_arrays(11, 11))
     assert resid <= 1e-14 * top**2
@@ -479,8 +480,8 @@ def test_moments_match_measure_oracle():
 
 def test_moments_cumprod_identity():
     rng = np.random.default_rng(3)
-    W = random_commuting_table(rng)
-    G = gamma_rectangle(W, 6, 6)
+    W = random_commuting_tables(rng, 1)[0]
+    G = sampling._gamma_rectangles([W])[0]
     # both fill the moment field by one routine, so they agree bit for bit
     for maxdeg in (5, 6):
         table = moments(W, maxdeg)
@@ -551,7 +552,7 @@ def test_core_of_prop2_is_flat():
 def test_core_matches_shifted_parent(builder):
     rng = np.random.default_rng(23)
     if builder == "table":
-        W = random_commuting_table(rng)
+        W = random_commuting_tables(rng, 1)[0]
     elif builder == "thm1":
         W = build_thm1(OneVarWeights(values=(0.6, 0.8, 0.9)), 0.4)
     elif builder == "thm1-two-atom":

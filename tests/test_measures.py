@@ -28,7 +28,7 @@ from aluthge_lab import (
 from aluthge_lab import measures
 from aluthge_lab.diagrams import DENOM_FLOOR, WeightDiagram, stacked_windows
 from aluthge_lab.measures import QUASINORMAL_TOL, is_spherical_isometry
-from aluthge_lab.sampling import random_commuting_table, random_completion
+from aluthge_lab.sampling import random_commuting_tables, random_completion
 
 from oracles import interior_p2, oracle_diagrams
 
@@ -210,7 +210,7 @@ def test_routes_agree_on_completion_and_generic():
     assert r["constant_sum"] and r["fixed_point"] and r["interior_diagonal"]
     assert r["constant"] == pytest.approx(W.alpha(0, 0) ** 2 + W.beta(0, 0) ** 2)
 
-    G = random_commuting_table(rng)
+    G = random_commuting_tables(rng, 1)[0]
     r2 = quasinormality_routes(G, window=10, N=8)
     assert not (r2["constant_sum"] or r2["fixed_point"] or r2["interior_diagonal"])
     assert r2["constant"] is None
@@ -220,7 +220,7 @@ def _route_diagrams():
     """Commuting diagrams on both sides of quasinormality, built afresh."""
     rng = np.random.default_rng(8)
     out = [W for W in oracle_diagrams() if W.kind != "derived"]
-    return out + [random_completion(rng) for _ in range(4)] + [random_commuting_table(rng)]
+    return out + [random_completion(rng) for _ in range(4)] + [random_commuting_tables(rng, 1)[0]]
 
 
 def test_quasinormality_route_list_form_equals_one_diagram_calls():
@@ -291,7 +291,7 @@ def test_interior_diagonal_matches_dense_oracle():
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=8))
 def test_interior_diagonal_matches_dense_oracle_on_random_diagrams(seed, N):
     rng = np.random.default_rng(seed)
-    for W in (random_commuting_table(rng), random_completion(rng)):
+    for W in (random_commuting_tables(rng, 1)[0], random_completion(rng)):
         _assert_interior_matches_dense(W, N)
 
 
@@ -430,7 +430,7 @@ def test_qt_identity_zero_on_completions():
 
 def test_qt_identity_positive_off_the_class():
     rng = np.random.default_rng(33)
-    W = random_commuting_table(rng)
+    W = random_commuting_tables(rng, 1)[0]
     assert measures.qt_power_identity_checks([W], nmax=3, N=5)[0] > 1e-6
 
 

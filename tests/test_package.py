@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aluthge_lab
@@ -23,12 +24,13 @@ def test_the_public_surface_has_59_names():
     assert sorted(aluthge_lab.__all__) == sorted(name for name, _ in EXPORTS)
 
 
-def _names_used_by_the_library() -> set:
+def _names_used_by_the_library(outside=("__init__.py",)) -> set:
     """Every name read, attribute taken or name imported by a module under
-    src/aluthge_lab/ other than __init__.py; a def or class alone is no use."""
+    src/aluthge_lab/ other than those named in outside; a def or class alone
+    is no use."""
     used = set()
     for path in (ROOT / "src" / "aluthge_lab").glob("*.py"):
-        if path.name == "__init__.py":
+        if path.name in outside:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
@@ -210,8 +212,32 @@ def _prop2():
     (lambda: aluthge_lab.region_scan(2.5), aluthge_lab.DomainError),
     (lambda: aluthge_lab.classify_many([(0.7, 0.4)], N=12.0), aluthge_lab.DomainError),
     (lambda: aluthge_lab.k_hyponormal_verdicts([_prop2()], True, 6), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.toral_transform(_prop2(), window=2.5), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.toral_transform(_prop2(), window=True), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.spherical_transform(_prop2(), window=2.5), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.is_spherically_quasinormal(_prop2(), 2.5), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.quasinormality_routes(_prop2(), 10, 8.0), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.moments(_prop2(), 2.5), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.moments(_prop2(), True), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.validate_commuting(_prop2(), 2.5), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.commutativity_residual(_prop2(), 2.5), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.transform_distance(_prop2(), _prop2(), "toral", 2.5),
+     aluthge_lab.DomainError),
+    (lambda: aluthge_lab.continuity_probe(_prop2(), 2.5, 1), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.continuity_probe(_prop2(), 10, 2.5), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.continuity_probe(_prop2(), 10, True), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.berger_atomic_verify(_prop2(), aluthge_lab.quasinormal2_measure(1, 2, 3),
+                                              2.5), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.build_table(np.ones((2, 2)), np.ones((2, 2)), window=2.5),
+     aluthge_lab.DomainError),
+    (lambda: aluthge_lab.moments_1var([0.5, 0.7], 2.5), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.moments_1var([0.5, 0.7], -3), aluthge_lab.WindowError),
 ], ids=["joint-negative", "classify-negative", "joint-float", "khypo-nan", "kmax-float",
-        "scan-float", "classify-many-float", "order-bool"])
+        "scan-float", "classify-many-float", "order-bool", "toral-float", "toral-bool",
+        "spherical-float", "quasinormal-float", "routes-level-float", "moments-float",
+        "moments-bool", "validate-float", "residual-float", "distance-float",
+        "probe-level-float", "probe-n-float", "probe-n-bool", "berger-float", "table-float",
+        "moments-1var-float", "moments-1var-negative"])
 def test_integer_arguments_are_refused_with_domain_errors(call, error):
     with pytest.raises(error) as info:
         call()
@@ -220,9 +246,28 @@ def test_integer_arguments_are_refused_with_domain_errors(call, error):
 
 
 def test_numpy_integers_pass_the_integer_check():
-    import numpy as np
-
     W = _prop2()
     assert aluthge_lab.joint_hyponormal(W, np.int64(10))[1] == aluthge_lab.joint_hyponormal(W, 10)[1]
     assert aluthge_lab.k_hyponormal_verdict(W, np.int32(1), np.int64(6)) == \
         aluthge_lab.k_hyponormal_verdict(W, 1, 6)
+
+
+# ---------------------------------------------------------------------------
+# one body per quantity: no runner keeps a copy of the library's
+
+
+def test_every_public_sampler_is_used_by_the_lab():
+    tree = ast.parse((ROOT / "src" / "aluthge_lab" / "sampling.py").read_text(encoding="utf-8"))
+    public = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    used = _names_used_by_the_library(outside=("__init__.py", "sampling.py"))
+    assert public and [name for name in public if name not in used] == []
+
+
+def test_only_the_verdict_modules_compute_weight_scales():
+    # a runner that scaled a cut itself would hold a second copy of a verdict
+    callers = {path.stem for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "weight_scales"}
+    assert {"transforms", "positivity"} <= callers <= {"diagrams", "transforms", "positivity"}

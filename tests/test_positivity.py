@@ -32,8 +32,8 @@ from aluthge_lab import diagrams, positivity
 from aluthge_lab.diagrams import WeightDiagram, build_table, stacked_windows
 from aluthge_lab.measures import quasinormal_completion, stampfli
 from aluthge_lab.sampling import (
-    random_commuting_table,
-    random_monotone_table,
+    random_commuting_tables,
+    random_monotone_tables,
     random_nondecreasing_omega,
 )
 from aluthge_lab.transforms import spherical_transform, toral_transform
@@ -89,7 +89,7 @@ def _componentwise(diagrams, N):
 def test_componentwise_on_monotone_tables():
     rng = np.random.default_rng(2)
     for _ in range(5):
-        W = random_monotone_table(rng)
+        W = random_monotone_tables(rng, 1)[0]
         ((a_ok, b_ok),) = _componentwise([W], 8)
         assert a_ok and b_ok
 
@@ -125,7 +125,7 @@ def test_componentwise_list_form_equals_one_diagram_calls():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_joint_hyponormal_cross_check_runs_clean(seed):
     rng = np.random.default_rng(seed)
-    W = random_commuting_table(rng)
+    W = random_commuting_tables(rng, 1)[0]
     joint_hyponormal(W, 7)
 
 
@@ -254,7 +254,7 @@ def test_khypo_blocks_match_dense_oracle():
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 2]))
 def test_khypo_blocks_match_dense_oracle_on_random_tables(seed, k):
-    W = random_commuting_table(np.random.default_rng(seed))
+    W = random_commuting_tables(np.random.default_rng(seed), 1)[0]
     _agrees_with_dense_oracle(W, k, 4 * k + 2)
 
 
@@ -281,7 +281,7 @@ def test_joint_cross_check_blocks_match_dense_oracle():
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=4, max_value=14))
 def test_joint_cross_check_blocks_match_dense_oracle_on_random_tables(seed, N):
-    _order1_agrees_with_dense_oracle(random_commuting_table(np.random.default_rng(seed)), N)
+    _order1_agrees_with_dense_oracle(random_commuting_tables(np.random.default_rng(seed), 1)[0], N)
 
 
 def _shift_six_point_min_eigs(monkeypatch, where):
@@ -365,8 +365,7 @@ def test_witness_is_the_verdict_fields_bit_for_bit():
     # the witness reads M(k) from the arrays that decide the verdict, where
     # Python-float ** and numpy products can differ in the last bit
     rng = np.random.default_rng(5)
-    tables = ([random_commuting_table(rng) for _ in range(40)]
-              + [random_monotone_table(rng) for _ in range(20)])
+    tables = random_commuting_tables(rng, 40) + random_monotone_tables(rng, 20)
     witnesses = 0
     for W, report in zip(tables, joint_hyponormal_reports(tables, 8)):
         if report.worst_witness is None:
@@ -422,7 +421,7 @@ def test_block_eigs_equal_all_lapack_oracle():
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 2, 3]))
 def test_block_eigs_equal_all_lapack_oracle_on_random_tables(seed, k):
-    _matches_lapack_oracle(random_commuting_table(np.random.default_rng(seed)), k, 2 * k + 2)
+    _matches_lapack_oracle(random_commuting_tables(np.random.default_rng(seed), 1)[0], k, 2 * k + 2)
 
 
 def _count_solves(monkeypatch):
@@ -479,7 +478,8 @@ def test_block_dedup_falls_back_to_every_block_on_a_fingerprint_collision(monkey
 @st.composite
 def _mixed_diagrams(draw):
     corner = st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)).map(lambda xy: build_prop2(*xy))
-    table = st.integers(0, 10_000).map(lambda seed: random_commuting_table(np.random.default_rng(seed)))
+    table = st.integers(0, 10_000).map(
+        lambda seed: random_commuting_tables(np.random.default_rng(seed), 1)[0])
     return draw(st.lists(st.one_of(corner, table), min_size=1, max_size=7))
 
 
@@ -713,7 +713,7 @@ def test_hypo_orders_without_higher_orders_hands_back_the_order_1_reports(monkey
         raise AssertionError("no order >= 2 to add")
 
     rng = np.random.default_rng(4)
-    diagrams = [build_prop2(0.5, 0.5), build_prop2(0.95, 0.6), random_monotone_table(rng)]
+    diagrams = [build_prop2(0.5, 0.5), build_prop2(0.95, 0.6), random_monotone_tables(rng, 1)[0]]
     reports = joint_hyponormal_reports(diagrams, 8)
     # what the reports were extended to when every call rebuilt them
     rebuilt = [dataclasses.replace(r, k_hypo=dict(r.k_hypo), levels={**r.levels})

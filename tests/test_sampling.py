@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 from aluthge_lab import sampling
 from aluthge_lab.sampling import (
     PCG64Stream,
-    bumped_thm1_table,
     bumped_thm1_tables,
-    random_commuting_table,
     random_commuting_tables,
     random_completion,
-    random_monotone_table,
     random_monotone_tables,
 )
 
@@ -116,7 +113,7 @@ def test_stream_refuses_a_negative_seed():
 @pytest.mark.parametrize("seed", [1, 7])
 def test_samplers_build_the_same_diagrams_from_either_generator(seed):
     ours, ref = PCG64Stream(seed), np.random.default_rng(seed)
-    for make in (random_commuting_table, random_completion):
+    for make in (lambda rng: random_commuting_tables(rng, 1)[0], random_completion):
         a, b = make(ours).weight_arrays(8, 8), make(ref).weight_arrays(8, 8)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
@@ -138,47 +135,42 @@ _GENERATORS = st.sampled_from([PCG64Stream, np.random.default_rng])
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from([(random_commuting_tables, random_commuting_table),
-                     (random_monotone_tables, random_monotone_table),
-                     (bumped_thm1_tables, bumped_thm1_table)]),
+    st.sampled_from([random_commuting_tables, random_monotone_tables, bumped_thm1_tables]),
     _GENERATORS, st.integers(0, 2**64), st.integers(0, 7),
 )
-def test_each_list_form_equals_one_table_calls(forms, generator, seed, count):
-    many, one = forms
+def test_each_list_form_equals_one_table_calls(many, generator, seed, count):
     stacked_rng, alone_rng = generator(seed), generator(seed)
     stacked = many(stacked_rng, count)
-    alone = [one(alone_rng) for _ in range(count)]
+    alone = [many(alone_rng, 1)[0] for _ in range(count)]
     assert len(stacked) == count
     assert all(_same_bits(W, V) for W, V in zip(stacked, alone))
     assert _tail(stacked_rng) == _tail(alone_rng)
 
 
-def _scalar_monotone_field(rng, rows=6, cols=6):
+def _scalar_monotone_field(rng, side=6):
     """The log moment field of one monotone table, drawn by one scalar
     uniform call per value in the order random_monotone_tables documents."""
     c = rng.uniform(0.0, 0.02)
-    boost = c * max(rows, cols)
+    boost = c * side
 
     def convex_profile(count):
         steps = [rng.uniform(boost, boost + 0.06) for _ in range(count - 2)]
         diffs = rng.uniform(-0.2, 0.1) + np.concatenate(([0.0], np.cumsum(steps)))
         return np.concatenate(([0.0], np.cumsum(diffs)))
 
-    A = convex_profile(rows + 1)
-    B = convex_profile(cols + 1)
-    m = np.arange(rows + 1)[:, None]
-    n = np.arange(cols + 1)[None, :]
+    A = convex_profile(side + 1)
+    B = convex_profile(side + 1)
+    m = np.arange(side + 1)[:, None]
+    n = np.arange(side + 1)[None, :]
     return A[:, None] + B[None, :] + c * m * n
 
 
 @settings(max_examples=30, deadline=None)
-@given(_GENERATORS, st.integers(0, 2**64), st.integers(0, 7),
-       st.integers(1, 8), st.integers(1, 8))
-def test_monotone_tables_map_each_draw_as_a_scalar_uniform_call(generator, seed, count,
-                                                                rows, cols):
+@given(_GENERATORS, st.integers(0, 2**64), st.integers(0, 7))
+def test_monotone_tables_map_each_draw_as_a_scalar_uniform_call(generator, seed, count):
     stacked_rng, scalar_rng = generator(seed), generator(seed)
-    stacked = random_monotone_tables(stacked_rng, count, rows, cols)
-    fields = [_scalar_monotone_field(scalar_rng, rows, cols) for _ in range(count)]
-    scalar = sampling._tables_from_log_fields(np.array(fields).reshape(count, rows + 1, cols + 1))
+    stacked = random_monotone_tables(stacked_rng, count)
+    fields = [_scalar_monotone_field(scalar_rng) for _ in range(count)]
+    scalar = sampling._tables_from_log_fields(np.array(fields).reshape(count, 7, 7))
     assert all(_same_bits(W, V) for W, V in zip(stacked, scalar, strict=True))
     assert _tail(stacked_rng) == _tail(scalar_rng)

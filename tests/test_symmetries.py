@@ -24,7 +24,7 @@ from aluthge_lab import (
 from aluthge_lab.measures import quasinormality_routes_many
 from aluthge_lab.positivity import PSD_TOL
 from aluthge_lab.regions import BOUNDARY_MARGIN, thresholds
-from aluthge_lab.sampling import random_commuting_table, random_completion
+from aluthge_lab.sampling import random_commuting_tables, random_completion
 from aluthge_lab.transforms import aluthge_windows
 
 WINDOW = 8
@@ -60,7 +60,7 @@ def _diagrams(draw, completions=False):
     `completions`, also random quasinormal completions."""
     coordinate = st.floats(0.05, 0.95)
     seeds = st.integers(0, 10_000)
-    table = seeds.map(lambda seed: random_commuting_table(np.random.default_rng(seed)))
+    table = seeds.map(lambda seed: random_commuting_tables(np.random.default_rng(seed), 1)[0])
     corner = st.tuples(coordinate, coordinate).map(lambda xy: build_prop2(*xy))
     offset = st.floats(-2 * BOUNDARY_MARGIN, 2 * BOUNDARY_MARGIN)
     near = st.tuples(coordinate, st.integers(0, 3), offset).map(

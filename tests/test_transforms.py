@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aluthge_lab import (
+    COMMUTATIVITY_TOL,
     DomainError,
     NonCommutingInputError,
     WindowError,
@@ -28,9 +29,9 @@ from aluthge_lab import (
     toral_transforms,
     transform_distance,
 )
-from aluthge_lab import diagrams, transforms
+from aluthge_lab import diagrams, sampling, transforms
 from aluthge_lab.diagrams import OneVarWeights
-from aluthge_lab.sampling import bump_gamma, random_commuting_table
+from aluthge_lab.sampling import random_commuting_tables
 
 import oracles
 from oracles import (
@@ -47,7 +48,7 @@ from oracles import (
 
 def test_spherical_matches_dense_conjugation():
     rng = np.random.default_rng(5)
-    W = random_commuting_table(rng)
+    W = random_commuting_tables(rng, 1)[0]
     sph = spherical_transform(W, window=10)
     N = 8
     Ah, Bh = spherical_entries(W, N)
@@ -58,7 +59,7 @@ def test_spherical_matches_dense_conjugation():
 
 def test_toral_matches_dense_aluthge():
     rng = np.random.default_rng(6)
-    W = random_commuting_table(rng)
+    W = random_commuting_tables(rng, 1)[0]
     cand = toral_transform(W, window=10).diagram
     N = 8
     Ah, Bh = toral_entries(W, N)
@@ -113,7 +114,7 @@ def test_theta_lift_transforms_coincide():
 def test_spherical_output_commutes():
     rng = np.random.default_rng(7)
     for _ in range(5):
-        W = random_commuting_table(rng)
+        W = random_commuting_tables(rng, 1)[0]
         sph = spherical_transform(W, window=10)
         resid, _ = commutativity_residual(sph, 10)
         assert resid <= 1e-13
@@ -141,7 +142,7 @@ def test_toral_candidate_verdict_both_ways():
 def test_gamma_bump_breaks_toral_commutativity():
     # a local moment bump keeps the pair commuting but knocks the toral
     # candidate out of the commuting class
-    W = bump_gamma(build_prop2(0.8, 0.5), 1.4, at=(1, 1), rows=6, cols=6)
+    W = sampling._bumped_tables([build_prop2(0.8, 0.5)], [1.4], [(1, 1)])[0]
     resid, _ = commutativity_residual(W, 8)
     assert resid <= 1e-13
     res = toral_transform(W, window=8)
@@ -200,7 +201,7 @@ def test_iterated_spherical_transform_follows_parameter_maps():
 
 def test_joint_partial_isometry_identity():
     rng = np.random.default_rng(10)
-    W = random_commuting_table(rng)
+    W = random_commuting_tables(rng, 1)[0]
     dev, ok = joint_partial_isometry_check(W, 6)
     assert ok
     assert dev <= 1e-12
@@ -311,7 +312,7 @@ def test_transform_distance_equals_the_derived_diagram_route(which, N):
     rng = np.random.default_rng(17)
     pairs = [(build_prop2(0.5, 0.5), build_prop2(0.51, 0.5)),
              (build_prop2(0.72, 0.4), build_prop2(0.3, 0.6)),
-             (random_commuting_table(rng), random_commuting_table(rng))]
+             (random_commuting_tables(rng, 1)[0], random_commuting_tables(rng, 1)[0])]
     for W, Wp in pairs:
         got = transform_distance(W, Wp, which, N)
         assert got.hex() == _derived_distance(W, Wp, which, N).hex()
@@ -356,6 +357,7 @@ def test_stacked_transforms_equal_one_diagram_transforms(window):
         assert tor.condition_residual.hex() == one.condition_residual.hex()
         assert tor.direct_residual.hex() == one.direct_residual.hex()
         assert tor.direct_witness == one.direct_witness
+        assert tor.direct_commutes is one.direct_commutes
         one_sph = spherical_transform(W, window=window)
         # the window a stack leaves in each output, and a wider one read later
         for n in (window + 2, window + 5):
@@ -381,13 +383,13 @@ def test_both_transforms_from_one_read_equal_the_separate_stacks():
     parents = diagrams.stacked_windows(_commuting_oracle_diagrams(), window + 3)
     for got, want in zip((A, B), parents):
         _same_bits(got, want)
-    for ta, tb, (commutes, cond, direct, witness), sa, sb, want_tor, want_sph in zip(
-        TA, TB, verdicts, SA, SB, want_torals, want_sphericals, strict=True
-    ):
+    for ta, tb, (commutes, cond, direct, witness, direct_commutes), sa, sb, want_tor, want_sph \
+            in zip(TA, TB, verdicts, SA, SB, want_torals, want_sphericals, strict=True):
         assert commutes is want_tor.commutes
         assert cond.hex() == want_tor.condition_residual.hex()
         assert direct.hex() == want_tor.direct_residual.hex()
         assert witness == want_tor.direct_witness
+        assert direct_commutes is want_tor.direct_commutes
         # each derived diagram's cached window is its slice of the stacked result
         n = window + 2
         wants = (*want_tor.diagram.weight_arrays(n, n), *want_sph.weight_arrays(n, n))
@@ -395,6 +397,19 @@ def test_both_transforms_from_one_read_equal_the_separate_stacks():
             _same_bits(got, want)
     (A, B), (TA, TB, verdicts), (SA, SB) = transforms.aluthge_windows([], window)
     assert verdicts == [] and all(len(X) == 0 for X in (A, B, TA, TB, SA, SB))
+
+
+@pytest.mark.parametrize("tol", [COMMUTATIVITY_TOL, 1e-3])
+def test_direct_commutes_is_the_direct_residual_on_the_cut(tol):
+    window = 8
+    bumped = sampling._bumped_tables([build_prop2(0.8, 0.5)], [1.4], [(1, 1)])[0]
+    stack = [*_commuting_oracle_diagrams(), bumped]
+    results = toral_transforms(stack, window=window, tol=tol)
+    for W, res in zip(stack, results, strict=True):
+        A, B = W.weight_arrays(window + 1, window + 1)
+        cut = tol * max(1.0, max(float(A.max()), float(B.max())) ** 2)
+        assert res.direct_commutes is (res.direct_residual <= cut)
+    assert {res.direct_commutes for res in results} == {True, False}
 
 
 def _count_stack_reads(monkeypatch):
@@ -431,14 +446,14 @@ def test_transform_distance_transforms_both_diagrams_in_one_stack(monkeypatch, w
 
 def test_a_non_commuting_table_in_a_stack_raises_as_when_alone():
     rng = np.random.default_rng(11)
-    A, B = random_commuting_table(rng).table
+    A, B = random_commuting_tables(rng, 1)[0].table
     B = B.copy()
     B[4, 1] *= 1.3  # breaks commutativity at k = (3, 1) and (4, 1) only
     for transform in (toral_transforms, spherical_transforms):
         bad = build_table(A, B, window=2)
         with pytest.raises(NonCommutingInputError) as alone:
             transform([bad], window=6)
-        good = [random_commuting_table(rng) for _ in range(2)]
+        good = [random_commuting_tables(rng, 1)[0] for _ in range(2)]
         stack = [good[0], build_table(A, B, window=2), good[1]]
         with pytest.raises(NonCommutingInputError) as stacked:
             transform(stack, window=6)
@@ -498,7 +513,7 @@ def test_weight_level_norms_match_dense_oracles():
 )
 def test_weight_level_norms_match_dense_oracles_on_random_tables(seed, N, n):
     rng = np.random.default_rng(seed)
-    W, Wp = random_commuting_table(rng), random_commuting_table(rng)
+    W, Wp = random_commuting_tables(rng, 1)[0], random_commuting_tables(rng, 1)[0]
     _assert_probe_matches_dense(W, N, n)
     _assert_distance_matches_dense(W, Wp, N)
 
