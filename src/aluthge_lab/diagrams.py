@@ -156,6 +156,7 @@ class OneVarWeights:
         object.__setattr__(self, "solve", _two_atom_solve(*triple))
 
     def __call__(self, j: int) -> float:
+        j = as_integer("omega index", j)
         if j < 0:
             raise WindowError("omega index must be nonnegative")
         if self.values is not None:
@@ -178,6 +179,7 @@ class OneVarWeights:
         it is re-anchored as the row with triple (omega_by^2,
         omega_{by+1}^2, omega_{by+2}^2).
         """
+        by = as_integer("shift", by)
         if by < 0:
             raise WindowError("shift must be nonnegative")
         if self.values is not None:
@@ -223,6 +225,7 @@ class WeightDiagram:
         return self._point(k1, k2)[1]
 
     def _point(self, k1: int, k2: int):
+        k1, k2 = as_integer("lattice index", k1), as_integer("lattice index", k2)
         if k1 < 0 or k2 < 0:
             raise WindowError("lattice indices must be nonnegative")
         A, B = self.weight_arrays(k1 + 1, k2 + 1)
@@ -533,6 +536,7 @@ class MomentTable:
     _values: np.ndarray
 
     def gamma(self, m: int, n: int) -> float:
+        m, n = as_integer("m", m), as_integer("n", n)
         if m < 0 or n < 0 or m + n > self.maxdeg:
             raise WindowError(f"(m, n) = ({m}, {n}) outside degree bound {self.maxdeg}")
         return float(self._values[m, n])

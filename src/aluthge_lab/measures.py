@@ -24,6 +24,7 @@ from .diagrams import (
     float_powers,
     max_weight_gaps,
     moments,
+    require_integer,
     require_normal,
     require_window,
     stacked_windows,
@@ -347,9 +348,12 @@ def qt_power_identity_checks(diagrams, nmax: int, N: int) -> list:
     by nmax, each iterate is kept where it is exact, and every reported
     value is exact for the full operators (no truncation boundary effects).
     Zero for spherically quasinormal diagrams, where both sides are C^n I.
+    A non-integer nmax or N raises DomainError and a negative one
+    WindowError, before any weight is read.
     """
     if as_integer("nmax", nmax) < 0:
         raise WindowError("nmax must be nonnegative")
+    require_integer("N", N, 0)
     A, B = stacked_windows(diagrams, N + nmax + 2)
     A2, B2 = A**2, B**2
     cur = np.ones(A.shape)

@@ -41,10 +41,14 @@ The diagram-level tests take a list of diagrams and read their weight
 windows once, stacked on a leading axis; joint_window_reports and
 componentwise_window_flags take windows a caller has read, as
 classify_many and reproduce hold them for a diagram and its transforms.
-Every slice gets exactly the arithmetic it would get on its own, and
-identical blocks get identical bytes from LAPACK, so a stacked verdict
-equals the one-diagram verdict bit for bit.  The one-diagram functions
-are their one-element cases.
+A stage that takes a level reads the leading square of what it is given
+(joint_window_reports at level N reads [0, N+2)^2, and refuses a narrower
+window with WindowError); componentwise_window_flags reads all of its
+windows.  Every slice gets exactly the arithmetic it would get on its
+own, and identical blocks get identical bytes from LAPACK, so a stacked
+verdict equals the one-diagram verdict bit for bit.  The one-diagram
+functions are their one-element cases.  Every eigenvalue verdict is
+_psd_rule: min eig >= -tol max(1, largest |eig|).
 """
 
 from __future__ import annotations
@@ -87,10 +91,11 @@ class PsdVerdict:
     dim: int
 
 
-def _eig_verdict(eigs, tol: float, dim: int) -> PsdVerdict:
-    lo = float(eigs.min())
-    scale = max(1.0, float(np.abs(eigs).max()))
-    return PsdVerdict(is_psd=lo >= -tol * scale, min_eigenvalue=lo, tol=tol, dim=dim)
+def _psd_rule(eigs: np.ndarray, tol: float, axis) -> tuple:
+    """(minimum, PSD flag) of each eigenvalue set of eigs taken over axis: the
+    set passes when its minimum is >= -tol max(1, its largest |eigenvalue|)."""
+    lo = eigs.min(axis=axis)
+    return lo, lo >= -tol * np.maximum(1.0, np.abs(eigs).max(axis=axis))
 
 
 # ---------------------------------------------------------------------------
@@ -170,63 +175,64 @@ def joint_hyponormal_reports(diagrams, N: int, tol: float = PSD_TOL) -> list:
 
 
 def joint_window_reports(A: np.ndarray, B: np.ndarray, N: int, tol: float = PSD_TOL) -> list:
-    """joint_hyponormal_reports of the diagrams whose [0, N+2)^2 weight
-    windows A and B stack on a leading axis, in the same kernel stacks."""
-    per = joint_stack_size(N)
-    return [
-        report
-        for i in range(0, len(A), per)
-        for report in _joint_windows(A[i : i + per], B[i : i + per], N, tol)
-    ]
+    """joint_hyponormal_reports of the diagrams whose weight windows A and B
+    stack on a leading axis, read on their leading [0, N+2)^2.
 
-
-def _joint_windows(A: np.ndarray, B: np.ndarray, N: int, tol: float) -> list:
-    """joint_window_reports of windows that fit one kernel call."""
-    scales = weight_scales(A, B)
-    Mc = N - 3
-    if N >= 4:
-        # before the six-point fields exist, so a stack never holds both
-        blocks = _lattice_block_eigs(A, B, 1, Mc + 1).min(axis=(1, 2))
-    p, q, r, mineigs = _six_point_fields(A, B)
-
-    if N >= 4:
-        rim_a = A[:, 1 : Mc + 1, Mc] ** 2 - A[:, :Mc, Mc] ** 2
-        rim_b = B[:, Mc, 1 : Mc + 1] ** 2 - B[:, Mc, :Mc] ** 2
-        wall = np.minimum(
-            (A[:, 0, : Mc + 1] ** 2).min(axis=1), (B[:, : Mc + 1, 0] ** 2).min(axis=1)
-        )
-        predicted = np.minimum.reduce(
-            [mineigs[:, :Mc, :Mc].min(axis=(1, 2)), rim_a.min(axis=1), rim_b.min(axis=1), wall]
-        )
-        for block, pred, scale in zip(blocks, predicted, scales):
-            if abs(block - pred) > CROSS_CHECK_TOL * scale:
-                raise InternalConsistencyError(
-                    "order-1 operator block disagrees with the six-point "
-                    f"decomposition: block min eig {block:.6e}, "
-                    f"predicted {pred:.6e}"
-                )
-
-    cuts = [tol * scale for scale in scales]
-    worst = mineigs.min(axis=(1, 2)).tolist()
-    at = mineigs.reshape(len(A), -1).argmin(axis=1).tolist()
+    The diagrams go in consecutive kernel stacks of joint_stack_size(N);
+    a window narrower than N+2 raises WindowError before any stack runs.
+    """
+    per, n, Mc = joint_stack_size(N), N + 2, N - 3
+    if min(A.shape[1:] + B.shape[1:]) < n:
+        raise WindowError(f"level {N} reads weight windows [0, {n})^2, "
+                          f"given {A.shape[1:]} and {B.shape[1:]}")
+    A, B = A[:, :n, :n], B[:, :n, :n]
     reports = []
-    for i, flags in enumerate(_componentwise(p, r, cuts)):
-        flag = worst[i] >= -cuts[i]
-        witness = None
-        if not flag:
-            k = divmod(at[i], mineigs.shape[2])
-            # M(k) read from the arrays that decided the verdict
-            witness = (k, np.array([X[i][k] for X in (p, q, q, r)]).reshape(2, 2))
-        reports.append(
-            HypoReport(
-                componentwise=flags,
-                joint=flag,
-                k_hypo={1: flag},
-                worst_witness=witness,
-                joint_min_eig=worst[i],
-                levels={1: N},
+    for i in range(0, len(A), per):
+        a, b = A[i : i + per], B[i : i + per]
+        scales = weight_scales(a, b)
+        if N >= 4:
+            # with no six-point fields alive, so a kernel call never holds both
+            blocks = _lattice_block_eigs(a, b, 1, Mc + 1).min(axis=(1, 2))
+        p, q, r, mineigs = _six_point_fields(a, b)
+
+        if N >= 4:
+            rim_a = a[:, 1 : Mc + 1, Mc] ** 2 - a[:, :Mc, Mc] ** 2
+            rim_b = b[:, Mc, 1 : Mc + 1] ** 2 - b[:, Mc, :Mc] ** 2
+            wall = np.minimum(
+                (a[:, 0, : Mc + 1] ** 2).min(axis=1), (b[:, : Mc + 1, 0] ** 2).min(axis=1)
             )
-        )
+            predicted = np.minimum.reduce(
+                [mineigs[:, :Mc, :Mc].min(axis=(1, 2)), rim_a.min(axis=1), rim_b.min(axis=1), wall]
+            )
+            for block, pred, scale in zip(blocks, predicted, scales):
+                if abs(block - pred) > CROSS_CHECK_TOL * scale:
+                    raise InternalConsistencyError(
+                        "order-1 operator block disagrees with the six-point "
+                        f"decomposition: block min eig {block:.6e}, "
+                        f"predicted {pred:.6e}"
+                    )
+
+        cuts = [tol * scale for scale in scales]
+        worst = mineigs.min(axis=(1, 2)).tolist()
+        at = mineigs.reshape(len(a), -1).argmin(axis=1).tolist()
+        for j, flags in enumerate(_componentwise(p, r, cuts)):
+            flag = worst[j] >= -cuts[j]
+            witness = None
+            if not flag:
+                k = divmod(at[j], mineigs.shape[2])
+                # M(k) read from the arrays that decided the verdict
+                witness = (k, np.array([X[j][k] for X in (p, q, q, r)]).reshape(2, 2))
+            reports.append(
+                HypoReport(
+                    componentwise=flags,
+                    joint=flag,
+                    k_hypo={1: flag},
+                    worst_witness=witness,
+                    joint_min_eig=worst[j],
+                    levels={1: N},
+                )
+            )
+        del p, q, r, mineigs
     return reports
 
 
@@ -467,9 +473,10 @@ def k_hyponormal_verdicts(diagrams, k: int, N: int, tol: float = PSD_TOL) -> lis
     lexicographic order, with T^p = T1^{p1} T2^{p2}, compressed to basis
     vectors e_v with v in [0, Mc]^2, Mc = N - (2k+1).  The matrix is
     evaluated as its direct sum of blocks B_u, u in [-k, Mc]^2 (module
-    docstring), from one weight window [0, N-k)^2 per diagram; the verdict
-    is a sound necessary condition for k-hyponormality.  `dim` is the size
-    m (Mc+1)^2 of the compressed matrix.
+    docstring), from one weight window [0, N-k)^2 per diagram; the verdict,
+    _psd_rule over all of a diagram's block eigenvalues, is a sound
+    necessary condition for k-hyponormality.  `dim` is the size m (Mc+1)^2
+    of the compressed matrix.
 
     The diagrams go through the kernel in consecutive stacks whose blocks
     fit STACK_FLOATS together (_per_call), one stacked eigensolve each; a
@@ -487,7 +494,9 @@ def k_hyponormal_verdicts(diagrams, k: int, N: int, tol: float = PSD_TOL) -> lis
     out = []
     for i in range(0, len(diagrams), per):
         A, B = stacked_windows(diagrams[i : i + per], size + k)
-        out += [_eig_verdict(eigs, tol, dim) for eigs in _lattice_block_eigs(A, B, k, size)]
+        lows, flags = _psd_rule(_lattice_block_eigs(A, B, k, size), tol, (1, 2))
+        out += [PsdVerdict(is_psd=flag, min_eigenvalue=lo, tol=tol, dim=dim)
+                for lo, flag in zip(lows.tolist(), flags.tolist())]
     return out
 
 
@@ -569,14 +578,14 @@ def one_var_k_hyponormal_many(omegas, k: int, nmax: int | None = None) -> list:
     (gamma_{n+i+j})_{i,j} are PSD for every n >= 0; this checks
     n = 0 .. nmax.  The default window nmax = 4k + 6 matches the moment
     range visible to the 2-variable order-k test at level 4k + 4.  Each
-    Hankel matrix passes when min eig >= -PSD_TOL max(1, largest |eig|),
-    those of every row in one eigensolve; moments outside the range of
-    normal positive floats raise DomainError for the first such row.
+    Hankel matrix passes _psd_rule at PSD_TOL, those of every row in one
+    eigensolve; moments outside the range of normal positive floats raise
+    DomainError for the first such row.  A k or nmax that is no integer
+    raises DomainError, and k < 1 or nmax < 0 WindowError.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if nmax is None:
-        nmax = 4 * k + 6
+    require_integer("k", k, 1)
+    nmax = 4 * k + 6 if nmax is None else nmax
+    require_integer("nmax", nmax, 0)
     top = nmax + 2 * k
     with np.errstate(over="ignore"):
         gams = [moments_1var(omega, top) for omega in omegas]
@@ -584,5 +593,4 @@ def one_var_k_hyponormal_many(omegas, k: int, nmax: int | None = None) -> list:
     steps = np.add.outer(np.arange(k + 1), np.arange(k + 1))
     gams = np.array(gams).reshape(len(gams), top + 1)
     eigs = np.linalg.eigvalsh(gams[:, np.arange(nmax + 1)[:, None, None] + steps])
-    scale = np.maximum(1.0, np.abs(eigs).max(axis=-1))
-    return (eigs.min(axis=-1) >= -PSD_TOL * scale).all(axis=1).tolist()
+    return _psd_rule(eigs, PSD_TOL, -1)[1].all(axis=1).tolist()

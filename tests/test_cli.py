@@ -701,10 +701,11 @@ def test_order_k_tables_match_golden_text(target, check, seed):
 def test_reproduce_runs_its_diagrams_in_stacks(monkeypatch):
     stacks = {}
     # the validation of the parents' stacked windows, whoever read them (the
-    # transforms, measures' fixed-point route, the monotone check), and the
-    # joint and order-k kernel calls on stacked windows, whatever route
+    # transforms, measures' fixed-point route, the monotone check), the
+    # six-point fields of every joint kernel stack and componentwise check,
+    # and the order-k kernel calls on stacked windows, whatever route
     # reached them
-    for module, name in ((transforms, "_parent_windows"), (positivity, "_joint_windows"),
+    for module, name in ((transforms, "_parent_windows"), (positivity, "_six_point_fields"),
                          (positivity, "_lattice_block_eigs")):
         seen = stacks[name] = []
 
@@ -718,11 +719,12 @@ def test_reproduce_runs_its_diagrams_in_stacks(monkeypatch):
     # each check hands its whole fixture to the library, whose stacks the
     # block budget sizes; 82, 45 and 84 calls in stacks of at most 5 points,
     # and 251 and 98 parent-window reads and joint tests, 212 and 60 of them
-    # on one diagram, when the runners called the library one diagram at a time
+    # on one diagram, when the runners called the library one diagram at a time;
+    # the six-point fields serve 9 joint stacks and 2 componentwise checks
     assert len(stacks["_parent_windows"]) == 16
-    assert len(stacks["_joint_windows"]) == 9
+    assert len(stacks["_six_point_fields"]) == 9 + 2
     assert len(stacks["_lattice_block_eigs"]) == 34
-    assert 1 not in stacks["_parent_windows"] + stacks["_joint_windows"]
+    assert 1 not in stacks["_parent_windows"] + stacks["_six_point_fields"]
 
 
 def test_reproduce_and_the_scan_build_no_derived_diagram(capsys, monkeypatch):

@@ -190,6 +190,24 @@ def test_table_rejects_noncommuting_rectangles():
     assert err.value.residual > 1e-12
 
 
+def _stepped_beta(step):
+    """All alpha weights 1 and beta 1 + step from k1 = 1 on: the residual
+    alpha_k beta_{k+e1} - beta_k alpha_{k+e2} is step, exactly, on k1 = 0."""
+    return np.ones((2, 2)), np.array([[1.0, 1.0], [1.0 + step, 1.0 + step]])
+
+
+def test_commutativity_cut_is_pinned_from_both_sides():
+    # dyadic steps, so that 1 + step - 1 is the step itself, of 0.45 and 1.8
+    # times the cut of 1e-12: a cut raised 1.8-fold or lowered 2.2-fold fails
+    below, above = 2.0**-41, 2.0**-39
+    W = build_table(*_stepped_beta(below))
+    validate_commuting(W, 6)
+    assert commutativity_residual(W, 6) == (below, (0, 0))
+    with pytest.raises(NonCommutingInputError) as err:
+        build_table(*_stepped_beta(above))
+    assert (err.value.residual, err.value.witness) == (above, (0, 0))
+
+
 def test_table_rejects_shape_mismatch_and_bad_entries():
     with pytest.raises(DomainError):
         build_table(np.ones((2, 3)), np.ones((3, 2)))
@@ -199,10 +217,16 @@ def test_table_rejects_shape_mismatch_and_bad_entries():
 
 def test_negative_lattice_indices_rejected():
     W = build_prop2(0.5, 0.5)
-    with pytest.raises(WindowError):
-        W.alpha(-1, 0)
-    with pytest.raises(WindowError):
-        W.beta(0, -2)
+    row = OneVarWeights(values=(0.5, 0.7))
+    for call, message in (
+        (lambda: W.alpha(-1, 0), "lattice indices must be nonnegative"),
+        (lambda: W.beta(0, -2), "lattice indices must be nonnegative"),
+        (lambda: moments(W, 3).gamma(-1, 0), r"\(m, n\) = \(-1, 0\) outside degree bound 3"),
+        (lambda: row(-1), "omega index must be nonnegative"),
+        (lambda: row.shifted(-1), "shift must be nonnegative"),
+    ):
+        with pytest.raises(WindowError, match=message):
+            call()
 
 
 def test_weights_too_large_to_square_rejected():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import aluthge_lab
+from aluthge_lab import measures
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -232,12 +233,20 @@ def _prop2():
      aluthge_lab.DomainError),
     (lambda: aluthge_lab.moments_1var([0.5, 0.7], 2.5), aluthge_lab.DomainError),
     (lambda: aluthge_lab.moments_1var([0.5, 0.7], -3), aluthge_lab.WindowError),
+    (lambda: measures.qt_power_identity_checks([_prop2()], 2, -5), aluthge_lab.WindowError),
+    (lambda: measures.qt_power_identity_checks([_prop2()], 2, 2.5), aluthge_lab.DomainError),
+    (lambda: _prop2().alpha(0.5, 0), aluthge_lab.DomainError),
+    (lambda: _prop2().beta(0, True), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.moments(_prop2(), 3).gamma(0.5, 0), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.OneVarWeights(values=(0.5, 0.7))(2.5), aluthge_lab.DomainError),
+    (lambda: aluthge_lab.OneVarWeights(values=(0.5, 0.7)).shifted(1.5), aluthge_lab.DomainError),
 ], ids=["joint-negative", "classify-negative", "joint-float", "khypo-nan", "kmax-float",
         "scan-float", "classify-many-float", "order-bool", "toral-float", "toral-bool",
         "spherical-float", "quasinormal-float", "routes-level-float", "moments-float",
         "moments-bool", "validate-float", "residual-float", "distance-float",
         "probe-level-float", "probe-n-float", "probe-n-bool", "berger-float", "table-float",
-        "moments-1var-float", "moments-1var-negative"])
+        "moments-1var-float", "moments-1var-negative", "qt-level-negative", "qt-level-float",
+        "alpha-float", "beta-bool", "gamma-float", "omega-float", "shifted-float"])
 def test_integer_arguments_are_refused_with_domain_errors(call, error):
     with pytest.raises(error) as info:
         call()
@@ -250,6 +259,10 @@ def test_numpy_integers_pass_the_integer_check():
     assert aluthge_lab.joint_hyponormal(W, np.int64(10))[1] == aluthge_lab.joint_hyponormal(W, 10)[1]
     assert aluthge_lab.k_hyponormal_verdict(W, np.int32(1), np.int64(6)) == \
         aluthge_lab.k_hyponormal_verdict(W, 1, 6)
+    row = aluthge_lab.OneVarWeights(values=(0.5, 0.7, 0.9))
+    assert (W.alpha(np.int64(1), np.int32(2)), W.beta(np.int64(2), 0)) == (W.alpha(1, 2), W.beta(2, 0))
+    assert aluthge_lab.moments(W, 3).gamma(np.int64(1), 1) == aluthge_lab.moments(W, 3).gamma(1, 1)
+    assert row(np.int64(1)) == row(1) == 0.7 and row.shifted(np.int64(1)) == row.shifted(1)
 
 
 # ---------------------------------------------------------------------------

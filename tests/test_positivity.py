@@ -224,6 +224,21 @@ def test_one_var_k_must_be_positive():
         positivity.one_var_k_hyponormal_many([OneVarWeights(values=(1.0,))], 0)
 
 
+@pytest.mark.parametrize("k, nmax, error, message", [
+    (1, -1, WindowError, "nmax must be >= 0"),
+    (1, 2.5, DomainError, "nmax must be an integer, got 2.5"),
+    (1.5, None, DomainError, "k must be an integer"),
+    (True, None, DomainError, "k must be an integer"),
+])
+def test_one_var_refuses_a_bad_k_or_nmax(k, nmax, error, message):
+    # the row is not hyponormal, so an empty range of n must not pass it
+    row = OneVarWeights(values=(0.9, 0.5, 1.0))
+    assert positivity.one_var_k_hyponormal_many([row], 1, 0) == [False]
+    with pytest.raises(error, match=message) as info:
+        positivity.one_var_k_hyponormal_many([row], k, nmax)
+    assert type(info.value) is error
+
+
 # ---------------------------------------------------------------------------
 # two-variable k-hyponormality
 
@@ -325,11 +340,11 @@ def _same_report(a, b):
     assert a.componentwise == b.componentwise
     assert a.joint is b.joint
     assert a.k_hypo == b.k_hypo and a.levels == b.levels
-    assert a.joint_min_eig == b.joint_min_eig
+    assert a.joint_min_eig.hex() == b.joint_min_eig.hex()  # bit for bit
     assert (a.worst_witness is None) == (b.worst_witness is None)
     if a.worst_witness is not None:
         assert a.worst_witness[0] == b.worst_witness[0]
-        assert np.array_equal(a.worst_witness[1], b.worst_witness[1])
+        assert a.worst_witness[1].tobytes() == b.worst_witness[1].tobytes()
 
 
 def test_stacked_reports_equal_one_diagram_reports():
@@ -338,6 +353,27 @@ def test_stacked_reports_equal_one_diagram_reports():
         stacked = joint_hyponormal_reports(diagrams, N)
         for W, report in zip(diagrams, stacked):
             _same_report(report, joint_hyponormal(W, N)[1])
+
+
+def test_joint_window_reports_read_the_leading_square():
+    # a lift whose weights drop from 1 to 0.5 at k1 + k2 = 14: the six-point
+    # test on [0, N]^2 reads k1 + k2 <= 2N + 1, so it passes up to N = 6;
+    # a verdict sized by the window would see the drop at level 6
+    diagrams = _stack_diagrams() + [build_theta([1.0] * 14 + [0.5])]
+    failing = 0
+    for N in (2, 4, 6, 8, 12):
+        A, B = stacked_windows(diagrams, N + 5)
+        n = N + 2
+        want = positivity.joint_window_reports(A[:, :n, :n], B[:, :n, :n], N)
+        got = positivity.joint_window_reports(A, B, N)
+        for report, wanted in zip(got, want, strict=True):
+            _same_report(report, wanted)
+        failing += sum(not r.joint for r in want)
+        assert got[-1].joint is (N <= 6)
+        for narrow in ((A[:, :n - 1, :n - 1], B), (A, B[:, :n, : n - 1])):
+            with pytest.raises(WindowError, match=f"level {N} reads"):
+                positivity.joint_window_reports(*narrow, N)
+    assert failing
 
 
 def test_witness_is_the_six_point_matrix_at_the_worst_point():
