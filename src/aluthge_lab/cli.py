@@ -33,25 +33,6 @@ from .limits import (
 )
 
 
-def _plain(x):
-    """Recursively coerce report values into JSON-encodable builtins."""
-    import numpy as np
-
-    if isinstance(x, dict):
-        return {str(k): _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return x.tolist()  # nested lists of Python bool, int and float
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        return float(x)
-    return x
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -63,7 +44,7 @@ def _emit(text: str, out: str | None) -> None:
 def _emit_json(obj, out: str | None) -> None:
     from .serialize import dumps
 
-    _emit(dumps(_plain(obj)), out)
+    _emit(dumps(obj), out)
 
 
 def _load_diagram(path: str):

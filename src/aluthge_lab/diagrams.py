@@ -156,9 +156,7 @@ class OneVarWeights:
         object.__setattr__(self, "solve", _two_atom_solve(*triple))
 
     def __call__(self, j: int) -> float:
-        j = as_integer("omega index", j)
-        if j < 0:
-            raise WindowError("omega index must be nonnegative")
+        j = require_integer("omega index", j, 0)
         if self.values is not None:
             return self.values[min(j, len(self.values) - 1)]
         return float(self.prefix(j + 1)[j])
@@ -179,9 +177,7 @@ class OneVarWeights:
         it is re-anchored as the row with triple (omega_by^2,
         omega_{by+1}^2, omega_{by+2}^2).
         """
-        by = as_integer("shift", by)
-        if by < 0:
-            raise WindowError("shift must be nonnegative")
+        by = require_integer("shift", by, 0)
         if self.values is not None:
             return OneVarWeights(values=self.values[by:] or self.values[-1:])
         if by == 0:
@@ -225,9 +221,7 @@ class WeightDiagram:
         return self._point(k1, k2)[1]
 
     def _point(self, k1: int, k2: int):
-        k1, k2 = as_integer("lattice index", k1), as_integer("lattice index", k2)
-        if k1 < 0 or k2 < 0:
-            raise WindowError("lattice indices must be nonnegative")
+        k1, k2 = require_integer("lattice index", k1, 0), require_integer("lattice index", k2, 0)
         A, B = self.weight_arrays(k1 + 1, k2 + 1)
         return float(A[k1, k2]), float(B[k1, k2])
 
@@ -288,7 +282,7 @@ def commutativity_residuals(A: np.ndarray, B: np.ndarray) -> list:
 
 def commutativity_residual(diagram: WeightDiagram, window: int):
     """Worst residual over [0, window]^2 and its lattice point, for one diagram."""
-    require_window(window)
+    require_integer("evaluation window", window, 0)
     A, B = diagram.weight_arrays(window + 2, window + 2)
     return commutativity_residuals(A[None], B[None])[0]
 
@@ -305,18 +299,24 @@ def as_integer(name: str, value) -> int:
     return index
 
 
-def require_window(window: int) -> None:
-    """Raise DomainError for a non-integer evaluation window and WindowError for
-    a negative one, before any weight is read."""
-    if as_integer("evaluation window", window) < 0:
-        raise WindowError(f"evaluation window must be nonnegative, got {window}")
-
-
-def require_integer(name: str, value, least: int) -> None:
-    """Raise DomainError unless value is an integer (as_integer), and
-    WindowError if it is below least."""
-    if as_integer(name, value) < least:
+def require_integer(name: str, value, least: int) -> int:
+    """value as an int: DomainError unless it is an integer (as_integer), and
+    WindowError if it is below least.  The one lower-bound check of an
+    integer argument."""
+    index = as_integer(name, value)
+    if index < least:
         raise WindowError(f"{name} must be >= {least}")
+    return index
+
+
+def leading_square(A: np.ndarray, B: np.ndarray, n: int, what: str) -> tuple:
+    """The leading [0, n)^2 of windows A, B stacked on a leading axis: the one
+    width check of a stage that reads windows a caller has read, raising
+    WindowError naming the stage `what` when either is narrower."""
+    if min(A.shape[1:] + B.shape[1:]) < n:
+        raise WindowError(f"{what} reads weight windows [0, {n})^2, "
+                          f"given {A.shape[1:]} and {B.shape[1:]}")
+    return A[:, :n, :n], B[:, :n, :n]
 
 
 def require_commuting(residuals) -> None:
@@ -340,8 +340,8 @@ def validate_commuting(diagram: WeightDiagram, window: int):
 def max_weight_gaps(firsts: tuple, seconds: tuple, window: int) -> list:
     """Largest |difference| on [0, window]^2 between paired (alpha, beta) windows
     stacked on a leading axis, per pair."""
-    n = window + 1
-    (A1, B1), (A2, B2) = ((A[:, :n, :n], B[:, :n, :n]) for A, B in (firsts, seconds))
+    what = f"the weight gap on [0, {window}]^2"
+    (A1, B1), (A2, B2) = (leading_square(A, B, window + 1, what) for A, B in (firsts, seconds))
     return np.maximum(np.abs(A1 - A2).max(axis=(1, 2)), np.abs(B1 - B2).max(axis=(1, 2))).tolist()
 
 
@@ -439,8 +439,7 @@ def build_tables(alpha_rects, beta_rects, *, window: int | None = None) -> list:
     _check_positive_finite(A, "alpha table")
     _check_positive_finite(B, "beta table")
     _, rows, cols = A.shape
-    window = rows + cols + 2 if window is None else window
-    require_window(window)
+    window = require_integer("evaluation window", rows + cols + 2 if window is None else window, 0)
     n = window + 2
     _check_window_budget(n, n)
     A.setflags(write=False)
@@ -560,8 +559,7 @@ def moments(diagram: WeightDiagram, maxdeg: int) -> MomentTable:
     NonCommutingInputError, since path independence is equivalent to
     commutativity of the underlying pair.
     """
-    if as_integer("maxdeg", maxdeg) < 0:
-        raise WindowError("maxdeg must be nonnegative")
+    require_integer("maxdeg", maxdeg, 0)
     n = maxdeg + 1
     A, B = diagram.weight_arrays(n, n)
     rows_first = rows_first_moments(A, B)
@@ -584,8 +582,7 @@ def moments(diagram: WeightDiagram, maxdeg: int) -> MomentTable:
 
 def moments_1var(omega, nmax: int) -> np.ndarray:
     """gamma_0 .. gamma_nmax for a one-variable shift, gamma_0 = 1."""
-    if as_integer("nmax", nmax) < 0:
-        raise WindowError("nmax must be nonnegative")
+    require_integer("nmax", nmax, 0)
     om = as_one_var_weights(omega)
     gam = np.ones(nmax + 1)
     if nmax > 0:

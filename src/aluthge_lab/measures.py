@@ -19,21 +19,19 @@ import numpy as np
 from .diagrams import (
     OneVarWeights,
     WeightDiagram,
-    as_integer,
     as_one_var_weights,
     float_powers,
+    leading_square,
     max_weight_gaps,
     moments,
     require_integer,
     require_normal,
-    require_window,
     stacked_windows,
 )
 from .errors import (
     DomainError,
     InfeasibleConstantError,
     InternalConsistencyError,
-    WindowError,
 )
 from .limits import (
     DENOM_FLOOR,
@@ -190,7 +188,8 @@ def _constant_sums(A: np.ndarray, B: np.ndarray, n: int) -> list:
     """(C, dev, cut) of each diagram of windows stacked on a leading axis:
     C = alpha_0^2 + beta_0^2, dev the worst |alpha_k^2 + beta_k^2 - C| on
     [0, n)^2 and cut = QUASINORMAL_TOL max(1, C)."""
-    S = A[:, :n, :n] ** 2 + B[:, :n, :n] ** 2
+    A, B = leading_square(A, B, n, f"the constant-sum scan on [0, {n - 1}]^2")
+    S = A**2 + B**2
     Cs = S[:, :1, :1]
     devs = np.abs(S - Cs).max(axis=(1, 2)).tolist()
     return [(C, dev, QUASINORMAL_TOL * max(1.0, C)) for C, dev in zip(Cs.ravel().tolist(), devs)]
@@ -201,7 +200,7 @@ def _route_deviations(diagrams, window: int, N: int) -> list:
     _constant_sums on [0, window]^2, the fixed-point (gap, cut), gap the worst
     weight change under the spherical transform on [0, window]^2 and cut
     FIXED_POINT_TOL max(1, sqrt(C)), and _constant_sums on [0, N)^2."""
-    require_window(window)
+    require_integer("evaluation window", window, 0)
     A, B = stacked_windows(diagrams, max(window + 3, N))
     sums = _constant_sums(A, B, window + 1)
     gaps = max_weight_gaps((A, B), spherical_windows(A, B, window), window)
@@ -245,8 +244,7 @@ def quasinormality_routes_many(diagrams, window: int, N: int) -> list:
     as one stack.  The three are equivalent for genuine diagrams, which
     the property suites assert by comparing these flags pairwise.
     """
-    if as_integer("N", N) < 1:
-        raise WindowError("need N >= 1 for an interior")
+    require_integer("N", N, 1)
     return [
         {"constant_sum": dev_c <= cut_c, "fixed_point": gap <= cut_f,
          "interior_diagonal": dev_i <= cut_i, "constant": C if dev_c <= cut_c else None}
@@ -351,8 +349,7 @@ def qt_power_identity_checks(diagrams, nmax: int, N: int) -> list:
     A non-integer nmax or N raises DomainError and a negative one
     WindowError, before any weight is read.
     """
-    if as_integer("nmax", nmax) < 0:
-        raise WindowError("nmax must be nonnegative")
+    require_integer("nmax", nmax, 0)
     require_integer("N", N, 0)
     A, B = stacked_windows(diagrams, N + nmax + 2)
     A2, B2 = A**2, B**2

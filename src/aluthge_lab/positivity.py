@@ -42,13 +42,17 @@ windows once, stacked on a leading axis; joint_window_reports and
 componentwise_window_flags take windows a caller has read, as
 classify_many and reproduce hold them for a diagram and its transforms.
 A stage that takes a level reads the leading square of what it is given
-(joint_window_reports at level N reads [0, N+2)^2, and refuses a narrower
-window with WindowError); componentwise_window_flags reads all of its
-windows.  Every slice gets exactly the arithmetic it would get on its
-own, and identical blocks get identical bytes from LAPACK, so a stacked
-verdict equals the one-diagram verdict bit for bit.  The one-diagram
-functions are their one-element cases.  Every eigenvalue verdict is
-_psd_rule: min eig >= -tol max(1, largest |eig|).
+through diagrams.leading_square, which refuses a narrower stack with
+WindowError naming the stage: joint_window_reports at level N reads
+[0, N+2)^2, and _lattice_block_eigs at order k on [0, size-1]^2 reads
+[0, size+k)^2.  componentwise_window_flags reads all of its windows.
+_block_stack_size is the one block budget: it refuses a diagram whose
+order-k blocks exceed MAX_BLOCK_FLOATS and sizes every kernel stack.
+Every slice gets exactly the arithmetic it would get on its own, and
+identical blocks get identical bytes from LAPACK, so a stacked verdict
+equals the one-diagram verdict bit for bit.  The one-diagram functions
+are their one-element cases.  Every eigenvalue verdict is _psd_rule:
+min eig >= -tol max(1, largest |eig|).
 """
 
 from __future__ import annotations
@@ -63,13 +67,14 @@ import numpy as np
 
 from .diagrams import (
     WeightDiagram,
+    leading_square,
     moments_1var,
     require_integer,
     require_normal,
     stacked_windows,
     weight_scales,
 )
-from .errors import DomainError, InternalConsistencyError, WindowError
+from .errors import DomainError, InternalConsistencyError
 from .limits import (
     CROSS_CHECK_TOL,
     DEFAULT_KMAX,
@@ -181,11 +186,8 @@ def joint_window_reports(A: np.ndarray, B: np.ndarray, N: int, tol: float = PSD_
     The diagrams go in consecutive kernel stacks of joint_stack_size(N);
     a window narrower than N+2 raises WindowError before any stack runs.
     """
-    per, n, Mc = joint_stack_size(N), N + 2, N - 3
-    if min(A.shape[1:] + B.shape[1:]) < n:
-        raise WindowError(f"level {N} reads weight windows [0, {n})^2, "
-                          f"given {A.shape[1:]} and {B.shape[1:]}")
-    A, B = A[:, :n, :n], B[:, :n, :n]
+    per, Mc = joint_stack_size(N), N - 3
+    A, B = leading_square(A, B, N + 2, f"level {N}")
     reports = []
     for i in range(0, len(A), per):
         a, b = A[i : i + per], B[i : i + per]
@@ -255,11 +257,13 @@ def _graded_multi_indices(k: int) -> tuple:
     return tuple((p1, g - p1) for g in range(1, k + 1) for p1 in range(g + 1))
 
 
-def _check_block_budget(k: int, size: int) -> int:
-    """Floats of one diagram's order-k blocks on [0, size-1]^2, refused above MAX_BLOCK_FLOATS.
+def _block_stack_size(k: int, size: int) -> int:
+    """Diagrams per kernel call at order k on [0, size-1]^2: as many as fit
+    STACK_FLOATS together, at least 1; DomainError for one diagram whose
+    blocks exceed MAX_BLOCK_FLOATS.
 
-    The block array holds m^2 (size+k)^2 floats; the weight windows and
-    six-point fields of the same request grow with (size+k)^2, so the
+    A diagram's block array holds m^2 (size+k)^2 floats; the weight windows
+    and six-point fields of the same request grow with (size+k)^2, so the
     check runs before any of them is read.
     """
     m = k * (k + 3) // 2  # len(_graded_multi_indices(k)), not built for a refused k
@@ -269,23 +273,15 @@ def _check_block_budget(k: int, size: int) -> int:
             f"order-{k} blocks on [0, {size - 1}]^2 need {floats:.3g} floats "
             f"per diagram, above the budget of {MAX_BLOCK_FLOATS:.3g}"
         )
-    return floats
-
-
-def _per_call(k: int, size: int) -> int:
-    """Diagrams per kernel call at order k on [0, size-1]^2: as many as
-    fit STACK_FLOATS together, at least 1.  Refuses one diagram over
-    MAX_BLOCK_FLOATS (_check_block_budget).
-    """
-    return max(1, STACK_FLOATS // _check_block_budget(k, size))
+    return max(1, STACK_FLOATS // floats)
 
 
 def joint_stack_size(N: int) -> int:
-    """Diagrams per joint_hyponormal_reports stack at level N: _per_call of
-    its order-1 blocks, those of level 4 below it, where none are assembled.
+    """Diagrams per joint_hyponormal_reports stack at level N: _block_stack_size
+    of its order-1 blocks, those of level 4 below it, where none are assembled.
     """
     require_integer("N", N, 0)
-    return _per_call(1, max(N, 4) - 2)
+    return _block_stack_size(1, max(N, 4) - 2)
 
 
 @functools.lru_cache(maxsize=8)
@@ -361,7 +357,8 @@ def _lattice_block_eigs(A: np.ndarray, B: np.ndarray, k: int, size: int) -> np.n
     eigenvalues come back ascending.  A diagonal block's spectrum is its
     diagonal, returned in row order, unsorted.
 
-    Callers pass the stack through _per_call before reading any window.
+    Callers size the stack by _block_stack_size before reading any window,
+    and a window narrower than [0, size+k)^2 raises WindowError.
     Raises DomainError, before assembling anything, when a product of 2k
     weights of the window could overflow a float; it names the first such
     diagram of the stack and its largest weight, as a one-diagram call would.
@@ -369,8 +366,7 @@ def _lattice_block_eigs(A: np.ndarray, B: np.ndarray, k: int, size: int) -> np.n
     ps, steps, diag_at, pair_at, kept_at, dropped_at = _block_plan(k, size)
     m = len(ps)
     nu = size + k  # block labels u in [-k, size-1]^2, stored at u + (k, k)
-    A = A[:, :nu, :nu]
-    B = B[:, :nu, :nu]
+    A, B = leading_square(A, B, nu, f"the order-{k} block kernel on [0, {size - 1}]^2")
 
     def overflows(top: float) -> bool:
         return 2 * k * math.log(top) >= _LOG_FLOAT_MAX * (1.0 - OVERFLOW_ROUNDOFF)
@@ -479,16 +475,14 @@ def k_hyponormal_verdicts(diagrams, k: int, N: int, tol: float = PSD_TOL) -> lis
     of the compressed matrix.
 
     The diagrams go through the kernel in consecutive stacks whose blocks
-    fit STACK_FLOATS together (_per_call), one stacked eigensolve each; a
+    fit STACK_FLOATS together (_block_stack_size), one stacked eigensolve each; a
     diagram over it runs alone.  Every verdict equals that of a
     one-diagram call bit for bit.
     """
     require_integer("k", k, 1)
-    require_integer("N", N, 0)
-    if N < 4 * k + 2:
-        raise WindowError(f"k = {k} needs truncation level N >= {4 * k + 2}, got {N}")
+    require_integer(f"N at order k = {k}", N, 4 * k + 2)
     size = N - 2 * k  # compression window [0, Mc]^2
-    per = _per_call(k, size)
+    per = _block_stack_size(k, size)
     dim = len(_graded_multi_indices(k)) * size * size
     diagrams = list(diagrams)
     out = []
@@ -516,10 +510,10 @@ def order_levels(N: int, kmax: int) -> dict:
     require_integer("N", N, 0)
     require_integer("kmax", kmax, 0)
     if N >= 4:
-        _check_block_budget(1, N - 2)
+        _block_stack_size(1, N - 2)
     levels = {k: max(N, 4 * k + 2) for k in range(2, kmax + 1)}
     for k, level in levels.items():
-        _check_block_budget(k, level - 2 * k)
+        _block_stack_size(k, level - 2 * k)
     return levels
 
 

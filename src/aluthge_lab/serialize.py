@@ -135,6 +135,15 @@ def load_json(path: str):
             raise DomainError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _builtin(x):
+    """json.dumps's default hook: a numpy array or scalar as its tolist(), nested
+    lists of Python bool, int and float, or a scalar of those."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, newline at EOF."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, newline at EOF;
+    numpy arrays and scalars are written as their Python values."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_builtin) + "\n"

@@ -21,9 +21,12 @@ math.hypot on smaller ones.
 Each stage is one function of windows stacked on a leading axis, and
 only arrays pass between stages.  aluthge_windows reads, validates and
 scales the parents once and runs both transforms on that stack, and
-spherical_windows the spherical one on windows a caller has read.  Only
-the exported toral_transforms and spherical_transforms build transformed
-diagrams (kind "derived"): each keeps its slice of the stacked result as
+spherical_windows the spherical one on windows a caller has read.  At
+window w both read the leading [0, w+3)^2 of the stack and refuse a
+narrower one with WindowError (diagrams.leading_square), as an integer
+argument below its least value is refused (diagrams.require_integer).
+Only the exported toral_transforms and spherical_transforms build
+transformed diagrams (kind "derived"): each keeps its slice of the stacked result as
 its cached window, exactly what its own window function computes from
 its parent's cached window one step larger, so iterating a transform
 costs work linear in the depth.  Its weights are not precomputed closed
@@ -41,14 +44,14 @@ import numpy as np
 
 from .diagrams import (
     WeightDiagram,
-    as_integer,
     commutativity_residuals,
+    leading_square,
     require_commuting,
-    require_window,
+    require_integer,
     stacked_windows,
     weight_scales,
 )
-from .errors import DomainError, InternalConsistencyError, WindowError
+from .errors import DomainError, InternalConsistencyError
 from .limits import (
     COMMUTATIVITY_TOL,
     DECISIVE_BAND,
@@ -190,7 +193,7 @@ def _parent_windows(A: np.ndarray, B: np.ndarray, window: int):
     to that square, the widest either transform reads, and validated on
     [0, window]^2, and each diagram's weight scale, max(1, largest weight
     there squared); the validation and the scales read slices of the cut."""
-    A, B = A[:, : window + 3, : window + 3], B[:, : window + 3, : window + 3]
+    A, B = leading_square(A, B, window + 3, f"evaluation window {window}")
     m = window + 2
     require_commuting(commutativity_residuals(A[:, :m, :m], B[:, :m, :m]))
     n = window + 1
@@ -199,7 +202,7 @@ def _parent_windows(A: np.ndarray, B: np.ndarray, window: int):
 
 def _read_parents(diagrams, window: int):
     """_parent_windows of the diagrams, read once after a negative window is refused."""
-    require_window(window)
+    require_integer("evaluation window", window, 0)
     return _parent_windows(*stacked_windows(diagrams, window + 3), window)
 
 
@@ -384,10 +387,8 @@ def continuity_probes(diagrams, N: int, n: int) -> list:
     e_k to e_{k+e_i}.  The reported entry for (v) is the component with
     the smaller slack.  All the diagrams are probed as one stack.
     """
-    if as_integer("n", n) < 1:
-        raise DomainError("n must be a positive integer")
-    if as_integer("truncation level", N) < 0:
-        raise WindowError("truncation level must be nonnegative")
+    require_integer("n", n, 1)
+    require_integer("truncation level", N, 0)
     A, B = stacked_windows(diagrams, N + 1)
     P = _joint_modulus(A, B)
     sqrtP = np.sqrt(P)
@@ -432,8 +433,7 @@ def transform_distance(W: WeightDiagram, Wp: WeightDiagram, which: str, N: int) 
     T_i - T_i' is a weighted shift, so its norm is the largest difference
     of truncated weights.
     """
-    if as_integer("truncation level", N) < 0:
-        raise WindowError("truncation level must be nonnegative")
+    require_integer("truncation level", N, 0)
     if which not in ("toral", "spherical"):
         raise DomainError(f"unknown transform {which!r}")
     parents = _read_parents([W, Wp], max(DEFAULT_WINDOW, N + 2))

@@ -32,8 +32,9 @@ from aluthge_lab import (
     toral_transforms,
     validate_commuting,
 )
-from aluthge_lab import diagrams, regions, reproduce, sampling, transforms
-from aluthge_lab.diagrams import WeightDiagram
+from aluthge_lab import (diagrams, measures, positivity, regions, reproduce, sampling,
+                         transforms)
+from aluthge_lab.diagrams import WeightDiagram, stacked_windows
 from aluthge_lab.sampling import random_commuting_tables
 
 from oracles import dense_pair
@@ -219,11 +220,11 @@ def test_negative_lattice_indices_rejected():
     W = build_prop2(0.5, 0.5)
     row = OneVarWeights(values=(0.5, 0.7))
     for call, message in (
-        (lambda: W.alpha(-1, 0), "lattice indices must be nonnegative"),
-        (lambda: W.beta(0, -2), "lattice indices must be nonnegative"),
+        (lambda: W.alpha(-1, 0), "lattice index must be >= 0$"),
+        (lambda: W.beta(0, -2), "lattice index must be >= 0$"),
         (lambda: moments(W, 3).gamma(-1, 0), r"\(m, n\) = \(-1, 0\) outside degree bound 3"),
-        (lambda: row(-1), "omega index must be nonnegative"),
-        (lambda: row.shifted(-1), "shift must be nonnegative"),
+        (lambda: row(-1), "omega index must be >= 0$"),
+        (lambda: row.shifted(-1), "shift must be >= 0$"),
     ):
         with pytest.raises(WindowError, match=message):
             call()
@@ -523,6 +524,29 @@ def test_moments_window_errors():
         moments(W, -1)
 
 
+def _one_beta_step(step):
+    """Every weight 1 but beta(1, 0) = 1 + step, built past validation: the
+    rows-first moment at (1, 1) is (1 + step)^2 and the columns-first one 1."""
+    def window(n1, n2):
+        A, B = np.ones((n1, n2)), np.ones((n1, n2))
+        B[1:2, :1] = 1.0 + step
+        return A, B
+
+    return WeightDiagram(kind="table", params={}, _window=window)
+
+
+def test_moment_path_cut_is_pinned_from_both_sides():
+    # relative path gaps 1 - (1 + step)^-2 of 0.58 and 2.33 times the cut of
+    # 1e-10 at dyadic steps 2^-35 and 2^-33: a cut scaled by 4 or by 1/4 fails
+    below, above = 2.0**-35, 2.0**-33
+    gap = lambda step: 1.0 - (1.0 + step) ** -2
+    assert 0.58e-10 < gap(below) < 0.59e-10 and 2.32e-10 < gap(above) < 2.33e-10
+    assert moments(_one_beta_step(below), 2).gamma(1, 1) == (1.0 + below) ** 2
+    with pytest.raises(NonCommutingInputError) as err:
+        moments(_one_beta_step(above), 2)
+    assert err.value.witness == (1, 1) and err.value.residual == pytest.approx(gap(above))
+
+
 # each ended in a bare numpy ValueError (an empty argmax, a zero-size
 # reduction or a reshape) before the window was checked
 NEGATIVE_WINDOW_CALLS = {
@@ -541,7 +565,7 @@ NEGATIVE_WINDOW_CALLS = {
 
 @pytest.mark.parametrize("call", NEGATIVE_WINDOW_CALLS.values(), ids=NEGATIVE_WINDOW_CALLS)
 def test_a_negative_window_is_refused_with_window_error(call):
-    with pytest.raises(WindowError, match="evaluation window must be nonnegative"):
+    with pytest.raises(WindowError, match="evaluation window must be >= 0$"):
         call(build_prop2(0.5, 0.5))
 
 
@@ -552,6 +576,63 @@ def test_moments_1var_cumprod():
     assert gam[1] == pytest.approx(0.25)
     assert gam[2] == pytest.approx(0.25 * 0.64)
     assert gam[3] == pytest.approx(0.25 * 0.64 * 0.64)
+
+
+# ---------------------------------------------------------------------------
+# stacked-window widths: a stage reads the leading square it needs
+
+
+def _width_diagrams():
+    d = stampfli(1.0, 2.0, 3.0)
+    return [build_prop2(0.5, 0.5), build_prop2(0.7, 0.4), build_theta([0.5, 0.7, 0.9]),
+            build_thm1([0.6, 0.8, 0.9], 0.5), quasinormal_completion(d.weights, d.phi1)]
+
+
+# stage -> (its call on stacked windows A, B, the width it reads), at window 6;
+# joint_window_reports has its own test in test_positivity.py
+WIDTH_STAGES = {
+    "max_weight_gaps": (lambda A, B: diagrams.max_weight_gaps((A, B), (A[::-1], B[::-1]), 6), 7),
+    "spherical_windows": (lambda A, B: transforms.spherical_windows(A, B, 6), 9),
+    "lattice_block_eigs-1": (lambda A, B: positivity._lattice_block_eigs(A, B, 1, 7), 8),
+    "lattice_block_eigs-2": (lambda A, B: positivity._lattice_block_eigs(A, B, 2, 6), 8),
+    "constant_sums": (lambda A, B: measures._constant_sums(A, B, 7), 7),
+}
+
+
+def _bits(result):
+    """Every float of a stage's result as bytes, for a bit-for-bit comparison."""
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    if isinstance(result, (list, tuple)):
+        return [_bits(x) for x in result]
+    if isinstance(result, float):
+        return result.hex()
+    return result
+
+
+@pytest.mark.parametrize("stage, width", WIDTH_STAGES.values(), ids=WIDTH_STAGES)
+def test_a_stage_reads_the_leading_square_of_a_wider_stack(stage, width):
+    exact = stacked_windows(_width_diagrams(), width)
+    wider = stacked_windows(_width_diagrams(), width + 3)
+    assert _bits(stage(*wider)) == _bits(stage(*exact))
+
+
+NARROW_CALLS = {
+    "max_weight_gaps": lambda A, B: diagrams.max_weight_gaps((A, B), (A, B), 10),
+    "spherical_windows": lambda A, B: transforms.spherical_windows(A, B, 10),
+    "lattice_block_eigs": lambda A, B: positivity._lattice_block_eigs(A, B, 1, 7),
+    "constant_sums": lambda A, B: measures._constant_sums(A, B, 10),
+}
+
+
+@pytest.mark.parametrize("call", NARROW_CALLS.values(), ids=NARROW_CALLS)
+def test_a_stage_refuses_a_stack_narrower_than_it_reads(call):
+    # a 4-wide stack, narrower than any of these reads: no stage may answer
+    # from the windows it has (a gap of 0.0, a 3 x 3 transform)
+    A, B = stacked_windows([build_prop2(0.5, 0.5), build_prop2(0.7, 0.4)], 4)
+    with pytest.raises(WindowError, match=r"reads weight windows \[0, \d+\)\^2, "
+                                          r"given \(4, 4\) and \(4, 4\)$"):
+        call(A, B)
 
 
 # ---------------------------------------------------------------------------

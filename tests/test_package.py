@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import json
 import math
 import re
@@ -263,6 +264,106 @@ def test_numpy_integers_pass_the_integer_check():
     assert (W.alpha(np.int64(1), np.int32(2)), W.beta(np.int64(2), 0)) == (W.alpha(1, 2), W.beta(2, 0))
     assert aluthge_lab.moments(W, 3).gamma(np.int64(1), 1) == aluthge_lab.moments(W, 3).gamma(1, 1)
     assert row(np.int64(1)) == row(1) == 0.7 and row.shifted(np.int64(1)) == row.shifted(1)
+
+
+def _completion():
+    d = aluthge_lab.stampfli(1.0, 2.0, 3.0)
+    return aluthge_lab.quasinormal_completion(d.weights, d.phi1)
+
+
+# README: every integer argument of an export below its least value raises
+# WindowError, "<name> must be >= <least>", and its least value is accepted.
+# (name, call of the argument's value, least value)
+BELOW_LEAST = [
+    ("alpha", lambda v: _prop2().alpha(v, 0), 0),
+    ("beta", lambda v: _prop2().beta(0, v), 0),
+    ("omega", lambda v: aluthge_lab.OneVarWeights(values=(0.5, 0.7))(v), 0),
+    ("shifted", lambda v: aluthge_lab.OneVarWeights(values=(0.5, 0.7)).shifted(v), 0),
+    ("commutativity_residual", lambda v: aluthge_lab.commutativity_residual(_prop2(), v), 0),
+    ("validate_commuting", lambda v: aluthge_lab.validate_commuting(_prop2(), v), 0),
+    ("build_table", lambda v: aluthge_lab.build_table(np.ones((2, 2)), np.ones((2, 2)), window=v),
+     0),
+    ("moments", lambda v: aluthge_lab.moments(_prop2(), v), 0),
+    ("moments_1var", lambda v: aluthge_lab.moments_1var([0.5, 0.7], v), 0),
+    ("berger_atomic_verify", lambda v: aluthge_lab.berger_atomic_verify(
+        _completion(), aluthge_lab.quasinormal2_measure(1.0, 2.0, 3.0), v), 0),
+    ("is_spherically_quasinormal",
+     lambda v: aluthge_lab.is_spherically_quasinormal(_completion(), v), 0),
+    ("is_spherical_isometry", lambda v: aluthge_lab.is_spherical_isometry(_completion(), v), 0),
+    ("quasinormality_routes-window", lambda v: aluthge_lab.quasinormality_routes(_prop2(), v, 3),
+     0),
+    ("quasinormality_routes-N", lambda v: aluthge_lab.quasinormality_routes(_prop2(), 10, v), 1),
+    ("joint_hyponormal", lambda v: aluthge_lab.joint_hyponormal(_prop2(), v), 0),
+    ("joint_hyponormal_reports", lambda v: aluthge_lab.joint_hyponormal_reports([_prop2()], v), 0),
+    ("full_hypo_report-N", lambda v: aluthge_lab.full_hypo_report(_prop2(), v, kmax=1), 0),
+    ("full_hypo_report-kmax", lambda v: aluthge_lab.full_hypo_report(_prop2(), 6, kmax=v), 0),
+    ("hypo_orders-N", lambda v: aluthge_lab.hypo_orders(
+        [_prop2()], aluthge_lab.joint_hyponormal_reports([_prop2()], 6), v, 1), 0),
+    ("hypo_orders-kmax", lambda v: aluthge_lab.hypo_orders(
+        [_prop2()], aluthge_lab.joint_hyponormal_reports([_prop2()], 6), 6, v), 0),
+    ("k_hyponormal_verdict-k", lambda v: aluthge_lab.k_hyponormal_verdict(_prop2(), v, 6), 1),
+    ("k_hyponormal_verdict-N", lambda v: aluthge_lab.k_hyponormal_verdict(_prop2(), 1, v), 6),
+    ("k_hyponormal_verdicts-N", lambda v: aluthge_lab.k_hyponormal_verdicts([_prop2()], 2, v), 10),
+    ("classify-N", lambda v: aluthge_lab.classify(0.7, 0.4, N=v, kmax=1), 0),
+    ("classify-kmax", lambda v: aluthge_lab.classify(0.7, 0.4, N=12, kmax=v), 0),
+    ("classify_many-N", lambda v: aluthge_lab.classify_many([(0.7, 0.4)], N=v, kmax=1), 0),
+    ("classify_many-kmax", lambda v: aluthge_lab.classify_many([(0.7, 0.4)], N=12, kmax=v), 0),
+    ("region_scan-grid", lambda v: aluthge_lab.region_scan(v, N=12, ladder=1), 2),
+    ("region_scan-ladder", lambda v: aluthge_lab.region_scan(2, N=12, ladder=v), 1),
+    ("region_scan-N", lambda v: aluthge_lab.region_scan(2, N=v, ladder=1), 0),
+    ("continuity_probe-N", lambda v: aluthge_lab.continuity_probe(_prop2(), v, 1), 0),
+    ("continuity_probe-n", lambda v: aluthge_lab.continuity_probe(_prop2(), 10, v), 1),
+    ("toral_transform", lambda v: aluthge_lab.toral_transform(_prop2(), window=v), 0),
+    ("toral_transforms", lambda v: aluthge_lab.toral_transforms([_prop2()], window=v), 0),
+    ("spherical_transform", lambda v: aluthge_lab.spherical_transform(_prop2(), window=v), 0),
+    ("spherical_transforms", lambda v: aluthge_lab.spherical_transforms([_prop2()], window=v), 0),
+    ("transform_distance",
+     lambda v: aluthge_lab.transform_distance(_prop2(), _prop2(), "toral", v), 0),
+]
+
+
+@pytest.mark.parametrize("call, least", [case[1:] for case in BELOW_LEAST],
+                         ids=[case[0] for case in BELOW_LEAST])
+def test_an_integer_below_its_least_value_raises_window_error(call, least):
+    with pytest.raises(aluthge_lab.WindowError, match=f"must be >= {least}$"):
+        call(least - 1)
+    call(least)
+
+
+def test_every_export_with_an_integer_argument_has_a_least_value_case():
+    # the exports whose signature names an integer argument, as README lists them
+    integer_args = {"window", "N", "n", "k", "kmax", "maxdeg", "nmax", "grid", "ladder"}
+    functions = [getattr(aluthge_lab, name) for name, _ in EXPORTS]
+    exports = {f.__name__ for f in functions if inspect.isfunction(f)
+               and integer_args & set(inspect.signature(f).parameters)}
+    covered = {case[0].split("-")[0] for case in BELOW_LEAST}
+    assert exports and exports <= covered
+
+
+def _calls_by_function(path: Path):
+    """(qualified name of the enclosing def, name called) for every call in a module."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}{child.name}.")
+            else:
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    yield scope.rstrip("."), getattr(func, "id", getattr(func, "attr", None))
+                yield from visit(child, scope)
+    yield from visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.")
+
+
+def test_one_body_checks_the_lower_bound_of_an_integer():
+    # require_integer is the one lower-bound check; MomentTable.gamma keeps
+    # its two-sided degree check
+    callers = {scope for path in SOURCES for scope, name in _calls_by_function(path)
+               if name == "as_integer"}
+    assert callers == {"diagrams.require_integer", "diagrams.MomentTable.gamma"}
+    defined = {node.name for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)}
+    assert "require_window" not in defined and "require_integer" in defined
 
 
 # ---------------------------------------------------------------------------

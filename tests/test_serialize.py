@@ -179,3 +179,27 @@ def test_dumps_is_canonical():
     assert text == '{\n  "a": [\n    1.5,\n    true\n  ],\n  "b": 1\n}\n'
     with pytest.raises(ValueError):
         dumps({"x": float("nan")})
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 2.0**-1074 * 7, 1.0, -3.0,
+               2.0**53, 1e308, -1e308, 0.1]
+
+
+def test_dumps_writes_numpy_values_as_their_builtins():
+    # numpy arrays and scalars take the default hook, and np.float64, a float
+    # subclass, float.__repr__: the bytes are those of the builtin values
+    A = np.array(EDGE_FLOATS)
+    cases = [
+        (np.float64(-0.0), -0.0), (np.float64(5e-324), 5e-324), (np.float64(2.0), 2.0),
+        (np.bool_(True), True), (np.bool_(False), False),
+        (np.int64(-7), -7), (np.int32(3), 3), (np.uint8(255), 255),
+        (A, EDGE_FLOATS), (A.reshape(1, -1), [EDGE_FLOATS]),
+        (np.array([[True, False]]), [[True, False]]),
+        (np.arange(3, dtype=np.int64), [0, 1, 2]),
+        ({"x": [np.float64(1.5), (np.int64(2), A[:2])]}, {"x": [1.5, [2, [-0.0, 0.0]]]}),
+    ]
+    for value, builtin in cases:
+        assert dumps(value) == dumps(builtin), value
+    assert dumps(np.float64(-0.0)) == "-0.0\n" and dumps(np.int64(1)) == "1\n"
+    with pytest.raises(TypeError):
+        dumps({"x": object()})
