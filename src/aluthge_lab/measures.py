@@ -22,7 +22,6 @@ from .diagrams import (
     as_one_var_weights,
     float_powers,
     leading_square,
-    max_weight_gaps,
     moments,
     require_integer,
     require_normal,
@@ -196,20 +195,25 @@ def _constant_sums(A: np.ndarray, B: np.ndarray, n: int) -> list:
 
 
 def _route_deviations(diagrams, window: int, N: int) -> list:
-    """Per diagram, from one read of its window at max(window + 3, N):
-    _constant_sums on [0, window]^2, the fixed-point (gap, cut), gap the worst
-    weight change under the spherical transform on [0, window]^2 and cut
-    FIXED_POINT_TOL max(1, sqrt(C)), and _constant_sums on [0, N)^2."""
+    """Per diagram, from one read of its window at max(window + 3, N): both
+    routes on P = alpha^2 + beta^2 over [0, window+1]^2, _constant_sums there
+    and the fixed-point (gap, cut), gap the worst change under the spherical
+    transform of the weights whose ratios P_(k+e_i) / P_k read that square
+    (alpha on [0, window] x [0, window+1], beta transposed), cut
+    FIXED_POINT_TOL max(1, sqrt(C)); and _constant_sums on [0, N)^2."""
     require_integer("evaluation window", window, 0)
     A, B = stacked_windows(diagrams, max(window + 3, N))
-    sums = _constant_sums(A, B, window + 1)
-    gaps = max_weight_gaps((A, B), spherical_windows(A, B, window), window)
+    n = window + 1
+    sums = _constant_sums(A, B, n + 1)
+    SA, SB = spherical_windows(A, B, window)
+    gaps = np.maximum(np.abs(A[:, :n, : n + 1] - SA[:, :n]).max(axis=(1, 2)),
+                      np.abs(B[:, : n + 1, :n] - SB[:, :, :n]).max(axis=(1, 2))).tolist()
     cuts = [FIXED_POINT_TOL * max(1.0, math.sqrt(C)) for C, _, _ in sums]
     return list(zip(sums, zip(gaps, cuts), _constant_sums(A, B, N)))
 
 
 def is_spherically_quasinormal(W: WeightDiagram, window: int):
-    """(flag, C or None): whether alpha_k^2 + beta_k^2 is constant on the window.
+    """(flag, C or None): whether alpha_k^2 + beta_k^2 is constant on [0, window+1]^2.
 
     Two independent routes run on every call: the constant-row scan and
     the fixed-point property of the spherical transform (the transform
@@ -233,8 +237,9 @@ def is_spherically_quasinormal(W: WeightDiagram, window: int):
 def quasinormality_routes_many(diagrams, window: int, N: int) -> list:
     """Raw flags from the three quasinormality detections, per diagram, no reconciliation.
 
-    constant_sum scans alpha_k^2 + beta_k^2 on [0, window]^2; fixed_point
-    compares the weights there against their spherical transform; and
+    constant_sum scans alpha_k^2 + beta_k^2 on [0, window+1]^2; fixed_point
+    compares against their spherical transform the weights whose transform
+    reads that square (_route_deviations); and
     interior_diagonal scans alpha_k^2 + beta_k^2 on [0, N)^2, the
     diagonal of T1*T1 + T2*T2 at the interior of a truncation, read from
     the weights with constant_sum's arithmetic (_constant_sums): it is no

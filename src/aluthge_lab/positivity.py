@@ -37,22 +37,20 @@ minimum against the eigensolved order-1 lattice blocks.  A mismatch is a
 package bug and raises InternalConsistencyError.  The dense operator
 construction survives only as a test oracle.
 
-The diagram-level tests take a list of diagrams and read their weight
-windows once, stacked on a leading axis; joint_window_reports and
-componentwise_window_flags take windows a caller has read, as
-classify_many and reproduce hold them for a diagram and its transforms.
-A stage that takes a level reads the leading square of what it is given
-through diagrams.leading_square, which refuses a narrower stack with
-WindowError naming the stage: joint_window_reports at level N reads
-[0, N+2)^2, and _lattice_block_eigs at order k on [0, size-1]^2 reads
-[0, size+k)^2.  componentwise_window_flags reads all of its windows.
-_block_stack_size is the one block budget: it refuses a diagram whose
-order-k blocks exceed MAX_BLOCK_FLOATS and sizes every kernel stack.
-Every slice gets exactly the arithmetic it would get on its own, and
-identical blocks get identical bytes from LAPACK, so a stacked verdict
-equals the one-diagram verdict bit for bit.  The one-diagram functions
-are their one-element cases.  Every eigenvalue verdict is _psd_rule:
-min eig >= -tol max(1, largest |eig|).
+Each test has one body on weight windows stacked on a leading axis
+(joint_window_reports, k_window_verdicts, hypo_window_orders,
+componentwise_window_flags), which classify_many and reproduce call on
+the windows they hold; each diagram-level form reads its diagrams once,
+after every refusal, and calls the body.  A body that takes a level
+reads the leading square of what it is given (diagrams.leading_square,
+WindowError for a narrower stack): the joint test at level N reads
+[0, N+2)^2 and order k at level L reads [0, L-k)^2.  _block_stack_size
+is the one block budget: it refuses a diagram whose order-k blocks
+exceed MAX_BLOCK_FLOATS and sizes every kernel stack.  Every slice gets
+the arithmetic it would get alone, and identical blocks get identical
+bytes from LAPACK, so a stacked verdict equals the one-diagram verdict
+bit for bit.  Every eigenvalue verdict is _psd_rule: min eig >= -tol
+max(1, largest |eig|).
 """
 
 from __future__ import annotations
@@ -164,27 +162,24 @@ class HypoReport:
 
 
 def joint_hyponormal_reports(diagrams, N: int, tol: float = PSD_TOL) -> list:
-    """Joint hyponormality on [0, N]^2 of each diagram, one HypoReport each.
+    """joint_window_reports of the diagrams' windows [0, N+2)^2, read once after
+    the budget check, so one diagram over MAX_BLOCK_FLOATS reads none."""
+    joint_stack_size(N)  # the budget check
+    return joint_window_reports(*stacked_windows(diagrams, N + 2), N, tol)
+
+
+def joint_window_reports(A: np.ndarray, B: np.ndarray, N: int, tol: float = PSD_TOL) -> list:
+    """Joint hyponormality on [0, N]^2, one HypoReport each, of the diagrams
+    whose weight windows A and B stack on a leading axis, read on their
+    leading [0, N+2)^2 (a narrower one raises WindowError).
 
     The verdict is the six-point scan.  When N >= 4 the call also
     eigensolves the order-1 lattice blocks of the block commutator matrix
     compressed to [0, N-3]^2 and asserts, per diagram, the exact spectral
     identity relating their minimum to the six-point, rim, and wall terms;
     disagreement beyond round-off raises InternalConsistencyError for the
-    first failing diagram.  The windows are read once and go through the
-    kernels in consecutive stacks of joint_stack_size(N); one diagram over
-    MAX_BLOCK_FLOATS is refused before any window is read.
-    """
-    joint_stack_size(N)  # the budget check
-    return joint_window_reports(*stacked_windows(diagrams, N + 2), N, tol)
-
-
-def joint_window_reports(A: np.ndarray, B: np.ndarray, N: int, tol: float = PSD_TOL) -> list:
-    """joint_hyponormal_reports of the diagrams whose weight windows A and B
-    stack on a leading axis, read on their leading [0, N+2)^2.
-
-    The diagrams go in consecutive kernel stacks of joint_stack_size(N);
-    a window narrower than N+2 raises WindowError before any stack runs.
+    first failing diagram.  The diagrams go through the kernels in
+    consecutive stacks of joint_stack_size(N).
     """
     per, Mc = joint_stack_size(N), N - 3
     A, B = leading_square(A, B, N + 2, f"level {N}")
@@ -260,12 +255,8 @@ def _graded_multi_indices(k: int) -> tuple:
 def _block_stack_size(k: int, size: int) -> int:
     """Diagrams per kernel call at order k on [0, size-1]^2: as many as fit
     STACK_FLOATS together, at least 1; DomainError for one diagram whose
-    blocks exceed MAX_BLOCK_FLOATS.
-
-    A diagram's block array holds m^2 (size+k)^2 floats; the weight windows
-    and six-point fields of the same request grow with (size+k)^2, so the
-    check runs before any of them is read.
-    """
+    blocks, m^2 (size+k)^2 floats, exceed MAX_BLOCK_FLOATS.  The windows and
+    six-point fields grow with (size+k)^2, so it runs before they are read."""
     m = k * (k + 3) // 2  # len(_graded_multi_indices(k)), not built for a refused k
     floats = m * m * (size + k) ** 2
     if floats > MAX_BLOCK_FLOATS:
@@ -306,7 +297,7 @@ def _block_plan(k: int, size: int) -> tuple:
       pair_at     (2, P nu^2) flat path-norm indices of ||T^{p_i} e_{u+p_j}||
                   and of ||T^{p_j} e_{u+p_i}||
       kept_at     flat indices of the kept rows' diagonal entries
-      dropped_at  flat indices of the dropped rows' diagonal entries
+      dropped     flat boolean mask of the dropped rows' diagonal entries
     """
     ps = _graded_multi_indices(k)
     m = len(ps)
@@ -327,8 +318,8 @@ def _block_plan(k: int, size: int) -> tuple:
         np.stack([shifted(j, ps[i]) for i, j in zip(iu, ju)]),
     ]).reshape(2, -1)
     kept_at = np.flatnonzero(keep)
-    dropped_at = np.flatnonzero(~keep)
-    for a in (diag_at, pair_at, kept_at, dropped_at):
+    dropped = ~keep.ravel()
+    for a in (diag_at, pair_at, kept_at, dropped):
         a.flags.writeable = False
     # ||T^p e_w|| is the path of p - e1 (p - e2 when p1 = 0) times one weight,
     # so T2 steps come first and T1 steps last, as T^p = T1^{p1} T2^{p2} acts
@@ -338,7 +329,7 @@ def _block_plan(k: int, size: int) -> tuple:
         else (ps.index((0, p2 - 1)) if p2 > 1 else -1, 1, (0, p2 - 1))
         for p1, p2 in ps
     )
-    return ps, steps, diag_at, pair_at, kept_at, dropped_at
+    return ps, steps, diag_at, pair_at, kept_at, dropped
 
 
 def _lattice_block_eigs(A: np.ndarray, B: np.ndarray, k: int, size: int) -> np.ndarray:
@@ -363,7 +354,7 @@ def _lattice_block_eigs(A: np.ndarray, B: np.ndarray, k: int, size: int) -> np.n
     weights of the window could overflow a float; it names the first such
     diagram of the stack and its largest weight, as a one-diagram call would.
     """
-    ps, steps, diag_at, pair_at, kept_at, dropped_at = _block_plan(k, size)
+    ps, steps, diag_at, pair_at, kept_at, dropped = _block_plan(k, size)
     m = len(ps)
     nu = size + k  # block labels u in [-k, size-1]^2, stored at u + (k, k)
     A, B = leading_square(A, B, nu, f"the order-{k} block kernel on [0, {size - 1}]^2")
@@ -406,8 +397,8 @@ def _lattice_block_eigs(A: np.ndarray, B: np.ndarray, k: int, size: int) -> np.n
     del d, base, products
     # A dropped row becomes a decoupled eigenvalue equal to the largest kept
     # diagonal entry of its diagram, which lies in [min eig, max eig]:
-    # neither changes.
-    diag[:, dropped_at] = diag[:, kept_at].max(axis=1)[:, None]
+    # neither changes.  take and a mask: indexing with read-only arrays copies them.
+    np.copyto(diag, diag.take(kept_at, axis=1).max(axis=1)[:, None], where=dropped)
     eigs = diag.reshape(stack, m, nu * nu).transpose(0, 2, 1).copy()
     pairs = pairs.transpose(0, 2, 1)
     coupled = pairs.any(axis=-1)  # every entry is finite: no product overflows
@@ -462,33 +453,36 @@ def _coupled_eigs(diag: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return eigs if inverse is None else eigs[inverse]
 
 
-def k_hyponormal_verdicts(diagrams, k: int, N: int, tol: float = PSD_TOL) -> list:
-    """PSD verdict of the compressed order-k block commutator matrix of each diagram.
-
-    Blocks are [(T^q)*, T^p] for multi-indices 1 <= |p|, |q| <= k in graded
-    lexicographic order, with T^p = T1^{p1} T2^{p2}, compressed to basis
-    vectors e_v with v in [0, Mc]^2, Mc = N - (2k+1).  The matrix is
-    evaluated as its direct sum of blocks B_u, u in [-k, Mc]^2 (module
-    docstring), from one weight window [0, N-k)^2 per diagram; the verdict,
-    _psd_rule over all of a diagram's block eigenvalues, is a sound
-    necessary condition for k-hyponormality.  `dim` is the size m (Mc+1)^2
-    of the compressed matrix.
-
-    The diagrams go through the kernel in consecutive stacks whose blocks
-    fit STACK_FLOATS together (_block_stack_size), one stacked eigensolve each; a
-    diagram over it runs alone.  Every verdict equals that of a
-    one-diagram call bit for bit.
-    """
+def _order_stack(k: int, N: int) -> tuple:
+    """(size, diagrams per kernel call) of order k at level N, size = N - 2k: refuses
+    a bad k or N, and an order over the block budget (_block_stack_size)."""
     require_integer("k", k, 1)
     require_integer(f"N at order k = {k}", N, 4 * k + 2)
-    size = N - 2 * k  # compression window [0, Mc]^2
-    per = _block_stack_size(k, size)
+    return N - 2 * k, _block_stack_size(k, N - 2 * k)
+
+
+def k_hyponormal_verdicts(diagrams, k: int, N: int, tol: float = PSD_TOL) -> list:
+    """k_window_verdicts of the diagrams' windows [0, N-k)^2, read once after every refusal."""
+    size, _ = _order_stack(k, N)
+    return k_window_verdicts(*stacked_windows(diagrams, size + k), k, N, tol)
+
+
+def k_window_verdicts(A: np.ndarray, B: np.ndarray, k: int, N: int, tol: float = PSD_TOL) -> list:
+    """PSD verdict of the compressed order-k block commutator matrix of each
+    diagram whose weight windows A and B stack on a leading axis, read on
+    their leading [0, N-k)^2: blocks [(T^q)*, T^p], 1 <= |p|, |q| <= k in
+    graded lexicographic order, T^p = T1^{p1} T2^{p2}, on e_v, v in [0, Mc]^2,
+    Mc = N - (2k+1), summed as the blocks B_u, u in [-k, Mc]^2 (module
+    docstring).  The verdict, _psd_rule over a diagram's block eigenvalues,
+    is a sound necessary condition for k-hyponormality; `dim` is m (Mc+1)^2.
+    Diagrams go through the kernel in consecutive stacks of _block_stack_size,
+    one eigensolve each, and each verdict equals a one-diagram call's bit for bit."""
+    size, per = _order_stack(k, N)
     dim = len(_graded_multi_indices(k)) * size * size
-    diagrams = list(diagrams)
     out = []
-    for i in range(0, len(diagrams), per):
-        A, B = stacked_windows(diagrams[i : i + per], size + k)
-        lows, flags = _psd_rule(_lattice_block_eigs(A, B, k, size), tol, (1, 2))
+    for i in range(0, len(A), per):
+        eigs = _lattice_block_eigs(A[i : i + per], B[i : i + per], k, size)
+        lows, flags = _psd_rule(eigs, tol, (1, 2))
         out += [PsdVerdict(is_psd=flag, min_eigenvalue=lo, tol=tol, dim=dim)
                 for lo, flag in zip(lows.tolist(), flags.tolist())]
     return out
@@ -500,44 +494,46 @@ def k_hyponormal_verdict(W: WeightDiagram, k: int, N: int, tol: float = PSD_TOL)
 
 
 def order_levels(N: int, kmax: int) -> dict:
-    """Level max(N, 4k+2) of each order k in 2..kmax.
-
-    Refuses, with DomainError, an N or kmax that is no integer or is
-    negative (require_integer), and a request whose order-1 blocks at
-    level N or order-k blocks at their level exceed the block budget of
-    one diagram, so callers refuse before any window is read.
-    """
-    require_integer("N", N, 0)
+    """Level max(N, 4k+2) of each order k in 2..kmax, after refusing a bad N or
+    kmax and any order, order 1 at level N included, over the block budget
+    of one diagram, so that callers refuse before any window is read."""
+    joint_stack_size(N)
     require_integer("kmax", kmax, 0)
-    if N >= 4:
-        _block_stack_size(1, N - 2)
     levels = {k: max(N, 4 * k + 2) for k in range(2, kmax + 1)}
     for k, level in levels.items():
-        _block_stack_size(k, level - 2 * k)
+        _order_stack(k, level)
     return levels
 
 
-def hypo_orders(diagrams, reports, N: int, kmax: int, tol: float = PSD_TOL) -> list:
-    """Each diagram's HypoReport from joint_hyponormal_reports, extended by orders 2..kmax.
+def hypo_width(N: int, kmax: int) -> int:
+    """Width n of the widest [0, n)^2 that the joint test at level N and orders
+    2..kmax read, after every refusal of order_levels."""
+    return max([*(level - k for k, level in order_levels(N, kmax).items()), N + 2])
 
-    Order k runs at level max(N, 4k+2), so no order silently degrades, and
-    the levels used are recorded.  Every order's block budget is checked
-    before any order runs.  Each order is one k_hyponormal_verdicts call
-    over all the diagrams, followed by the hierarchy check of each: a
-    decisive inversion between consecutive orders (the higher one PSD
-    with a positive minimum, the lower one failing below -HIERARCHY_BAND
-    tol) raises InternalConsistencyError for the first such diagram of
-    the lowest such order.
-    """
-    levels = order_levels(N, kmax)
-    pairs = list(zip(diagrams, reports, strict=True))
+
+def hypo_orders(diagrams, reports, N: int, kmax: int, tol: float = PSD_TOL) -> list:
+    """hypo_window_orders of the diagrams' windows, read once at hypo_width(N, kmax)."""
+    A, B = stacked_windows(diagrams, hypo_width(N, kmax))
+    return hypo_window_orders(A, B, reports, N, kmax, tol)
+
+
+def hypo_window_orders(A: np.ndarray, B: np.ndarray, reports, N: int, kmax: int,
+                       tol: float = PSD_TOL) -> list:
+    """Each HypoReport of joint_window_reports, extended by orders 2..kmax, of the
+    diagrams whose weight windows A and B stack on a leading axis.  Order k runs
+    at level max(N, 4k+2), so none silently degrades, reads [0, level-k)^2 and
+    is recorded; every budget is checked before any order runs.  Each order is
+    one k_window_verdicts call, then the hierarchy check: a decisive inversion
+    (the higher order PSD with a positive minimum, the lower one below
+    -HIERARCHY_BAND tol) raises InternalConsistencyError for the first such
+    diagram of the lowest such order."""
+    levels, reports = order_levels(N, kmax), list(reports)
+    k_maps = [dict(report.k_hypo) for _, report in zip(A, reports, strict=True)]
     if not levels:
-        return [report for _, report in pairs]
-    k_maps = [dict(report.k_hypo) for _, report in pairs]
-    lower_margins = [report.joint_min_eig for _, report in pairs]
+        return reports
+    lower_margins = [report.joint_min_eig for report in reports]
     for k, level in levels.items():
-        verdicts = k_hyponormal_verdicts([W for W, _ in pairs], k, level, tol)
-        for i, v in enumerate(verdicts):
+        for i, v in enumerate(k_window_verdicts(A, B, k, level, tol)):
             if (v.is_psd and not k_maps[i][k - 1] and v.min_eigenvalue > 0
                     and lower_margins[i] < -HIERARCHY_BAND * tol):
                 raise InternalConsistencyError(
@@ -545,20 +541,16 @@ def hypo_orders(diagrams, reports, N: int, kmax: int, tol: float = PSD_TOL) -> l
                 )
             k_maps[i][k] = v.is_psd
             lower_margins[i] = v.min_eigenvalue
-    return [
-        dataclasses.replace(report, k_hypo=k_map, levels={**report.levels, **levels})
-        for (_, report), k_map in zip(pairs, k_maps)
-    ]
+    return [dataclasses.replace(report, k_hypo=k_map, levels={**report.levels, **levels})
+            for report, k_map in zip(reports, k_maps)]
 
 
 def full_hypo_report(W: WeightDiagram, N: int, kmax: int = DEFAULT_KMAX,
                      tol: float = PSD_TOL) -> HypoReport:
-    """Componentwise, joint, and order-k verdicts up to kmax: hypo_orders of one diagram.
-
-    Every order's block budget is checked before order 1 reads a window.
-    """
-    order_levels(N, kmax)
-    return hypo_orders([W], joint_hyponormal_reports([W], N, tol), N, kmax, tol)[0]
+    """Componentwise, joint, and order-k verdicts up to kmax of one diagram, from
+    one read of its window at hypo_width(N, kmax)."""
+    A, B = stacked_windows([W], hypo_width(N, kmax))
+    return hypo_window_orders(A, B, joint_window_reports(A, B, N, tol), N, kmax, tol)[0]
 
 
 # ---------------------------------------------------------------------------

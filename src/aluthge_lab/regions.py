@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import build_prop2, require_integer
+from .diagrams import build_prop2, require_integer, stacked_windows
 from .errors import DomainError, InternalConsistencyError
 from .limits import (
     BISECTION_TOL,
@@ -41,7 +41,7 @@ from .limits import (
     DEFAULT_LADDER,
     DEFAULT_SCAN_LEVEL,
 )
-from .positivity import hypo_orders, joint_stack_size, joint_window_reports, order_levels
+from .positivity import hypo_width, hypo_window_orders, joint_stack_size, joint_window_reports
 from .transforms import aluthge_windows
 
 
@@ -143,13 +143,13 @@ def classify_many(points, N: int = DEFAULT_SCAN_LEVEL, kmax: int = DEFAULT_KMAX)
 
     Every order's block budget is checked before any stack runs.  Points
     go through in consecutive stacks of as many as fit three diagrams'
-    order-1 blocks in limits.STACK_FLOATS (33 at N = 12).  Per stack,
-    one read of the parent windows serves both transforms and their
-    checks (transforms.aluthge_windows, which builds no derived diagram);
-    one joint_window_reports call covers the windows of each point's
-    diagram and its two transforms; and one hypo_orders call (the order-k
-    route of full_hypo_report) runs each order 2..kmax over the corner
-    diagrams, in kernel calls sized by the same budget.  Every slice of a stack
+    order-1 blocks in limits.STACK_FLOATS (33 at N = 12).  A stack is read
+    once, at the widest square any stage reads, for both transforms and
+    their checks (transforms.aluthge_windows, no derived diagram built),
+    one joint_window_reports call over each point's diagram and its two
+    transforms, and one hypo_window_orders call (the order-k route of
+    full_hypo_report) over the corner diagrams, in kernel calls sized by
+    the same budget.  Every slice of a stack
     gets exactly the arithmetic it would get alone, so the reports equal
     those of one-point calls bit for bit.  Of several failing points, the
     first failing point of the first failing stage raises, within a
@@ -160,26 +160,28 @@ def classify_many(points, N: int = DEFAULT_SCAN_LEVEL, kmax: int = DEFAULT_KMAX)
     for x, y in points:
         if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
             raise DomainError(f"require (x, y) in the open unit square, got ({x}, {y})")
-    order_levels(N, kmax)
+    # the widest square a stage reads: the transforms at window N+2 read [0, N+5)^2
+    width = max(hypo_width(N, kmax), N + 5)
     per = max(1, joint_stack_size(N) // 3)
     out = []
     for i in range(0, len(points), per):
-        out += _classify_stack(points[i : i + per], N, kmax)
+        out += _classify_stack(points[i : i + per], N, kmax, width)
     return out
 
 
-def _classify_stack(points: list, N: int, kmax: int) -> list:
+def _classify_stack(points: list, N: int, kmax: int, width: int) -> list:
     curves = [thresholds(y) for _, y in points]
     diagrams = [build_prop2(x, y) for x, y in points]
     n = N + 2
-    (A, B), (TA, TB, _), (SA, SB) = aluthge_windows(diagrams, n)
+    A, B = stacked_windows(diagrams, width)
+    (TA, TB, _), (SA, SB) = aluthge_windows(A, B, n)
     # each diagram, then its toral and its spherical transform, point after point
     trios = [np.concatenate((P[:, None, :n, :n], T[:, None, :n, :n], S[:, None, :n, :n]), 1)
              .reshape(-1, n, n) for P, T, S in ((A, TA, SA), (B, TB, SB))]
     # freed before the joint test, which then reuses their memory: measured faster
-    del A, B, TA, TB, SA, SB
+    del TA, TB, SA, SB
     reports = joint_window_reports(*trios, N)
-    corners = hypo_orders(diagrams, reports[0::3], N, kmax)
+    corners = hypo_window_orders(A, B, reports[0::3], N, kmax)
 
     out = []
     for i, ((x, y), t, corner) in enumerate(zip(points, curves, corners)):

@@ -175,7 +175,8 @@ def table_transform_checks(seed: int = DEFAULT_SEED) -> CheckResult:
     window = 10
     n = window + 1
 
-    _, (_, _, torals), spherical = aluthge_windows(random_commuting_tables(rng, 50), window)
+    tables = stacked_windows(random_commuting_tables(rng, 50), window + 3)
+    (_, _, torals), spherical = aluthge_windows(*tables, window)
     worst_resid = max(0.0, *(resid for resid, _ in commutativity_residuals(*spherical)))
     toral_disagreements = sum(commutes != direct_commutes
                               for commutes, *_, direct_commutes in torals)
@@ -223,7 +224,8 @@ def lift_transform_hypo(seed: int = DEFAULT_SEED) -> CheckResult:
     window = 10
     Ws = [build_theta(random_nondecreasing_omega(rng)) for _ in range(20)]
     # each joint test reads the leading square of the windows it is given
-    (A, B), (TA, TB, _), (SA, SB) = aluthge_windows(Ws, window)
+    A, B = stacked_windows(Ws, window + 3)
+    (TA, TB, _), (SA, SB) = aluthge_windows(A, B, window)
     base_hypo = sum(r.joint for r in joint_window_reports(A, B, 10))
     worst_gap = max(0.0, *max_weight_gaps((TA, TB), (SA, SB), window))
     both = (np.concatenate(pair) for pair in ((TA, SA), (TB, SB)))
@@ -247,7 +249,7 @@ def lift_transform_hypo(seed: int = DEFAULT_SEED) -> CheckResult:
 
 def _transform_gaps(diagrams, window: int) -> list:
     """Weight gap between the toral and the spherical transform of each diagram."""
-    _, (TA, TB, _), spherical = aluthge_windows(diagrams, window)
+    (TA, TB, _), spherical = aluthge_windows(*stacked_windows(diagrams, window + 3), window)
     return max_weight_gaps((TA, TB), spherical, window)
 
 

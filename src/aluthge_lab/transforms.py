@@ -19,20 +19,19 @@ correction) on inputs of HYPOT_PORT_FLOATS floats or more, the map of
 math.hypot on smaller ones.
 
 Each stage is one function of windows stacked on a leading axis, and
-only arrays pass between stages.  aluthge_windows reads, validates and
-scales the parents once and runs both transforms on that stack, and
-spherical_windows the spherical one on windows a caller has read.  At
-window w both read the leading [0, w+3)^2 of the stack and refuse a
-narrower one with WindowError (diagrams.leading_square), as an integer
-argument below its least value is refused (diagrams.require_integer).
-Only the exported toral_transforms and spherical_transforms build
-transformed diagrams (kind "derived"): each keeps its slice of the stacked result as
-its cached window, exactly what its own window function computes from
-its parent's cached window one step larger, so iterating a transform
-costs work linear in the depth.  Its weights are not precomputed closed
-forms, so tests that compare them against independently derived formulas
-are meaningful.  The one-diagram functions are their one-element cases;
-continuity_probes takes P from the same _joint_modulus.
+only arrays pass between stages.  aluthge_windows validates and scales,
+once, the parents a caller has read and runs both transforms on them, and
+spherical_windows the spherical one.  At window w both read the leading
+[0, w+3)^2 of the stack, refusing a narrower one with WindowError
+(diagrams.leading_square).  Only the exported toral_transforms and
+spherical_transforms build transformed diagrams (kind "derived"): each
+keeps its slice of the stacked result as its cached window, exactly what
+its own window function computes from its parent's cached window one
+step larger, so iterating a transform costs work linear in the depth.
+Its weights are not precomputed closed forms, so tests that compare them
+against independently derived formulas are meaningful.  The one-diagram
+functions are their one-element cases; continuity_probes takes P from
+the same _joint_modulus.
 """
 
 from __future__ import annotations
@@ -279,17 +278,17 @@ def _spherical_windows(A: np.ndarray, B: np.ndarray, scales: list):
     return SA, SB
 
 
-def aluthge_windows(diagrams: list, window: int) -> tuple:
-    """Both transforms of commuting diagrams as stacked windows, no diagram built.
+def aluthge_windows(A: np.ndarray, B: np.ndarray, window: int) -> tuple:
+    """Both transforms of commuting diagrams whose windows A, B stack on a
+    leading axis, read on [0, window+3)^2, as stacked windows, no diagram built.
 
-    Returns ((A, B), (TA, TB, verdicts), (SA, SB)): the parents' (window+3)^2
-    windows, then _toral_windows and _spherical_windows.  The parents are
-    read, validated and scaled once, and every check of the two transforms
-    runs once over the stack: validation raises first, then the toral
-    stages, then the spherical ones.
+    Returns ((TA, TB, verdicts), (SA, SB)): _toral_windows and
+    _spherical_windows.  The parents are validated and scaled once, and
+    every check of the two transforms runs once over the stack: validation
+    raises first, then the toral stages, then the spherical ones.
     """
-    A, B, scales = _read_parents(diagrams, window)
-    return (A, B), _toral_windows(A, B, scales, COMMUTATIVITY_TOL), _spherical_windows(A, B, scales)
+    A, B, scales = _parent_windows(A, B, window)
+    return _toral_windows(A, B, scales, COMMUTATIVITY_TOL), _spherical_windows(A, B, scales)
 
 
 def spherical_windows(A: np.ndarray, B: np.ndarray, window: int) -> tuple:

@@ -520,11 +520,11 @@ def test_order_k_blocks_refused_exit_2(capsys, big_weights_file, prop2_file, arg
 
 
 def test_hierarchy_inversion_exits_3(capsys, monkeypatch):
-    def psd_order_two(diagrams, k, N, tol=1e-10):
+    def psd_order_two(A, B, k, N, tol=1e-10):
         return [positivity.PsdVerdict(is_psd=True, min_eigenvalue=1.0, tol=tol, dim=1)
-                for _ in diagrams]
+                for _ in A]
 
-    monkeypatch.setattr(positivity, "k_hyponormal_verdicts", psd_order_two)
+    monkeypatch.setattr(positivity, "k_window_verdicts", psd_order_two)
     code = main(["regions", "classify", "--x", "0.95", "--y", "0.6", "--kmax", "2"])
     captured = capsys.readouterr()
     assert code == 3

@@ -317,6 +317,24 @@ def test_interior_diagonal_stops_at_the_truncation_boundary():
             _assert_interior_matches_dense(W, N)
 
 
+def test_both_quasinormality_routes_read_one_square():
+    # window 0: one point of alpha^2 + beta^2 passed the constant-sum scan,
+    # while the fixed-point route's transform read P on [0, 1]^2
+    W = build_prop2(0.5, 0.5)
+    assert is_spherically_quasinormal(W, 0) == (False, None)
+    assert is_spherical_isometry(W, 0) is False
+    r = quasinormality_routes(W, 0, 1)
+    assert r["constant_sum"] is r["fixed_point"] is False and r["constant"] is None
+    # a completion bumped at the far corner of [0, w+1]^2 fails both routes,
+    # bumped just past it passes both
+    Q = quasinormal_completion(stampfli(1.0, 2.0, 3.0).weights, 4.0)
+    for w in (0, 1, 3):
+        for k, flag in (((w + 1, w + 1), False), ((w + 2, 0), True), ((0, w + 2), True)):
+            r = quasinormality_routes(_alpha_bumped_at(Q, k), w, 1)
+            assert r["constant_sum"] is r["fixed_point"] is flag
+            assert is_spherically_quasinormal(_alpha_bumped_at(Q, k), w)[0] is flag
+
+
 def test_interior_diagonal_needs_an_interior():
     with pytest.raises(WindowError):
         quasinormality_routes(random_completion(np.random.default_rng(3)), window=0, N=0)

@@ -634,6 +634,23 @@ def test_overflow_names_the_first_overflowing_diagram_of_a_stack():
     assert str(stacked.value) == str(alone.value)
 
 
+def test_cross_check_cut_is_pinned_from_both_sides(monkeypatch):
+    # the order-1 block route moved by 0.5 and 2 times the cut of 1e-8 on a
+    # diagram of weight scale 1: a cut scaled by 4 or by 1/4 fails
+    W = build_prop2(0.5, 0.5)
+    A, B = stacked_windows([W], 12)
+    assert max(A.max(), B.max()) <= 1.0
+    kernel = positivity._lattice_block_eigs
+    for shift in (0.5e-8, 2e-8):
+        monkeypatch.setattr(positivity, "_lattice_block_eigs",
+                            lambda *args, shift=shift: kernel(*args) + shift)
+        if shift < 1e-8:
+            assert joint_hyponormal(W, 10)[0]
+        else:
+            with pytest.raises(InternalConsistencyError, match="order-1 operator block"):
+                joint_hyponormal(W, 10)
+
+
 def test_block_plan_is_read_only():
     arrays = [a for a in positivity._block_plan(2, 6) if isinstance(a, np.ndarray)]
     assert len(arrays) == 4
@@ -766,11 +783,11 @@ def test_hypo_orders_without_higher_orders_hands_back_the_order_1_reports(monkey
 
 def test_hierarchy_inversion_raises_on_every_route(monkeypatch):
     # order 2 made PSD with a positive minimum where order 1 fails decisively
-    def psd_order_two(diagrams, k, N, tol=PSD_TOL):
+    def psd_order_two(A, B, k, N, tol=PSD_TOL):
         return [positivity.PsdVerdict(is_psd=True, min_eigenvalue=1.0, tol=tol, dim=1)
-                for _ in diagrams]
+                for _ in A]
 
-    monkeypatch.setattr(positivity, "k_hyponormal_verdicts", psd_order_two)
+    monkeypatch.setattr(positivity, "k_window_verdicts", psd_order_two)
     W = build_prop2(0.95, 0.6)
     assert joint_hyponormal(W, 10)[1].joint_min_eig < -100 * PSD_TOL
     with pytest.raises(InternalConsistencyError, match="between k=1 and k=2"):

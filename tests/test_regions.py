@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -23,7 +24,7 @@ from aluthge_lab import (
     thresholds,
     toral_transforms,
 )
-from aluthge_lab import positivity, regions, reproduce, transforms
+from aluthge_lab import diagrams, positivity, regions, reproduce, transforms
 from aluthge_lab.regions import (
     BOUNDARY_MARGIN,
     SCAN_HEADER,
@@ -219,6 +220,32 @@ def test_a_stack_reads_its_parent_windows_once(monkeypatch):
     # floats: the budget of 49152 fits 33 points
     classify_many([(x, 0.5) for x in probe_ladder(0.5, 35)], kmax=2)
     assert calls == [33, 2]
+
+
+def test_a_stack_reads_its_weights_once(monkeypatch):
+    reads = []
+
+    def counting(stack, n, _original=diagrams.stacked_windows):
+        stack = list(stack)
+        reads.append((len(stack), n))
+        return _original(stack, n)
+
+    # every module that reads through stacked_windows
+    for name, module in list(sys.modules.items()):
+        if name.startswith("aluthge_lab.") and hasattr(module, "stacked_windows"):
+            monkeypatch.setattr(module, "stacked_windows", counting)
+    # at N = 12 the transforms read [0, 17)^2, orders 2 and 3 [0, 10)^2 and
+    # [0, 11)^2: 4 reads, (10, 17), (10, 10), (5, 11) and (5, 11), when each
+    # order read its own kernel stacks
+    classify_many([(x, 0.5) for x in probe_ladder(0.5, 10)], 12, kmax=3)
+    assert reads == [(10, 17)]
+    reads.clear()
+    region_scan(4, 12, 10)  # one read per ladder row; 16 before
+    assert reads == [(10, 17)] * 4
+    reads.clear()
+    # the joint test at N = 10 reads [0, 12)^2, order 3 at level 14 [0, 11)^2; 3 before
+    full_hypo_report(build_prop2(0.5, 0.5), 10, 3)
+    assert reads == [(1, 12)]
 
 
 def test_classify_many_checks_every_order_budget_before_any_window(monkeypatch):

@@ -21,6 +21,7 @@ from aluthge_lab import (
     joint_hyponormal_reports,
     k_hyponormal_verdicts,
 )
+from aluthge_lab.diagrams import stacked_windows
 from aluthge_lab.measures import quasinormality_routes_many
 from aluthge_lab.positivity import PSD_TOL
 from aluthge_lab.regions import BOUNDARY_MARGIN, thresholds
@@ -73,7 +74,7 @@ def _diagrams(draw, completions=False):
 
 def _windows(diagrams):
     """(TA, TB), (SA, SB): both transforms of the diagrams, as stacked windows."""
-    _, (TA, TB, _), spherical = aluthge_windows(diagrams, WINDOW)
+    (TA, TB, _), spherical = aluthge_windows(*stacked_windows(diagrams, WINDOW + 3), WINDOW)
     return (TA, TB), spherical
 
 

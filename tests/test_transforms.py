@@ -30,7 +30,8 @@ from aluthge_lab import (
     transform_distance,
 )
 from aluthge_lab import diagrams, sampling, transforms
-from aluthge_lab.diagrams import OneVarWeights
+from aluthge_lab.diagrams import OneVarWeights, WeightDiagram
+from aluthge_lab.errors import InternalConsistencyError
 from aluthge_lab.sampling import random_commuting_tables
 
 import oracles
@@ -376,13 +377,10 @@ def _same_bits(got, want):
 
 def test_both_transforms_from_one_read_equal_the_separate_stacks():
     window = 10
-    (A, B), (TA, TB, verdicts), (SA, SB) = transforms.aluthge_windows(
-        _commuting_oracle_diagrams(), window)
+    parents = diagrams.stacked_windows(_commuting_oracle_diagrams(), window + 3)
+    (TA, TB, verdicts), (SA, SB) = transforms.aluthge_windows(*parents, window)
     want_torals = toral_transforms(_commuting_oracle_diagrams(), window=window)
     want_sphericals = spherical_transforms(_commuting_oracle_diagrams(), window=window)
-    parents = diagrams.stacked_windows(_commuting_oracle_diagrams(), window + 3)
-    for got, want in zip((A, B), parents):
-        _same_bits(got, want)
     for ta, tb, (commutes, cond, direct, witness, direct_commutes), sa, sb, want_tor, want_sph \
             in zip(TA, TB, verdicts, SA, SB, want_torals, want_sphericals, strict=True):
         assert commutes is want_tor.commutes
@@ -395,8 +393,9 @@ def test_both_transforms_from_one_read_equal_the_separate_stacks():
         wants = (*want_tor.diagram.weight_arrays(n, n), *want_sph.weight_arrays(n, n))
         for got, want in zip((ta, tb, sa, sb), wants, strict=True):
             _same_bits(got, want)
-    (A, B), (TA, TB, verdicts), (SA, SB) = transforms.aluthge_windows([], window)
-    assert verdicts == [] and all(len(X) == 0 for X in (A, B, TA, TB, SA, SB))
+    (TA, TB, verdicts), (SA, SB) = transforms.aluthge_windows(
+        *diagrams.stacked_windows([], window + 3), window)
+    assert verdicts == [] and all(len(X) == 0 for X in (TA, TB, SA, SB))
 
 
 @pytest.mark.parametrize("tol", [COMMUTATIVITY_TOL, 1e-3])
@@ -427,7 +426,7 @@ def _count_stack_reads(monkeypatch):
 
 
 def test_a_stack_is_validated_from_the_windows_it_read(monkeypatch):
-    stages = (lambda ds: transforms.aluthge_windows(ds, 8),
+    stages = (lambda ds: transforms.aluthge_windows(*diagrams.stacked_windows(ds, 11), 8),
               lambda ds: toral_transforms(ds, window=8),
               lambda ds: spherical_transforms(ds, window=8))
     fresh = [_commuting_oracle_diagrams() for _ in stages]
@@ -442,6 +441,31 @@ def test_transform_distance_transforms_both_diagrams_in_one_stack(monkeypatch, w
     calls = _count_stack_reads(monkeypatch)
     transform_distance(build_prop2(0.5, 0.5), build_prop2(0.51, 0.5), which, N=10)
     assert calls == [2]
+
+
+def test_spherical_guard_cut_is_pinned_from_both_sides(monkeypatch):
+    # a flat diagram is its own spherical transform; alpha^ at (0, 0) moved by
+    # dyadic steps of 0.58 and 2.33 times the cut of 1e-10 leaves exactly that
+    # residual there: a cut scaled by 4 or by 1/4 fails
+    def flat(n1, n2):
+        return np.ones((n1, n2)), np.ones((n1, n2))
+
+    W = WeightDiagram(kind="table", params={}, _window=flat)
+    rule = transforms._spherical_rule
+
+    def moved(A, B, step):
+        SA, SB = rule(A, B)
+        SA = SA.copy()
+        SA[:, 0, 0] += step
+        return SA, SB
+
+    for step in (2.0**-34, 2.0**-32):
+        monkeypatch.setattr(transforms, "_spherical_rule", lambda A, B, s=step: moved(A, B, s))
+        if step < 1e-10:
+            assert spherical_transform(W, window=4).weight_arrays(1, 1)[0][0, 0] == 1.0 + step
+        else:
+            with pytest.raises(InternalConsistencyError, match=f"residual {step:.3e}"):
+                spherical_transform(W, window=4)
 
 
 def test_a_non_commuting_table_in_a_stack_raises_as_when_alone():
