@@ -552,32 +552,39 @@ def rows_first_moments(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def moments(diagram: WeightDiagram, maxdeg: int) -> MomentTable:
-    """Moment table up to total degree maxdeg with a path-independence check.
+    """moment_window_tables of the diagram's window [0, maxdeg]^2, read after the refusal."""
+    require_integer("maxdeg", maxdeg, 0)
+    return moment_window_tables(*stacked_windows([diagram], maxdeg + 1), maxdeg)[0]
+
+
+def moment_window_tables(A: np.ndarray, B: np.ndarray, maxdeg: int) -> list:
+    """Moment table up to total degree maxdeg, with a path-independence check,
+    of each diagram whose weight windows A and B stack on a leading axis, read
+    on their leading [0, maxdeg]^2 (a narrower one raises WindowError).
 
     The table is filled along two extreme monotone paths (rows first vs
     columns first); a relative mismatch above MOMENT_REL_TOL raises
-    NonCommutingInputError, since path independence is equivalent to
-    commutativity of the underlying pair.
+    NonCommutingInputError for the first such diagram, since path
+    independence is equivalent to commutativity of the underlying pair.
     """
-    require_integer("maxdeg", maxdeg, 0)
-    n = maxdeg + 1
-    A, B = diagram.weight_arrays(n, n)
+    n = require_integer("maxdeg", maxdeg, 0) + 1
+    A, B = leading_square(A, B, n, f"the moment table to degree {maxdeg}")
     rows_first = rows_first_moments(A, B)
     # columns first is the rows-first fill of the mirrored diagram
-    cols_first = rows_first_moments(B.T, A.T).T
+    cols_first = rows_first_moments(B.swapaxes(1, 2), A.swapaxes(1, 2)).swapaxes(1, 2)
     rel = np.abs(rows_first - cols_first) / np.maximum(
         np.maximum(np.abs(rows_first), np.abs(cols_first)), DENOM_FLOOR
     )
-    worst = int(np.argmax(rel))
-    k = np.unravel_index(worst, rel.shape)
-    if rel[k] > MOMENT_REL_TOL:
-        raise NonCommutingInputError(
-            f"moment paths disagree at (m, n) = {tuple(int(v) for v in k)}: "
-            f"relative gap {float(rel[k]):.3e}",
-            witness=(int(k[0]), int(k[1])),
-            residual=float(rel[k]),
-        )
-    return MomentTable(maxdeg=maxdeg, _values=rows_first)
+    for d, worst in enumerate(rel.reshape(len(rel), -1).argmax(axis=1).tolist()):
+        k = divmod(worst, n)
+        if rel[d][k] > MOMENT_REL_TOL:
+            raise NonCommutingInputError(
+                f"moment paths disagree at (m, n) = {k}: "
+                f"relative gap {float(rel[d][k]):.3e}",
+                witness=k,
+                residual=float(rel[d][k]),
+            )
+    return [MomentTable(maxdeg=maxdeg, _values=G) for G in rows_first]
 
 
 def moments_1var(omega, nmax: int) -> np.ndarray:

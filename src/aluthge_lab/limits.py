@@ -106,12 +106,6 @@ DEFAULT_SCAN_LEVEL = 12
 DEFAULT_LADDER = 20
 
 # ---------------------------------------------------------------------------
-# sampling
-
-# Resample cap for generators with feasibility rejection.
-MAX_RESAMPLE = 50
-
-# ---------------------------------------------------------------------------
 # reproduce: its targets, its seed and the bounds of its rows
 
 TARGETS = ("prehypo", "prop1", "prop2", "propscaling2", "quasinormal2", "re4", "thm1")

@@ -194,15 +194,22 @@ def _constant_sums(A: np.ndarray, B: np.ndarray, n: int) -> list:
     return [(C, dev, QUASINORMAL_TOL * max(1.0, C)) for C, dev in zip(Cs.ravel().tolist(), devs)]
 
 
-def _route_deviations(diagrams, window: int, N: int) -> list:
-    """Per diagram, from one read of its window at max(window + 3, N): both
-    routes on P = alpha^2 + beta^2 over [0, window+1]^2, _constant_sums there
-    and the fixed-point (gap, cut), gap the worst change under the spherical
-    transform of the weights whose ratios P_(k+e_i) / P_k read that square
-    (alpha on [0, window] x [0, window+1], beta transposed), cut
-    FIXED_POINT_TOL max(1, sqrt(C)); and _constant_sums on [0, N)^2."""
-    require_integer("evaluation window", window, 0)
-    A, B = stacked_windows(diagrams, max(window + 3, N))
+def _route_width(window: int, N: int) -> int:
+    """Width of the square the quasinormality routes read, after every refusal."""
+    require_integer("N", N, 1)
+    return max(require_integer("evaluation window", window, 0) + 3, N)
+
+
+def route_window_deviations(A: np.ndarray, B: np.ndarray, window: int, N: int) -> list:
+    """Per diagram whose weight windows A and B stack on a leading axis, read on
+    their leading [0, max(window + 3, N))^2 (a narrower one raises
+    WindowError): both routes on P = alpha^2 + beta^2 over [0, window+1]^2,
+    _constant_sums there and the fixed-point (gap, cut), gap the worst change
+    under the spherical transform of the weights whose ratios P_(k+e_i) / P_k
+    read that square (alpha on [0, window] x [0, window+1], beta transposed),
+    cut FIXED_POINT_TOL max(1, sqrt(C)); and _constant_sums on [0, N)^2."""
+    what = f"the quasinormality routes at window {window}"
+    A, B = leading_square(A, B, _route_width(window, N), what)
     n = window + 1
     sums = _constant_sums(A, B, n + 1)
     SA, SB = spherical_windows(A, B, window)
@@ -222,7 +229,8 @@ def is_spherically_quasinormal(W: WeightDiagram, window: int):
     cases resolve by the constant-row scan.  The window is read once, at
     the transform's (window+3)^2.
     """
-    ((C, dev_c, cut_c), (dev_f, cut_f), _), = _route_deviations([W], window, 1)
+    A, B = stacked_windows([W], _route_width(window, 1))
+    ((C, dev_c, cut_c), (dev_f, cut_f), _), = route_window_deviations(A, B, window, 1)
     flag = dev_c <= cut_c
     if flag != (dev_f <= cut_f):
         if ((flag and dev_f > QUASINORMAL_BAND * cut_f)
@@ -239,7 +247,7 @@ def quasinormality_routes_many(diagrams, window: int, N: int) -> list:
 
     constant_sum scans alpha_k^2 + beta_k^2 on [0, window+1]^2; fixed_point
     compares against their spherical transform the weights whose transform
-    reads that square (_route_deviations); and
+    reads that square (route_window_deviations); and
     interior_diagonal scans alpha_k^2 + beta_k^2 on [0, N)^2, the
     diagonal of T1*T1 + T2*T2 at the interior of a truncation, read from
     the weights with constant_sum's arithmetic (_constant_sums): it is no
@@ -249,12 +257,12 @@ def quasinormality_routes_many(diagrams, window: int, N: int) -> list:
     as one stack.  The three are equivalent for genuine diagrams, which
     the property suites assert by comparing these flags pairwise.
     """
-    require_integer("N", N, 1)
+    A, B = stacked_windows(diagrams, _route_width(window, N))
     return [
         {"constant_sum": dev_c <= cut_c, "fixed_point": gap <= cut_f,
          "interior_diagonal": dev_i <= cut_i, "constant": C if dev_c <= cut_c else None}
         for (C, dev_c, cut_c), (gap, cut_f), (_, dev_i, cut_i)
-        in _route_deviations(diagrams, window, N)
+        in route_window_deviations(A, B, window, N)
     ]
 
 
@@ -342,8 +350,22 @@ def berger_atomic_verify(W: WeightDiagram, mu: AtomicMeasure2D, maxdeg: int) -> 
 # Q_T power identity
 
 
+def _power_width(nmax: int, N: int) -> int:
+    """Width of the square the power identity reads, after refusing a bad nmax or N."""
+    require_integer("nmax", nmax, 0)
+    return require_integer("N", N, 0) + nmax + 2
+
+
 def qt_power_identity_checks(diagrams, nmax: int, N: int) -> list:
-    """max_{n <= nmax} || Q^n(I) - (Q(I))^n ||_max over [0, N]^2, per diagram.
+    """qt_power_window_checks of the diagrams' windows [0, N+nmax+2)^2, read once
+    after every refusal."""
+    return qt_power_window_checks(*stacked_windows(diagrams, _power_width(nmax, N)), nmax, N)
+
+
+def qt_power_window_checks(A: np.ndarray, B: np.ndarray, nmax: int, N: int) -> list:
+    """max_{n <= nmax} || Q^n(I) - (Q(I))^n ||_max over [0, N]^2, per diagram
+    whose weight windows A and B stack on a leading axis, read on their
+    leading [0, N+nmax+2)^2 (a narrower one raises WindowError).
 
     Q(X) = T1* X T1 + T2* X T2 maps diagonals to diagonals with
     (Q(diag x))_k = alpha_k^2 x_{k+e1} + beta_k^2 x_{k+e2}.  Each iterate
@@ -352,11 +374,9 @@ def qt_power_identity_checks(diagrams, nmax: int, N: int) -> list:
     value is exact for the full operators (no truncation boundary effects).
     Zero for spherically quasinormal diagrams, where both sides are C^n I.
     A non-integer nmax or N raises DomainError and a negative one
-    WindowError, before any weight is read.
+    WindowError.
     """
-    require_integer("nmax", nmax, 0)
-    require_integer("N", N, 0)
-    A, B = stacked_windows(diagrams, N + nmax + 2)
+    A, B = leading_square(A, B, _power_width(nmax, N), f"the power identity to n = {nmax}")
     A2, B2 = A**2, B**2
     cur = np.ones(A.shape)
     worst = np.zeros(len(A))

@@ -6,9 +6,11 @@ CLI prints as tables and the acceptance suite re-asserts.  Diagrams are
 drawn from one seed through a sampling.PCG64Stream (numpy's default
 generator rebuilt from the stdlib), a fixture's random tables drawn and
 built as one stack by sampling's list forms, and each check passes its
-whole fixture to the library's list forms, which size their stacks by
-limits.STACK_FLOATS.  A fixed seed reproduces every row byte for
-byte: each stack gives its diagrams the arithmetic they get alone.
+whole fixture to the library's list forms, or reads it once, at the widest
+square its stages read, and passes the windows to their window bodies; the
+positivity stages size their stacks by limits.STACK_FLOATS.  A fixed seed
+reproduces every row byte for byte: each stack gives its diagrams the
+arithmetic they get alone.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .limits import (
 )
 from .measures import (
     berger_atomic_verify,
-    qt_power_identity_checks,
+    qt_power_window_checks,
     quasinormal2_measure,
     quasinormal_completion,
     quasinormality_routes_many,
@@ -50,7 +52,7 @@ from .measures import (
 from .positivity import (
     componentwise_window_flags,
     joint_window_reports,
-    k_hyponormal_verdicts,
+    k_window_verdicts,
     one_var_k_hyponormal_many,
 )
 from .regions import classify, classify_many, crossing_q, probe_ladder
@@ -64,7 +66,13 @@ from .sampling import (
     random_thm1,
     sample_below_s,
 )
-from .transforms import aluthge_windows, continuity_probes, spherical_windows, transform_distance
+from .transforms import (
+    aluthge_windows,
+    continuity_window_probes,
+    distance_window,
+    spherical_windows,
+    transform_window_distances,
+)
 
 
 @dataclass(frozen=True)
@@ -157,10 +165,11 @@ def counterexample_points(seed: int = DEFAULT_SEED) -> CheckResult:
 def subnormal_khypo(seed: int = DEFAULT_SEED) -> CheckResult:
     """x <= s(y) implies k-hyponormality for k = 1, 2, 3 at N = 14."""
     rng = PCG64Stream(seed)
-    diagrams = [build_prop2(*sample_below_s(rng)) for _ in range(20)]
+    # one read at [0, 13)^2, the widest square of the three orders at level 14
+    A, B = stacked_windows([build_prop2(*sample_below_s(rng)) for _ in range(20)], 13)
     rows = []
     for k in (1, 2, 3):
-        bad = sum(not v.is_psd for v in k_hyponormal_verdicts(diagrams, k, 14))
+        bad = sum(not v.is_psd for v in k_window_verdicts(A, B, k, 14))
         rows.append(Row(f"k = {k} holds on 20 samples below s", bad == 0, float(bad),
                         f"{20 - bad}/20"))
     return CheckResult("subnormal region is k-hyponormal through k = 3", tuple(rows))
@@ -206,12 +215,13 @@ def lift_equivalence(seed: int = DEFAULT_SEED) -> CheckResult:
     """1-variable k-hyponormality of omega == joint test of its lift."""
     rng = PCG64Stream(seed)
     omegas = [random_nondecreasing_omega(rng) for _ in range(20)]
-    lifts = [build_theta(om) for om in omegas]
+    # order k at level 4k+4 reads [0, 3k+4)^2: one read at order 3's [0, 13)^2
+    A, B = stacked_windows([build_theta(om) for om in omegas], 13)
     rows = []
     for k in (1, 2, 3):
         # a row's Hankel matrices are few and small: all 20 rows in one call
         ones = one_var_k_hyponormal_many(omegas, k)
-        verdicts = k_hyponormal_verdicts(lifts, k, 4 * k + 4)
+        verdicts = k_window_verdicts(A, B, k, 4 * k + 4)
         mismatches = sum(one != v.is_psd for one, v in zip(ones, verdicts))
         rows.append(Row(f"k = {k}: both routes agree on 20 sequences", mismatches == 0,
                         float(mismatches), f"{sum(ones)}/20 are k-hyponormal"))
@@ -314,9 +324,8 @@ def berger_verification(seed: int = DEFAULT_SEED) -> CheckResult:
         rows.append(Row(label, err <= BERGER_TOL, err, f"max rel err {err:.2e}"))
 
     data = stampfli(1.0, 2.0, 3.0)
-    W = quasinormal_completion(data.weights, 4.0)
-    b00 = W.beta(0, 0)
-    a01 = W.alpha(0, 1)
+    A, B = quasinormal_completion(data.weights, 4.0).weight_arrays(1, 2)
+    b00, a01 = float(B[0, 0]), float(A[0, 1])
     rows.append(Row("beta(0,0) = sqrt(3) for (1,2,3) with C = 4",
                     abs(b00 - np.sqrt(3.0)) <= ROUNDOFF_GAP, b00, f"{b00:.12f}"))
     rows.append(Row("alpha(0,1) = sqrt(2/3) for (1,2,3) with C = 4",
@@ -326,12 +335,14 @@ def berger_verification(seed: int = DEFAULT_SEED) -> CheckResult:
 
 def completion_khypo_qt(seed: int = DEFAULT_SEED) -> CheckResult:
     completions, _ = _routes_fixture(seed)
+    # one read at [0, 13)^2: order 1 at level 14 and the identity to n = 5 on [0, 6]^2
+    A, B = stacked_windows(completions, 13)
     rows = []
     for k in (1, 2, 3):
-        bad = sum(not v.is_psd for v in k_hyponormal_verdicts(completions, k, 14))
+        bad = sum(not v.is_psd for v in k_window_verdicts(A, B, k, 14))
         rows.append(Row(f"k = {k} on all 25 completions", bad == 0, float(bad),
                         f"{25 - bad}/25"))
-    worst_qt = max(qt_power_identity_checks(completions, nmax=5, N=6))
+    worst_qt = max(qt_power_window_checks(A, B, nmax=5, N=6))
     rows.append(Row("power identity residual <= 1e-10 for n <= 5",
                     worst_qt <= POWER_IDENTITY_TOL, worst_qt, f"worst {worst_qt:.2e}"))
     return CheckResult("completions are k-hyponormal and satisfy the power identity", tuple(rows))
@@ -343,22 +354,21 @@ def completion_khypo_qt(seed: int = DEFAULT_SEED) -> CheckResult:
 
 def continuity_bounds(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = PCG64Stream(seed)
-    diagrams = random_commuting_tables(rng, 10)
+    A, B = stacked_windows(random_commuting_tables(rng, 10), 11)  # level 10 reads [0, 10]^2
     rows = []
     for n in (1, 10, 100, 10_000):
         worst = min(min(e["slack"] for e in probe.bound_report.values())
-                    for probe in continuity_probes(diagrams, N=10, n=n))
+                    for probe in continuity_window_probes(A, B, N=10, n=n))
         rows.append(Row(f"five bounds hold at n = {n}", worst >= -RE4_SLACK, worst,
                         f"min slack {worst:.2e}"))
     return CheckResult("regularization bounds on 10 random diagrams", tuple(rows))
 
 
 def continuity_sweep(seed: int = DEFAULT_SEED) -> CheckResult:
-    W = build_prop2(0.5, 0.5)
-    distances = [
-        transform_distance(W, build_prop2(0.5 + delta, 0.5), "spherical", N=10)
-        for delta in (1e-2, 1e-3, 1e-4)
-    ]
+    # W = build_prop2(0.5, 0.5) and its three perturbations, transformed as one stack
+    diagrams = [build_prop2(0.5 + delta, 0.5) for delta in (0.0, 1e-2, 1e-3, 1e-4)]
+    A, B = stacked_windows(diagrams, distance_window("spherical", 10) + 3)
+    distances = transform_window_distances(A, B, "spherical", N=10)
     decreasing = distances[0] > distances[1] > distances[2]
     return CheckResult(
         "spherical transform distance shrinks with the perturbation",

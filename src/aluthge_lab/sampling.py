@@ -47,8 +47,7 @@ from .diagrams import (
     stacked_windows,
     two_atom_weights,
 )
-from .errors import DomainError, InfeasibleConstantError
-from .limits import MAX_RESAMPLE
+from .errors import DomainError
 from .measures import quasinormal_completion, stampfli
 
 _MASK32 = 0xFFFFFFFF
@@ -345,26 +344,18 @@ def random_completion(rng: PCG64Stream) -> WeightDiagram:
     Alternates between completions of random three-weight canonical rows
     (constant = phi1, the value that makes the row extend subnormally) and
     flat rows (constant = 2 w^2).  Constants stay below ~5 so downstream
-    power-identity checks keep their accuracy budget.  Resamples on an
-    infeasible draw rather than failing.
+    power-identity checks keep their accuracy budget.  Both are feasible
+    by construction: C - s1 = s0 > 0 for a two-atom row, whose atoms sum
+    to phi1, and C - w^2 = w^2 for a flat one.  No weight is read here.
     """
-    for _ in range(MAX_RESAMPLE):
-        try:
-            if rng.random() < 0.5:
-                a = rng.uniform(0.6, 1.0)
-                b = a + rng.uniform(0.7, 1.0)
-                c = b + rng.uniform(0.3, 0.6)
-                data = stampfli(a, b, c)
-                W = quasinormal_completion(data.weights, data.phi1)
-            else:
-                w = rng.uniform(0.6, 1.3)
-                W = quasinormal_completion(OneVarWeights(values=(w,)), 2.0 * w * w)
-            # touch a far entry so lazy infeasibility surfaces here
-            W.weight_arrays(10, 10)
-            return W
-        except InfeasibleConstantError:
-            continue
-    raise InfeasibleConstantError("no feasible completion after resampling")
+    if rng.random() < 0.5:
+        a = rng.uniform(0.6, 1.0)
+        b = a + rng.uniform(0.7, 1.0)
+        c = b + rng.uniform(0.3, 0.6)
+        data = stampfli(a, b, c)
+        return quasinormal_completion(data.weights, data.phi1)
+    w = rng.uniform(0.6, 1.3)
+    return quasinormal_completion(OneVarWeights(values=(w,)), 2.0 * w * w)
 
 
 def sample_below_s(rng: PCG64Stream):

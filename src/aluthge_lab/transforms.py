@@ -30,8 +30,9 @@ its own window function computes from its parent's cached window one
 step larger, so iterating a transform costs work linear in the depth.
 Its weights are not precomputed closed forms, so tests that compare them
 against independently derived formulas are meaningful.  The one-diagram
-functions are their one-element cases; continuity_probes takes P from
-the same _joint_modulus.
+functions are their one-element cases.  The probe and the distance are
+window bodies (continuity_window_probes, transform_window_distances), and
+the probe takes P from the same _joint_modulus.
 """
 
 from __future__ import annotations
@@ -191,7 +192,9 @@ def _parent_windows(A: np.ndarray, B: np.ndarray, window: int):
     """Stacked windows A, B of commuting diagrams covering [0, window+3)^2, cut
     to that square, the widest either transform reads, and validated on
     [0, window]^2, and each diagram's weight scale, max(1, largest weight
-    there squared); the validation and the scales read slices of the cut."""
+    there squared); the validation and the scales read slices of the cut.  A
+    window that is no integer raises DomainError, a negative one WindowError."""
+    require_integer("evaluation window", window, 0)
     A, B = leading_square(A, B, window + 3, f"evaluation window {window}")
     m = window + 2
     require_commuting(commutativity_residuals(A[:, :m, :m], B[:, :m, :m]))
@@ -369,8 +372,21 @@ class ContinuityProbe:
     v_components: tuple
 
 
+def _probe_width(N: int, n: int) -> int:
+    """Width N+1 of the square a probe at level N reads, after refusing a bad n or N."""
+    require_integer("n", n, 1)
+    return require_integer("truncation level", N, 0) + 1
+
+
 def continuity_probes(diagrams, N: int, n: int) -> list:
-    """Check the five bounds controlling the regularized polar factors, per diagram.
+    """continuity_window_probes of the diagrams' windows [0, N]^2, read once after every refusal."""
+    return continuity_window_probes(*stacked_windows(diagrams, _probe_width(N, n)), N, n)
+
+
+def continuity_window_probes(A: np.ndarray, B: np.ndarray, N: int, n: int) -> list:
+    """Check the five bounds controlling the regularized polar factors, per
+    diagram whose weight windows A and B stack on a leading axis, read on
+    their leading [0, N+1)^2 (a narrower one raises WindowError).
 
     With P the (diagonal) joint modulus, the spherical rule's _joint_modulus
     (math.hypot's value bit for bit), and A_n = sqrt(max(1/n, P)) entrywise:
@@ -386,9 +402,7 @@ def continuity_probes(diagrams, N: int, n: int) -> list:
     e_k to e_{k+e_i}.  The reported entry for (v) is the component with
     the smaller slack.  All the diagrams are probed as one stack.
     """
-    require_integer("n", n, 1)
-    require_integer("truncation level", N, 0)
-    A, B = stacked_windows(diagrams, N + 1)
+    A, B = leading_square(A, B, _probe_width(N, n), f"the continuity probe at level {N}")
     P = _joint_modulus(A, B)
     sqrtP = np.sqrt(P)
     An = np.sqrt(np.maximum(1.0 / n, P))
@@ -421,22 +435,35 @@ def continuity_probe(W: WeightDiagram, N: int, n: int) -> ContinuityProbe:
     return continuity_probes([W], N, n)[0]
 
 
-def transform_distance(W: WeightDiagram, Wp: WeightDiagram, which: str, N: int) -> float:
-    """Operator-norm distance between the selected transforms of two diagrams.
+def distance_window(which: str, N: int) -> int:
+    """transform_distance's window at level N, after refusing a bad N or `which`."""
+    require_integer("truncation level", N, 0)
+    if which not in ("toral", "spherical"):
+        raise DomainError(f"unknown transform {which!r}")
+    return max(DEFAULT_WINDOW, N + 2)
 
-    which = "toral" or "spherical".  Both diagrams are transformed in one
-    stack at a window wide enough for the truncation, as toral_transforms
+
+def transform_distance(W: WeightDiagram, Wp: WeightDiagram, which: str, N: int) -> float:
+    """transform_window_distances of W and Wp, read once after every refusal."""
+    A, B = stacked_windows([W, Wp], distance_window(which, N) + 3)
+    return transform_window_distances(A, B, which, N)[0]
+
+
+def transform_window_distances(A: np.ndarray, B: np.ndarray, which: str, N: int) -> list:
+    """Operator-norm distance between the selected transform of the first
+    diagram whose weight windows A and B stack on a leading axis and that of
+    each other one.
+
+    which = "toral" or "spherical".  The stack is transformed once at
+    distance_window(which, N), reading [0, window+3)^2, as toral_transforms
     or spherical_transforms would, but no diagram is built; toral
     candidates are used commuting or not.  The distance is
     max_i ||T_i - T_i'|| on level N, T_i truncated as in continuity_probes;
     T_i - T_i' is a weighted shift, so its norm is the largest difference
     of truncated weights.
     """
-    require_integer("truncation level", N, 0)
-    if which not in ("toral", "spherical"):
-        raise DomainError(f"unknown transform {which!r}")
-    parents = _read_parents([W, Wp], max(DEFAULT_WINDOW, N + 2))
+    parents = _parent_windows(A, B, distance_window(which, N))
     TA, TB = (_toral_windows(*parents, COMMUTATIVITY_TOL)[:2] if which == "toral"
               else _spherical_windows(*parents))
-    return max(float(_max_abs(TA[0, :N, : N + 1] - TA[1, :N, : N + 1])),
-               float(_max_abs(TB[0, : N + 1, :N] - TB[1, : N + 1, :N])))
+    return np.maximum(_max_abs(TA[:1, :N, : N + 1] - TA[1:, :N, : N + 1]),
+                      _max_abs(TB[:1, : N + 1, :N] - TB[1:, : N + 1, :N])).tolist()

@@ -720,11 +720,42 @@ def test_reproduce_runs_its_diagrams_in_stacks(monkeypatch):
     # block budget sizes; 82, 45 and 84 calls in stacks of at most 5 points,
     # and 251 and 98 parent-window reads and joint tests, 212 and 60 of them
     # on one diagram, when the runners called the library one diagram at a time;
-    # the six-point fields serve 9 joint stacks and 2 componentwise checks
-    assert len(stacks["_parent_windows"]) == 16
+    # the six-point fields serve 9 joint stacks and 2 componentwise checks;
+    # the continuity sweep transforms its four diagrams as one stack
+    assert len(stacks["_parent_windows"]) == 14
     assert len(stacks["_six_point_fields"]) == 9 + 2
     assert len(stacks["_lattice_block_eigs"]) == 34
     assert 1 not in stacks["_parent_windows"] + stacks["_six_point_fields"]
+
+
+def test_reproduce_builds_each_window_once(capsys, monkeypatch):
+    builds = {}  # id -> [diagram, windows built]; holding the diagram keeps its id unique
+    read = diagrams.WeightDiagram.weight_arrays
+
+    def counting(self, n1, n2):
+        kept = next(iter(self._cache.values()), None)
+        out = read(self, n1, n2)
+        if next(iter(self._cache.values())) is not kept:
+            builds.setdefault(id(self), [self, 0])[1] += 1
+        return out
+
+    monkeypatch.setattr(diagrams.WeightDiagram, "weight_arrays", counting)
+    reproduce._routes_fixture.cache_clear()  # so the completions are drawn here
+    assert main(["reproduce", "all", "--seed", "7"]) == 0
+    capsys.readouterr()
+    # each check reads its fixture once, at the widest square its stages read:
+    # 381 builds when the completion sampler touched (10, 10) before the routes
+    # read 13, each lift was read at 7, 10 and 13, and the Berger row read
+    # its two points one at a time
+    assert sorted({count for _, count in builds.values()}) == [1]
+    assert len(builds) == 315
+
+    moduli = []
+    modulus = transforms._joint_modulus
+    monkeypatch.setattr(transforms, "_joint_modulus",
+                        lambda A, B: moduli.append(len(A)) or modulus(A, B))
+    reproduce.continuity_sweep(7)
+    assert moduli == [4]  # W and its three perturbations, one spherical stack
 
 
 def test_reproduce_and_the_scan_build_no_derived_diagram(capsys, monkeypatch):

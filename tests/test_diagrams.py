@@ -435,10 +435,10 @@ def test_reproduce_reads_each_window_at_its_widest_first(monkeypatch):
         reproduce.quasinormal_route_agreement(7)
         reproduce.completion_khypo_qt(7)
 
-    # the sampler's touch at 10, then the routes' (10 + 3)^2 read; every
-    # later read, power identity and k-hyponormality included, is a slice
+    # the routes' (10 + 3)^2 read, the sampler reading nothing; every later
+    # read, power identity and k-hyponormality included, is a slice
     assert _computed_windows(monkeypatch, "quasinormal-completion", quasinormal2_randomized) == {
-        (10, 10): 25, (13, 13): 25}
+        (13, 13): 25}
     # the transforms' (10 + 3)^2 read, then the joint test's 12^2 slice
     assert _computed_windows(monkeypatch, "theta", lambda: reproduce.lift_transform_hypo(7)) == {
         (13, 13): 20}
@@ -596,6 +596,16 @@ WIDTH_STAGES = {
     "lattice_block_eigs-1": (lambda A, B: positivity._lattice_block_eigs(A, B, 1, 7), 8),
     "lattice_block_eigs-2": (lambda A, B: positivity._lattice_block_eigs(A, B, 2, 6), 8),
     "constant_sums": (lambda A, B: measures._constant_sums(A, B, 7), 7),
+    "route_window_deviations": (lambda A, B: measures.route_window_deviations(A, B, 6, 7), 9),
+    "qt_power_window_checks": (lambda A, B: measures.qt_power_window_checks(A, B, 2, 5), 9),
+    "moment_window_tables": (lambda A, B: [t._values for t in diagrams.moment_window_tables(A, B, 6)],
+                             7),
+    "continuity_window_probes": (lambda A, B: [
+        (p.A_n_diag, p.bound_report, p.v_components)
+        for p in transforms.continuity_window_probes(A, B, 6, 10)], 7),
+    "transform_window_distances": (
+        lambda A, B: [transforms.transform_window_distances(A, B, which, 6)
+                      for which in ("toral", "spherical")], 17),
 }
 
 
@@ -622,6 +632,12 @@ NARROW_CALLS = {
     "spherical_windows": lambda A, B: transforms.spherical_windows(A, B, 10),
     "lattice_block_eigs": lambda A, B: positivity._lattice_block_eigs(A, B, 1, 7),
     "constant_sums": lambda A, B: measures._constant_sums(A, B, 10),
+    "route_window_deviations": lambda A, B: measures.route_window_deviations(A, B, 10, 8),
+    "qt_power_window_checks": lambda A, B: measures.qt_power_window_checks(A, B, 5, 6),
+    "moment_window_tables": lambda A, B: diagrams.moment_window_tables(A, B, 10),
+    "continuity_window_probes": lambda A, B: transforms.continuity_window_probes(A, B, 10, 1),
+    "transform_window_distances":
+        lambda A, B: transforms.transform_window_distances(A, B, "spherical", 10),
 }
 
 

@@ -335,6 +335,49 @@ def test_both_quasinormality_routes_read_one_square():
             assert is_spherically_quasinormal(_alpha_bumped_at(Q, k), w)[0] is flag
 
 
+def _alpha_raised_at(W, k, e):
+    """W with e added to alpha at the lattice point k."""
+
+    def window(n1, n2):
+        A, B = W.weight_arrays(n1, n2)
+        A = A.copy()
+        A[k[0] : k[0] + 1, k[1] : k[1] + 1] += e
+        return A, B
+
+    return WeightDiagram(kind="derived", params={}, _window=window)
+
+
+# The flat completion alpha = beta = 1/2, C = 1/2, with alpha raised by
+# e = 2^-j at the far corner (w+1, w+1) of the routes' square: alpha^2 + beta^2
+# moves there by exactly e (+ e^2, lost to rounding), and each spherical
+# weight that reads P there moves by about e/4, both transforms of the
+# corner moving alike, so the transform's commutativity residual stays 0.
+_FLAT_HALF = quasinormal_completion(OneVarWeights(values=(0.5,)), 0.5)
+
+
+def test_quasinormal_cut_is_pinned_from_both_sides():
+    # e = 2^-41 and 2^-39: constant-row deviations of 0.45 and 1.82 times
+    # QUASINORMAL_TOL max(1, C) = 1e-12, the fixed-point gap far below its cut
+    for w in (0, 1, 3):
+        for j, flag in ((41, True), (39, False)):
+            W = _alpha_raised_at(_FLAT_HALF, (w + 1, w + 1), 2.0**-j)
+            r = quasinormality_routes(W, w, 1)
+            assert (r["constant_sum"], r["fixed_point"], r["constant"]) == (
+                flag, True, 0.5 if flag else None)
+            # the thin-boundary branch: the routes disagree, but not decisively
+            assert is_spherically_quasinormal(W, w) == ((True, 0.5) if flag else (False, None))
+
+
+def test_fixed_point_cut_is_pinned_from_both_sides():
+    # e = 2^-32 and 2^-30: fixed-point gaps of 0.58 and 2.33 times
+    # FIXED_POINT_TOL max(1, sqrt(C)) = 1e-10, while the spherical guard
+    # (SPHERICAL_GUARD_TOL) sees a residual of 0 and never fires first
+    for w in (0, 1, 3):
+        for j, flag in ((32, True), (30, False)):
+            r = quasinormality_routes(_alpha_raised_at(_FLAT_HALF, (w + 1, w + 1), 2.0**-j), w, 1)
+            assert (r["constant_sum"], r["fixed_point"]) == (False, flag)
+
+
 def test_interior_diagonal_needs_an_interior():
     with pytest.raises(WindowError):
         quasinormality_routes(random_completion(np.random.default_rng(3)), window=0, N=0)

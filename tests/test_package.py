@@ -130,6 +130,7 @@ def test_traced_tiny_pass(workload):
 # limits.py: one home for every cut, budget and default
 
 SOURCES = sorted((ROOT / "src" / "aluthge_lab").glob("*.py"))
+LIMITS = ROOT / "src" / "aluthge_lab" / "limits.py"
 
 
 def _numeric(node) -> bool:
@@ -364,6 +365,28 @@ def test_one_body_checks_the_lower_bound_of_an_integer():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.FunctionDef)}
     assert "require_window" not in defined and "require_integer" in defined
+
+
+def test_every_limit_is_read_by_the_library():
+    # a deleted path must not leave its knob behind: every name assigned in
+    # limits.py is loaded by another module that imports it from .limits
+    # (or reads it as limits.NAME); an import alone reads nothing
+    assigned = [target.id for node in ast.parse(LIMITS.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.Assign) for target in node.targets]
+    read = set()
+    for path in SOURCES:
+        if path == LIMITS:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module == "limits" for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(imported.get(node.id))
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "limits":
+                read.add(node.attr)
+    assert len(assigned) > 40 and [name for name in assigned if name not in read] == []
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aluthge_lab import sampling
+from aluthge_lab import OneVarWeights, quasinormal_completion, sampling, stampfli
 from aluthge_lab.sampling import (
     PCG64Stream,
     bumped_thm1_tables,
@@ -116,6 +116,28 @@ def test_samplers_build_the_same_diagrams_from_either_generator(seed):
     for make in (lambda rng: random_commuting_tables(rng, 1)[0], random_completion):
         a, b = make(ours).weight_arrays(8, 8), make(ref).weight_arrays(8, 8)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def _span(low, high):
+    return st.floats(min_value=low, max_value=high, exclude_max=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_span(0.6, 1.0), ab=_span(0.7, 1.0), bc=_span(0.3, 0.6), w=_span(0.6, 1.3))
+def test_random_completion_is_feasible_by_construction(a, ab, bc, w):
+    # both of random_completion's families over its whole parameter box: a
+    # two-atom row at C = phi1 = s0 + s1 and a flat row at C = 2 w^2 read a
+    # 40 x 40 window with no InfeasibleConstantError, so nothing is resampled
+    data = stampfli(a, a + ab, a + ab + bc)
+    for W in (quasinormal_completion(data.weights, data.phi1),
+              quasinormal_completion(OneVarWeights(values=(w,)), 2.0 * w * w)):
+        A, B = W.weight_arrays(40, 40)
+        assert (A > 0).all() and (B > 0).all()
+
+
+def test_random_completion_reads_no_weight():
+    for seed in range(20):
+        assert random_completion(PCG64Stream(seed))._cache == {}
 
 
 

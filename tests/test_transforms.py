@@ -669,3 +669,14 @@ def test_joint_modulus_scales_exactly_by_powers_of_two(j, stack, side, seed):
     scaled = transforms._joint_modulus(2.0**j * A, 2.0**j * B)
     want = 2.0**j * transforms._joint_modulus(A, B)
     assert np.array_equal(scaled.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("window, error", [(-1, WindowError), (2.5, DomainError),
+                                           (True, DomainError)])
+@pytest.mark.parametrize("body", [transforms.aluthge_windows, transforms.spherical_windows],
+                         ids=["aluthge_windows", "spherical_windows"])
+def test_the_transform_window_bodies_refuse_a_bad_window(body, window, error):
+    # the parents' check, as the diagram forms refuse before their read
+    A, B = diagrams.stacked_windows([build_prop2(0.5, 0.5)], 10)
+    with pytest.raises(error, match="^evaluation window must be "):
+        body(A, B, window)
