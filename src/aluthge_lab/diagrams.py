@@ -18,6 +18,7 @@ tests, moments) reads slices of one cached window through `weight_arrays`;
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 import sys
@@ -38,7 +39,6 @@ from .limits import (
     MAX_WEIGHT,
     MAX_WINDOW_POINTS,
     MOMENT_REL_TOL,
-    REANCHOR_TOL,
 )
 
 
@@ -113,21 +113,6 @@ def two_atom_weights(s0: float, s1: float, rho0: float, rho1: float, n: int,
     return np.sqrt(g[1:] / g[:-1])
 
 
-def _reanchored(parent: "OneVarWeights", weights) -> "OneVarWeights":
-    """The two-atom row that starts with `weights`, taken further along a
-    row with the atoms of `parent`; DomainError once the weights are too
-    nearly flat to pin those atoms down (the top atom moves by more than
-    REANCHOR_TOL)."""
-    flat = DomainError(f"weights {weights} are too nearly flat to re-anchor {parent.triple}")
-    try:
-        row = OneVarWeights(triple=tuple(w**2 for w in weights))
-    except DomainError:
-        raise flat from None
-    if not abs(row.solve[3] - parent.solve[3]) <= REANCHOR_TOL * parent.solve[3]:
-        raise flat
-    return row
-
-
 @dataclass(frozen=True)
 class OneVarWeights:
     """One-variable weight sequence j -> omega_j with a finite description.
@@ -137,12 +122,13 @@ class OneVarWeights:
     gives a two-atom row, the Stampfli row whose first squared weights are
     a < b < c: with `solve` = (phi0, phi1, s0, s1, rho0, rho1) its moments
     are gamma_j = rho0 s0^j + rho1 s1^j and omega_j = sqrt(gamma_{j+1} /
-    gamma_j).
+    gamma_j), read from j = `shift` on (0 but in a row made by `shifted`).
     """
 
     values: tuple | None = None
     triple: tuple | None = None
     solve: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    shift: int = field(default=0, init=False)
 
     def __post_init__(self):
         if (self.values is None) == (self.triple is None):
@@ -166,23 +152,26 @@ class OneVarWeights:
         if self.values is not None:
             return np.array(self.values)[np.minimum(np.arange(n), len(self.values) - 1)]
         _, _, s0, s1, rho0, rho1 = self.solve
-        return two_atom_weights(s0, s1, rho0, rho1, n,
-                                f"moments of the two-atom row {self.triple} up to gamma_{n}")
+        end = n + self.shift
+        what = f"moments of the two-atom row {self.triple} up to gamma_{end}"
+        return two_atom_weights(s0, s1, rho0, rho1, end, what)[self.shift:]
 
     def shifted(self, by: int) -> "OneVarWeights":
-        """The sequence j -> omega_{j+by}.
+        """The sequence j -> omega_{j+by}, by and the shift at most MAX_WINDOW_POINTS.
 
         A value row drops its first `by` entries, keeping its flat tail.  A
-        two-atom row stays two-atomic (same atoms, masses reweighted), so
-        it is re-anchored as the row with triple (omega_by^2,
-        omega_{by+1}^2, omega_{by+2}^2).
+        two-atom row keeps its triple and its solve and adds `by` to its
+        shift, so its weights are the parent's bit for bit.
         """
-        by = require_integer("shift", by, 0)
+        by = require_integer("shift", by, 0, MAX_WINDOW_POINTS)
         if self.values is not None:
             return OneVarWeights(values=self.values[by:] or self.values[-1:])
         if by == 0:
             return self
-        return _reanchored(self, self.prefix(by + 3)[by:].tolist())
+        row = copy.copy(self)
+        object.__setattr__(row, "shift", require_integer("shift", self.shift + by, 0,
+                                                         MAX_WINDOW_POINTS))
+        return row
 
 
 def as_one_var_weights(omega) -> OneVarWeights:
@@ -253,10 +242,16 @@ class WeightDiagram:
 
 def stacked_windows(diagrams, n: int):
     """(alpha, beta) of each diagram on [0, n)^2, stacked on a leading axis, even of
-    length 0: the one place where a list of diagrams becomes arrays."""
+    length 0: the one place where a list of diagrams becomes arrays, and so
+    where a diagram built by hand is refused (InvalidWeightsError) unless its
+    weights there are positive, finite and at most MAX_WEIGHT, as a builder's are."""
     pairs = [W.weight_arrays(n, n) for W in diagrams]
-    return (np.array([a for a, _ in pairs]).reshape(len(pairs), n, n),
-            np.array([b for _, b in pairs]).reshape(len(pairs), n, n))
+    A = np.array([a for a, _ in pairs], dtype=float).reshape(len(pairs), n, n)
+    B = np.array([b for _, b in pairs], dtype=float).reshape(len(pairs), n, n)
+    if A.size:
+        _check_positive_finite(A, "alpha weights")
+        _check_positive_finite(B, "beta weights")
+    return A, B
 
 
 def weight_scales(A: np.ndarray, B: np.ndarray) -> list:
@@ -273,7 +268,8 @@ def commutativity_residuals(A: np.ndarray, B: np.ndarray) -> list:
     reduction.  Returns one (residual, k) per diagram, k the offending
     lattice point.
     """
-    R = np.abs(A[:, :-1, :-1] * B[:, 1:, :-1] - B[:, :-1, :-1] * A[:, :-1, 1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # weights built by hand may hold inf
+        R = np.abs(A[:, :-1, :-1] * B[:, 1:, :-1] - B[:, :-1, :-1] * A[:, :-1, 1:])
     R = R.reshape(len(R), (A.shape[1] - 1) * (A.shape[2] - 1))  # also for no diagrams
     at = R.argmax(axis=1)  # the first NaN, if any, as max would report NaN
     worst = R[np.arange(len(R)), at].tolist()
@@ -282,7 +278,7 @@ def commutativity_residuals(A: np.ndarray, B: np.ndarray) -> list:
 
 def commutativity_residual(diagram: WeightDiagram, window: int):
     """Worst residual over [0, window]^2 and its lattice point, for one diagram."""
-    require_integer("evaluation window", window, 0)
+    window = require_integer("evaluation window", window, 0)
     A, B = diagram.weight_arrays(window + 2, window + 2)
     return commutativity_residuals(A[None], B[None])[0]
 
@@ -299,13 +295,16 @@ def as_integer(name: str, value) -> int:
     return index
 
 
-def require_integer(name: str, value, least: int) -> int:
+def require_integer(name: str, value, least: int, most: float = math.inf) -> int:
     """value as an int: DomainError unless it is an integer (as_integer), and
-    WindowError if it is below least.  The one lower-bound check of an
-    integer argument."""
+    WindowError if it is below least or above most.  The one bound check of
+    an integer argument; callers compute with the int it returns (or int() of
+    a checked value), since a narrow numpy integer would wrap."""
     index = as_integer(name, value)
     if index < least:
         raise WindowError(f"{name} must be >= {least}")
+    if index > most:
+        raise WindowError(f"{name} must be <= {most}")
     return index
 
 
@@ -400,11 +399,12 @@ def build_thm1(omega, y: float) -> WeightDiagram:
     om = as_one_var_weights(omega)
     if not (math.isfinite(y) and y > 0.0):
         raise DomainError(f"require y > 0, got y={y}")
-    ratio = y / om(0)
+    ratio = float(y) / om(0)
 
     def window(n1, n2):
         A = _diagonal_window(om, n1, n2)
-        return A, ratio * A
+        with np.errstate(over="ignore"):  # a beta past the float range is refused where read
+            return A, ratio * A
 
     return WeightDiagram(kind="thm1", params={"omega": om, "y": float(y)}, _window=window)
 
@@ -430,10 +430,14 @@ def build_tables(alpha_rects, beta_rects, *, window: int | None = None) -> list:
     Each diagram keeps its slice of that stack as its cached window and
     its slice of the copied rectangles as its table.
     """
-    A = np.array(alpha_rects, dtype=float)
-    B = np.array(beta_rects, dtype=float)
+    shape = DomainError("alpha and beta rectangles must share a 2-d shape")
+    try:
+        A = np.array(alpha_rects, dtype=float)
+        B = np.array(beta_rects, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        raise shape from None
     if A.ndim != 3 or A.shape != B.shape:
-        raise DomainError("alpha and beta rectangles must share a 2-d shape")
+        raise shape
     if not len(A):
         return []
     _check_positive_finite(A, "alpha table")
@@ -469,17 +473,16 @@ def build_table(alpha_rect, beta_rect, *, window: int | None = None) -> WeightDi
     the worst offending point is raised on failure.  The one-table case
     of build_tables.
     """
-    A = np.asarray(alpha_rect, dtype=float)
-    B = np.asarray(beta_rect, dtype=float)
-    return build_tables(A[None], B[None], window=window)[0]
+    return build_tables([alpha_rect], [beta_rect], window=window)[0]
 
 
 def core_of(diagram: WeightDiagram) -> WeightDiagram:
     """Restriction to indices >= (1,1), re-indexed to start at the origin.
 
-    The core of each built-in kind is again of a built-in kind, so the
-    result serializes exactly: a two-atom row comes back re-anchored,
-    which raises DomainError once the row is too nearly flat.
+    The core of each built-in kind is again of a built-in kind, so it
+    serializes exactly, and it is the restriction bit for bit, but for
+    thm1's beta, whose ratio y / omega_0 is recomputed from the rounded
+    y omega_2 / omega_0.
     """
     kind = diagram.kind
     if kind == "theta":
@@ -491,31 +494,16 @@ def core_of(diagram: WeightDiagram) -> WeightDiagram:
         y = diagram.params["y"]
         shifted = om.shifted(2)
         return build_thm1(shifted, y * shifted(0) / om(0))
-    if kind == "table":
+    if kind == "table" and diagram.table is not None:
         A, B = diagram.table
-        rows, cols = A.shape
-        r2, c2 = max(rows - 1, 1), max(cols - 1, 1)
-        ia = np.minimum(np.arange(1, r2 + 1), rows - 1)
-        ja = np.minimum(np.arange(1, c2 + 1), cols - 1)
-        return build_table(A[np.ix_(ia, ja)], B[np.ix_(ia, ja)])
+        i, j = min(1, A.shape[0] - 1), min(1, A.shape[1] - 1)  # a single row clamps to itself
+        return build_table(A[i:, j:], B[i:, j:])
     if kind == "quasinormal-completion":
-        # constant row sum survives restriction, so the core is the
-        # completion of its own zeroth row with the same constant
-        from .measures import quasinormal_completion
+        from .measures import completion_core
 
-        om = diagram.params["omega"]
-        if om.triple is not None:
-            # the core row is again two-atomic (same atoms, masses
-            # reweighted), so its first three squared weights pin it down
-            A, _ = diagram.weight_arrays(4, 2)
-            row = _reanchored(om, A[1:, 1].tolist())
-        else:
-            # past a finite row's flat tail the completion repeats its
-            # zeroth row exactly, so a finite prefix captures the core row
-            A, _ = diagram.weight_arrays(max(len(om.values), 2), 2)
-            row = OneVarWeights(values=A[1:, 1])
-        return quasinormal_completion(row, diagram.params["constant"])
-    raise DomainError(f"unknown diagram kind {kind!r}")
+        p = diagram.params
+        return completion_core(p["omega"], p["constant"], p.get("core", 0) + 1)
+    raise DomainError(f"a diagram of kind {kind!r} without its builder's data has no core")
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +541,7 @@ def rows_first_moments(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def moments(diagram: WeightDiagram, maxdeg: int) -> MomentTable:
     """moment_window_tables of the diagram's window [0, maxdeg]^2, read after the refusal."""
-    require_integer("maxdeg", maxdeg, 0)
+    maxdeg = require_integer("maxdeg", maxdeg, 0)
     return moment_window_tables(*stacked_windows([diagram], maxdeg + 1), maxdeg)[0]
 
 
@@ -565,13 +553,18 @@ def moment_window_tables(A: np.ndarray, B: np.ndarray, maxdeg: int) -> list:
     The table is filled along two extreme monotone paths (rows first vs
     columns first); a relative mismatch above MOMENT_REL_TOL raises
     NonCommutingInputError for the first such diagram, since path
-    independence is equivalent to commutativity of the underlying pair.
+    independence is equivalent to commutativity of the underlying pair.  A
+    moment past the float range raises DomainError first.
     """
-    n = require_integer("maxdeg", maxdeg, 0) + 1
+    maxdeg = require_integer("maxdeg", maxdeg, 0)
+    n = maxdeg + 1
     A, B = leading_square(A, B, n, f"the moment table to degree {maxdeg}")
-    rows_first = rows_first_moments(A, B)
-    # columns first is the rows-first fill of the mirrored diagram
-    cols_first = rows_first_moments(B.swapaxes(1, 2), A.swapaxes(1, 2)).swapaxes(1, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0 * inf: refused below
+        rows_first = rows_first_moments(A, B)
+        # columns first is the rows-first fill of the mirrored diagram
+        cols_first = rows_first_moments(B.swapaxes(1, 2), A.swapaxes(1, 2)).swapaxes(1, 2)
+    if not (np.isfinite(rows_first).all() and np.isfinite(cols_first).all()):
+        raise DomainError(f"moments up to degree {maxdeg} leave the float range")
     rel = np.abs(rows_first - cols_first) / np.maximum(
         np.maximum(np.abs(rows_first), np.abs(cols_first)), DENOM_FLOOR
     )
@@ -588,10 +581,12 @@ def moment_window_tables(A: np.ndarray, B: np.ndarray, maxdeg: int) -> list:
 
 
 def moments_1var(omega, nmax: int) -> np.ndarray:
-    """gamma_0 .. gamma_nmax for a one-variable shift, gamma_0 = 1."""
-    require_integer("nmax", nmax, 0)
+    """gamma_0 .. gamma_nmax for a one-variable shift, gamma_0 = 1; a moment past
+    the float range is inf."""
+    nmax = require_integer("nmax", nmax, 0)
     om = as_one_var_weights(omega)
     gam = np.ones(nmax + 1)
     if nmax > 0:
-        gam[1:] = np.cumprod([w**2 for w in om.prefix(nmax).tolist()])
+        with np.errstate(over="ignore"):
+            gam[1:] = np.cumprod([w**2 for w in om.prefix(nmax).tolist()])
     return gam

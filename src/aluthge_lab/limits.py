@@ -20,10 +20,9 @@ COMMUTATIVITY_TOL = 1e-12
 MOMENT_REL_TOL = 1e-10
 # Relative-error denominators are floored at this value.
 DENOM_FLOOR = 1e-30
-# Largest accepted stored weight: squares and pairwise products stay finite.
-MAX_WEIGHT = math.sqrt(sys.float_info.max)
-# Relative move allowed in the top atom when a two-atom row is re-anchored.
-REANCHOR_TOL = 1e-12
+# Largest accepted weight: squares, pairwise products and the sums of two
+# of them (alpha^2 + beta^2, the six-point terms) stay finite.
+MAX_WEIGHT = math.sqrt(sys.float_info.max / 2)
 # Largest weight window a diagram materializes, in lattice points (two
 # float arrays of 18 MB).  The widest window an order-1 test within the
 # block budget reads is 1451 x 1451 (hypo -N 1449).

@@ -113,8 +113,8 @@ def _two_atom_completion(om: OneVarWeights, C: float) -> WeightDiagram:
     atoms = ((rho0, s0), (rho1, s1))
 
     def window(n1, n2):
-        # rho_i s_i^m down the rows times (C - s_i)^n along the columns
-        rows = [rho * float_powers(s, n1 + 1)[:, None] for rho, s in atoms]
+        # rho_i s_i^(m+shift) down the rows times (C - s_i)^n along the columns
+        rows = [rho * float_powers(s, n1 + 1 + om.shift)[om.shift:, None] for rho, s in atoms]
         cols = [float_powers(C - s, n2 + 1) for _, s in atoms]
         with np.errstate(over="ignore"):
             terms = [r * c for r, c in zip(rows, cols)]
@@ -179,6 +179,20 @@ def quasinormal_completion(W0, C: float) -> WeightDiagram:
     )
 
 
+def completion_core(W0, C: float, depth: int) -> WeightDiagram:
+    """quasinormal_completion(W0, C) restricted to k >= (depth, depth), bit for
+    bit: its window is the completion's, `depth` larger on each axis, sliced."""
+    W = quasinormal_completion(W0, C)
+    if not depth:
+        return W
+
+    def window(n1, n2):
+        A, B = W.weight_arrays(n1 + depth, n2 + depth)
+        return A[depth:, depth:], B[depth:, depth:]
+
+    return WeightDiagram(kind=W.kind, params={**W.params, "core": depth}, _window=window)
+
+
 # ---------------------------------------------------------------------------
 # detection
 
@@ -194,10 +208,12 @@ def _constant_sums(A: np.ndarray, B: np.ndarray, n: int) -> list:
     return [(C, dev, QUASINORMAL_TOL * max(1.0, C)) for C, dev in zip(Cs.ravel().tolist(), devs)]
 
 
-def _route_width(window: int, N: int) -> int:
-    """Width of the square the quasinormality routes read, after every refusal."""
-    require_integer("N", N, 1)
-    return max(require_integer("evaluation window", window, 0) + 3, N)
+def _route_width(window: int, N: int) -> tuple:
+    """(window, N, width): window and N as ints, after every refusal, and the
+    width of the square the quasinormality routes read."""
+    N = require_integer("N", N, 1)
+    window = require_integer("evaluation window", window, 0)
+    return window, N, max(window + 3, N)
 
 
 def route_window_deviations(A: np.ndarray, B: np.ndarray, window: int, N: int) -> list:
@@ -208,8 +224,8 @@ def route_window_deviations(A: np.ndarray, B: np.ndarray, window: int, N: int) -
     under the spherical transform of the weights whose ratios P_(k+e_i) / P_k
     read that square (alpha on [0, window] x [0, window+1], beta transposed),
     cut FIXED_POINT_TOL max(1, sqrt(C)); and _constant_sums on [0, N)^2."""
-    what = f"the quasinormality routes at window {window}"
-    A, B = leading_square(A, B, _route_width(window, N), what)
+    window, N, width = _route_width(window, N)
+    A, B = leading_square(A, B, width, f"the quasinormality routes at window {window}")
     n = window + 1
     sums = _constant_sums(A, B, n + 1)
     SA, SB = spherical_windows(A, B, window)
@@ -229,7 +245,7 @@ def is_spherically_quasinormal(W: WeightDiagram, window: int):
     cases resolve by the constant-row scan.  The window is read once, at
     the transform's (window+3)^2.
     """
-    A, B = stacked_windows([W], _route_width(window, 1))
+    A, B = stacked_windows([W], _route_width(window, 1)[2])
     ((C, dev_c, cut_c), (dev_f, cut_f), _), = route_window_deviations(A, B, window, 1)
     flag = dev_c <= cut_c
     if flag != (dev_f <= cut_f):
@@ -257,7 +273,7 @@ def quasinormality_routes_many(diagrams, window: int, N: int) -> list:
     as one stack.  The three are equivalent for genuine diagrams, which
     the property suites assert by comparing these flags pairwise.
     """
-    A, B = stacked_windows(diagrams, _route_width(window, N))
+    A, B = stacked_windows(diagrams, _route_width(window, N)[2])
     return [
         {"constant_sum": dev_c <= cut_c, "fixed_point": gap <= cut_f,
          "interior_diagonal": dev_i <= cut_i, "constant": C if dev_c <= cut_c else None}
@@ -300,7 +316,7 @@ class AtomicMeasure2D:
             if rho <= 0.0:
                 raise DomainError("atom masses must be positive")
             pts.add((s, t))
-            total += rho
+            total += float(rho)  # a float sum overflows to inf quietly, refused below
         if len(pts) != len(self.atoms):
             raise DomainError("atoms must be distinct")
         if abs(total - 1.0) > MASS_SUM_TOL:
@@ -310,7 +326,12 @@ class AtomicMeasure2D:
         )
 
     def moment(self, m: int, n: int) -> float:
-        return float(sum(rho * s**m * t**n for s, t, rho in self.atoms))
+        """sum_i rho_i s_i^m t_i^n; DomainError once it leaves the float range."""
+        m, n = require_integer("m", m, 0), require_integer("n", n, 0)
+        try:
+            return float(sum(rho * s**m * t**n for s, t, rho in self.atoms))
+        except OverflowError:
+            raise DomainError(f"the ({m}, {n}) moment of the measure leaves the float range") from None
 
 
 def quasinormal2_measure(a: float, b: float, c: float) -> AtomicMeasure2D:
@@ -332,7 +353,8 @@ def berger_atomic_verify(W: WeightDiagram, mu: AtomicMeasure2D, maxdeg: int) -> 
     zero rows cannot produce spurious blowups.  Raises DomainError when a
     measure moment in that range is not a finite float.
     """
-    G = moments(W, maxdeg)._values
+    table = moments(W, maxdeg)
+    G, maxdeg = table._values, table.maxdeg
     n = maxdeg + 1
     with np.errstate(over="ignore", invalid="ignore"):
         # AtomicMeasure2D.moment's arithmetic, one atom at a time
@@ -350,16 +372,18 @@ def berger_atomic_verify(W: WeightDiagram, mu: AtomicMeasure2D, maxdeg: int) -> 
 # Q_T power identity
 
 
-def _power_width(nmax: int, N: int) -> int:
-    """Width of the square the power identity reads, after refusing a bad nmax or N."""
-    require_integer("nmax", nmax, 0)
-    return require_integer("N", N, 0) + nmax + 2
+def _power_width(nmax: int, N: int) -> tuple:
+    """(nmax, N, width): nmax and N as ints, after refusing a bad one, and the
+    width of the square the power identity reads."""
+    nmax = require_integer("nmax", nmax, 0)
+    N = require_integer("N", N, 0)
+    return nmax, N, N + nmax + 2
 
 
 def qt_power_identity_checks(diagrams, nmax: int, N: int) -> list:
     """qt_power_window_checks of the diagrams' windows [0, N+nmax+2)^2, read once
     after every refusal."""
-    return qt_power_window_checks(*stacked_windows(diagrams, _power_width(nmax, N)), nmax, N)
+    return qt_power_window_checks(*stacked_windows(diagrams, _power_width(nmax, N)[2]), nmax, N)
 
 
 def qt_power_window_checks(A: np.ndarray, B: np.ndarray, nmax: int, N: int) -> list:
@@ -376,7 +400,8 @@ def qt_power_window_checks(A: np.ndarray, B: np.ndarray, nmax: int, N: int) -> l
     A non-integer nmax or N raises DomainError and a negative one
     WindowError.
     """
-    A, B = leading_square(A, B, _power_width(nmax, N), f"the power identity to n = {nmax}")
+    nmax, N, width = _power_width(nmax, N)
+    A, B = leading_square(A, B, width, f"the power identity to n = {nmax}")
     A2, B2 = A**2, B**2
     cur = np.ones(A.shape)
     worst = np.zeros(len(A))

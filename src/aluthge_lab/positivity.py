@@ -98,7 +98,8 @@ def _psd_rule(eigs: np.ndarray, tol: float, axis) -> tuple:
     """(minimum, PSD flag) of each eigenvalue set of eigs taken over axis: the
     set passes when its minimum is >= -tol max(1, its largest |eigenvalue|)."""
     lo = eigs.min(axis=axis)
-    return lo, lo >= -tol * np.maximum(1.0, np.abs(eigs).max(axis=axis))
+    with np.errstate(over="ignore"):  # a cut past the float range passes every set
+        return lo, lo >= -tol * np.maximum(1.0, np.abs(eigs).max(axis=axis))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +166,7 @@ def joint_hyponormal_reports(diagrams, N: int, tol: float = PSD_TOL) -> list:
     """joint_window_reports of the diagrams' windows [0, N+2)^2, read once after
     the budget check, so one diagram over MAX_BLOCK_FLOATS reads none."""
     joint_stack_size(N)  # the budget check
-    return joint_window_reports(*stacked_windows(diagrams, N + 2), N, tol)
+    return joint_window_reports(*stacked_windows(diagrams, int(N) + 2), N, tol)
 
 
 def joint_window_reports(A: np.ndarray, B: np.ndarray, N: int, tol: float = PSD_TOL) -> list:
@@ -181,7 +182,8 @@ def joint_window_reports(A: np.ndarray, B: np.ndarray, N: int, tol: float = PSD_
     first failing diagram.  The diagrams go through the kernels in
     consecutive stacks of joint_stack_size(N).
     """
-    per, Mc = joint_stack_size(N), N - 3
+    per, N = joint_stack_size(N), int(N)
+    Mc = N - 3
     A, B = leading_square(A, B, N + 2, f"level {N}")
     reports = []
     for i in range(0, len(A), per):
@@ -209,7 +211,7 @@ def joint_window_reports(A: np.ndarray, B: np.ndarray, N: int, tol: float = PSD_
                         f"predicted {pred:.6e}"
                     )
 
-        cuts = [tol * scale for scale in scales]
+        cuts = [float(tol) * scale for scale in scales]
         worst = mineigs.min(axis=(1, 2)).tolist()
         at = mineigs.reshape(len(a), -1).argmin(axis=1).tolist()
         for j, flags in enumerate(_componentwise(p, r, cuts)):
@@ -271,7 +273,7 @@ def joint_stack_size(N: int) -> int:
     """Diagrams per joint_hyponormal_reports stack at level N: _block_stack_size
     of its order-1 blocks, those of level 4 below it, where none are assembled.
     """
-    require_integer("N", N, 0)
+    N = require_integer("N", N, 0)
     return _block_stack_size(1, max(N, 4) - 2)
 
 
@@ -456,15 +458,15 @@ def _coupled_eigs(diag: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 def _order_stack(k: int, N: int) -> tuple:
     """(size, diagrams per kernel call) of order k at level N, size = N - 2k: refuses
     a bad k or N, and an order over the block budget (_block_stack_size)."""
-    require_integer("k", k, 1)
-    require_integer(f"N at order k = {k}", N, 4 * k + 2)
+    k = require_integer("k", k, 1)
+    N = require_integer(f"N at order k = {k}", N, 4 * k + 2)
     return N - 2 * k, _block_stack_size(k, N - 2 * k)
 
 
 def k_hyponormal_verdicts(diagrams, k: int, N: int, tol: float = PSD_TOL) -> list:
     """k_window_verdicts of the diagrams' windows [0, N-k)^2, read once after every refusal."""
     size, _ = _order_stack(k, N)
-    return k_window_verdicts(*stacked_windows(diagrams, size + k), k, N, tol)
+    return k_window_verdicts(*stacked_windows(diagrams, size + int(k)), k, N, tol)
 
 
 def k_window_verdicts(A: np.ndarray, B: np.ndarray, k: int, N: int, tol: float = PSD_TOL) -> list:
@@ -478,6 +480,7 @@ def k_window_verdicts(A: np.ndarray, B: np.ndarray, k: int, N: int, tol: float =
     Diagrams go through the kernel in consecutive stacks of _block_stack_size,
     one eigensolve each, and each verdict equals a one-diagram call's bit for bit."""
     size, per = _order_stack(k, N)
+    k = int(k)
     dim = len(_graded_multi_indices(k)) * size * size
     out = []
     for i in range(0, len(A), per):
@@ -498,7 +501,7 @@ def order_levels(N: int, kmax: int) -> dict:
     kmax and any order, order 1 at level N included, over the block budget
     of one diagram, so that callers refuse before any window is read."""
     joint_stack_size(N)
-    require_integer("kmax", kmax, 0)
+    N, kmax = int(N), require_integer("kmax", kmax, 0)
     levels = {k: max(N, 4 * k + 2) for k in range(2, kmax + 1)}
     for k, level in levels.items():
         _order_stack(k, level)
@@ -508,7 +511,8 @@ def order_levels(N: int, kmax: int) -> dict:
 def hypo_width(N: int, kmax: int) -> int:
     """Width n of the widest [0, n)^2 that the joint test at level N and orders
     2..kmax read, after every refusal of order_levels."""
-    return max([*(level - k for k, level in order_levels(N, kmax).items()), N + 2])
+    levels = order_levels(N, kmax)
+    return max([*(level - k for k, level in levels.items()), int(N) + 2])
 
 
 def hypo_orders(diagrams, reports, N: int, kmax: int, tol: float = PSD_TOL) -> list:
@@ -569,12 +573,10 @@ def one_var_k_hyponormal_many(omegas, k: int, nmax: int | None = None) -> list:
     DomainError for the first such row.  A k or nmax that is no integer
     raises DomainError, and k < 1 or nmax < 0 WindowError.
     """
-    require_integer("k", k, 1)
-    nmax = 4 * k + 6 if nmax is None else nmax
-    require_integer("nmax", nmax, 0)
+    k = require_integer("k", k, 1)
+    nmax = require_integer("nmax", 4 * k + 6 if nmax is None else nmax, 0)
     top = nmax + 2 * k
-    with np.errstate(over="ignore"):
-        gams = [moments_1var(omega, top) for omega in omegas]
+    gams = [moments_1var(omega, top) for omega in omegas]
     require_normal(gams, f"moments gamma_0 .. gamma_{top} of the row")
     steps = np.add.outer(np.arange(k + 1), np.arange(k + 1))
     gams = np.array(gams).reshape(len(gams), top + 1)

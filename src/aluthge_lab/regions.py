@@ -161,8 +161,8 @@ def classify_many(points, N: int = DEFAULT_SCAN_LEVEL, kmax: int = DEFAULT_KMAX)
         if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
             raise DomainError(f"require (x, y) in the open unit square, got ({x}, {y})")
     # the widest square a stage reads: the transforms at window N+2 read [0, N+5)^2
-    width = max(hypo_width(N, kmax), N + 5)
-    per = max(1, joint_stack_size(N) // 3)
+    width = max(hypo_width(N, kmax), int(N) + 5)
+    per, N = max(1, joint_stack_size(N) // 3), int(N)
     out = []
     for i in range(0, len(points), per):
         out += _classify_stack(points[i : i + per], N, kmax, width)
@@ -236,8 +236,8 @@ def region_scan(grid: int, N: int = DEFAULT_SCAN_LEVEL, ladder: int = DEFAULT_LA
     sizes, for any ladder; floats carry 12 significant digits and verdicts
     are 1/0.  Rows come out in (y, x) order.  Returns the CSV lines.
     """
-    require_integer("grid", grid, 2)
-    require_integer("ladder", ladder, 1)
+    grid = require_integer("grid", grid, 2)
+    ladder = require_integer("ladder", ladder, 1)
     lines = [SCAN_HEADER]
     for y in (i / (grid + 1) for i in range(1, grid + 1)):
         xs = probe_ladder(y, ladder)

@@ -2,7 +2,8 @@
 
 Only exactly reconstructible objects serialize: every built-in diagram
 kind stores a finite parameter set, and a weight sequence stores either
-its value list or its two-atom triple.  Derived diagrams (transform
+its value list or its two-atom triple (and a "shift" past 0), and a
+completion's core its "core" depth past 0.  Derived diagrams (transform
 outputs) are defined only through their parent's windows, so they
 intentionally do not round-trip; the CLI writes those as window reports
 instead.
@@ -25,9 +26,11 @@ from .diagrams import (
     build_table,
     build_theta,
     build_thm1,
+    require_integer,
 )
 from .errors import DomainError
-from .measures import AtomicMeasure2D, quasinormal_completion
+from .limits import MAX_WINDOW_POINTS
+from .measures import AtomicMeasure2D, completion_core
 
 
 def _number(value, where: str) -> float:
@@ -54,7 +57,8 @@ def _rectangle(value, where: str) -> np.ndarray:
 def omega_to_obj(om: OneVarWeights) -> dict:
     if om.values is not None:
         return {"values": list(om.values)}
-    return {"stampfli": list(om.triple)}
+    shift = {"shift": om.shift} if om.shift else {}
+    return {"stampfli": list(om.triple), **shift}
 
 
 def omega_from_obj(obj, where: str = "omega") -> OneVarWeights:
@@ -64,7 +68,9 @@ def omega_from_obj(obj, where: str = "omega") -> OneVarWeights:
         if "values" in obj:
             return OneVarWeights(values=_numbers(obj["values"], f"{where}.values"))
         if "stampfli" in obj:
-            return OneVarWeights(triple=_numbers(obj["stampfli"], f"{where}.stampfli", 3))
+            row = OneVarWeights(triple=_numbers(obj["stampfli"], f"{where}.stampfli", 3))
+            shift = require_integer(f"{where}.shift", obj.get("shift", 0), 0, MAX_WINDOW_POINTS)
+            return row.shifted(shift)
     raise DomainError("weight sequence JSON must be a list, {'values': ...}, or {'stampfli': [a,b,c]}")
 
 
@@ -74,19 +80,19 @@ _BUILDERS = {
     "prop2": (build_prop2, ("x", "y")),
     "thm1": (build_thm1, ("omega", "y")),
     "table": (build_table, ("alpha", "beta")),
-    "quasinormal-completion": (quasinormal_completion, ("omega", "constant")),
+    "quasinormal-completion": (completion_core, ("omega", "constant")),
 }
 
 
 def diagram_to_obj(diagram: WeightDiagram) -> dict:
     kind = diagram.kind
-    if kind not in _BUILDERS:
+    if kind not in _BUILDERS or kind == "table" and diagram.table is None:
         raise DomainError(f"diagram kind {kind!r} has no exact JSON form")
     p = diagram.params
     if kind == "table":
         p = {"alpha": diagram.table[0].tolist(), "beta": diagram.table[1].tolist()}
     params = {name: omega_to_obj(p[name]) if name == "omega" else p[name]
-              for name in _BUILDERS[kind][1]}
+              for name in (*_BUILDERS[kind][1], "core") if name in p}
     return {"kind": kind, "params": params}
 
 
@@ -112,7 +118,10 @@ def diagram_from_obj(obj) -> WeightDiagram:
     for name in names:
         if name not in p:
             raise DomainError(f"diagram JSON for kind {kind!r} is missing {name!r}")
-    return build(*(_param(name, p[name]) for name in names))
+    args = [_param(name, p[name]) for name in names]
+    if kind == "quasinormal-completion":  # and its optional core depth
+        args.append(require_integer("params.core", p.get("core", 0), 0, MAX_WINDOW_POINTS))
+    return build(*args)
 
 
 def measure_from_obj(obj) -> AtomicMeasure2D:

@@ -59,6 +59,7 @@ from .limits import (
     HYPOT_PORT_FLOATS,
     RE4_SLACK,
     SPHERICAL_GUARD_TOL,
+    STACK_FLOATS,
 )
 
 
@@ -161,7 +162,9 @@ def _joint_modulus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """sqrt(alpha^2 + beta^2) entrywise, equal to math.hypot bit for bit.
 
     np.hypot differs from math.hypot in the last bit on some inputs.
-    Inputs of HYPOT_PORT_FLOATS or more run _hypot_port; the rest, and
+    Inputs of HYPOT_PORT_FLOATS or more run _hypot_port, over chunks of at
+    most STACK_FLOATS floats of the flattened input so that its scratch
+    arrays stay within the stack budget; the rest, and
     any input with a negative entry or with an entry whose larger argument
     is zero, subnormal, 2^1022 or more, or not finite, where the port's
     scaling would not be a normal float, map math.hypot.  The biased
@@ -172,7 +175,11 @@ def _joint_modulus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         top = np.maximum(A.view(_U64), B.view(_U64))
         top >>= _U64(52)
         if ((top - _U64(1)) < _U64(2044)).all():
-            return _hypot_port(A, B, top)
+            a, b, top, P = A.ravel(), B.ravel(), top.ravel(), np.empty(A.size)
+            for i in range(0, A.size, STACK_FLOATS):
+                chunk = slice(i, i + STACK_FLOATS)
+                P[chunk] = _hypot_port(a[chunk], b[chunk], top[chunk])
+            return P.reshape(A.shape)
     P = np.fromiter(map(math.hypot, A.ravel().tolist(), B.ravel().tolist()), float, A.size)
     return P.reshape(A.shape)
 
@@ -194,7 +201,7 @@ def _parent_windows(A: np.ndarray, B: np.ndarray, window: int):
     [0, window]^2, and each diagram's weight scale, max(1, largest weight
     there squared); the validation and the scales read slices of the cut.  A
     window that is no integer raises DomainError, a negative one WindowError."""
-    require_integer("evaluation window", window, 0)
+    window = require_integer("evaluation window", window, 0)
     A, B = leading_square(A, B, window + 3, f"evaluation window {window}")
     m = window + 2
     require_commuting(commutativity_residuals(A[:, :m, :m], B[:, :m, :m]))
@@ -204,7 +211,7 @@ def _parent_windows(A: np.ndarray, B: np.ndarray, window: int):
 
 def _read_parents(diagrams, window: int):
     """_parent_windows of the diagrams, read once after a negative window is refused."""
-    require_integer("evaluation window", window, 0)
+    window = require_integer("evaluation window", window, 0)
     return _parent_windows(*stacked_windows(diagrams, window + 3), window)
 
 
@@ -250,7 +257,7 @@ def _toral_windows(A: np.ndarray, B: np.ndarray, scales: list, tol: float):
     TA, TB = _toral_rule(A, B)
     verdicts = []
     for cond, (direct, witness), scale in zip(conds, commutativity_residuals(TA, TB), scales):
-        cut = tol * scale
+        cut = float(tol) * scale
         flag, direct_flag = cond <= cut, direct <= cut
         if flag != direct_flag:
             cond_decisive = cond <= cut / DECISIVE_BAND or cond >= cut * DECISIVE_BAND
@@ -311,11 +318,15 @@ def toral_transforms(
     experiments need to inspect it).  The flag is the closed-form
     condition test; it is cross-checked against the direct residual of
     the candidate, and a decisive disagreement between the two routes
-    raises InternalConsistencyError.  Validation, the rule, both
+    raises InternalConsistencyError.  That needs a cut above 0, where
+    rounding alone would set the routes apart, so a tol that is not
+    positive and finite raises DomainError.  Validation, the rule, both
     residuals and the cuts each run once over the whole stack; the first
     failing diagram of the first failing stage raises.
     """
     diagrams = list(diagrams)
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"the toral tolerance must be positive and finite, got {tol}")
     TA, TB, verdicts = _toral_windows(*_read_parents(diagrams, window), tol)
     candidates = _derived_stack(diagrams, "toral", _toral_rule, TA, TB)
     return [ToralResult(candidate, *verdict) for candidate, verdict in zip(candidates, verdicts)]
@@ -437,7 +448,7 @@ def continuity_probe(W: WeightDiagram, N: int, n: int) -> ContinuityProbe:
 
 def distance_window(which: str, N: int) -> int:
     """transform_distance's window at level N, after refusing a bad N or `which`."""
-    require_integer("truncation level", N, 0)
+    N = require_integer("truncation level", N, 0)
     if which not in ("toral", "spherical"):
         raise DomainError(f"unknown transform {which!r}")
     return max(DEFAULT_WINDOW, N + 2)
@@ -462,7 +473,7 @@ def transform_window_distances(A: np.ndarray, B: np.ndarray, which: str, N: int)
     T_i - T_i' is a weighted shift, so its norm is the largest difference
     of truncated weights.
     """
-    parents = _parent_windows(A, B, distance_window(which, N))
+    parents, N = _parent_windows(A, B, distance_window(which, N)), int(N)
     TA, TB = (_toral_windows(*parents, COMMUTATIVITY_TOL)[:2] if which == "toral"
               else _spherical_windows(*parents))
     return np.maximum(_max_abs(TA[:1, :N, : N + 1] - TA[1:, :N, : N + 1]),

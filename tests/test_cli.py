@@ -492,9 +492,9 @@ def test_spherical_ratio_past_the_float_range_exits_2(tmp_path, capsys, kind):
 
 @pytest.fixture
 def big_weights_file(tmp_path):
-    # below the stored-weight bound, but products of four weights overflow
+    # below the stored-weight bound (9.48e153), but products of four weights overflow
     path = tmp_path / "big.json"
-    big = [[1e154, 1e154], [1e154, 1e154]]
+    big = [[9e153, 9e153], [9e153, 9e153]]
     path.write_text(dumps({"kind": "table", "params": {"alpha": big, "beta": big}}))
     return str(path)
 

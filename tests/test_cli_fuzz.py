@@ -82,11 +82,20 @@ JSON_JUNK = st.one_of(
     st.lists(JSON_NUMBER, max_size=3),
     st.dictionaries(st.text(max_size=3), JSON_NUMBER, max_size=2),
 )
+# a row's "shift" and a completion's "core": depths up to and past the
+# lowered window budget, and the non-integers a JSON file can hold
+DEPTH = st.one_of(
+    st.integers(-3, 40),
+    st.integers(WINDOW_SIDE**2 - 1, WINDOW_SIDE**2 + 1),
+    st.sampled_from([1.5, 2.0, True, 1e300, "3"]),
+    JSON_JUNK,
+)
 OMEGA = st.one_of(
     st.lists(JSON_NUMBER, max_size=6),
     st.fixed_dictionaries({"values": st.one_of(st.lists(JSON_NUMBER, max_size=6), JSON_JUNK)}),
     st.fixed_dictionaries({"stampfli": st.one_of(st.lists(JSON_NUMBER, max_size=4), JSON_JUNK)}),
     st.just({"stampfli": [1.0, 2.0, 3.0]}),
+    st.fixed_dictionaries({"stampfli": st.just([1.0, 2.0, 3.0]), "shift": DEPTH}),
     JSON_JUNK,
 )
 RECT = st.one_of(
@@ -99,13 +108,15 @@ PARAMS = {
     "prop2": {"x": JSON_NUMBER, "y": JSON_NUMBER},
     "thm1": {"omega": OMEGA, "y": JSON_NUMBER},
     "table": {"alpha": RECT, "beta": RECT},
-    "quasinormal-completion": {"omega": OMEGA, "constant": JSON_NUMBER},
+    "quasinormal-completion": {"omega": OMEGA, "constant": JSON_NUMBER, "core": DEPTH},
 }
 WELL_FORMED = [
     {"kind": "prop2", "params": {"x": 0.5, "y": 0.5}},
     {"kind": "prop2", "params": {"x": 0.95, "y": 0.6}},
     {"kind": "quasinormal-completion",
      "params": {"omega": {"stampfli": [1.0, 2.0, 3.0]}, "constant": 4.0}},
+    {"kind": "quasinormal-completion",
+     "params": {"omega": {"stampfli": [1.0, 2.0, 3.0], "shift": 2}, "constant": 4.0, "core": 3}},
 ]
 
 

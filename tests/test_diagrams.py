@@ -109,22 +109,32 @@ def test_one_var_shifted():
 
 
 def test_two_atom_shift_keeps_the_parent_row():
+    # a shifted row keeps its triple and solve: every weight is the
+    # parent's, bit for bit, as deep as the parent's moments stay normal
     om = stampfli(1.0, 2.0, 3.0).weights
     assert om.shifted(0) is om
-    ref = om.prefix(60)
-    for by in range(1, 9):
+    ref = om.prefix(578)
+    for by in range(1, 578):
         row = om.shifted(by)
-        assert row.triple is not None
-        np.testing.assert_allclose(row.prefix(30), ref[by:by + 30], rtol=1e-14, atol=0)
+        assert (row.triple, row.solve, row.shift) == (om.triple, om.solve, by)
+        assert np.array_equal(row.prefix(578 - by), ref[by:])
+    assert om.shifted(3).shifted(4) == om.shifted(7) != om.shifted(6)
 
 
-def test_two_atom_shift_refuses_rows_too_flat_to_reanchor():
-    # by depth 30 the weights agree to float precision, and the squares of
-    # three of them cannot pin the atoms down
-    with pytest.raises(DomainError, match="too nearly flat"):
-        stampfli(1.0, 2.0, 3.0).weights.shifted(30)
-    with pytest.raises(WindowError):
+def test_two_atom_shift_refuses_only_past_the_moment_range():
+    om = stampfli(1.0, 2.0, 3.0).weights
+    assert om.shifted(21)(0) == om(21)
+    for by, n in ((577, 2), (570, 9), (600, 1)):
+        with pytest.raises(DomainError, match=f"up to gamma_{by + n} leave the range of "
+                                              "normal positive floats$"):
+            om.shifted(by).prefix(n)
+    with pytest.raises(WindowError, match="shift must be >= 0$"):
         OneVarWeights(values=(0.5,)).shifted(-1)
+    most = diagrams.MAX_WINDOW_POINTS
+    assert om.shifted(most).shift == most
+    for row, by in ((om, most + 1), (om.shifted(most), 1), (OneVarWeights(values=(0.5,)), most + 1)):
+        with pytest.raises(WindowError, match=f"shift must be <= {most}$"):
+            row.shifted(by)
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +695,55 @@ def test_core_matches_shifted_parent(builder):
         for k2 in range(4):
             assert K.alpha(k1, k2) == pytest.approx(W.alpha(k1 + 1, k2 + 1), rel=1e-13)
             assert K.beta(k1, k2) == pytest.approx(W.beta(k1 + 1, k2 + 1), rel=1e-13)
+
+
+_TWO_ATOM = stampfli(1.0, 2.0, 3.0).weights
+RESTRICTED = {
+    "theta": lambda: build_theta(OneVarWeights(values=(0.5, 0.6, 0.7, 0.8, 0.9, 1.0))),
+    "theta-two-atom": lambda: build_theta(stampfli(0.6, 1.5, 2.0).weights),
+    "prop2": lambda: build_prop2(0.3, 0.7),
+    "table": lambda: random_commuting_tables(np.random.default_rng(23), 1)[0],
+    "completion-list": lambda: quasinormal_completion(OneVarWeights(values=(0.8, 1.0)), 2.5),
+    "completion-two-atom": lambda: quasinormal_completion(_TWO_ATOM, 4.0),
+    "completion-shifted": lambda: quasinormal_completion(_TWO_ATOM.shifted(3), 4.0),
+}
+
+
+@pytest.mark.parametrize("make", RESTRICTED.values(), ids=list(RESTRICTED))
+def test_core_is_the_restriction_bit_for_bit(make):
+    W = make()
+    A0, B0 = W.weight_arrays(13, 13)
+    K = W
+    for d in range(1, 6):
+        K = core_of(K)
+        A, B = K.weight_arrays(8, 8)
+        assert np.array_equal(A, A0[d:d + 8, d:d + 8])
+        assert np.array_equal(B, B0[d:d + 8, d:d + 8])
+
+
+def test_completion_of_a_shifted_row_reads_the_parent_completion_further_on():
+    W = quasinormal_completion(_TWO_ATOM, 4.0)
+    A0, B0 = W.weight_arrays(12, 8)
+    for by in (1, 4):
+        A, B = quasinormal_completion(_TWO_ATOM.shifted(by), 4.0).weight_arrays(8, 8)
+        assert np.array_equal(A, A0[by:by + 8]) and np.array_equal(B, B0[by:by + 8])
+
+
+def test_thm1_core_moves_beta_only_by_its_stored_ratio():
+    # alpha is the restriction bit for bit; beta = (y / omega_0) alpha, and the
+    # core stores y' = y omega_2 / omega_0 rounded, so its ratio y' / omega_2
+    # may leave y / omega_0 by a rounding or two per step
+    W = build_thm1(_TWO_ATOM, 0.4)
+    A0, _ = W.weight_arrays(13, 13)
+    ratio = 0.4 / _TWO_ATOM(0)
+    K = W
+    for d in range(1, 6):
+        K = core_of(K)
+        A, B = K.weight_arrays(8, 8)
+        assert np.array_equal(A, A0[d:d + 8, d:d + 8])
+        core_ratio = K.params["y"] / K.params["omega"](0)
+        assert np.array_equal(B, core_ratio * A)
+        assert abs(core_ratio - ratio) <= 3 * d * math.ulp(ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -342,7 +342,8 @@ def test_every_export_with_an_integer_argument_has_a_least_value_case():
 
 
 def _calls_by_function(path: Path):
-    """(qualified name of the enclosing def, name called) for every call in a module."""
+    """(qualified name of the enclosing def, name called, keywords passed) for
+    every call in a module."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
@@ -350,7 +351,8 @@ def _calls_by_function(path: Path):
             else:
                 if isinstance(child, ast.Call):
                     func = child.func
-                    yield scope.rstrip("."), getattr(func, "id", getattr(func, "attr", None))
+                    yield (scope.rstrip("."), getattr(func, "id", getattr(func, "attr", None)),
+                           {keyword.arg for keyword in child.keywords})
                 yield from visit(child, scope)
     yield from visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.")
 
@@ -358,7 +360,7 @@ def _calls_by_function(path: Path):
 def test_one_body_checks_the_lower_bound_of_an_integer():
     # require_integer is the one lower-bound check; MomentTable.gamma keeps
     # its two-sided degree check
-    callers = {scope for path in SOURCES for scope, name in _calls_by_function(path)
+    callers = {scope for path in SOURCES for scope, name, _ in _calls_by_function(path)
                if name == "as_integer"}
     assert callers == {"diagrams.require_integer", "diagrams.MomentTable.gamma"}
     defined = {node.name for path in SOURCES
@@ -391,6 +393,17 @@ def test_every_limit_is_read_by_the_library():
 
 # ---------------------------------------------------------------------------
 # one body per quantity: no runner keeps a copy of the library's
+
+
+def test_a_two_atom_row_is_solved_only_from_a_given_triple():
+    # stampfli and the JSON loader solve the triple they are handed (and
+    # sampling may draw one); no module re-solves a row from its own weights,
+    # since a shifted row keeps its parent's triple and solve
+    callers = {scope for path in SOURCES for scope, name, keywords in _calls_by_function(path)
+               if name == "OneVarWeights" and "triple" in keywords}
+    assert "measures.stampfli" in callers
+    assert all(scope == "measures.stampfli" or scope.split(".")[0] in ("sampling", "serialize")
+               for scope in callers), callers
 
 
 def test_every_public_sampler_is_used_by_the_lab():

@@ -11,6 +11,7 @@ from aluthge_lab import (
     AtomicMeasure2D,
     DomainError,
     OneVarWeights,
+    WindowError,
     build_prop2,
     build_table,
     build_theta,
@@ -27,6 +28,7 @@ from aluthge_lab import (
     spherical_transform,
     stampfli,
 )
+from aluthge_lab import cli, diagrams
 
 
 def weights_equal(W1, W2, n=8):
@@ -141,6 +143,88 @@ def test_core_round_trip(make):
     assert back.kind == K.kind
     for X, Y in zip(K.weight_arrays(8, 8), back.weight_arrays(8, 8)):
         assert np.array_equal(X, Y)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_theta(OneVarWeights(values=(0.5, 0.6, 0.7, 0.8, 0.9, 1.0))),
+        lambda: build_theta(_TWO_ATOM),
+        lambda: build_prop2(0.62, 0.41),
+        lambda: build_thm1(OneVarWeights(values=(0.6, 0.7, 0.8, 0.9, 1.0)), 0.35),
+        lambda: build_thm1(_TWO_ATOM, 0.35),
+        lambda: build_table(np.array([[0.5, 0.6, 0.7], [0.9, 0.9, 0.9], [0.9, 0.9, 0.9]]),
+                            np.array([[0.5, 0.6, 0.7], [0.6, 0.7, 0.7], [0.6, 0.7, 0.7]])),
+        lambda: quasinormal_completion(_TWO_ATOM, 4.0),
+        lambda: quasinormal_completion(OneVarWeights(values=(0.8, 1.0)), 2.5),
+    ],
+    ids=["theta", "theta-stampfli", "prop2", "thm1", "thm1-stampfli", "table",
+         "completion-stampfli", "completion-list"],
+)
+def test_cores_of_depth_one_to_five_round_trip_bit_for_bit(make):
+    K = make()
+    for depth in range(1, 6):
+        K = core_of(K)
+        obj = json.loads(dumps(diagram_to_obj(K)))
+        if K.kind == "quasinormal-completion":
+            assert obj["params"]["core"] == depth
+        back = diagram_from_obj(obj)
+        assert back.kind == K.kind and back.params == K.params
+        assert weights_equal(K, back)
+
+
+def test_shifted_rows_round_trip_bit_for_bit():
+    assert omega_to_obj(_TWO_ATOM) == {"stampfli": [1.0, 2.0, 3.0]}
+    assert omega_from_obj({"stampfli": [1.0, 2.0, 3.0], "shift": 0}) == _TWO_ATOM
+    for by in (1, 2, 20, 21, 300):
+        row = _TWO_ATOM.shifted(by)
+        obj = omega_to_obj(row)
+        assert obj == {"stampfli": [1.0, 2.0, 3.0], "shift": by}
+        back = omega_from_obj(json.loads(dumps(obj)))
+        assert back == row and np.array_equal(back.prefix(40), _TWO_ATOM.prefix(by + 40)[by:])
+
+
+def test_completion_core_key_is_written_only_past_depth_zero():
+    W = quasinormal_completion(_TWO_ATOM, 4.0)
+    assert diagram_to_obj(W) == {"kind": "quasinormal-completion", "params": {
+        "omega": {"stampfli": [1.0, 2.0, 3.0]}, "constant": 4.0}}
+    obj = diagram_to_obj(W)
+    obj["params"]["core"] = 0
+    assert weights_equal(diagram_from_obj(obj), W) and "core" not in diagram_from_obj(obj).params
+
+
+_MOST = diagrams.MAX_WINDOW_POINTS
+BAD_DEPTHS = [
+    (-1, WindowError, "must be >= 0"),
+    (1.5, DomainError, "must be an integer, got 1.5"),
+    (2.0, DomainError, "must be an integer, got 2.0"),
+    (True, DomainError, "must be an integer, got True"),
+    ("3", DomainError, "must be an integer, got '3'"),
+    (_MOST + 1, WindowError, f"must be <= {_MOST}"),
+]
+
+
+def _with_depth(field, value):
+    row = {"stampfli": [1.0, 2.0, 3.0]}
+    if field == "shift":
+        return {"kind": "theta", "params": {"omega": {**row, "shift": value}}}
+    return {"kind": "quasinormal-completion",
+            "params": {"omega": row, "constant": 4.0, "core": value}}
+
+
+@pytest.mark.parametrize("field, where", [("shift", "params.omega.shift"), ("core", "params.core")])
+@pytest.mark.parametrize("value, error, message", BAD_DEPTHS,
+                         ids=["negative", "float", "integral-float", "bool", "string", "past-budget"])
+def test_a_bad_shift_or_core_names_its_field(tmp_path, capsys, field, where, value, error,
+                                             message):
+    obj = _with_depth(field, value)
+    with pytest.raises(error) as info:
+        diagram_from_obj(obj)
+    assert str(info.value) == f"{where} {message}"
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["quasinormal", "check", "--input", str(path)]) == 2
+    assert f"{where} {message}" in capsys.readouterr().err
 
 
 def test_derived_diagrams_do_not_serialize():

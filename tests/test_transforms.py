@@ -468,6 +468,28 @@ def test_spherical_guard_cut_is_pinned_from_both_sides(monkeypatch):
                 spherical_transform(W, window=4)
 
 
+def test_decisive_band_is_pinned_from_both_sides(monkeypatch):
+    # the lift's toral candidate commutes exactly, so its direct residual is
+    # decisive; a condition residual reported at 0.5 and 2 times a band of
+    # 100 cuts (weights below 1: the cut is COMMUTATIVITY_TOL) disagrees with
+    # it inside the band, where the condition's flag stands, and then
+    # decisively, which raises: a band scaled by 4 or by 1/4 fails
+    W = build_theta([0.5, 0.7, 0.9])
+    assert (toral_transform(W).direct_residual, toral_transform(W).commutes) == (0.0, True)
+    for factor in (0.5, 2.0):
+        reported = factor * 100 * COMMUTATIVITY_TOL
+        monkeypatch.setattr(transforms, "_toral_condition_residuals",
+                            lambda A, B, r=reported: [r] * len(A))
+        if factor < 1:
+            result = toral_transform(W)
+            assert (result.commutes, result.direct_commutes) == (False, True)
+            assert (result.condition_residual, result.direct_residual) == (reported, 0.0)
+        else:
+            with pytest.raises(InternalConsistencyError, match=f"condition residual {reported:.3e}, "
+                                                               "direct residual 0.000e"):
+                toral_transform(W)
+
+
 def test_a_non_commuting_table_in_a_stack_raises_as_when_alone():
     rng = np.random.default_rng(11)
     A, B = random_commuting_tables(rng, 1)[0].table
@@ -654,6 +676,33 @@ def test_joint_modulus_equals_math_hypot_bit_for_bit(AB):
     got = transforms._joint_modulus(A, B)
     assert got.shape == A.shape
     assert np.array_equal(got.view(np.uint64), _map_hypot(A, B).view(np.uint64))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000, 2**20])
+def test_joint_modulus_chunks_keep_every_bit(monkeypatch, chunk):
+    # the port runs over chunks of STACK_FLOATS floats of the flattened
+    # input, strided views included; a last chunk may be short
+    monkeypatch.setattr(transforms, "STACK_FLOATS", chunk)
+    rng = np.random.default_rng(5)
+    A = _log_uniform(rng, (3, 21, 23))
+    B = np.repeat(A * rng.uniform(0.5, 2.0, A.shape), 2, axis=2)[..., ::2]
+    got = transforms._joint_modulus(A, B)
+    assert np.array_equal(got.view(np.uint64), _map_hypot(A, B).view(np.uint64))
+
+
+def test_joint_modulus_scratch_is_bounded_by_the_stack_budget(monkeypatch):
+    # beyond the result and the exponents, each the input's size, the port's
+    # scratch arrays hold one chunk; unchunked they held about nine inputs
+    monkeypatch.setattr(transforms, "STACK_FLOATS", 2**10)
+    rng = np.random.default_rng(1)
+    A, B = rng.uniform(0.3, 1.0, (400, 400)), rng.uniform(0.3, 1.0, (400, 400))
+    tracemalloc.start()
+    try:
+        transforms._joint_modulus(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * A.nbytes
 
 
 @settings(max_examples=100, deadline=None)
